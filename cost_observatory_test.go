@@ -3,9 +3,11 @@ package vamana
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -537,4 +539,44 @@ func equalKeys(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestCostObservatoryClassesParity pins the observatory's q-error classes
+// after one pass of Q1-Q5 on the factor-0.01 auction document to what the
+// commit before the positioned scanners (ce7bc69) folded: the classes are
+// est-vs-act over operator tuple counts, and neither side of that ratio
+// may move when only the cost of a bind changes.
+func TestCostObservatoryClassesParity(t *testing.T) {
+	db := openDB(t)
+	doc := loadAuction(t, db, 0.01)
+	for _, expr := range workloadExprs {
+		drainCount(t, db, doc, expr)
+	}
+	p, ok := db.CostProfile()
+	if !ok {
+		t.Fatal("CostProfile unavailable")
+	}
+	var got []string
+	for _, c := range p.Classes {
+		got = append(got, fmt.Sprintf("%s/%q samples=%d p50=%g p95=%g max=%g under=%d",
+			c.Axis, c.Rewrite, c.Samples, c.P50, c.P95, c.Max, c.Underestimates))
+	}
+	want := []string{
+		`child/"parent-inversion" samples=1 p50=4 p95=4 max=3.5441176470588234 under=0`,
+		`child/"upward-exist-dedup" samples=1 p50=4 p95=4 max=2.1264367816091956 under=0`,
+		`following-sibling/"" samples=1 p50=4 p95=4 max=2.2371134020618557 under=0`,
+		`parent/"" samples=1 p50=4 p95=4 max=2.2371134020618557 under=0`,
+		`descendant/"child-pushdown" samples=2 p50=2 p95=2 max=1 under=0`,
+		`parent/"child-pushdown" samples=2 p50=2 p95=2 max=1 under=0`,
+		`ancestor/"" samples=1 p50=2 p95=2 max=1 under=0`,
+		`ancestor-or-self/"upward-exist-dedup" samples=1 p50=2 p95=2 max=1 under=0`,
+		`descendant/"" samples=1 p50=2 p95=2 max=1 under=0`,
+		`descendant/"upward-exist-dedup" samples=1 p50=2 p95=2 max=1 under=0`,
+		`parent/"value-index" samples=1 p50=2 p95=2 max=1 under=0`,
+		`value/"value-index" samples=1 p50=2 p95=2 max=1 under=0`,
+	}
+	if p.Observations != 14 || !slices.Equal(got, want) {
+		t.Errorf("q-error classes moved (%d observations):\n got:\n%s\nwant:\n%s",
+			p.Observations, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }

@@ -34,17 +34,19 @@ func (g *diffGen) pick(list []string) string { return list[g.r.Intn(len(list))] 
 
 // genDoc produces a random XML document of up to ~80 nodes, depth <= 5,
 // with random attributes and text values drawn from small pools so that
-// value predicates sometimes match.
+// value predicates sometimes match. One element in four takes its
+// parent's name, so name-tested ancestor walks meet the same name at
+// several depths of one chain.
 func (g *diffGen) genDoc() string {
 	var sb strings.Builder
 	budget := 10 + g.r.Intn(70)
 	sb.WriteString("<root>")
-	g.genContent(&sb, 1, &budget)
+	g.genContent(&sb, 1, &budget, "")
 	sb.WriteString("</root>")
 	return sb.String()
 }
 
-func (g *diffGen) genContent(sb *strings.Builder, depth int, budget *int) {
+func (g *diffGen) genContent(sb *strings.Builder, depth int, budget *int, parent string) {
 	n := 1 + g.r.Intn(4)
 	for i := 0; i < n && *budget > 0; i++ {
 		*budget--
@@ -53,6 +55,9 @@ func (g *diffGen) genContent(sb *strings.Builder, depth int, budget *int) {
 			continue
 		}
 		name := g.pick(diffElems)
+		if parent != "" && g.r.Intn(4) == 0 {
+			name = parent
+		}
 		sb.WriteByte('<')
 		sb.WriteString(name)
 		for a := g.r.Intn(3); a > 0; a-- {
@@ -60,7 +65,7 @@ func (g *diffGen) genContent(sb *strings.Builder, depth int, budget *int) {
 		}
 		sb.WriteByte('>')
 		if depth < 5 && g.r.Intn(3) > 0 {
-			g.genContent(sb, depth+1, budget)
+			g.genContent(sb, depth+1, budget, name)
 		}
 		sb.WriteString("</")
 		sb.WriteString(name)
@@ -71,7 +76,8 @@ func (g *diffGen) genContent(sb *strings.Builder, depth int, budget *int) {
 // genQuery produces a random XPath expression over the generated
 // vocabulary: 1–3 steps, the full axis set except namespace, name / * /
 // text() / node() tests, value-, position-, count- and string-function
-// predicates, and an occasional union.
+// predicates, and an occasional union. One path in four is a genChain
+// shape instead.
 func (g *diffGen) genQuery() string {
 	q := g.genPath()
 	if g.r.Intn(8) == 0 {
@@ -81,6 +87,9 @@ func (g *diffGen) genQuery() string {
 }
 
 func (g *diffGen) genPath() string {
+	if g.r.Intn(4) == 0 {
+		return g.genChain()
+	}
 	var sb strings.Builder
 	steps := 1 + g.r.Intn(3)
 	for i := 0; i < steps; i++ {
@@ -92,6 +101,51 @@ func (g *diffGen) genPath() string {
 		sb.WriteString(g.genStep(i == steps-1))
 	}
 	return sb.String()
+}
+
+// genChain produces the shapes whose per-context binds the executor runs
+// as one ordered walk of an index — and the ones that break the order it
+// hopes for: a reverse axis feeding a forward step (contexts arrive in
+// reverse document order, so every re-seek falls back to a descent),
+// name-tested ancestor walks over nested same-name elements (the
+// ancestor stack's case), index-only parent/self tests, and attribute
+// contexts feeding sibling and reverse axes (attributes have no siblings:
+// `//@p/following-sibling::*` must stay empty).
+func (g *diffGen) genChain() string {
+	a, b := g.pick(diffElems), g.pick(diffElems)
+	test := func() string {
+		if g.r.Intn(3) == 0 {
+			return "*"
+		}
+		return g.pick(diffElems)
+	}
+	attr := "@*"
+	if g.r.Intn(2) == 0 {
+		attr = "@" + g.pick(diffAttrs)
+	}
+	var q string
+	switch g.r.Intn(8) {
+	case 0:
+		q = "//" + a + "/ancestor::" + test() + "/" + b
+	case 1:
+		q = "//" + a + "/preceding-sibling::" + test() + "/" + b
+	case 2:
+		q = "//" + a + "/ancestor-or-self::" + a + "/" + test()
+	case 3:
+		q = "//" + a + "//" + a + "/ancestor::" + a
+	case 4:
+		q = "//" + attr + "/following-sibling::" + test()
+	case 5:
+		q = "//" + attr + "/preceding-sibling::" + test()
+	case 6:
+		q = "//" + attr + "/parent::" + test() + "/" + g.genStep(true)
+	default:
+		q = "//" + a + "/parent::" + test() + "/self::" + b + "/" + test()
+	}
+	if g.r.Intn(3) == 0 {
+		q += "/" + g.genStep(true)
+	}
+	return q
 }
 
 func (g *diffGen) genStep(last bool) string {

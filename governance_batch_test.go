@@ -66,7 +66,7 @@ func TestBudgetMaxDecodedRecordsMidBatch(t *testing.T) {
 			defer db.Close()
 			doc := loadAuction(t, db, 0.01)
 
-			res, err := db.QueryContext(context.Background(), doc, heavyExpr,
+			res, err := db.QueryContext(context.Background(), doc, recordExpr,
 				WithMaxDecodedRecords(10))
 			if err == nil {
 				for res.Next() {

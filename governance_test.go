@@ -14,10 +14,21 @@ import (
 	"vamana/internal/xmark"
 )
 
-// heavyExpr produces a large result set on XMark documents: every name
-// element, via an ancestor step that touches many records. Used where a
-// query must run long enough for governance to interrupt it.
+// heavyExpr produces a large result set on XMark documents through a
+// chain of per-context binds (every name element, its parent, a self
+// test, a child step). Its name and wildcard tests are answered from the
+// indexes alone, so it decodes no records and drains a 10 MB document in
+// about a millisecond: use it where a test wants many results and pooled
+// multi-step run state, not where governance must catch a query at work.
 const heavyExpr = "/descendant::name/parent::*/self::person/address"
+
+// recordExpr is the query governance interrupts: child::node() must tell
+// an element's children from its attributes, which only the clustered
+// record's kind can, so the second step — one bind per element of the
+// document, fed a batch of contexts at a time by an index-only first
+// step — reads and decodes a record per candidate. The drain takes tens
+// of milliseconds on the 10 MB fixture.
+const recordExpr = "/descendant::*/child::node()"
 
 // TestQueryContextDeadline is the ISSUE's acceptance scenario: a 1ms
 // deadline on a full-size XMark document kills the query in bounded time
@@ -30,7 +41,7 @@ func TestQueryContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := db.QueryContext(ctx, doc, heavyExpr)
+	res, err := db.QueryContext(ctx, doc, recordExpr)
 	if err == nil {
 		for res.Next() {
 		}
@@ -57,7 +68,7 @@ func TestQueryTimeoutOption(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.1)
 
-	res, err := db.QueryContext(context.Background(), doc, heavyExpr,
+	res, err := db.QueryContext(context.Background(), doc, recordExpr,
 		WithTimeout(time.Millisecond))
 	if err == nil {
 		for res.Next() {
@@ -177,7 +188,7 @@ func TestBudgetMaxDecodedRecords(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.01)
 
-	res, err := db.QueryContext(context.Background(), doc, heavyExpr,
+	res, err := db.QueryContext(context.Background(), doc, recordExpr,
 		WithMaxDecodedRecords(10))
 	if err == nil {
 		for res.Next() {
@@ -190,6 +201,60 @@ func TestBudgetMaxDecodedRecords(t *testing.T) {
 	}
 	if be.Budget != "decoded-records" || be.Limit != 10 {
 		t.Errorf("BudgetError = %+v, want budget decoded-records limit 10", be)
+	}
+}
+
+// TestBudgetDecodedRecordsOnSiblingAxes checks the decoded-records budget
+// counts what the store counts on the sibling axes. A sibling bind whose
+// context kind the plan does not fix (here: contexts out of a node() step)
+// probes the context's record for its kind — attributes have no siblings —
+// and that probe used to bump the store's counter without charging the
+// query, so MaxDecodedRecords under-counted exactly there. For each
+// expression the query's own account must equal the store's delta, a
+// budget of that many records must pass, and one record less must trip.
+func TestBudgetDecodedRecordsOnSiblingAxes(t *testing.T) {
+	db, err := Open(Options{SlowQueryThreshold: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	doc := loadAuction(t, db, 0.01)
+
+	for _, expr := range []string{
+		"//itemref/following-sibling::node()",              // kind fixed by the plan: no probe
+		"//itemref/self::node()/following-sibling::node()", // kind probed per context
+		"//price/self::node()/preceding-sibling::node()",
+	} {
+		before := db.StorageMetrics().RecordsDecoded
+		want := drainCount(t, db, doc, expr)
+		stored := db.StorageMetrics().RecordsDecoded - before
+		if want == 0 || stored == 0 {
+			t.Fatalf("%s: %d results, %d records decoded; the fixture must exercise both", expr, want, stored)
+		}
+		if sq := db.SlowQueries()[0]; sq.Expr != expr || sq.RecordsDecoded != stored {
+			t.Errorf("%s: the query accounted %d decoded records (entry %q), the store counted %d",
+				expr, sq.RecordsDecoded, sq.Expr, stored)
+		}
+
+		drain := func(limit uint64) (int, error) {
+			res, err := db.QueryContext(context.Background(), doc, expr, WithMaxDecodedRecords(limit))
+			if err != nil {
+				return 0, err
+			}
+			n := 0
+			for res.Next() {
+				n++
+			}
+			return n, res.Err()
+		}
+		if n, err := drain(stored); err != nil || n != want {
+			t.Errorf("%s under a budget of exactly %d records: %d results, err %v; want %d, nil", expr, stored, n, err, want)
+		}
+		_, err := drain(stored - 1)
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Budget != "decoded-records" || be.Limit != stored-1 {
+			t.Errorf("%s under a budget of %d records: err = %v, want a decoded-records *BudgetError", expr, stored-1, err)
+		}
 	}
 }
 

@@ -58,6 +58,10 @@ type Tree struct {
 	hand     int
 	scratch  []byte  // page-size buffer reused for I/O
 	m        Metrics // plain counters; callers serialize tree access
+	// mods counts Put and Delete calls. Cursors stamp it when they reach
+	// a leaf and trust that leaf on a later Seek only while it is
+	// unchanged (see Cursor.Seek).
+	mods uint64
 }
 
 // Metrics counts the tree's node-cache and structural activity since it
@@ -364,6 +368,7 @@ func (t *Tree) Put(key, value []byte) (bool, error) {
 	if len(key) > maxKeySize {
 		return false, ErrKeyTooLarge
 	}
+	t.mods++
 	root, err := t.load(t.root)
 	if err != nil {
 		return false, err
@@ -546,6 +551,7 @@ func recalcBranchBytes(n *node) {
 // are not rebalanced (deletion is rare in the XML-load workload); empty
 // leaves remain linked and are skipped by cursors.
 func (t *Tree) Delete(key []byte) (bool, error) {
+	t.mods++
 	n, err := t.load(t.root)
 	if err != nil {
 		return false, err

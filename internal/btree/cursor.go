@@ -9,7 +9,9 @@ import (
 
 // Cursor iterates leaf entries in key order. A cursor is positioned either
 // on an entry or past either end. Cursors observe a snapshot of the leaf
-// objects they traverse; mutating the tree invalidates outstanding cursors.
+// objects they traverse: a Put or Delete on the tree invalidates the
+// entry-at-a-time position (Next/Prev/Key/Value are undefined until the
+// next Seek*), but Seek itself is always safe — see Seek.
 type Cursor struct {
 	t     *Tree
 	leaf  *node
@@ -17,6 +19,11 @@ type Cursor struct {
 	valid bool
 	err   error
 	lim   *govern.Limiter
+	// mods is the tree's modification count when leaf was reached. Seek
+	// resumes from leaf only while it still equals t.mods: any Put or
+	// Delete since may have split, emptied or (after an eviction) replaced
+	// the node object, so the next Seek descends from the root instead.
+	mods uint64
 }
 
 // SetLimiter attaches a query-governance limiter: every node-cache miss
@@ -34,9 +41,28 @@ func (c *Cursor) load(id pager.PageID) (*node, error) { return c.t.loadFor(id, c
 
 // Seek positions the cursor on the first entry with key >= target and
 // reports whether such an entry exists.
+//
+// Seek is positioned: a cursor that already rests on a leaf of this tree
+// (from an earlier Seek*, Next/Prev walk or ScanBatch) first tests whether
+// target falls within that leaf's key range, and if so answers by
+// galloping from where it stands — no node is loaded. Only a target
+// outside the held leaf descends from the root. The choice is made per
+// call from what the cursor observes, so a caller seeking ascending (or
+// merely nearby) targets walks the leaf level once, and any other target
+// sequence costs one extra pair of key comparisons per Seek. A Put or
+// Delete on the tree since the leaf was reached voids the held position
+// (the next Seek descends); Reset drops it explicitly.
 func (c *Cursor) Seek(target []byte) bool {
 	c.t.m.Seeks++
 	c.valid, c.err = false, nil
+	if n := c.leaf; n != nil && c.mods == c.t.mods {
+		if keys := n.keys; len(keys) > 0 &&
+			bytes.Compare(keys[0], target) <= 0 && bytes.Compare(target, keys[len(keys)-1]) <= 0 {
+			c.idx = gallop(keys, c.idx, target)
+			c.valid = true
+			return true
+		}
+	}
 	n, err := c.load(c.t.root)
 	if err != nil {
 		c.err = err
@@ -49,8 +75,51 @@ func (c *Cursor) Seek(target []byte) bool {
 		}
 	}
 	i, _ := leafIndex(n, target)
-	c.leaf, c.idx = n, i
+	c.leaf, c.idx, c.mods = n, i, c.t.mods
 	return c.skipForward()
+}
+
+// gallop returns the index of the first key >= target in keys, given
+// keys[0] <= target <= keys[len(keys)-1]. It searches outward from the
+// hint position in doubling strides and bisects the bracket it finds, so
+// a target a few entries from the hint costs a few comparisons however
+// large the leaf is.
+func gallop(keys [][]byte, hint int, target []byte) int {
+	if hint < 0 {
+		hint = 0
+	} else if hint >= len(keys) {
+		hint = len(keys) - 1
+	}
+	// Invariant: keys[lo] < target (or lo == -1) and keys[hi] >= target.
+	lo, hi := -1, len(keys)-1
+	if bytes.Compare(keys[hint], target) < 0 {
+		lo = hint
+		for step := 1; lo+step < hi; step <<= 1 {
+			if bytes.Compare(keys[lo+step], target) >= 0 {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	} else {
+		hi = hint
+		for step := 1; hi-step > lo; step <<= 1 {
+			if bytes.Compare(keys[hi-step], target) < 0 {
+				lo = hi - step
+				break
+			}
+			hi -= step
+		}
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(keys[mid], target) < 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // SeekFirst positions the cursor on the smallest entry.
@@ -68,7 +137,7 @@ func (c *Cursor) SeekFirst() bool {
 			return false
 		}
 	}
-	c.leaf, c.idx = n, 0
+	c.leaf, c.idx, c.mods = n, 0, c.t.mods
 	return c.skipForward()
 }
 
@@ -87,7 +156,7 @@ func (c *Cursor) SeekLast() bool {
 			return false
 		}
 	}
-	c.leaf, c.idx = n, len(n.keys)-1
+	c.leaf, c.idx, c.mods = n, len(n.keys)-1, c.t.mods
 	return c.skipBackward()
 }
 
@@ -275,4 +344,18 @@ func (t *Tree) NewCursor() *Cursor { return &Cursor{t: t} }
 // so one cursor allocation can be reused across many scans. Callers that
 // govern the new scan must SetLimiter again after Reset — clearing here
 // keeps a pooled cursor from charging a previous query's budget.
+// Reset(nil) parks the cursor: it references no tree or node until the
+// next Reset/Rebind.
 func (c *Cursor) Reset(t *Tree) { *c = Cursor{t: t} }
+
+// Rebind is Reset for a caller that seeks the same tree again and again
+// (one axis scan per context tuple): when c already walks t, the leaf it
+// rests on is kept so the next Seek can resume from it; any other tree is
+// a plain Reset. The limiter is kept only in the same-tree case.
+func (c *Cursor) Rebind(t *Tree) {
+	if c.t != t {
+		c.Reset(t)
+		return
+	}
+	c.valid, c.err = false, nil
+}

@@ -278,9 +278,12 @@ func Run(p *plan.Plan, ctx Context) (*Iterator, error) {
 
 // release returns the run's pooled state — the arena/steps backing and
 // the governance limiter. The iterator's env stops referencing both, so
-// Stats after release see an empty registry. Pooled step slots may still
-// hold stale scanner->limiter pointers; every bind site re-installs the
-// new run's limiter before any scan, so those are never dereferenced.
+// Stats after release see an empty registry. Pooled step slots keep only
+// their buffers: each scanner is Released (cursor position, tree and
+// store references, ancestor stack, limiter) and the slot's pointers into
+// this run are dropped, so a pooled slot neither pins a retired
+// snapshot's trees nor carries a leaf position into a run that reads a
+// later version of the store.
 func (it *Iterator) release() {
 	rs := it.rs
 	if rs == nil {
@@ -295,6 +298,12 @@ func (it *Iterator) release() {
 	}
 	it.env.lim = nil
 	it.rs = nil
+	for i := range it.env.arena {
+		se := &it.env.arena[i]
+		se.scanner.Release()
+		clear(se.preds)
+		se.env, se.op, se.child, se.scan, se.batch = nil, nil, nil, nil, nil
+	}
 	rs.arena = it.env.arena[:0]
 	rs.steps = it.env.steps[:0]
 	// Recover the dedup log's (possibly grown) backing from the root
@@ -613,20 +622,50 @@ func (e *env) scratch(n int) []flex.Key {
 // newStep carves a step executor out of the arena, or allocates one when
 // the arena is exhausted (transient subplans built during expression
 // evaluation). Arena slots are pooled across runs, so a carved slot is
-// reset here — except its scanner, whose cursor and key buffers are the
-// cross-run allocation win (BindScan rebinds all of its semantic state).
+// reset here — except its scanner and predicate list, whose buffers are
+// the cross-run allocation win (release emptied both; BindScan rebinds
+// all of the scanner's semantic state).
 func (e *env) newStep(op *plan.Step) *stepExec {
+	var se *stepExec
 	if len(e.arena) < cap(e.arena) {
 		e.arena = e.arena[:len(e.arena)+1]
-		se := &e.arena[len(e.arena)-1]
-		for i := range se.preds {
-			se.preds[i] = nil
-		}
-		scanner := se.scanner
-		*se = stepExec{env: e, op: op, preds: se.preds[:0], scanner: scanner}
-		return se
+		se = &e.arena[len(e.arena)-1]
+		*se = stepExec{env: e, op: op, preds: se.preds[:0], scanner: se.scanner}
+	} else {
+		se = &stepExec{env: e, op: op}
 	}
-	return &stepExec{env: e, op: op}
+	se.scanner.SetContextKind(producedKind(op.Context))
+	return se
+}
+
+// producedKind reports the node kind every tuple of op's output has, when
+// op's axis and node test fix it: the context-kind hint a step hands its
+// scanner (mass.Scanner.SetContextKind). Anything but a step — a union,
+// the run's start node — is unknown.
+func producedKind(op plan.Op) (xmldoc.Kind, bool) {
+	st, ok := op.(*plan.Step)
+	if !ok {
+		return 0, false
+	}
+	switch st.Axis {
+	case mass.AxisValue:
+		return xmldoc.KindText, true
+	case mass.AxisAttrValue:
+		return xmldoc.KindAttribute, true
+	case mass.AxisNumRange:
+		return 0, false // text nodes and attributes share the numeric index
+	}
+	switch st.Test.Type {
+	case mass.TestName, mass.TestWildcard:
+		return st.Axis.Principal(), true
+	case mass.TestText:
+		return xmldoc.KindText, true
+	case mass.TestComment:
+		return xmldoc.KindComment, true
+	case mass.TestPI:
+		return xmldoc.KindPI, true
+	}
+	return 0, false // node() takes the kind of whatever is on the axis
 }
 
 // countSteps sizes the arena: every Step operator reachable from op,

@@ -2,6 +2,7 @@ package mass
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"vamana/internal/xmldoc"
@@ -22,16 +23,20 @@ func encodeRecord(n xmldoc.Node) []byte {
 	return out
 }
 
+// ErrCorruptRecord is wrapped by every error reporting a clustered-index
+// record that does not decode.
+var ErrCorruptRecord = errors.New("mass: corrupt record")
+
 // decodeRecord parses a clustered-index record.
 func decodeRecord(b []byte) (xmldoc.Node, error) {
 	if len(b) < 2 {
-		return xmldoc.Node{}, fmt.Errorf("mass: record too short (%d bytes)", len(b))
+		return xmldoc.Node{}, fmt.Errorf("%w: too short (%d bytes)", ErrCorruptRecord, len(b))
 	}
 	var n xmldoc.Node
 	n.Kind = xmldoc.Kind(b[0])
 	nameLen, w := binary.Uvarint(b[1:])
 	if w <= 0 || 1+w+int(nameLen) > len(b) {
-		return xmldoc.Node{}, fmt.Errorf("mass: corrupt record")
+		return xmldoc.Node{}, fmt.Errorf("%w: name length %d overruns %d bytes", ErrCorruptRecord, nameLen, len(b))
 	}
 	off := 1 + w
 	n.Name = string(b[off : off+int(nameLen)])

@@ -110,17 +110,33 @@ func (s *Store) materializeValues(d DocID, in *Scan, lim *govern.Limiter) *Scan 
 	}}
 }
 
-func (s *Store) kindOf(d DocID, k flex.Key) (xmldoc.Kind, error) {
+// kindOf reads the kind byte of the record at (d, k) without decoding the
+// record. It is a record fetch all the same, so it is counted and charged
+// to the query's decoded-records budget like nodeLockedFor.
+func (s *Store) kindOf(d DocID, k flex.Key, lim *govern.Limiter) (xmldoc.Kind, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, ok, err := s.nodeLocked(d, k)
+	if err := lim.AddRecords(1); err != nil {
+		return 0, err
+	}
+	s.recordsDecoded++
+	s.keyBuf = appendClusteredKey(s.keyBuf[:0], d, k)
+	kind := -1
+	ok, err := s.clustered.View(s.keyBuf, func(v []byte) {
+		if len(v) > 0 {
+			kind = int(v[0])
+		}
+	})
 	if err != nil {
 		return 0, err
 	}
 	if !ok {
 		return 0, fmt.Errorf("mass: no node at %q", k)
 	}
-	return n.Kind, nil
+	if kind < 0 {
+		return 0, fmt.Errorf("%w: empty record at %q", ErrCorruptRecord, k)
+	}
+	return xmldoc.Kind(kind), nil
 }
 
 // namespaceScan yields the in-scope namespace nodes of ctx: declarations

@@ -1,6 +1,7 @@
 package mass
 
 import (
+	"bytes"
 	"fmt"
 
 	"vamana/internal/btree"
@@ -16,10 +17,23 @@ import (
 // work with no allocations (the dominant cost of pipelined evaluation,
 // where a non-leaf step opens one scan per context tuple).
 //
+// Rebinding keeps the cursor where the previous binding left it
+// (btree.Cursor.Rebind): a step's bindings all walk the same index, and
+// context tuples mostly arrive in document order, so the next binding's
+// first seek usually lands on the leaf the cursor already holds and the
+// step as a whole is one forward walk of its index stream — a structural
+// merge. Contexts that arrive out of order (a reverse axis upstream) simply
+// miss the held leaf and descend from the root; nothing selects between the
+// two but the seek itself. Name and wildcard tests on the self, parent and
+// ancestor axes are answered from the names/elems indexes and FLEX-key
+// arithmetic through that same cursor, never from clustered records.
+//
 // A Scanner serves one binding at a time: BindScan invalidates the Scan
 // returned by the previous call. Scanners are not safe for concurrent use;
 // the Store's internal locking protects the underlying trees, not the
-// Scanner's own state.
+// Scanner's own state. A Scanner that outlives a run must be Released:
+// it retains tree and node references that are only meaningful — and only
+// safe to keep alive — for the store version the run read.
 type Scanner struct {
 	store *Store
 	d     DocID
@@ -44,10 +58,31 @@ type Scanner struct {
 	started    bool
 
 	// Walk state (self, parent, ancestor, preceding-sibling).
-	walkKey  flex.Key
-	orSelf   bool
-	selfDone bool
-	done     bool
+	walkKey   flex.Key
+	walkDepth int // FLEX depth of walkKey (index-only ancestor walks)
+	orSelf    bool
+	selfDone  bool
+	done      bool
+
+	// probe is the seek buffer of the index-only node tests: the names or
+	// elems key of the node being tested.
+	probe []byte
+	// ancKeys/ancHit are the structural-join stack of name-tested parent
+	// and ancestor walks, indexed by FLEX depth: the last key tested at
+	// that depth and whether the names index held it. Consecutive contexts
+	// share all but their nearest ancestors, so a walk re-probes only the
+	// depths where its chain departs from the previous one. Entries are
+	// valid for one (store, its mutation generation ancGen, document,
+	// test) — BindScan drops them when any of these changes.
+	ancKeys []flex.Key
+	ancHit  []bool
+	ancGen  uint64
+	// ctxKind is the node kind every context bound to this scanner is
+	// known to have (ctxKindKnown), told by the executor from the
+	// producing step's axis and node test. It spares the sibling axes and
+	// self::* a storage probe for what the plan already fixes.
+	ctxKind      xmldoc.Kind
+	ctxKindKnown bool
 
 	bindErr error
 
@@ -71,6 +106,26 @@ type Scanner struct {
 // (scanners are pooled across runs, so every run must set it, including
 // setting nil for ungoverned runs).
 func (sc *Scanner) SetLimiter(l *govern.Limiter) { sc.lim = l }
+
+// SetContextKind tells the scanner what kind of node its contexts are,
+// when the caller knows (known = false withdraws the hint). Like the
+// limiter it applies from the next BindScan on and must be set by every
+// owner of a pooled Scanner.
+func (sc *Scanner) SetContextKind(k xmldoc.Kind, known bool) {
+	sc.ctxKind, sc.ctxKindKnown = k, known
+}
+
+// Release drops everything the scanner retains from its bindings that
+// refers to a store version: the cursor's tree and leaf, the store, the
+// ancestor stack and the limiter. Buffers are kept. The next BindScan
+// starts from a root descent.
+func (sc *Scanner) Release() {
+	sc.cur.Reset(nil)
+	sc.store, sc.tree, sc.lim = nil, nil, nil
+	sc.ctx, sc.walkKey, sc.skipAnc = "", "", ""
+	clear(sc.ancKeys)
+	sc.ancKeys, sc.ancHit = sc.ancKeys[:0], sc.ancHit[:0]
+}
 
 // scanShape selects the iteration strategy a binding uses.
 type scanShape uint8
@@ -110,6 +165,9 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 		ctx = flex.Root
 	}
 	sc.scan.sc = sc
+	if len(sc.ancKeys) > 0 && (sc.store != s || sc.d != d || sc.test != test || sc.ancGen != s.gen.Load()) {
+		sc.ancKeys, sc.ancHit = sc.ancKeys[:0], sc.ancHit[:0]
+	}
 	sc.store, sc.d, sc.test, sc.ctx = s, d, test, ctx
 	sc.scan.err, sc.scan.done = nil, false
 	sc.started, sc.done, sc.selfDone = false, false, false
@@ -119,6 +177,7 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 	switch axis {
 	case AxisSelf:
 		sc.shape = shapeSelf
+		sc.bindProbe()
 	case AxisChild:
 		if test.Type == TestName || test.Type == TestWildcard {
 			sc.setRange(ctx, flex.Sep, ctx, flex.SubtreeSentinel)
@@ -133,12 +192,11 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 		sc.shape = shapeSelfThenRange
 	case AxisParent:
 		sc.shape = shapeParent
+		sc.bindProbe()
 	case AxisAncestor:
-		sc.shape = shapeAncestor
-		sc.walkKey, sc.orSelf = ctx.Parent(), false
+		sc.bindAncestor(ctx.Parent(), false)
 	case AxisAncestorOrSelf:
-		sc.shape = shapeAncestor
-		sc.walkKey, sc.orSelf = ctx, true
+		sc.bindAncestor(ctx, true)
 	case AxisFollowing:
 		sc.setRange(ctx, flex.SubtreeSentinel, flex.Root, flex.SubtreeSentinel)
 	case AxisFollowingSibling:
@@ -153,7 +211,7 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 		sc.shape = shapeAttribute
 		sc.lo = append(appendClusteredKey(sc.lo[:0], d, ctx), flex.Sep)
 		sc.hi = append(appendClusteredKey(sc.hi[:0], d, ctx), flex.SubtreeSentinel)
-		sc.cur.Reset(s.clustered)
+		sc.cur.Rebind(s.clustered)
 	case AxisNamespace:
 		// In-scope namespaces need an ancestor walk with prefix shadowing;
 		// rare enough to keep on the allocating slow path.
@@ -166,10 +224,40 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 		sc.shape = shapeErr
 		sc.bindErr = fmt.Errorf("mass: unknown axis %d", axis)
 	}
-	// Every bind re-targets the cursor (Reset clears its limiter), so the
-	// query's limiter is re-installed here, after the shape is chosen.
+	// A bind may re-target the cursor at another tree (which clears its
+	// limiter), so the query's limiter is re-installed here, after the
+	// shape is chosen.
 	sc.cur.SetLimiter(sc.lim)
 	return &sc.scan
+}
+
+// indexOnly reports whether the bound node test is decided by the names
+// or elems index alone (a name or wildcard test), without the record.
+func (sc *Scanner) indexOnly() bool {
+	return sc.test.Type == TestName || sc.test.Type == TestWildcard
+}
+
+// bindProbe points the cursor at the index that answers the walk shapes'
+// (self, parent, ancestor) node test: names for a name test, elems for a
+// wildcard. Other tests read clustered records and leave the cursor alone.
+func (sc *Scanner) bindProbe() {
+	switch sc.test.Type {
+	case TestName:
+		sc.cur.Rebind(sc.store.names)
+	case TestWildcard:
+		sc.cur.Rebind(sc.store.elems)
+	}
+}
+
+// bindAncestor prepares the upward walk starting at start (the context
+// itself for ancestor-or-self, else its parent).
+func (sc *Scanner) bindAncestor(start flex.Key, orSelf bool) {
+	sc.shape = shapeAncestor
+	sc.walkKey, sc.orSelf = start, orSelf
+	if sc.indexOnly() {
+		sc.walkDepth = start.Depth()
+		sc.bindProbe()
+	}
 }
 
 // setRange prepares a range walk over FLEX keys [klo·loExt, khi·hiExt)
@@ -202,7 +290,7 @@ func (sc *Scanner) setRange(klo flex.Key, loExt byte, khi flex.Key, hiExt byte) 
 		sc.hi = append(sc.hi, hiExt)
 	}
 	sc.needsValue = sc.tree == s.elems || sc.tree == s.clustered || sc.tree == s.values
-	sc.cur.Reset(sc.tree)
+	sc.cur.Rebind(sc.tree)
 	sc.shape = shapeRange
 }
 
@@ -213,7 +301,7 @@ func (sc *Scanner) setValueRange(tag byte, kind acceptKind, ctx flex.Key) {
 	sc.lo = appendValueKey(sc.lo[:0], tag, sc.test.Name, sc.d, ctx)
 	sc.hi = append(appendValueKey(sc.hi[:0], tag, sc.test.Name, sc.d, ctx), flex.SubtreeSentinel)
 	sc.tree, sc.kind, sc.needsValue = sc.store.values, kind, true
-	sc.cur.Reset(sc.tree)
+	sc.cur.Rebind(sc.tree)
 	sc.shape = shapeRange
 }
 
@@ -230,7 +318,7 @@ func (sc *Scanner) setSkip(klo flex.Key, loExt byte, khi flex.Key, hiExt byte) {
 	if hiExt != 0 {
 		sc.hi = append(sc.hi, hiExt)
 	}
-	sc.cur.Reset(sc.store.clustered)
+	sc.cur.Rebind(sc.store.clustered)
 	sc.shape = shapeSkip
 }
 
@@ -240,12 +328,7 @@ func (sc *Scanner) bindFollowingSibling(ctx flex.Key, test NodeTest) {
 		sc.shape = shapeEmpty // the root has no siblings
 		return
 	}
-	// Attribute and namespace context nodes have no siblings.
-	if kind, err := sc.store.kindOf(sc.d, ctx); err != nil {
-		sc.shape, sc.bindErr = shapeErr, err
-		return
-	} else if kind == xmldoc.KindAttribute || kind == xmldoc.KindNamespace {
-		sc.shape = shapeEmpty
+	if !sc.ctxHasSiblings(ctx) {
 		return
 	}
 	if test.Type == TestName || test.Type == TestWildcard {
@@ -256,17 +339,33 @@ func (sc *Scanner) bindFollowingSibling(ctx flex.Key, test NodeTest) {
 	sc.setSkip(ctx, flex.SubtreeSentinel, parent, flex.SubtreeSentinel)
 }
 
+// ctxHasSiblings reports whether ctx can have siblings at all — attribute
+// and namespace nodes have none — and otherwise leaves the scanner in the
+// empty (or failed) shape. The kind comes from the executor's hint when the
+// plan fixes it; the residual case reads the record's kind byte.
+func (sc *Scanner) ctxHasSiblings(ctx flex.Key) bool {
+	kind := sc.ctxKind
+	if !sc.ctxKindKnown {
+		var err error
+		if kind, err = sc.store.kindOf(sc.d, ctx, sc.lim); err != nil {
+			sc.shape, sc.bindErr = shapeErr, err
+			return false
+		}
+	}
+	if kind == xmldoc.KindAttribute || kind == xmldoc.KindNamespace {
+		sc.shape = shapeEmpty
+		return false
+	}
+	return true
+}
+
 func (sc *Scanner) bindPrecedingSibling(ctx flex.Key, test NodeTest) {
 	parent := ctx.Parent()
 	if parent == "" {
 		sc.shape = shapeEmpty
 		return
 	}
-	if kind, err := sc.store.kindOf(sc.d, ctx); err != nil {
-		sc.shape, sc.bindErr = shapeErr, err
-		return
-	} else if kind == xmldoc.KindAttribute || kind == xmldoc.KindNamespace {
-		sc.shape = shapeEmpty
+	if !sc.ctxHasSiblings(ctx) {
 		return
 	}
 	if test.Type == TestName || test.Type == TestWildcard {
@@ -281,7 +380,7 @@ func (sc *Scanner) bindPrecedingSibling(ctx flex.Key, test NodeTest) {
 	sc.shape = shapePrevSibWalk
 	sc.walkKey, sc.depth = ctx, ctx.Depth()
 	sc.lo = append(appendClusteredKey(sc.lo[:0], sc.d, parent), flex.Sep)
-	sc.cur.Reset(sc.store.clustered)
+	sc.cur.Rebind(sc.store.clustered)
 }
 
 // nextNode dispatches to the bound shape (invoked directly by Scan.Next);
@@ -471,19 +570,84 @@ func (sc *Scanner) acceptKeyView(k []byte) ([]byte, bool) {
 	return kb, true
 }
 
+// elementAt reports whether the node at k is an element that passes the
+// bound name or wildcard test, by probing the names (or elems) index for
+// exactly k through the positioned cursor. No record is read. Runs with
+// the store lock held.
+func (sc *Scanner) elementAt(k flex.Key) (bool, error) {
+	if sc.test.Type == TestName {
+		sc.probe = appendNameKey(sc.probe[:0], sc.test.Name, sc.d, k)
+	} else {
+		sc.probe = appendClusteredKey(sc.probe[:0], sc.d, k)
+	}
+	if !sc.cur.Seek(sc.probe) {
+		return false, sc.cur.Err()
+	}
+	return bytes.Equal(sc.cur.Key(), sc.probe), nil
+}
+
+// nameAt is elementAt for a name-tested parent or ancestor at the given
+// FLEX depth, behind the structural-join stack: a key already tested at
+// that depth (by this walk or an earlier context's) is answered from it.
+func (sc *Scanner) nameAt(k flex.Key, depth int) (bool, error) {
+	if depth < len(sc.ancKeys) && sc.ancKeys[depth] == k {
+		return sc.ancHit[depth], nil
+	}
+	hit, err := sc.elementAt(k)
+	if err != nil {
+		return false, err
+	}
+	if len(sc.ancKeys) == 0 {
+		sc.ancGen = sc.store.gen.Load()
+	}
+	for len(sc.ancKeys) <= depth {
+		sc.ancKeys, sc.ancHit = append(sc.ancKeys, ""), append(sc.ancHit, false)
+	}
+	sc.ancKeys[depth], sc.ancHit[depth] = k, hit
+	return hit, nil
+}
+
+// selfMatches decides a name or wildcard test on the context node itself,
+// which — unlike a parent or ancestor — may be of any kind.
+func (sc *Scanner) selfMatches() (bool, error) {
+	if sc.ctxKindKnown && (sc.ctxKind != xmldoc.KindElement || sc.test.Type == TestWildcard) {
+		return sc.ctxKind == xmldoc.KindElement, nil
+	}
+	return sc.elementAt(sc.ctx)
+}
+
+// elementNode is the node an index-only test emits for key k. A name test
+// knows the name; a wildcard answered by key arithmetic does not, and
+// leaves Name empty (consumers that want it fetch the record).
+func (sc *Scanner) elementNode(k flex.Key) xmldoc.Node {
+	n := xmldoc.Node{Key: k, Kind: xmldoc.KindElement}
+	if sc.test.Type == TestName {
+		n.Name = sc.test.Name
+	}
+	return n
+}
+
 // evalSelf tests the context node itself (self:: and the self half of
 // descendant-or-self::).
 func (sc *Scanner) evalSelf() (xmldoc.Node, bool, error) {
 	s := sc.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if sc.indexOnly() {
+		// Attribute and namespace contexts are in neither index, which is
+		// also what XPath wants: a name test with the element principal
+		// does not match them.
+		ok, err := sc.selfMatches()
+		if err != nil || !ok {
+			return xmldoc.Node{}, false, err
+		}
+		return sc.elementNode(sc.ctx), true, nil
+	}
 	n, ok, err := s.nodeLockedFor(sc.d, sc.ctx, sc.lim)
 	if err != nil || !ok {
 		return xmldoc.Node{}, false, err
 	}
-	// Attribute and namespace nodes are visible to self:: only via node()
-	// and (for attributes that are the context) name tests with the element
-	// principal do not match them.
+	// Attribute and namespace nodes are visible to self:: only via node().
 	if sc.test.Matches(n, xmldoc.KindElement) && n.Kind != xmldoc.KindAttribute && n.Kind != xmldoc.KindNamespace ||
 		(sc.test.Type == TestNode && (n.Kind == xmldoc.KindAttribute || n.Kind == xmldoc.KindNamespace)) {
 		return n, true, nil
@@ -501,6 +665,23 @@ func (sc *Scanner) nextParent() (xmldoc.Node, bool, error) {
 		return xmldoc.Node{}, false, nil
 	}
 	s := sc.store
+	if sc.indexOnly() {
+		// A stored node's parent is an element or the document node, and
+		// the document node passes neither test: a wildcard is decided by
+		// the key alone, a name by one names-index probe.
+		if p == flex.Root {
+			return xmldoc.Node{}, false, nil
+		}
+		if sc.test.Type == TestName {
+			s.mu.Lock()
+			hit, err := sc.nameAt(p, p.Depth())
+			s.mu.Unlock()
+			if err != nil || !hit {
+				return xmldoc.Node{}, false, err
+			}
+		}
+		return sc.elementNode(p), true, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n, ok, err := s.nodeLockedFor(sc.d, p, sc.lim)
@@ -519,6 +700,9 @@ func (sc *Scanner) nextAncestor() (xmldoc.Node, bool, error) {
 	s := sc.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if sc.indexOnly() {
+		return sc.nextAncestorIndexOnly()
+	}
 	for sc.walkKey != "" {
 		if err := sc.lim.Tick(); err != nil {
 			return xmldoc.Node{}, false, err
@@ -541,6 +725,40 @@ func (sc *Scanner) nextAncestor() (xmldoc.Node, bool, error) {
 			continue
 		}
 		return n, true, nil
+	}
+	return xmldoc.Node{}, false, nil
+}
+
+// nextAncestorIndexOnly is the ancestor walk under a name or wildcard
+// test. Strict ancestors of a stored node are elements up to the document
+// node at depth 1, which matches neither test and ends the walk: a
+// wildcard takes every one of them on the key alone, a name asks the
+// structural-join stack and probes the names index only where the chain
+// left the previous context's. The or-self candidate may be any kind of
+// node and is decided like self::.
+func (sc *Scanner) nextAncestorIndexOnly() (xmldoc.Node, bool, error) {
+	for sc.walkDepth > 1 {
+		if err := sc.lim.Tick(); err != nil {
+			return xmldoc.Node{}, false, err
+		}
+		cur, depth := sc.walkKey, sc.walkDepth
+		sc.walkKey, sc.walkDepth = cur.Parent(), depth-1
+		var hit bool
+		var err error
+		switch {
+		case len(cur) == len(sc.ctx):
+			hit, err = sc.selfMatches()
+		case sc.test.Type == TestName:
+			hit, err = sc.nameAt(cur, depth)
+		default:
+			hit = true
+		}
+		if err != nil {
+			return xmldoc.Node{}, false, err
+		}
+		if hit {
+			return sc.elementNode(cur), true, nil
+		}
 	}
 	return xmldoc.Node{}, false, nil
 }
@@ -648,7 +866,7 @@ func (sc *Scanner) accept(k, v []byte) (xmldoc.Node, bool, error) {
 		sc.store.recordsDecoded++
 		n, err := decodeRecord(v)
 		if err != nil {
-			return xmldoc.Node{}, false, nil
+			return xmldoc.Node{}, false, err
 		}
 		n.Key = fk
 		if n.Kind == xmldoc.KindAttribute || n.Kind == xmldoc.KindNamespace {

@@ -39,6 +39,13 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== benchmark module (all six workloads, oracle-checked, tiny document)"
+# benchmark/ is a module of its own, so the ./... passes above never build
+# or run it: without this line a change that breaks a workload's oracle
+# check, or an internal API benchmark/layers.go calls, goes unnoticed
+# until the benchmark itself is run.
+(cd benchmark && go test ./...)
+
 echo "== serving smoke (BenchmarkServing, 1 iteration)"
 go test -run '^$' -bench BenchmarkServing -benchtime 1x .
 
@@ -121,7 +128,7 @@ echo "== server battery under the race detector"
 # with -count 1 here so a cached result never masks a flaky race.
 go test -race -count 1 ./internal/serve
 
-echo "== remote overhead gate (vamanad HTTP vs in-process, 3x budget)"
+echo "== remote overhead gate (vamanad HTTP vs in-process, 4.5x budget)"
 # Client-observed cached Q1 p95 over loopback HTTP vs in-process p95,
 # paired interleaved rounds, best-of-rounds — see
 # TestRemoteOverheadGate.
