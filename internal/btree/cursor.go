@@ -51,7 +51,7 @@ func (c *Cursor) load(id pager.PageID) (*node, error) { return c.t.loadFor(id, c
 // merely nearby) targets walks the leaf level once, and any other target
 // sequence costs one extra pair of key comparisons per Seek. A Put or
 // Delete on the tree since the leaf was reached voids the held position
-// (the next Seek descends); Reset drops it explicitly.
+// (the next Seek descends); Reset(nil) drops it explicitly.
 func (c *Cursor) Seek(target []byte) bool {
 	c.t.m.Seeks++
 	c.valid, c.err = false, nil
@@ -340,22 +340,18 @@ func (c *Cursor) InRange(hi []byte) bool {
 // NewCursor returns an unpositioned cursor; call one of the Seek methods.
 func (t *Tree) NewCursor() *Cursor { return &Cursor{t: t} }
 
-// Reset re-targets c at tree t, clearing any position, error and limiter,
-// so one cursor allocation can be reused across many scans. Callers that
-// govern the new scan must SetLimiter again after Reset — clearing here
-// keeps a pooled cursor from charging a previous query's budget.
-// Reset(nil) parks the cursor: it references no tree or node until the
-// next Reset/Rebind.
-func (c *Cursor) Reset(t *Tree) { *c = Cursor{t: t} }
-
-// Rebind is Reset for a caller that seeks the same tree again and again
-// (one axis scan per context tuple): when c already walks t, the leaf it
-// rests on is kept so the next Seek can resume from it; any other tree is
-// a plain Reset. The limiter is kept only in the same-tree case.
-func (c *Cursor) Rebind(t *Tree) {
+// Reset re-targets c at tree t for a new scan, clearing the entry position,
+// error and limiter, so one cursor allocation can be reused across many
+// scans. Callers that govern the new scan must SetLimiter again after
+// Reset — clearing here keeps a pooled cursor from charging a previous
+// query's budget. When c already walks t (one axis scan per context tuple
+// over the same index) the leaf it rests on is kept, so the next Seek can
+// resume from it; any other tree starts from a root descent. Reset(nil)
+// parks the cursor: it references no tree or node until the next Reset.
+func (c *Cursor) Reset(t *Tree) {
 	if c.t != t {
-		c.Reset(t)
+		*c = Cursor{t: t}
 		return
 	}
-	c.valid, c.err = false, nil
+	c.valid, c.err, c.lim = false, nil, nil
 }

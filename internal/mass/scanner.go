@@ -18,7 +18,7 @@ import (
 // where a non-leaf step opens one scan per context tuple).
 //
 // Rebinding keeps the cursor where the previous binding left it
-// (btree.Cursor.Rebind): a step's bindings all walk the same index, and
+// (btree.Cursor.Reset on the same tree): a step's bindings all walk the same index, and
 // context tuples mostly arrive in document order, so the next binding's
 // first seek usually lands on the leaf the cursor already holds and the
 // step as a whole is one forward walk of its index stream — a structural
@@ -211,7 +211,7 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 		sc.shape = shapeAttribute
 		sc.lo = append(appendClusteredKey(sc.lo[:0], d, ctx), flex.Sep)
 		sc.hi = append(appendClusteredKey(sc.hi[:0], d, ctx), flex.SubtreeSentinel)
-		sc.cur.Rebind(s.clustered)
+		sc.cur.Reset(s.clustered)
 	case AxisNamespace:
 		// In-scope namespaces need an ancestor walk with prefix shadowing;
 		// rare enough to keep on the allocating slow path.
@@ -224,9 +224,8 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 		sc.shape = shapeErr
 		sc.bindErr = fmt.Errorf("mass: unknown axis %d", axis)
 	}
-	// A bind may re-target the cursor at another tree (which clears its
-	// limiter), so the query's limiter is re-installed here, after the
-	// shape is chosen.
+	// Re-targeting the cursor clears its limiter, so the query's limiter is
+	// re-installed here, after the shape is chosen.
 	sc.cur.SetLimiter(sc.lim)
 	return &sc.scan
 }
@@ -243,9 +242,9 @@ func (sc *Scanner) indexOnly() bool {
 func (sc *Scanner) bindProbe() {
 	switch sc.test.Type {
 	case TestName:
-		sc.cur.Rebind(sc.store.names)
+		sc.cur.Reset(sc.store.names)
 	case TestWildcard:
-		sc.cur.Rebind(sc.store.elems)
+		sc.cur.Reset(sc.store.elems)
 	}
 }
 
@@ -290,7 +289,7 @@ func (sc *Scanner) setRange(klo flex.Key, loExt byte, khi flex.Key, hiExt byte) 
 		sc.hi = append(sc.hi, hiExt)
 	}
 	sc.needsValue = sc.tree == s.elems || sc.tree == s.clustered || sc.tree == s.values
-	sc.cur.Rebind(sc.tree)
+	sc.cur.Reset(sc.tree)
 	sc.shape = shapeRange
 }
 
@@ -301,7 +300,7 @@ func (sc *Scanner) setValueRange(tag byte, kind acceptKind, ctx flex.Key) {
 	sc.lo = appendValueKey(sc.lo[:0], tag, sc.test.Name, sc.d, ctx)
 	sc.hi = append(appendValueKey(sc.hi[:0], tag, sc.test.Name, sc.d, ctx), flex.SubtreeSentinel)
 	sc.tree, sc.kind, sc.needsValue = sc.store.values, kind, true
-	sc.cur.Rebind(sc.tree)
+	sc.cur.Reset(sc.tree)
 	sc.shape = shapeRange
 }
 
@@ -318,7 +317,7 @@ func (sc *Scanner) setSkip(klo flex.Key, loExt byte, khi flex.Key, hiExt byte) {
 	if hiExt != 0 {
 		sc.hi = append(sc.hi, hiExt)
 	}
-	sc.cur.Rebind(sc.store.clustered)
+	sc.cur.Reset(sc.store.clustered)
 	sc.shape = shapeSkip
 }
 
@@ -380,7 +379,7 @@ func (sc *Scanner) bindPrecedingSibling(ctx flex.Key, test NodeTest) {
 	sc.shape = shapePrevSibWalk
 	sc.walkKey, sc.depth = ctx, ctx.Depth()
 	sc.lo = append(appendClusteredKey(sc.lo[:0], sc.d, parent), flex.Sep)
-	sc.cur.Rebind(sc.store.clustered)
+	sc.cur.Reset(sc.store.clustered)
 }
 
 // nextNode dispatches to the bound shape (invoked directly by Scan.Next);

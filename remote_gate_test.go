@@ -14,17 +14,6 @@ package vamana_test
 // attempts so only a persistent regression fails. External test package:
 // internal/serve imports vamana, so an in-package test would cycle.
 //
-// The multiple is a ratio to the engine's own speed, so it has to be
-// re-based when the engine gets faster under an unchanged daemon: it was
-// 3.0 (measured 2.6–3.1 on the 2-vCPU CI box) until the executor's binds
-// became positioned and index-only, which took in-process Q1 p95 on this
-// fixture from 155–265 µs to 83–164 µs while the daemon's absolute tax
-// (remote p95 minus in-process p95, five alternating runs of both commits)
-// stayed where it was, 273–547 µs before and 258–397 µs after. The same tax
-// over the smaller denominator measures 3.4–5.5, hence 4.5 with the same
-// best-of-four-attempts slack. ROADMAP 7b replaces this ratio with the
-// benchmark's serve.* rungs, which do not have the problem.
-//
 // Skipped unless VAMANA_REMOTE_GATE is set — scripts/check.sh runs it.
 // Gates jitter around ±7% on shared hardware; re-run a failing gate
 // alone before calling it a regression.
@@ -54,7 +43,7 @@ func TestRemoteOverheadGate(t *testing.T) {
 		queriesPerRound = 120
 		rounds          = 3
 		attempts        = 4
-		maxMultiple     = 4.5
+		maxMultiple     = 3.0
 	)
 
 	db, err := vamana.Open(vamana.Options{})

@@ -128,7 +128,7 @@ echo "== server battery under the race detector"
 # with -count 1 here so a cached result never masks a flaky race.
 go test -race -count 1 ./internal/serve
 
-echo "== remote overhead gate (vamanad HTTP vs in-process, 4.5x budget)"
+echo "== remote overhead gate (vamanad HTTP vs in-process, 3x budget)"
 # Client-observed cached Q1 p95 over loopback HTTP vs in-process p95,
 # paired interleaved rounds, best-of-rounds — see
 # TestRemoteOverheadGate.
