@@ -206,11 +206,11 @@ func cmdQuery(args []string) error {
 		res, err = db.QueryContext(ctx, doc, fs.Arg(0), opts...)
 	} else {
 		var q *vamana.Query
-		q, err = db.Compile(fs.Arg(0))
+		q, err = db.Prepare(fs.Arg(0), vamana.WithoutOptimization(), vamana.WithoutCache())
 		if err != nil {
 			return err
 		}
-		res, err = q.ExecuteContext(ctx, doc, opts...)
+		res, err = q.Run(ctx, doc, opts...)
 	}
 	if err != nil {
 		return err
@@ -267,12 +267,11 @@ func cmdExplain(args []string) error {
 	}
 	defer db.Close()
 
-	var q *vamana.Query
+	popts := []vamana.CompileOption{vamana.WithDocument(doc), vamana.WithoutCache()}
 	if *deflt {
-		q, err = db.Compile(fs.Arg(0))
-	} else {
-		q, err = db.CompileOptimized(doc, fs.Arg(0))
+		popts = append(popts, vamana.WithoutOptimization())
 	}
+	q, err := db.Prepare(fs.Arg(0), popts...)
 	if err != nil {
 		return err
 	}

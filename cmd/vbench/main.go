@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"vamana/internal/bench"
 	"vamana/internal/core"
 	"vamana/internal/exec"
+	"vamana/internal/govern"
 	"vamana/internal/mass"
 	"vamana/internal/obs"
 )
@@ -184,7 +186,7 @@ func writeTraces(path string, fixtures []*bench.Fixture, queries []bench.Query) 
 		engine, doc := f.VamanaEngine()
 		engine.EnableFlightRecorder(len(queries))
 		for _, q := range queries {
-			it, err := engine.Query(doc, q.XPath)
+			it, err := engine.QueryContext(context.Background(), doc, q.XPath, govern.Limits{})
 			if err != nil {
 				return fmt.Errorf("trace %s: %w", q.ID, err)
 			}

@@ -2,6 +2,7 @@ package vamana
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -41,9 +42,9 @@ func skewedDoc(t testing.TB, db *DB) *Document {
 // Analyze machinery ExplainAnalyze renders.
 func geomeanQError(t testing.TB, db *DB, doc *Document, expr string) float64 {
 	t.Helper()
-	q, err := db.CompileOptimized(doc, expr)
+	q, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 	if err != nil {
-		t.Fatalf("CompileOptimized(%s): %v", expr, err)
+		t.Fatalf("Prepare(%s): %v", expr, err)
 	}
 	an, err := q.q.Analyze(doc.id)
 	if err != nil {
@@ -514,17 +515,17 @@ func servedSortedKeys(t *testing.T, db *DB, doc *Document, expr string) []string
 // cached optimized plan — the canonical byte-comparable stream.
 func orderedKeys(t *testing.T, db *DB, doc *Document, expr string) []string {
 	t.Helper()
-	q, err := db.CompileCached(doc, expr, true)
+	q, err := db.Prepare(expr, WithDocument(doc))
 	if err != nil {
 		t.Fatalf("CompileCached(%s): %v", expr, err)
 	}
-	res, err := q.ExecuteOrdered(doc)
+	res, err := q.Run(context.Background(), doc, Ordered())
 	if err != nil {
-		t.Fatalf("ExecuteOrdered(%s): %v", expr, err)
+		t.Fatalf("Run(%s): %v", expr, err)
 	}
 	keys, err := res.Keys()
 	if err != nil {
-		t.Fatalf("ExecuteOrdered(%s) drain: %v", expr, err)
+		t.Fatalf("Run(%s) drain: %v", expr, err)
 	}
 	return keys
 }

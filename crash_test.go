@@ -2,6 +2,7 @@ package vamana
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -26,7 +27,8 @@ const crashSecondXML = `<extra><p>alpha</p><p>beta</p></extra>`
 
 // crashOp is one write-path operation under test. Each op mutates the
 // store through the public API; backend I/O happens when a flush runs
-// (inside the op for "flush", inside Close for the rest), so apply
+// (inside the op for transactions, whose commit syncs through the
+// group-commit path, and for "flush"; inside Close for "load"), so apply
 // returns its error: expected during fault runs, fatal during clean runs.
 type crashOp struct {
 	name  string
@@ -36,11 +38,11 @@ type crashOp struct {
 // keyOf evaluates expr and returns the first result's FLEX key.
 func keyOf(t *testing.T, db *DB, doc *Document, expr string) string {
 	t.Helper()
-	q, err := db.Compile(expr)
+	q, err := db.Prepare(expr, WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.ExecuteOrdered(doc)
+	res, err := q.Run(context.Background(), doc, Ordered())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,37 +56,64 @@ func keyOf(t *testing.T, db *DB, doc *Document, expr string) string {
 	return keys[0]
 }
 
+// txnOp is a crash-matrix operation that resolves expr's first result
+// and then runs fn as one DB.Update transaction.
+func txnOp(expr string, fn func(tx *Txn, doc *Document, key string) error) func(*testing.T, *DB, *Document) error {
+	return func(t *testing.T, db *DB, doc *Document) error {
+		key := keyOf(t, db, doc, expr)
+		return db.Update(func(tx *Txn) error { return fn(tx, doc, key) })
+	}
+}
+
 var crashOps = []crashOp{
 	{"load", func(t *testing.T, db *DB, _ *Document) error {
 		_, err := db.LoadXMLString("doc2", crashSecondXML)
 		return err
 	}},
-	{"insert-element", func(t *testing.T, db *DB, doc *Document) error {
-		_, err := doc.InsertElement(keyOf(t, db, doc, "/site"), -1, "d")
+	{"insert-element", txnOp("/site", func(tx *Txn, doc *Document, k string) error {
+		_, err := tx.InsertElement(doc, k, -1, "d")
 		return err
-	}},
-	{"insert-text", func(t *testing.T, db *DB, doc *Document) error {
-		_, err := doc.InsertText(keyOf(t, db, doc, "//a"), -1, "more")
+	})},
+	{"insert-text", txnOp("//a", func(tx *Txn, doc *Document, k string) error {
+		_, err := tx.InsertText(doc, k, -1, "more")
 		return err
-	}},
-	{"insert-attribute", func(t *testing.T, db *DB, doc *Document) error {
-		_, err := doc.InsertAttribute(keyOf(t, db, doc, "//c"), "id", "9")
+	})},
+	{"insert-attribute", txnOp("//c", func(tx *Txn, doc *Document, k string) error {
+		_, err := tx.InsertAttribute(doc, k, "id", "9")
 		return err
-	}},
-	{"update-text", func(t *testing.T, db *DB, doc *Document) error {
-		return doc.UpdateText(keyOf(t, db, doc, "//b/text()"), "TWO")
-	}},
-	{"delete-subtree", func(t *testing.T, db *DB, doc *Document) error {
-		return doc.DeleteSubtree(keyOf(t, db, doc, "//c"))
-	}},
-	// "flush" isolates an explicit mid-session Flush (rather than the one
-	// inside Close) as the crashing commit.
+	})},
+	{"update-text", txnOp("//b/text()", func(tx *Txn, doc *Document, k string) error {
+		return tx.UpdateText(doc, k, "TWO")
+	})},
+	{"delete-subtree", txnOp("//c", func(tx *Txn, doc *Document, k string) error {
+		return tx.DeleteSubtree(doc, k)
+	})},
+	// "flush" adds an explicit mid-session Flush after the transaction's
+	// own group-commit sync.
 	{"flush", func(t *testing.T, db *DB, doc *Document) error {
-		if _, err := doc.InsertElement(keyOf(t, db, doc, "/site"), -1, "f"); err != nil {
+		err := txnOp("/site", func(tx *Txn, doc *Document, k string) error {
+			_, err := tx.InsertElement(doc, k, -1, "f")
+			return err
+		})(t, db, doc)
+		if err != nil {
 			return err
 		}
 		return db.engine.Store().Flush()
 	}},
+	// A multi-mutation transaction: after a crash the element, its text
+	// and its attribute are either all visible or none is — any mix
+	// matches neither fingerprint and fails as silent corruption.
+	{"txn-element-text-attribute", txnOp("/site", func(tx *Txn, doc *Document, k string) error {
+		e, err := tx.InsertElement(doc, k, -1, "e")
+		if err != nil {
+			return err
+		}
+		if _, err := tx.InsertText(doc, e, -1, "body"); err != nil {
+			return err
+		}
+		_, err = tx.InsertAttribute(doc, e, "id", "7")
+		return err
+	})},
 }
 
 // crashFingerprint captures the full observable state of a store: every

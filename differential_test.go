@@ -1,6 +1,7 @@
 package vamana
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -283,8 +284,10 @@ func runDifferential(t *testing.T, seed int64, docs, queriesPerDoc int) {
 				name    string
 				compile func(db *DB, doc *Document) (*Query, error)
 			}{
-				{"VQP", func(db *DB, _ *Document) (*Query, error) { return db.Compile(expr) }},
-				{"VQP-OPT", func(db *DB, doc *Document) (*Query, error) { return db.CompileOptimized(doc, expr) }},
+				{"VQP", func(db *DB, _ *Document) (*Query, error) { return db.Prepare(expr, WithoutCache()) }},
+				{"VQP-OPT", func(db *DB, doc *Document) (*Query, error) {
+					return db.Prepare(expr, WithDocument(doc), WithoutCache())
+				}},
 			} {
 				// refStream is the batch-1 pipelined (unordered) key
 				// stream; every other batch size must reproduce it
@@ -295,7 +298,7 @@ func runDifferential(t *testing.T, seed int64, docs, queriesPerDoc int) {
 					if err != nil {
 						fail("%s compile error: %v", eng.name, err)
 					}
-					res, err := q.ExecuteOrdered(diffDocs[i])
+					res, err := q.Run(context.Background(), diffDocs[i], Ordered())
 					if err != nil {
 						fail("%s[batch=%d] execute error: %v", eng.name, b, err)
 					}
@@ -314,7 +317,7 @@ func runDifferential(t *testing.T, seed int64, docs, queriesPerDoc int) {
 						}
 					}
 
-					pres, err := q.Execute(diffDocs[i])
+					pres, err := q.Run(context.Background(), diffDocs[i])
 					if err != nil {
 						fail("%s[batch=%d] pipelined execute error: %v", eng.name, b, err)
 					}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -59,11 +60,11 @@ func main() {
 }
 
 func collectValues(db *vamana.DB, doc *vamana.Document, expr string) []string {
-	q, err := db.CompileOptimized(doc, expr)
+	q, err := db.Prepare(expr, vamana.WithDocument(doc))
 	if err != nil {
 		log.Fatalf("%s: %v", expr, err)
 	}
-	res, err := q.Execute(doc)
+	res, err := q.Run(context.Background(), doc)
 	if err != nil {
 		log.Fatalf("%s: %v", expr, err)
 	}
@@ -82,11 +83,11 @@ func collectValues(db *vamana.DB, doc *vamana.Document, expr string) []string {
 }
 
 func count(db *vamana.DB, doc *vamana.Document, expr string) int {
-	q, err := db.CompileOptimized(doc, expr)
+	q, err := db.Prepare(expr, vamana.WithDocument(doc))
 	if err != nil {
 		log.Fatalf("%s: %v", expr, err)
 	}
-	res, err := q.Execute(doc)
+	res, err := q.Run(context.Background(), doc)
 	if err != nil {
 		log.Fatalf("%s: %v", expr, err)
 	}

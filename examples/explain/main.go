@@ -38,7 +38,7 @@ func main() {
 
 	for _, expr := range queries {
 		fmt.Println("============================================================")
-		def, err := db.Compile(expr)
+		def, err := db.Prepare(expr, vamana.WithoutCache())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func main() {
 		fmt.Println("---- default plan (VQP) ----")
 		fmt.Print(out)
 
-		opt, err := db.CompileOptimized(doc, expr)
+		opt, err := db.Prepare(expr, vamana.WithDocument(doc), vamana.WithoutCache())
 		if err != nil {
 			log.Fatal(err)
 		}

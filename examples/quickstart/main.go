@@ -67,7 +67,7 @@ func main() {
 }
 
 func run(db *vamana.DB, d *vamana.Document, expr string) {
-	q, err := db.CompileOptimized(d, expr)
+	q, err := db.Prepare(expr, vamana.WithDocument(d))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func run(db *vamana.DB, d *vamana.Document, expr string) {
 	// a typed error (vamana.ErrDeadlineExceeded, *vamana.BudgetError).
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	res, err := q.ExecuteContext(ctx, d, vamana.WithMaxResults(100))
+	res, err := q.Run(ctx, d, vamana.WithMaxResults(100))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -161,27 +161,6 @@ func (db *DB) QueryContext(ctx context.Context, doc *Document, expr string, opts
 	return &Results{doc: doc, it: it}, nil
 }
 
-// ExecuteContext is Execute under governance (see DB.QueryContext).
-//
-// Deprecated: use Run (same signature and behavior).
-func (q *Query) ExecuteContext(ctx context.Context, doc *Document, opts ...QueryOption) (*Results, error) {
-	return q.Run(ctx, doc, opts...)
-}
-
-// ExecuteOrderedContext is ExecuteOrdered under governance.
-//
-// Deprecated: use Run with Ordered.
-func (q *Query) ExecuteOrderedContext(ctx context.Context, doc *Document, opts ...QueryOption) (*Results, error) {
-	return q.Run(ctx, doc, append(opts, Ordered())...)
-}
-
-// ExecuteFromContext is ExecuteFrom under governance.
-//
-// Deprecated: use Run with From.
-func (q *Query) ExecuteFromContext(ctx context.Context, doc *Document, startKey string, vars map[string][]string, opts ...QueryOption) (*Results, error) {
-	return q.Run(ctx, doc, append(opts, From(startKey, vars))...)
-}
-
 // wrapNoDoc translates the storage layer's unknown-document error into
 // the public sentinel, annotated with the name.
 func wrapNoDoc(err error, name string) error {

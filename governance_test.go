@@ -405,7 +405,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Errorf("Drop(nope) = %v, want ErrNoSuchDocument", err)
 	}
 
-	_, err := db.Compile("//person[")
+	_, err := db.Prepare("//person[", WithoutCache())
 	if err == nil {
 		t.Fatal("Compile of malformed expression succeeded")
 	}

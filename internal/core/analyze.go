@@ -29,7 +29,7 @@ func (q *Query) Analyze(doc mass.DocID) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	it, err := exec.Run(p, exec.Context{Store: q.engine.store, Doc: doc})
+	it, err := exec.Run(p, exec.Context{Store: q.engine.live.store, Doc: doc})
 	if err != nil {
 		return nil, err
 	}

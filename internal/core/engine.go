@@ -39,16 +39,16 @@ type Options struct {
 	// Diagnostics and benchmarking only.
 	DisableChecksumVerify bool
 	// PlanCacheSize bounds the number of compiled plans the serving fast
-	// path keeps (see Engine.Query). 0 selects the default (256);
+	// path keeps (see Engine.QueryContext). 0 selects the default (256);
 	// negative disables plan caching.
 	PlanCacheSize int
-	// SlowQueryThreshold records Engine.Query calls whose end-to-end
+	// SlowQueryThreshold records QueryContext calls whose end-to-end
 	// latency meets or exceeds it into the slow-query ring (and
 	// SlowQueryLog, when set). 0 disables slow-query tracking.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog, when non-nil, receives one line per slow query.
 	SlowQueryLog io.Writer
-	// TraceEvery samples a TraceContext for 1-in-N Engine.Query calls
+	// TraceEvery samples a TraceContext for 1-in-N QueryContext calls
 	// (1 traces every query). 0 disables tracing; the unsampled cache-hit
 	// path then allocates no per-query trace state at all.
 	TraceEvery int
@@ -81,17 +81,10 @@ type Options struct {
 
 // Engine is a VAMANA instance: one MASS store plus the query pipeline.
 type Engine struct {
-	store *mass.Store
-	// probes memoizes statistics probes per (document, epoch), shared by
-	// every optimization and estimation this engine runs.
-	probes *cost.MemoProbes
-	// plans is the serving fast path's compiled-plan cache; nil when
-	// disabled.
-	plans *planCache
+	// live is the engine's own read view: the live store with the shared,
+	// epoch-validated plan cache and statistics memo.
+	live view
 
-	// finishFn is the iterator finish hook, bound once at Open so the
-	// per-query serving path never allocates a method value.
-	finishFn func(*exec.Iterator)
 	// slow is the slow-query recorder; nil when no threshold is set.
 	slow       *slowLog
 	traceEvery uint64
@@ -108,6 +101,26 @@ type Engine struct {
 	cost *CostObservatory
 }
 
+// view is one read view the query path runs over: the store it reads,
+// the plan cache (nil compiles per call) and statistics memo its
+// compiles go through, and — for Engine.Snapshot handles only — usage
+// counters. The engine owns its live view; every Snapshot carries its
+// own.
+type view struct {
+	store  *mass.Store
+	plans  *planCache
+	probes *cost.MemoProbes
+	usage  *usageCounters
+	// finishFn is the iterator finish hook bound to this view once, so
+	// the per-query path never allocates a closure.
+	finishFn func(*exec.Iterator)
+}
+
+// bindView completes v with its finish hook.
+func (e *Engine) bindView(v *view) {
+	v.finishFn = func(it *exec.Iterator) { e.queryFinished(v, it) }
+}
+
 // Open creates or reopens an engine.
 func Open(opts Options) (*Engine, error) {
 	s, err := mass.Open(mass.Options{
@@ -119,14 +132,14 @@ func Open(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{store: s, probes: cost.NewMemoProbes(s), execBatch: opts.ExecBatch}
+	e := &Engine{live: view{store: s, probes: cost.NewMemoProbes(s)}, execBatch: opts.ExecBatch}
 	if opts.PlanCacheSize >= 0 {
-		e.plans = newPlanCache(opts.PlanCacheSize)
+		e.live.plans = newPlanCache(opts.PlanCacheSize)
 	}
+	e.bindView(&e.live)
 	if !opts.DisableCostObservatory {
 		e.cost = newCostObservatory(s, opts.CostCalibration)
 	}
-	e.finishFn = e.queryFinished
 	if opts.SlowQueryThreshold > 0 {
 		e.slow = &slowLog{threshold: opts.SlowQueryThreshold, w: opts.SlowQueryLog}
 	}
@@ -142,20 +155,20 @@ func Open(opts Options) (*Engine, error) {
 
 // Store exposes the underlying MASS store (used by the benchmark harness
 // and the CLI for statistics).
-func (e *Engine) Store() *mass.Store { return e.store }
+func (e *Engine) Store() *mass.Store { return e.live.store }
 
 // Close flushes and releases the engine.
-func (e *Engine) Close() error { return e.store.Close() }
+func (e *Engine) Close() error { return e.live.store.Close() }
 
 // VerifyPages checksums every durable page of the backing store. See
 // mass.Store.VerifyPages.
 func (e *Engine) VerifyPages() (checked int, corrupt []pager.PageID, err error) {
-	return e.store.VerifyPages()
+	return e.live.store.VerifyPages()
 }
 
 // Load shreds and indexes an XML document under a unique name.
 func (e *Engine) Load(name string, r io.Reader) (mass.DocID, error) {
-	return e.store.LoadDocument(name, r)
+	return e.live.store.LoadDocument(name, r)
 }
 
 // LoadString is Load from a string.
@@ -191,22 +204,21 @@ func (e *Engine) Compile(expr string) (*Query, error) {
 // CompileOptimized parses expr and runs the cost-driven optimizer against
 // doc's live statistics — "VQP-OPT".
 func (e *Engine) CompileOptimized(doc mass.DocID, expr string) (*Query, error) {
-	return e.compileOptimizedOn(e.store, e.probes, doc, expr)
+	return e.compileOptimizedOn(&e.live, doc, expr)
 }
 
-// compileOptimizedOn is CompileOptimized parameterized by the store and
-// statistics memo the optimizer probes — the engine's own for live
-// compiles, a snapshot's frozen pair for snapshot compiles.
-func (e *Engine) compileOptimizedOn(st *mass.Store, probes *cost.MemoProbes, doc mass.DocID, expr string) (*Query, error) {
+// compileOptimizedOn is CompileOptimized against the store and
+// statistics memo of v — the engine's live view or a snapshot's.
+func (e *Engine) compileOptimizedOn(v *view, doc mass.DocID, expr string) (*Query, error) {
 	q, err := e.Compile(expr)
 	if err != nil {
 		return nil, err
 	}
 	defPlan := q.plan
 	o := &opt.Optimizer{
-		Store:     st,
+		Store:     v.store,
 		Doc:       doc,
-		Probes:    probes,
+		Probes:    v.probes,
 		Calibrate: e.calibrateFn(),
 		Trace: func(format string, args ...any) {
 			q.trace = append(q.trace, fmt.Sprintf(format, args...))
@@ -224,7 +236,7 @@ func (e *Engine) compileOptimizedOn(st *mass.Store, probes *cost.MemoProbes, doc
 	// are rare enough that the second optimization (probe-memoized) is
 	// in the noise.
 	if e.cost != nil && e.cost.calibrating && e.cost.calibrationActive() {
-		raw := &opt.Optimizer{Store: st, Doc: doc, Probes: probes}
+		raw := &opt.Optimizer{Store: v.store, Doc: doc, Probes: v.probes}
 		if rawPlan, rerr := raw.Optimize(defPlan); rerr == nil && planShape(rawPlan) != planShape(optPlan) {
 			e.cost.regressions.Add(1)
 			obs.CostPlanRegressions.Inc()
@@ -239,31 +251,23 @@ func (e *Engine) compileOptimizedOn(st *mass.Store, probes *cost.MemoProbes, doc
 // validated against the document's statistics epoch, so any update to the
 // document transparently forces a recompile against fresh statistics.
 func (e *Engine) CompileCached(doc mass.DocID, expr string, optimized bool) (*Query, error) {
-	q, _, err := e.compileCached(doc, expr, optimized)
+	q, _, err := e.compileCachedOn(&e.live, doc, expr, optimized)
 	return q, err
 }
 
-// compileCached is CompileCached plus a report of whether the plan came
-// from the cache — the compile-vs-serve split the serving metrics track.
-func (e *Engine) compileCached(doc mass.DocID, expr string, optimized bool) (*Query, bool, error) {
-	return e.compileCachedOn(e.plans, e.store, e.probes, doc, expr, optimized)
-}
-
-// compileCachedOn is compileCached parameterized by the plan cache,
-// store, and statistics memo it consults. Snapshot queries pass the
-// snapshot's private triple: its epochs never move, so cached entries
-// stay valid for the snapshot's whole life.
-func (e *Engine) compileCachedOn(plans *planCache, st *mass.Store, probes *cost.MemoProbes, doc mass.DocID, expr string, optimized bool) (*Query, bool, error) {
-	if plans == nil {
-		var (
-			q   *Query
-			err error
-		)
+// compileCachedOn is CompileCached through v's plan cache, plus a report
+// of whether the plan came from the cache — the compile-vs-serve split
+// the serving metrics track. A snapshot's epochs never move, so entries
+// in its private cache stay valid for the snapshot's whole life.
+func (e *Engine) compileCachedOn(v *view, doc mass.DocID, expr string, optimized bool) (*Query, bool, error) {
+	compile := func() (*Query, error) {
 		if optimized {
-			q, err = e.compileOptimizedOn(st, probes, doc, expr)
-		} else {
-			q, err = e.Compile(expr)
+			return e.compileOptimizedOn(v, doc, expr)
 		}
+		return e.Compile(expr)
+	}
+	if v.plans == nil {
+		q, err := compile()
 		return q, false, err
 	}
 	k := planKey{expr: expr, optimized: optimized}
@@ -273,48 +277,37 @@ func (e *Engine) compileCachedOn(plans *planCache, st *mass.Store, probes *cost.
 		// Capture the epoch before compiling: if an update lands while the
 		// optimizer is probing, the entry records the pre-update epoch and
 		// the next lookup recompiles — conservative but always correct.
-		epoch = st.Epoch(doc)
+		epoch = v.store.Epoch(doc)
 	}
-	if q, ok := plans.get(k, epoch); ok {
+	if q, ok := v.plans.get(k, epoch); ok {
 		return q, true, nil
 	}
-	var (
-		q   *Query
-		err error
-	)
-	if optimized {
-		q, err = e.compileOptimizedOn(st, probes, doc, expr)
-	} else {
-		q, err = e.Compile(expr)
-	}
+	q, err := compile()
 	if err != nil {
 		return nil, false, err
 	}
-	plans.put(k, q, epoch)
+	v.plans.put(k, q, epoch)
 	return q, false, nil
 }
 
-// Query is the one-shot serving fast path: compile expr with the
-// cost-driven optimizer (through the plan cache) and execute it against
-// doc. Steady-state serving of a repeated query costs one cache lookup
-// plus execution — no parsing, no optimization, no statistics probes.
-//
-// Every call is instrumented: the compile-vs-serve split and an
-// end-to-end latency histogram feed the global metrics, queries over
-// Options.SlowQueryThreshold land in the slow-query log, and 1-in-
-// TraceEvery calls carry a sampled TraceContext. On the common path
-// (cache hit, unsampled) the instrumentation adds two time.Now calls
-// and a handful of counter updates — no allocations.
-func (e *Engine) Query(doc mass.DocID, expr string) (*exec.Iterator, error) {
-	return e.QueryContext(context.Background(), doc, expr, govern.Limits{})
+// QueryContext is the one-shot serving fast path over the live store:
+// compile expr with the cost-driven optimizer (through the plan cache)
+// and execute it against doc under governance — ctx's cancellation and
+// deadline, and limits' resource budgets (zero limits = unlimited).
+// Steady-state serving of a repeated query costs one cache lookup plus
+// execution — no parsing, no optimization, no statistics probes.
+func (e *Engine) QueryContext(cctx context.Context, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
+	return e.query(cctx, &e.live, doc, expr, limits)
 }
 
-// QueryContext is Query under governance: the run observes ctx's
-// cancellation and deadline, and limits' resource budgets (zero limits =
-// unlimited). A pre-canceled or pre-expired ctx fails here, before the
-// plan cache or storage is touched. With a Background context and zero
-// limits the limiter is nil and the path is identical to Query.
-func (e *Engine) QueryContext(cctx context.Context, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
+// query is the one query path, run over view v (the live view or a
+// snapshot's). Every call is instrumented: the compile-vs-serve split
+// and an end-to-end latency histogram feed the global metrics, queries
+// over Options.SlowQueryThreshold land in the slow-query log, and 1-in-
+// TraceEvery calls carry a sampled TraceContext. On the common path
+// (cache hit, unsampled) the instrumentation adds two time.Now calls and
+// a handful of counter updates — no allocations.
+func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
 	start := time.Now()
 	// Pre-flight: a pre-canceled or pre-expired ctx fails here, before
 	// the plan cache, the optimizer's statistics probes, or storage is
@@ -323,7 +316,7 @@ func (e *Engine) QueryContext(cctx context.Context, doc mass.DocID, expr string,
 	if err := govern.CheckContext(cctx); err != nil {
 		return nil, err
 	}
-	q, hit, err := e.compileCached(doc, expr, true)
+	q, hit, err := e.compileCachedOn(v, doc, expr, true)
 	if err != nil {
 		return nil, err
 	}
@@ -333,11 +326,11 @@ func (e *Engine) QueryContext(cctx context.Context, doc mass.DocID, expr string,
 		obs.QueriesCompiled.Inc()
 	}
 	ctx := exec.Context{
-		Store:       e.store,
+		Store:       v.store,
 		Doc:         doc,
 		Ctx:         cctx,
 		Limits:      limits,
-		OnFinish:    e.finishFn,
+		OnFinish:    v.finishFn,
 		FinishStart: start,
 		FinishObj:   q,
 		Batch:       e.execBatch,
@@ -345,12 +338,12 @@ func (e *Engine) QueryContext(cctx context.Context, doc mass.DocID, expr string,
 	// A traced query records per-operator spans: 1-in-TraceEvery samples,
 	// or every query when the flight recorder is on (so slow/budget-
 	// tripped queries are captured retroactively). Slow-query tracking
-	// alone arms the accounting limiter without spans, so every slow
-	// entry carries its storage deltas.
+	// and snapshot usage accounting arm the accounting limiter without
+	// spans, so every slow entry carries its storage deltas.
 	sampled := e.traceEvery > 0 && e.traceN.Add(1)%e.traceEvery == 0
 	traced := sampled || e.flight != nil
 	ctx.Trace = traced
-	ctx.Account = e.slow != nil
+	ctx.Account = e.slow != nil || v.usage != nil
 	// A traced query (and the rare compile miss, whose cost dwarfs one
 	// allocation) carries a TraceContext instead of the bare Query, so
 	// the finish hook can report compile time and cache-hit status.
@@ -382,11 +375,20 @@ func (e *Engine) QueryContext(cctx context.Context, doc mass.DocID, expr string,
 	return exec.Run(q.plan, ctx)
 }
 
-// queryFinished is the serving path's iterator finish hook: it closes out
-// the query's latency observation, slow-query record, and sampled trace.
-func (e *Engine) queryFinished(it *exec.Iterator) {
+// queryFinished is the query path's iterator finish hook for view v: it
+// closes out the query's latency observation, cost fold, slow-query
+// record, sampled trace and — on snapshot handles — usage accounting.
+func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 	total := time.Since(it.StartTime())
 	obs.QueryLatency.Observe(total)
+	if u := v.usage; u != nil {
+		u.queries.Add(1)
+		u.results.Add(it.Results())
+		if lim := it.Limiter(); lim != nil {
+			u.pages.Add(lim.PagesRead())
+			u.records.Add(lim.DecodedRecords())
+		}
+	}
 	var (
 		expr string
 		hit  bool
@@ -405,7 +407,7 @@ func (e *Engine) queryFinished(it *exec.Iterator) {
 			tc.NodeCacheHits = lim.NodeCacheHits()
 		}
 		if tc.traced {
-			tc.DocName = e.store.DocName(tc.Doc)
+			tc.DocName = v.store.DocName(tc.Doc)
 			tc.Root = buildSpanTree(tc.q.plan, it.StepSpans(), it.Results(), int64(total))
 		}
 	case *Query:
@@ -512,13 +514,13 @@ func (e *Engine) CostProfile() (CostProfile, bool) {
 // CacheStats reports plan-cache and statistics-memo counters.
 func (e *Engine) CacheStats() CacheStats {
 	var st CacheStats
-	if e.plans != nil {
-		st.Hits = e.plans.hits.Load()
-		st.Misses = e.plans.misses.Load()
-		st.Evictions = e.plans.evictions.Load()
-		st.Invalidations = e.plans.invalidations.Load()
+	if p := e.live.plans; p != nil {
+		st.Hits = p.hits.Load()
+		st.Misses = p.misses.Load()
+		st.Evictions = p.evictions.Load()
+		st.Invalidations = p.invalidations.Load()
 	}
-	st.ProbeHits, st.ProbeMisses, st.ProbeResets = e.probes.Counters()
+	st.ProbeHits, st.ProbeMisses, st.ProbeResets = e.live.probes.Counters()
 	return st
 }
 
@@ -530,7 +532,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	if err := obs.WriteText(w); err != nil {
 		return err
 	}
-	m := e.store.Metrics()
+	m := e.live.store.Metrics()
 	st := e.CacheStats()
 	for _, c := range []struct {
 		name, help string
@@ -591,7 +593,7 @@ func (q *Query) Trace() []string { return q.trace }
 // engine's plan cache share one Query across a serving fleet).
 func (q *Query) Estimate(doc mass.DocID) (*plan.Plan, error) {
 	p := q.plan.Clone()
-	est := &cost.Estimator{Store: q.engine.probes, Doc: doc, Calibrate: q.engine.calibrateFn()}
+	est := &cost.Estimator{Store: q.engine.live.probes, Doc: doc, Calibrate: q.engine.calibrateFn()}
 	if err := est.Estimate(p); err != nil {
 		return nil, err
 	}
@@ -630,47 +632,13 @@ func (q *Query) ExplainAnalyze(doc mass.DocID) (string, error) {
 // explicit: the store to read (nil selects the engine's live store;
 // snapshot runs pass the snapshot's frozen store), the initial context
 // node ("" selects the document root), variable bindings, document-order
-// delivery, and governance. All Execute variants are shorthands for it.
+// delivery, and governance.
 func (q *Query) RunContext(ctx context.Context, st *mass.Store, doc mass.DocID, start flex.Key, vars map[string][]flex.Key, ordered bool, limits govern.Limits) (*exec.Iterator, error) {
 	if err := govern.CheckContext(ctx); err != nil {
 		return nil, err
 	}
 	if st == nil {
-		st = q.engine.store
+		st = q.engine.live.store
 	}
 	return exec.Run(q.plan, exec.Context{Store: st, Doc: doc, Start: start, Vars: vars, Ordered: ordered, Ctx: ctx, Limits: limits, Batch: q.engine.execBatch})
-}
-
-// Execute runs the query against doc with the document root as initial
-// context.
-func (q *Query) Execute(doc mass.DocID) (*exec.Iterator, error) {
-	return q.ExecuteContext(context.Background(), doc, govern.Limits{})
-}
-
-// ExecuteContext is Execute under governance (see Engine.QueryContext).
-func (q *Query) ExecuteContext(ctx context.Context, doc mass.DocID, limits govern.Limits) (*exec.Iterator, error) {
-	return q.RunContext(ctx, nil, doc, "", nil, false, limits)
-}
-
-// ExecuteOrdered runs the query and delivers the result set in document
-// order (materializing it first; use Execute for pipelined delivery).
-func (q *Query) ExecuteOrdered(doc mass.DocID) (*exec.Iterator, error) {
-	return q.ExecuteOrderedContext(context.Background(), doc, govern.Limits{})
-}
-
-// ExecuteOrderedContext is ExecuteOrdered under governance.
-func (q *Query) ExecuteOrderedContext(ctx context.Context, doc mass.DocID, limits govern.Limits) (*exec.Iterator, error) {
-	return q.RunContext(ctx, nil, doc, "", nil, true, limits)
-}
-
-// ExecuteFrom runs the query with an explicit initial context node — the
-// XQuery-style context feeding of paper §V-A — and optional variable
-// bindings.
-func (q *Query) ExecuteFrom(doc mass.DocID, start flex.Key, vars map[string][]flex.Key) (*exec.Iterator, error) {
-	return q.ExecuteFromContext(context.Background(), doc, start, vars, govern.Limits{})
-}
-
-// ExecuteFromContext is ExecuteFrom under governance.
-func (q *Query) ExecuteFromContext(ctx context.Context, doc mass.DocID, start flex.Key, vars map[string][]flex.Key, limits govern.Limits) (*exec.Iterator, error) {
-	return q.RunContext(ctx, nil, doc, start, vars, false, limits)
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"vamana/internal/exec"
 	"vamana/internal/flex"
+	"vamana/internal/govern"
+	"vamana/internal/mass"
 	"vamana/internal/xmark"
 )
 
@@ -16,6 +20,11 @@ func openEngine(t testing.TB) *Engine {
 	}
 	t.Cleanup(func() { e.Close() })
 	return e
+}
+
+// run executes q on the live store from start ("" = document root).
+func run(q *Query, d mass.DocID, start flex.Key) (*exec.Iterator, error) {
+	return q.RunContext(context.Background(), nil, d, start, nil, false, govern.Limits{})
 }
 
 func TestCompileExecutePipeline(t *testing.T) {
@@ -32,7 +41,7 @@ func TestCompileExecutePipeline(t *testing.T) {
 	if q.Optimized() {
 		t.Fatal("Compile produced an optimized query")
 	}
-	it, err := q.Execute(d)
+	it, err := run(q, d, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +61,7 @@ func TestCompileExecutePipeline(t *testing.T) {
 	if !qo.Optimized() {
 		t.Fatal("CompileOptimized not marked optimized")
 	}
-	it2, _ := qo.Execute(d)
+	it2, _ := run(qo, d, "")
 	keys2, err := it2.Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +82,7 @@ func TestQueryReusableAcrossExecutions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		it, err := q.Execute(d)
+		it, err := run(q, d, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +103,7 @@ func TestExecuteFromContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := e.Compile("//b")
-	it, _ := q.Execute(d)
+	it, _ := run(q, d, "")
 	keys, _ := it.Collect()
 	if len(keys) != 1 {
 		t.Fatal("setup failed")
@@ -103,7 +112,7 @@ func TestExecuteFromContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it2, err := rel.ExecuteFrom(d, keys[0], nil)
+	it2, err := run(rel, d, keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}

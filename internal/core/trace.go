@@ -50,7 +50,7 @@ func requestTraceFrom(ctx context.Context) *RequestTrace {
 }
 
 // TraceContext is a per-query execution trace, produced for 1-in-N
-// Engine.Query calls when sampling is configured (Options.TraceEvery).
+// QueryContext calls when sampling is configured (Options.TraceEvery).
 // Sampled queries carry their TraceContext through the iterator's finish
 // hook; unsampled cache-hit queries allocate nothing.
 type TraceContext struct {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"vamana/internal/flex"
 	"vamana/internal/mass"
 )
 
@@ -40,7 +41,7 @@ func TestMemoProbesCachesWithinEpoch(t *testing.T) {
 	if !ok {
 		t.Fatalf("no person node to delete: %v", persons.Err())
 	}
-	if err := s.DeleteSubtree(d, n.Key); err != nil {
+	if err := deleteSubtree(s, d, n.Key); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.TestCount(d, test, "")
@@ -69,7 +70,7 @@ func TestMemoProbesSecondDocIndependent(t *testing.T) {
 	person := mass.NodeTest{Type: mass.TestName, Name: "person"}
 	sc := s.AxisScan(d1, "", mass.AxisDescendant, person)
 	if n, ok := sc.Next(); ok {
-		if err := s.DeleteSubtree(d1, n.Key); err != nil {
+		if err := deleteSubtree(s, d1, n.Key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,4 +81,18 @@ func TestMemoProbesSecondDocIndependent(t *testing.T) {
 	if hits != 1 {
 		t.Fatalf("d2 second probe should hit the memo; hits=%d", hits)
 	}
+}
+
+// deleteSubtree removes the subtree at k in one committed transaction.
+func deleteSubtree(s *mass.Store, d mass.DocID, k flex.Key) error {
+	u, err := s.BeginUpdate()
+	if err != nil {
+		return err
+	}
+	if err := u.DeleteSubtree(d, k); err != nil {
+		u.Rollback()
+		return err
+	}
+	_, err = u.Commit()
+	return err
 }

@@ -53,6 +53,22 @@ func openMem(t testing.TB) *Store {
 	return s
 }
 
+// update runs fn in one Update transaction on s — the store's only
+// mutation path: committed when fn returns nil, rolled back (with fn's
+// error returned) otherwise.
+func update(s *Store, fn func(*Update) error) error {
+	u, err := s.BeginUpdate()
+	if err != nil {
+		return err
+	}
+	if err := fn(u); err != nil {
+		u.Rollback()
+		return err
+	}
+	_, err = u.Commit()
+	return err
+}
+
 func loadDoc(t testing.TB, s *Store, name, src string) DocID {
 	t.Helper()
 	d, err := s.LoadDocument(name, strings.NewReader(src))

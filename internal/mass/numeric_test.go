@@ -104,7 +104,7 @@ func TestNumericIndexMaintainedUnderUpdates(t *testing.T) {
 	}
 	texts := collect(t, s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestText}))
 	// Numeric -> numeric.
-	if err := s.UpdateText(d, texts[0].Key, "500"); err != nil {
+	if err := update(s, func(u *Update) error { return u.UpdateText(d, texts[0].Key, "500") }); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.NumericRangeCount(d, 0, true, 100, true); n != 0 {
@@ -114,7 +114,7 @@ func TestNumericIndexMaintainedUnderUpdates(t *testing.T) {
 		t.Error("new numeric entry missing")
 	}
 	// Numeric -> non-numeric.
-	if err := s.UpdateText(d, texts[0].Key, "n/a"); err != nil {
+	if err := update(s, func(u *Update) error { return u.UpdateText(d, texts[0].Key, "n/a") }); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.NumericRangeCount(d, math.Inf(-1), true, math.Inf(1), true); n != 0 {
@@ -122,14 +122,14 @@ func TestNumericIndexMaintainedUnderUpdates(t *testing.T) {
 	}
 	// Insert + delete.
 	r := firstNamed(t, s, d, "r")
-	k, err := s.InsertText(d, r, -1, "77")
-	if err != nil {
+	var k flex.Key
+	if err := update(s, func(u *Update) (err error) { k, err = u.InsertText(d, r, -1, "77"); return err }); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.NumericRangeCount(d, 77, true, 77, true); n != 1 {
 		t.Error("inserted numeric text not indexed")
 	}
-	if err := s.DeleteSubtree(d, k); err != nil {
+	if err := update(s, func(u *Update) error { return u.DeleteSubtree(d, k) }); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.NumericRangeCount(d, 77, true, 77, true); n != 0 {

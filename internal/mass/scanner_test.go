@@ -229,7 +229,7 @@ func TestScannerReleaseDropsPosition(t *testing.T) {
 	// Rename the person: the stack's remembered "is a person" for that
 	// key is now wrong, and only a scanner that dropped it sees so.
 	person := watches[0].Key.Parent().Parent()
-	if err := s.RenameElement(d, person, "member"); err != nil {
+	if err := update(s, func(u *Update) error { return u.RenameElement(d, person, "member") }); err != nil {
 		t.Fatal(err)
 	}
 	if got := drainKeys(t, s.BindScan(&sc, d, watches[0].Key, AxisAncestor, name)); len(got) != 0 {
@@ -237,7 +237,7 @@ func TestScannerReleaseDropsPosition(t *testing.T) {
 	}
 	// And without Release: the store generation moved, which BindScan
 	// observes by itself.
-	if err := s.RenameElement(d, person, "person"); err != nil {
+	if err := update(s, func(u *Update) error { return u.RenameElement(d, person, "person") }); err != nil {
 		t.Fatal(err)
 	}
 	if got := drainKeys(t, s.BindScan(&sc, d, watches[0].Key, AxisAncestor, name)); len(got) != 1 {

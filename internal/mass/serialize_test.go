@@ -71,13 +71,13 @@ func TestSerializeAfterUpdates(t *testing.T) {
 	d := loadDoc(t, s, "doc", `<r><a/></r>`)
 	r := firstNamed(t, s, d, "r")
 	a := firstNamed(t, s, d, "a")
-	if _, err := s.InsertElement(d, r, 0, "pre"); err != nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertElement(d, r, 0, "pre"); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.InsertAttribute(d, a, "k", "v"); err != nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertAttribute(d, a, "k", "v"); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.InsertText(d, a, -1, "body"); err != nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertText(d, a, -1, "body"); return err }); err != nil {
 		t.Fatal(err)
 	}
 	out := serialize(t, s, d, flex.Root)

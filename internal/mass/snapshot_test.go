@@ -55,12 +55,16 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 			defer sn1.Close()
 
 			// Mutate through the live store.
-			k, err := s.InsertElement(d, flex.Root.Child(flex.Ordinal(0)), -1, "appendix")
+			err = update(s, func(u *Update) error {
+				k, err := u.InsertElement(d, flex.Root.Child(flex.Ordinal(0)), -1, "appendix")
+				if err != nil {
+					return err
+				}
+				_, err = u.InsertText(d, k, -1, "new content")
+				return err
+			})
 			if err != nil {
 				t.Fatalf("insert: %v", err)
-			}
-			if _, err := s.InsertText(d, k, -1, "new content"); err != nil {
-				t.Fatalf("insert text: %v", err)
 			}
 			after := serialize(t, s, d, flex.Root)
 			if before == after {
@@ -87,7 +91,8 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadOnly: every mutator on a snapshot store fails typed.
+// TestSnapshotReadOnly: every writer entry point on a snapshot store
+// fails typed.
 func TestSnapshotReadOnly(t *testing.T) {
 	s := openSnapStore(t, "")
 	d := loadSnapDoc(t, s, "lib")
@@ -97,10 +102,10 @@ func TestSnapshotReadOnly(t *testing.T) {
 	}
 	defer sn.Close()
 	ro := sn.Store()
-	if _, err := ro.InsertElement(d, flex.Root, -1, "x"); !errors.Is(err, ErrReadOnlySnapshot) {
+	if err := update(ro, func(u *Update) error { _, err := u.InsertElement(d, flex.Root, -1, "x"); return err }); !errors.Is(err, ErrReadOnlySnapshot) {
 		t.Fatalf("InsertElement: %v", err)
 	}
-	if err := ro.DeleteSubtree(d, flex.Root.Child(flex.Ordinal(0))); !errors.Is(err, ErrReadOnlySnapshot) {
+	if err := update(ro, func(u *Update) error { return u.DeleteSubtree(d, flex.Root.Child(flex.Ordinal(0))) }); !errors.Is(err, ErrReadOnlySnapshot) {
 		t.Fatalf("DeleteSubtree: %v", err)
 	}
 	if _, err := ro.LoadDocument("other", strings.NewReader("<a/>")); !errors.Is(err, ErrReadOnlySnapshot) {
@@ -160,7 +165,7 @@ func TestSnapshotRefsDeferRelease(t *testing.T) {
 		t.Fatalf("snapshot released with reader in flight: open=%d", got)
 	}
 	// The reader can still stream the frozen state.
-	if err := s.DeleteSubtree(d, flex.Root.Child(flex.Ordinal(0))); err != nil {
+	if err := update(s, func(u *Update) error { return u.DeleteSubtree(d, flex.Root.Child(flex.Ordinal(0))) }); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	if got := serialize(t, sn.Store(), d, flex.Root); got != before {

@@ -34,12 +34,12 @@ import (
 
 // Store is a MASS database: a set of indexed XML documents.
 type Store struct {
-	// writer serializes mutators at the operation level (legacy per-op
-	// mutations) or transaction level (an Update holds it from Begin to
-	// Commit/Rollback), and is ordered strictly before mu: a goroutine
-	// may take mu while holding writer, never the reverse. Readers never
-	// touch it, so queries keep flowing while a writer works — they
-	// contend only on the short mu critical sections.
+	// writer serializes writers — an Update holds it from Begin to
+	// Commit/Rollback; document loads, drops, flushes and snapshot
+	// creation hold it for their span — and is ordered strictly before
+	// mu: a goroutine may take mu while holding writer, never the
+	// reverse. Readers never touch it, so queries keep flowing while a
+	// writer works — they contend only on the short mu critical sections.
 	writer sync.Mutex
 	mu     sync.Mutex
 	pg     *pager.Pager
@@ -80,13 +80,14 @@ type Store struct {
 	//
 	// gen counts mutations — every one, including those buffered inside
 	// an open transaction — and drives the publish short-circuit.
-	// commitGen counts changes to the *committed* state only: legacy
-	// per-op mutations and transaction commits advance it; buffered
-	// transaction writes do not (inTxn, guarded by mu, tells the two
-	// apart). Lock-free reads of commitGen let DB.Query test whether a
-	// shared snapshot still equals the latest committed version — during
-	// an open transaction it does, however many writes the transaction
-	// has buffered. publishedGen/pubValid record the generation whose
+	// commitGen counts changes to the *committed* state only:
+	// transaction commits advance it, and so do the changes made outside
+	// a transaction — document loads and drops, and calibration epoch
+	// bumps; buffered transaction writes do not (inTxn, guarded by mu,
+	// tells the two apart). Lock-free reads of commitGen let DB.Query
+	// test whether a shared snapshot still equals the latest committed
+	// version — during an open transaction it does, however many writes
+	// the transaction has buffered. publishedGen/pubValid record the generation whose
 	// state was last published to the pager's committed layer.
 	// cachePages remembers the configured cache budget so snapshot
 	// stores and post-rollback reloads size their node caches
@@ -564,11 +565,12 @@ func (s *Store) Epoch(d DocID) uint64 {
 // bumpEpochLocked invalidates cached document-derived state after a
 // mutation. Called with mu held, including on failed partial mutations —
 // a spurious bump only costs one redundant recomputation. It also
-// advances the store generation, and — outside a transaction, where the
-// mutation changes committed state immediately — the commit generation,
-// which marks any shared auto-snapshot stale. Buffered transaction
-// writes leave commitGen alone: the latest committed version is
-// unchanged until Commit, which advances it once for the whole batch.
+// advances the store generation, and — outside a transaction (a document
+// load or drop, or a calibration bump), where the change reaches
+// committed state immediately — the commit generation, which marks any
+// shared auto-snapshot stale. Buffered transaction writes leave
+// commitGen alone: the latest committed version is unchanged until
+// Commit, which advances it once for the whole batch.
 func (s *Store) bumpEpochLocked(d DocID) {
 	s.epochs[d]++
 	s.gen.Add(1)
@@ -583,8 +585,8 @@ func (s *Store) bumpEpochLocked(d DocID) {
 func (s *Store) Gen() uint64 { return s.gen.Load() }
 
 // CommitGen returns the store's commit generation: it advances exactly
-// when the committed state changes (per-op mutations, transaction
-// commits, document loads and drops). Lock-free, so the serving path can
+// when the committed state changes (transaction commits, document loads
+// and drops, calibration epoch bumps). Lock-free, so the serving path can
 // test a shared snapshot's freshness with one atomic load.
 func (s *Store) CommitGen() uint64 { return s.commitGen.Load() }
 

@@ -37,7 +37,7 @@ type Update struct {
 }
 
 // BeginUpdate opens a write transaction. It blocks while another
-// transaction or per-operation mutation holds the writer lock. The
+// transaction, a document load or a drop holds the writer lock. The
 // returned Update must be finished with Commit or Rollback.
 func (s *Store) BeginUpdate() (*Update, error) {
 	if s.ro {
@@ -177,11 +177,13 @@ func (s *Store) rollbackLocked(u *Update) error {
 	return nil
 }
 
-// Transaction mutation methods: the same operations as the store-level
-// per-op mutators, bound to the open transaction (which already holds
-// the writer lock).
+// Transaction mutation methods: the store's only mutators of document
+// content, bound to the open transaction (which already holds the
+// writer lock).
 
-// InsertElement is Store.InsertElement within the transaction.
+// InsertElement inserts a new element named name as a content child of
+// parent at position pos (0-based among existing content children;
+// pos < 0 or past the end appends). It returns the new node's key.
 func (u *Update) InsertElement(d DocID, parent flex.Key, pos int, name string) (flex.Key, error) {
 	if u.done {
 		return "", ErrTxnDone
@@ -189,7 +191,8 @@ func (u *Update) InsertElement(d DocID, parent flex.Key, pos int, name string) (
 	return u.s.insertContent(d, parent, pos, xmldoc.Node{Kind: xmldoc.KindElement, Name: name})
 }
 
-// InsertText is Store.InsertText within the transaction.
+// InsertText inserts a new text node with the given value as a content
+// child of parent at position pos (see InsertElement).
 func (u *Update) InsertText(d DocID, parent flex.Key, pos int, value string) (flex.Key, error) {
 	if u.done {
 		return "", ErrTxnDone
@@ -197,7 +200,8 @@ func (u *Update) InsertText(d DocID, parent flex.Key, pos int, value string) (fl
 	return u.s.insertContent(d, parent, pos, xmldoc.Node{Kind: xmldoc.KindText, Value: value})
 }
 
-// InsertAttribute is Store.InsertAttribute within the transaction.
+// InsertAttribute adds an attribute to an element, after any existing
+// attributes and before all content children.
 func (u *Update) InsertAttribute(d DocID, owner flex.Key, name, value string) (flex.Key, error) {
 	if u.done {
 		return "", ErrTxnDone
@@ -205,7 +209,8 @@ func (u *Update) InsertAttribute(d DocID, owner flex.Key, name, value string) (f
 	return u.s.insertAttribute(d, owner, name, value)
 }
 
-// UpdateText is Store.UpdateText within the transaction.
+// UpdateText replaces the value of a text or attribute node, keeping the
+// value index (and therefore TC statistics) exact.
 func (u *Update) UpdateText(d DocID, key flex.Key, newValue string) error {
 	if u.done {
 		return ErrTxnDone
@@ -213,7 +218,7 @@ func (u *Update) UpdateText(d DocID, key flex.Key, newValue string) error {
 	return u.s.updateText(d, key, newValue)
 }
 
-// RenameElement is Store.RenameElement within the transaction.
+// RenameElement changes an element's name, maintaining the name index.
 func (u *Update) RenameElement(d DocID, key flex.Key, newName string) error {
 	if u.done {
 		return ErrTxnDone
@@ -221,7 +226,9 @@ func (u *Update) RenameElement(d DocID, key flex.Key, newName string) error {
 	return u.s.renameElement(d, key, newName)
 }
 
-// DeleteSubtree is Store.DeleteSubtree within the transaction.
+// DeleteSubtree removes the node at key together with its whole subtree
+// (descendants, attributes, text), cleaning every index. Deleting the
+// document node is rejected; use DropDocument.
 func (u *Update) DeleteSubtree(d DocID, key flex.Key) error {
 	if u.done {
 		return ErrTxnDone

@@ -11,8 +11,9 @@ import (
 // Document update support. The paper's cost model works because MASS
 // statistics are "always up to date and accurate ... not affected by
 // updates, inserts and deletes" (§I): every mutation below maintains all
-// secondary indexes and the counted B+-trees transactionally within the
-// store lock, so the very next COUNT/TC probe reflects it exactly. FLEX
+// secondary indexes and the counted B+-trees within the store lock, so
+// the very next COUNT/TC probe reflects it exactly. The mutators are
+// reachable only through an Update transaction (txn.go). FLEX
 // keys make sibling insertion renumbering-free: a fresh component is
 // generated strictly between the neighbors' components (flex.Between).
 
@@ -23,32 +24,14 @@ var ErrNoNode = errors.New("mass: no such node")
 // incompatible kind.
 var ErrBadTarget = errors.New("mass: node kind incompatible with this update")
 
-// InsertElement inserts a new element named name as a content child of
-// parent at position pos (0-based among existing content children;
-// pos < 0 or past the end appends). It returns the new node's key.
-func (s *Store) InsertElement(d DocID, parent flex.Key, pos int, name string) (flex.Key, error) {
-	s.writer.Lock()
-	defer s.writer.Unlock()
-	return s.insertContent(d, parent, pos, xmldoc.Node{Kind: xmldoc.KindElement, Name: name})
-}
-
-// InsertText inserts a new text node with the given value as a content
-// child of parent at position pos (see InsertElement).
-func (s *Store) InsertText(d DocID, parent flex.Key, pos int, value string) (flex.Key, error) {
-	s.writer.Lock()
-	defer s.writer.Unlock()
-	return s.insertContent(d, parent, pos, xmldoc.Node{Kind: xmldoc.KindText, Value: value})
-}
-
-// insertContent is the writer-lock-free inner body shared by the
-// per-operation entry points above and Update transactions (which hold
-// the writer lock for their whole span).
+// insertContent inserts node n as a content child of parent at position
+// pos (0-based among existing content children; pos < 0 or past the end
+// appends) and returns its key. Like every mutator below it runs inside
+// an Update transaction, which holds the writer lock for its whole span
+// and is never open on a read-only snapshot store (BeginUpdate refuses).
 func (s *Store) insertContent(d DocID, parent flex.Key, pos int, n xmldoc.Node) (flex.Key, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ro {
-		return "", ErrReadOnlySnapshot
-	}
 	defer s.bumpEpochLocked(d)
 	pn, ok, err := s.nodeLocked(d, parent)
 	if err != nil {
@@ -129,21 +112,12 @@ func (s *Store) childComponents(d DocID, parent flex.Key) (attrs, contents []fle
 	}
 }
 
-// InsertAttribute adds an attribute to an element. The new attribute is
+// insertAttribute adds an attribute to an element. The new attribute is
 // placed after any existing attributes and before all content children,
 // preserving document-order invariants.
-func (s *Store) InsertAttribute(d DocID, owner flex.Key, name, value string) (flex.Key, error) {
-	s.writer.Lock()
-	defer s.writer.Unlock()
-	return s.insertAttribute(d, owner, name, value)
-}
-
 func (s *Store) insertAttribute(d DocID, owner flex.Key, name, value string) (flex.Key, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ro {
-		return "", ErrReadOnlySnapshot
-	}
 	defer s.bumpEpochLocked(d)
 	on, ok, err := s.nodeLocked(d, owner)
 	if err != nil {
@@ -180,20 +154,11 @@ func (s *Store) insertAttribute(d DocID, owner flex.Key, name, value string) (fl
 	return n.Key, nil
 }
 
-// UpdateText replaces the value of a text or attribute node, keeping the
+// updateText replaces the value of a text or attribute node, keeping the
 // value index (and therefore TC statistics) exact.
-func (s *Store) UpdateText(d DocID, key flex.Key, newValue string) error {
-	s.writer.Lock()
-	defer s.writer.Unlock()
-	return s.updateText(d, key, newValue)
-}
-
 func (s *Store) updateText(d DocID, key flex.Key, newValue string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ro {
-		return ErrReadOnlySnapshot
-	}
 	defer s.bumpEpochLocked(d)
 	n, ok, err := s.nodeLocked(d, key)
 	if err != nil {
@@ -228,19 +193,10 @@ func (s *Store) updateText(d DocID, key flex.Key, newValue string) error {
 	return err
 }
 
-// RenameElement changes an element's name, maintaining the name index.
-func (s *Store) RenameElement(d DocID, key flex.Key, newName string) error {
-	s.writer.Lock()
-	defer s.writer.Unlock()
-	return s.renameElement(d, key, newName)
-}
-
+// renameElement changes an element's name, maintaining the name index.
 func (s *Store) renameElement(d DocID, key flex.Key, newName string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ro {
-		return ErrReadOnlySnapshot
-	}
 	defer s.bumpEpochLocked(d)
 	n, ok, err := s.nodeLocked(d, key)
 	if err != nil {
@@ -269,21 +225,12 @@ func (s *Store) renameElement(d DocID, key flex.Key, newName string) error {
 	return err
 }
 
-// DeleteSubtree removes the node at key together with its whole subtree
+// deleteSubtree removes the node at key together with its whole subtree
 // (descendants, attributes, text), cleaning every index. Deleting the
 // document node is rejected; use DropDocument.
-func (s *Store) DeleteSubtree(d DocID, key flex.Key) error {
-	s.writer.Lock()
-	defer s.writer.Unlock()
-	return s.deleteSubtree(d, key)
-}
-
 func (s *Store) deleteSubtree(d DocID, key flex.Key) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ro {
-		return ErrReadOnlySnapshot
-	}
 	defer s.bumpEpochLocked(d)
 	if key == flex.Root {
 		return fmt.Errorf("%w: cannot delete the document node", ErrBadTarget)

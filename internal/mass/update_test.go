@@ -45,14 +45,14 @@ func TestInsertElementPositions(t *testing.T) {
 	d := loadDoc(t, s, "doc", `<r><a/><b/><c/></r>`)
 	r := firstNamed(t, s, d, "r")
 
-	if _, err := s.InsertElement(d, r, 0, "head"); err != nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertElement(d, r, 0, "head"); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.InsertElement(d, r, -1, "tail"); err != nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertElement(d, r, -1, "tail"); return err }); err != nil {
 		t.Fatal(err)
 	}
 	// Now: head a b c tail; insert between a and b (content position 2).
-	if _, err := s.InsertElement(d, r, 2, "mid"); err != nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertElement(d, r, 2, "mid"); return err }); err != nil {
 		t.Fatal(err)
 	}
 	got := childNames(t, s, d, r)
@@ -75,7 +75,7 @@ func TestDenseInsertion(t *testing.T) {
 	d := loadDoc(t, s, "doc", `<r><first/><last/></r>`)
 	r := firstNamed(t, s, d, "r")
 	for i := 0; i < 150; i++ {
-		if _, err := s.InsertElement(d, r, 1, fmt.Sprintf("n%03d", i)); err != nil {
+		if err := update(s, func(u *Update) error { _, err := u.InsertElement(d, r, 1, fmt.Sprintf("n%03d", i)); return err }); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestInsertTextAndTC(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "doc", `<r><a>old</a></r>`)
 	a := firstNamed(t, s, d, "a")
-	if _, err := s.InsertText(d, a, -1, "fresh value"); err != nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertText(d, a, -1, "fresh value"); return err }); err != nil {
 		t.Fatal(err)
 	}
 	if tc, _ := s.TextCount(d, "fresh value", ""); tc != 1 {
@@ -134,7 +134,7 @@ func TestUpdateText(t *testing.T) {
 	if len(hits) != 1 {
 		t.Fatal("setup failed")
 	}
-	if err := s.UpdateText(d, hits[0].Key, "after"); err != nil {
+	if err := update(s, func(u *Update) error { return u.UpdateText(d, hits[0].Key, "after") }); err != nil {
 		t.Fatal(err)
 	}
 	if tc, _ := s.TextCount(d, "before", ""); tc != 0 {
@@ -157,7 +157,7 @@ func TestUpdateAttributeValue(t *testing.T) {
 	if len(attrs) != 1 {
 		t.Fatal("setup failed")
 	}
-	if err := s.UpdateText(d, attrs[0].Key, "y"); err != nil {
+	if err := update(s, func(u *Update) error { return u.UpdateText(d, attrs[0].Key, "y") }); err != nil {
 		t.Fatal(err)
 	}
 	if got := collect(t, s.AttrValueScan(d, "", "y")); len(got) != 1 {
@@ -172,7 +172,7 @@ func TestInsertAttribute(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "doc", `<r id="1"><child/>text</r>`)
 	r := firstNamed(t, s, d, "r")
-	if _, err := s.InsertAttribute(d, r, "lang", "en"); err != nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertAttribute(d, r, "lang", "en"); return err }); err != nil {
 		t.Fatal(err)
 	}
 	attrs := collect(t, s.AxisScan(d, r, AxisAttribute, NodeTest{Type: TestWildcard}))
@@ -192,7 +192,7 @@ func TestInsertAttribute(t *testing.T) {
 	}
 	// Attribute insertion into an element that has no children yet.
 	c := kids[0].Key
-	if _, err := s.InsertAttribute(d, c, "x", "1"); err != nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertAttribute(d, c, "x", "1"); return err }); err != nil {
 		t.Fatal(err)
 	}
 	if got := collect(t, s.AxisScan(d, c, AxisAttribute, NodeTest{Type: TestWildcard})); len(got) != 1 {
@@ -204,7 +204,7 @@ func TestRenameElement(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "doc", `<r><old/><old/></r>`)
 	k := firstNamed(t, s, d, "old")
-	if err := s.RenameElement(d, k, "new"); err != nil {
+	if err := update(s, func(u *Update) error { return u.RenameElement(d, k, "new") }); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.CountName(d, "old"); n != 1 {
@@ -238,7 +238,7 @@ func TestDeleteSubtree(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	before, _ := s.CountNodes(d)
-	if err := s.DeleteSubtree(d, persons[0].Key); err != nil {
+	if err := update(s, func(u *Update) error { return u.DeleteSubtree(d, persons[0].Key) }); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.CountName(d, "person"); n != 1 {
@@ -259,7 +259,7 @@ func TestDeleteSubtree(t *testing.T) {
 		t.Error("sibling person lost")
 	}
 	// Deleting the document node is rejected.
-	if err := s.DeleteSubtree(d, flex.Root); err == nil {
+	if err := update(s, func(u *Update) error { return u.DeleteSubtree(d, flex.Root) }); err == nil {
 		t.Error("deleting document node succeeded")
 	}
 }
@@ -267,21 +267,21 @@ func TestDeleteSubtree(t *testing.T) {
 func TestUpdateErrors(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "doc", `<r><a>t</a></r>`)
-	if _, err := s.InsertElement(d, "a.zz", 0, "x"); err == nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertElement(d, "a.zz", 0, "x"); return err }); err == nil {
 		t.Error("insert under missing parent succeeded")
 	}
 	texts := collect(t, s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestText}))
-	if _, err := s.InsertElement(d, texts[0].Key, 0, "x"); err == nil {
+	if err := update(s, func(u *Update) error { _, err := u.InsertElement(d, texts[0].Key, 0, "x"); return err }); err == nil {
 		t.Error("insert under a text node succeeded")
 	}
 	r := firstNamed(t, s, d, "r")
-	if err := s.UpdateText(d, r, "v"); err == nil {
+	if err := update(s, func(u *Update) error { return u.UpdateText(d, r, "v") }); err == nil {
 		t.Error("UpdateText on an element succeeded")
 	}
-	if err := s.RenameElement(d, texts[0].Key, "x"); err == nil {
+	if err := update(s, func(u *Update) error { return u.RenameElement(d, texts[0].Key, "x") }); err == nil {
 		t.Error("RenameElement on a text node succeeded")
 	}
-	if err := s.DeleteSubtree(d, "a.zz"); err == nil {
+	if err := update(s, func(u *Update) error { return u.DeleteSubtree(d, "a.zz") }); err == nil {
 		t.Error("deleting a missing node succeeded")
 	}
 }
@@ -294,11 +294,15 @@ func TestStatisticsCurrencyAfterUpdates(t *testing.T) {
 	d := loadDoc(t, s, "doc", `<r><zone/></r>`)
 	zone := firstNamed(t, s, d, "zone")
 	for i := 0; i < 500; i++ {
-		k, err := s.InsertElement(d, zone, -1, "item")
+		err := update(s, func(u *Update) error {
+			k, err := u.InsertElement(d, zone, -1, "item")
+			if err != nil {
+				return err
+			}
+			_, err = u.InsertText(d, k, -1, fmt.Sprintf("v%d", i%7))
+			return err
+		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.InsertText(d, k, -1, fmt.Sprintf("v%d", i%7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,7 +316,7 @@ func TestStatisticsCurrencyAfterUpdates(t *testing.T) {
 	// Delete half the items and re-check.
 	items := collect(t, s.AxisScan(d, zone, AxisChild, NodeTest{Type: TestName, Name: "item"}))
 	for i := 0; i < 250; i++ {
-		if err := s.DeleteSubtree(d, items[i].Key); err != nil {
+		if err := update(s, func(u *Update) error { return u.DeleteSubtree(d, items[i].Key) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,7 +15,7 @@ var (
 	ExecAxisScans = NewCounter("vamana_exec_axis_scans_total",
 		"Axis-scan bindings performed across completed runs (all axes).")
 
-	// Serving layer (core.Engine.Query).
+	// Serving layer (core.Engine.QueryContext).
 	QueryLatency = NewHistogram("vamana_query_latency_ns",
 		"End-to-end latency of DB.Query calls in nanoseconds.")
 	QueriesServedCached = NewCounter("vamana_queries_served_cached_total",

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,7 +97,7 @@ func TestExplainAnalyzeActualsMatchQuery(t *testing.T) {
 	resultsRe := regexp.MustCompile(`(?m)^results: (\d+)$`)
 	for i, expr := range exprs {
 		want := drainCount(t, db, doc, expr)
-		q, err := db.CompileOptimized(doc, expr)
+		q, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 		if err != nil {
 			t.Fatalf("Q%d compile: %v", i+1, err)
 		}
@@ -171,7 +172,13 @@ func TestPlanCacheEvictionConcurrent(t *testing.T) {
 						errs <- fmt.Errorf("%s under load: got %d results, want %d", expr, n, want)
 						return
 					}
-				} else if _, err := db.CompileCached(doc, expr, g%2 == 0); err != nil {
+					continue
+				}
+				opts := []CompileOption{WithDocument(doc)}
+				if g%2 != 0 {
+					opts = append(opts, WithoutOptimization())
+				}
+				if _, err := db.Prepare(expr, opts...); err != nil {
 					errs <- err
 					return
 				}
@@ -394,5 +401,71 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "vamana_exec_runs_total") {
 		t.Error("metrics handler body missing global counters")
+	}
+}
+
+// TestObservabilityAfterUpdate: once DB.Update has run, DB.Query serves
+// from the shared auto-snapshot — through the same query path as before
+// it, so the slow-query log, trace sampling, the flight recorder and the
+// cost observatory keep receiving every query.
+func TestObservabilityAfterUpdate(t *testing.T) {
+	var sunk atomic.Int64
+	db, err := Open(Options{
+		SlowQueryThreshold: 1,
+		TraceEvery:         1,
+		TraceSink:          func(*TraceContext) { sunk.Add(1) },
+		FlightRecorderSize: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err := db.LoadXMLString("d", "<r><x/><x/></r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func() {
+		t.Helper()
+		res, err := db.Query(doc, "//x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := res.Keys(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	observed := func() (slow, sink, traces int, costObs uint64) {
+		p, ok := db.CostProfile()
+		if !ok {
+			t.Fatal("cost observatory off")
+		}
+		return len(db.SlowQueries()), int(sunk.Load()), len(db.RecentTraces()), p.Observations
+	}
+
+	query()
+	slow0, sink0, traces0, cost0 := observed()
+	if slow0 != 1 || sink0 != 1 || traces0 != 1 || cost0 == 0 {
+		t.Fatalf("before update: slow=%d sink=%d traces=%d cost=%d, want 1/1/1/>0", slow0, sink0, traces0, cost0)
+	}
+	mustUpdate(t, db, func(tx *Txn) error {
+		_, err := tx.InsertElement(doc, "a.b", -1, "x") // a.b is <r>
+		return err
+	})
+	slow0, sink0, traces0, cost0 = observed()
+	query()
+	query()
+	slow1, sink1, traces1, cost1 := observed()
+	if slow1-slow0 != 2 || sink1-sink0 != 2 || traces1-traces0 != 2 {
+		t.Fatalf("after update: slow +%d, sink +%d, traces +%d; want +2 each", slow1-slow0, sink1-sink0, traces1-traces0)
+	}
+	if cost1-cost0 != 2*(cost0/uint64(slow0)) {
+		t.Fatalf("after update: cost observations +%d, want +%d", cost1-cost0, 2*(cost0/uint64(slow0)))
+	}
+	// The ring's two newest traces are the post-update queries, and they
+	// saw the committed insert.
+	for i, tr := range db.RecentTraces()[:2] {
+		if tr.Expr != "//x" || tr.Results != 3 {
+			t.Fatalf("trace %d: expr %q results %d, want //x with 3", i, tr.Expr, tr.Results)
+		}
 	}
 }

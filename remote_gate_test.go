@@ -2,11 +2,14 @@ package vamana_test
 
 // TestRemoteOverheadGate bounds the serving daemon's tax: the
 // client-observed p95 latency of the cached paper query Q1 over real
-// HTTP (vamanad's handler on a loopback listener) must stay within a
-// fixed multiple of the in-process p95 of the same query on the same
-// database. The multiple covers everything the daemon adds — admission
-// bookkeeping, tenant resolution, NDJSON encoding, HTTP framing and a
-// loopback round trip — and catches regressions anywhere in that stack.
+// HTTP (vamanad's handler on a loopback listener) may exceed the
+// in-process p95 of the same query on the same database by at most a
+// fixed absolute amount. The difference is everything the daemon adds —
+// admission bookkeeping, tenant resolution, NDJSON encoding, HTTP framing
+// and a loopback round trip — and catches regressions anywhere in that
+// stack. It is bounded absolutely, not as a ratio: the tax is roughly
+// constant per request, so a ratio would tighten every time the engine
+// itself got faster.
 //
 // Methodology matches the repo's other perf gates: paired interleaved
 // rounds (in-process and remote alternate within each round, so machine
@@ -43,7 +46,7 @@ func TestRemoteOverheadGate(t *testing.T) {
 		queriesPerRound = 120
 		rounds          = 3
 		attempts        = 4
-		maxMultiple     = 3.0
+		maxTax          = 550 * time.Microsecond
 	)
 
 	db, err := vamana.Open(vamana.Options{})
@@ -128,11 +131,11 @@ func TestRemoteOverheadGate(t *testing.T) {
 				remBest = rem
 			}
 		}
-		multiple := float64(remBest) / float64(inBest)
-		lastMsg = fmt.Sprintf("cached Q1 p95 in-process=%v remote=%v multiple=%.2f (bound %.1f)",
-			inBest, remBest, multiple, maxMultiple)
+		tax := remBest - inBest
+		lastMsg = fmt.Sprintf("cached Q1 p95 in-process=%v remote=%v tax=%v (bound %v)",
+			inBest, remBest, tax, maxTax)
 		t.Log(lastMsg)
-		if multiple <= maxMultiple {
+		if tax <= maxTax {
 			return
 		}
 	}

@@ -17,14 +17,12 @@ import (
 // changes underneath (inserts that split exactly the leaves the run ended
 // on, then a delete), and the next run picks those pooled executors up.
 // Whatever they remembered must be gone: every query must equal the DOM
-// oracle evaluated over the document as it now is. Two write paths, since
-// they invalidate differently: DB.Update commits a new snapshot (new tree
-// objects, so a kept cursor would point into a retired version), the
-// deprecated per-operation mutators write the live trees in place (same
-// tree objects, split leaves). The live store is file-backed with its node
-// cache at the floor: only then are decoded leaves evicted and re-read as
-// new objects, which is what makes a kept leaf pointer stale rather than
-// merely out of date.
+// oracle evaluated over the document as it now is. Every change is a
+// DB.Update commit, which publishes a new snapshot (new tree objects, so a
+// kept cursor would point into a retired version). It runs twice: in
+// memory, and file-backed with the node cache at the floor — only there
+// are decoded leaves evicted and re-read as new objects, which is what
+// makes a kept leaf pointer stale rather than merely out of date.
 func TestPooledScanStateAcrossVersions(t *testing.T) {
 	// The executor pool is a sync.Pool, which a garbage collection empties:
 	// with the collector running, the inserts below would hand every later
@@ -40,12 +38,12 @@ func TestPooledScanStateAcrossVersions(t *testing.T) {
 		"//person/name/parent::person/watches/watch",
 		"//@id/following-sibling::*",
 	}
-	for _, mode := range []string{"update", "live"} {
+	for _, mode := range []string{"update", "file"} {
 		t.Run(mode, func(t *testing.T) {
 			db := openDB(t)
-			if mode == "live" {
+			if mode == "file" {
 				var err error
-				db, err = Open(Options{Path: filepath.Join(t.TempDir(), "live.vam"), CachePages: 1})
+				db, err = Open(Options{Path: filepath.Join(t.TempDir(), "file.vam"), CachePages: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +128,7 @@ func TestPooledScanStateAcrossVersions(t *testing.T) {
 			people := firstKey("/site/people")
 			auction := firstKey("//open_auction[bidder]")
 
-			// mutate applies fn through the mode's write path.
+			// mutate applies fn as one DB.Update transaction.
 			type ops struct {
 				elem func(parent string, pos int, name string) string
 				text func(parent, value string)
@@ -143,14 +141,6 @@ func TestPooledScanStateAcrossVersions(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				if mode == "live" {
-					fn(ops{
-						elem: func(p string, pos int, n string) string { k, err := doc.InsertElement(p, pos, n); must(err); return k },
-						text: func(p, v string) { _, err := doc.InsertText(p, -1, v); must(err) },
-						del:  func(k string) { must(doc.DeleteSubtree(k)) },
-					})
-					return
 				}
 				must(db.Update(func(tx *Txn) error {
 					fn(ops{

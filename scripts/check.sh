@@ -32,6 +32,8 @@ echo "== public API surface (go doc -all vs scripts/api_surface.txt)"
 # textual diff; deliberate API changes re-record the golden with
 # scripts/apisnapshot.sh -update.
 scripts/apisnapshot.sh
+# Deprecated wrappers were removed; keep them from creeping back.
+if grep -n 'Deprecated:' scripts/api_surface.txt; then echo "deprecated entry points in the public API" >&2; exit 1; fi
 
 echo "== go build"
 go build ./...
@@ -128,8 +130,8 @@ echo "== server battery under the race detector"
 # with -count 1 here so a cached result never masks a flaky race.
 go test -race -count 1 ./internal/serve
 
-echo "== remote overhead gate (vamanad HTTP vs in-process, 3x budget)"
-# Client-observed cached Q1 p95 over loopback HTTP vs in-process p95,
+echo "== remote overhead gate (vamanad HTTP minus in-process p95, 550us budget)"
+# Client-observed cached Q1 p95 over loopback HTTP minus in-process p95,
 # paired interleaved rounds, best-of-rounds — see
 # TestRemoteOverheadGate.
 VAMANA_REMOTE_GATE=1 go test -run '^TestRemoteOverheadGate$' -v -count 1 .

@@ -28,8 +28,8 @@ var (
 	// ErrDocumentBusy reports a Drop refused because open snapshots or
 	// in-flight result streams could still read the document.
 	ErrDocumentBusy = mass.ErrDocumentBusy
-	// ErrReadOnlySnapshot reports a mutation attempted through a
-	// snapshot-bound handle.
+	// ErrReadOnlySnapshot reports a Txn mutation given a snapshot-bound
+	// document handle.
 	ErrReadOnlySnapshot = mass.ErrReadOnlySnapshot
 	// ErrTxnDone reports a use of a transaction that already committed or
 	// rolled back.
@@ -76,9 +76,8 @@ func (sn *Snapshot) Usage() SnapshotUsage { return sn.cs.Usage() }
 func (sn *Snapshot) Documents() []string { return sn.cs.Store().Documents() }
 
 // Document returns a handle for name bound to this snapshot: all reads
-// through it observe the pinned version, and mutations fail with
-// ErrReadOnlySnapshot. The error for an unknown name satisfies
-// errors.Is(err, ErrNoSuchDocument).
+// through it observe the pinned version. The error for an unknown name
+// satisfies errors.Is(err, ErrNoSuchDocument).
 func (sn *Snapshot) Document(name string) (*Document, error) {
 	if sn.closed.Load() {
 		return nil, ErrSnapshotClosed
@@ -144,13 +143,14 @@ func (db *DB) acquireShared() *core.Snapshot {
 		return nil
 	}
 	if sn.Gen() < db.engine.Store().CommitGen() {
-		// Stale — a legacy per-op mutator committed past it. (Writes
-		// buffered inside an open Update do not advance CommitGen, so the
-		// snapshot keeps serving the latest committed state throughout a
-		// transaction, and commits install their replacement before the
-		// generation moves.) Uninstall so its pinned pages reclaim;
-		// queries fall back to direct reads until the next Update
-		// installs a fresh one.
+		// Stale — a document load, drop or calibration epoch bump changed
+		// committed state outside a transaction. (Writes buffered inside
+		// an open Update do not advance CommitGen, so the snapshot keeps
+		// serving the latest committed state throughout a transaction,
+		// and commits install their replacement before the generation
+		// moves.) Uninstall so its pinned pages reclaim; queries fall
+		// back to direct reads until the next Update installs a fresh
+		// one.
 		if db.shared.CompareAndSwap(sn, nil) {
 			sn.Close()
 		}
@@ -202,8 +202,10 @@ func (db *DB) refreshShared() {
 }
 
 // Txn is an open write transaction, passed to the function run by
-// DB.Update. All mutations made through it become visible atomically
-// when the function returns nil; none survive when it returns an error.
+// DB.Update — the only way to mutate a document. All mutations made
+// through it become visible atomically when the function returns nil;
+// none survive when it returns an error. Its mutation methods reject a
+// snapshot-bound document handle with ErrReadOnlySnapshot.
 // A Txn is bound to its DB.Update call: it must not be used after the
 // function returns, and it is not safe for concurrent use.
 type Txn struct {
@@ -249,18 +251,27 @@ func (t *Txn) Document(name string) (*Document, error) { return t.db.Document(na
 // node's FLEX key. Indexes and statistics update within the
 // transaction; other readers see nothing until commit.
 func (t *Txn) InsertElement(d *Document, parentKey string, pos int, name string) (string, error) {
+	if d.snap != nil {
+		return "", ErrReadOnlySnapshot
+	}
 	k, err := t.u.InsertElement(d.id, flexKey(parentKey), pos, name)
 	return string(k), err
 }
 
 // InsertText inserts a new text node under parentKey (see InsertElement).
 func (t *Txn) InsertText(d *Document, parentKey string, pos int, value string) (string, error) {
+	if d.snap != nil {
+		return "", ErrReadOnlySnapshot
+	}
 	k, err := t.u.InsertText(d.id, flexKey(parentKey), pos, value)
 	return string(k), err
 }
 
 // InsertAttribute adds an attribute to the element at ownerKey in d.
 func (t *Txn) InsertAttribute(d *Document, ownerKey, name, value string) (string, error) {
+	if d.snap != nil {
+		return "", ErrReadOnlySnapshot
+	}
 	k, err := t.u.InsertAttribute(d.id, flexKey(ownerKey), name, value)
 	return string(k), err
 }
@@ -268,15 +279,24 @@ func (t *Txn) InsertAttribute(d *Document, ownerKey, name, value string) (string
 // UpdateText replaces the value of a text or attribute node, keeping the
 // value index (TC statistics) exact.
 func (t *Txn) UpdateText(d *Document, key, newValue string) error {
+	if d.snap != nil {
+		return ErrReadOnlySnapshot
+	}
 	return t.u.UpdateText(d.id, flexKey(key), newValue)
 }
 
 // RenameElement changes an element's name, maintaining the name index.
 func (t *Txn) RenameElement(d *Document, key, newName string) error {
+	if d.snap != nil {
+		return ErrReadOnlySnapshot
+	}
 	return t.u.RenameElement(d.id, flexKey(key), newName)
 }
 
 // DeleteSubtree removes the node at key in d and its entire subtree.
 func (t *Txn) DeleteSubtree(d *Document, key string) error {
+	if d.snap != nil {
+		return ErrReadOnlySnapshot
+	}
 	return t.u.DeleteSubtree(d.id, flexKey(key))
 }

@@ -127,10 +127,10 @@ func TestSnapshotReadOnlyPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sdoc.InsertElement("a", -1, "x"); !errors.Is(err, ErrReadOnlySnapshot) {
+	if err := db.Update(func(tx *Txn) error { _, err := tx.InsertElement(sdoc, "a", -1, "x"); return err }); !errors.Is(err, ErrReadOnlySnapshot) {
 		t.Fatalf("InsertElement on snapshot: %v", err)
 	}
-	if err := sdoc.DeleteSubtree("a.b"); !errors.Is(err, ErrReadOnlySnapshot) {
+	if err := db.Update(func(tx *Txn) error { return tx.DeleteSubtree(sdoc, "a.b") }); !errors.Is(err, ErrReadOnlySnapshot) {
 		t.Fatalf("DeleteSubtree on snapshot: %v", err)
 	}
 	sn.Close()
@@ -301,22 +301,21 @@ func TestPrepareRunEquivalence(t *testing.T) {
 		}
 	}
 
-	// Prepare default == CompileCached optimized; plan shape matches the
-	// deprecated CompileOptimized.
+	// Prepare through the plan cache == Prepare WithoutCache.
 	qNew, err := db.Prepare(expr, WithDocument(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	qOld, err := db.CompileOptimized(doc, expr)
+	qOld, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !qNew.Optimized() || !qOld.Optimized() {
 		t.Fatal("optimizer did not run")
 	}
-	same(keysOf(qNew.Run(ctx, doc)), keysOf(qOld.Execute(doc)), "optimized run")
+	same(keysOf(qNew.Run(ctx, doc)), keysOf(qOld.Run(ctx, doc)), "optimized run")
 
-	// WithoutOptimization == deprecated Compile.
+	// WithoutOptimization == the default plan built without a document.
 	qPlain, err := db.Prepare(expr, WithoutOptimization())
 	if err != nil {
 		t.Fatal(err)
@@ -324,17 +323,21 @@ func TestPrepareRunEquivalence(t *testing.T) {
 	if qPlain.Optimized() {
 		t.Fatal("WithoutOptimization still optimized")
 	}
-	qDep, err := db.Compile(expr)
+	qDep, err := db.Prepare(expr, WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	same(keysOf(qPlain.Run(ctx, doc)), keysOf(qDep.Execute(doc)), "default plan")
+	same(keysOf(qPlain.Run(ctx, doc)), keysOf(qDep.Run(ctx, doc)), "default plan")
 
-	// Run(Ordered()) == deprecated ExecuteOrdered.
-	same(keysOf(qNew.Run(ctx, doc, Ordered())), keysOf(qOld.ExecuteOrdered(doc)), "ordered")
+	// Run(Ordered()) agrees across the cached and uncached plans.
+	same(keysOf(qNew.Run(ctx, doc, Ordered())), keysOf(qOld.Run(ctx, doc, Ordered())), "ordered")
 
-	// Run(From(...)) == deprecated ExecuteFrom.
-	people := keysOf(db.Query(doc, "/site/people/person"))
+	// Run(From(first person)) == the absolute path to its address.
+	qPeople, err := db.Prepare("/site/people/person", WithDocument(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	people := keysOf(qPeople.Run(ctx, doc, Ordered()))
 	if len(people) == 0 {
 		t.Fatal("no people in fixture")
 	}
@@ -342,9 +345,13 @@ func TestPrepareRunEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	qAbs, err := db.Prepare("/site/people/person[1]/address", WithDocument(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
 	same(
 		keysOf(qRel.Run(ctx, doc, From(people[0], nil))),
-		keysOf(qRel.ExecuteFrom(doc, people[0], nil)),
+		keysOf(qAbs.Run(ctx, doc)),
 		"from",
 	)
 

@@ -89,7 +89,7 @@ func TestSpanTreeInvariants(t *testing.T) {
 		// plan's cost annotations; a fresh Estimate of the same compiled
 		// query against the same statistics must agree operator by
 		// operator.
-		q, err := db.CompileOptimized(doc, expr)
+		q, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 		if err != nil {
 			t.Fatalf("Q%d compile: %v", i+1, err)
 		}
@@ -479,7 +479,7 @@ func TestStepCountsParity(t *testing.T) {
 	defer db.Close()
 	doc := loadAuction(t, db, 0.01)
 	for _, g := range parityGolden {
-		q, err := db.CompileOptimized(doc, g.expr)
+		q, err := db.Prepare(g.expr, WithDocument(doc), WithoutCache())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package vamana
 
 import (
+	"context"
 	"testing"
 )
 
@@ -12,8 +13,8 @@ func TestPublicUpdateAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := db.Compile("//shelf")
-	res, _ := q.Execute(doc)
+	q, _ := db.Prepare("//shelf", WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	shelves, _ := res.Keys()
 	if len(shelves) != 1 {
 		t.Fatal("setup failed")
@@ -22,20 +23,21 @@ func TestPublicUpdateAPI(t *testing.T) {
 
 	// Build content via the update API alone.
 	for i := 0; i < 10; i++ {
-		book, err := doc.InsertElement(shelf, -1, "book")
-		if err != nil {
-			t.Fatal(err)
-		}
-		title, err := doc.InsertElement(book, -1, "title")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := doc.InsertText(title, -1, "Systems Title"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := doc.InsertAttribute(book, "isbn", "900-"+string(rune('0'+i))); err != nil {
-			t.Fatal(err)
-		}
+		mustUpdate(t, db, func(tx *Txn) error {
+			book, err := tx.InsertElement(doc, shelf, -1, "book")
+			if err != nil {
+				return err
+			}
+			title, err := tx.InsertElement(doc, book, -1, "title")
+			if err != nil {
+				return err
+			}
+			if _, err := tx.InsertText(doc, title, -1, "Systems Title"); err != nil {
+				return err
+			}
+			_, err = tx.InsertAttribute(doc, book, "isbn", "900-"+string(rune('0'+i)))
+			return err
+		})
 	}
 	if n, _ := doc.CountName("book"); n != 10 {
 		t.Fatalf("CountName(book) = %d", n)
@@ -45,8 +47,8 @@ func TestPublicUpdateAPI(t *testing.T) {
 	}
 
 	// Queries see the new content, including attribute predicates.
-	qb, _ := db.CompileOptimized(doc, "//book[title='Systems Title']")
-	rb, _ := qb.Execute(doc)
+	qb, _ := db.Prepare("//book[title='Systems Title']", WithDocument(doc), WithoutCache())
+	rb, _ := qb.Run(context.Background(), doc)
 	books, err := rb.Keys()
 	if err != nil {
 		t.Fatal(err)
@@ -56,27 +58,21 @@ func TestPublicUpdateAPI(t *testing.T) {
 	}
 
 	// Update one title and delete one book.
-	qt, _ := db.Compile("//book[1]/title/text()")
-	rt, _ := qt.Execute(doc)
+	qt, _ := db.Prepare("//book[1]/title/text()", WithoutCache())
+	rt, _ := qt.Run(context.Background(), doc)
 	titles, _ := rt.Keys()
 	if len(titles) != 1 {
 		t.Fatalf("first book titles = %d", len(titles))
 	}
-	if err := doc.UpdateText(titles[0], "Revised Title"); err != nil {
-		t.Fatal(err)
-	}
+	mustUpdate(t, db, func(tx *Txn) error { return tx.UpdateText(doc, titles[0], "Revised Title") })
 	if tc, _ := doc.TextCount("Systems Title"); tc != 9 {
 		t.Fatalf("TC after update = %d", tc)
 	}
-	if err := doc.DeleteSubtree(books[len(books)-1]); err != nil {
-		t.Fatal(err)
-	}
+	mustUpdate(t, db, func(tx *Txn) error { return tx.DeleteSubtree(doc, books[len(books)-1]) })
 	if n, _ := doc.CountName("book"); n != 9 {
 		t.Fatalf("books after delete = %d", n)
 	}
-	if err := doc.RenameElement(shelf, "case"); err != nil {
-		t.Fatal(err)
-	}
+	mustUpdate(t, db, func(tx *Txn) error { return tx.RenameElement(doc, shelf, "case") })
 	if n, _ := doc.CountName("case"); n != 1 {
 		t.Fatalf("CountName(case) = %d", n)
 	}
@@ -93,37 +89,29 @@ func TestOptimizerSeesUpdatedStatistics(t *testing.T) {
 	}
 	// Make "tag" vastly more common than "person": the parent-inversion
 	// rewrite of //tag/parent::person is then profitable.
-	q, _ := db.Compile("//dump")
-	res, _ := q.Execute(doc)
+	q, _ := db.Prepare("//dump", WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	dumpKeys, _ := res.Keys()
 	dump := dumpKeys[0]
-	for i := 0; i < 200; i++ {
-		if _, err := doc.InsertElement(dump, -1, "tag"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	insertN(t, db, doc, dump, "tag", 200)
 
 	expr := "//tag/parent::person"
-	before, err := db.CompileOptimized(doc, expr)
+	before, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
 	exBefore, _ := before.Explain(doc)
 
 	// Results stay correct either way.
-	rb, _ := before.Execute(doc)
+	rb, _ := before.Run(context.Background(), doc)
 	kb, _ := rb.Keys()
 	if len(kb) != 1 {
 		t.Fatalf("persons with tag = %d", len(kb))
 	}
 
 	// Now invert the skew: many persons, few tags.
-	for i := 0; i < 200; i++ {
-		if _, err := doc.InsertElement(dump, -1, "person"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after, err := db.CompileOptimized(doc, expr)
+	insertN(t, db, doc, dump, "person", 200)
+	after, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +119,23 @@ func TestOptimizerSeesUpdatedStatistics(t *testing.T) {
 	if exBefore == exAfter {
 		t.Fatalf("optimizer ignored a 400-element statistics shift:\n%s", exAfter)
 	}
-	ra, _ := after.Execute(doc)
+	ra, _ := after.Run(context.Background(), doc)
 	ka, _ := ra.Keys()
 	if len(ka) != 1 {
 		t.Fatalf("persons with tag after updates = %d", len(ka))
 	}
+}
+
+// insertN appends n empty elements named name under parent in one
+// transaction.
+func insertN(t *testing.T, db *DB, doc *Document, parent, name string, n int) {
+	t.Helper()
+	mustUpdate(t, db, func(tx *Txn) error {
+		for i := 0; i < n; i++ {
+			if _, err := tx.InsertElement(doc, parent, -1, name); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }

@@ -176,10 +176,10 @@ type DB struct {
 	engine   *core.Engine
 	defaults Limits
 	// shared is the auto-snapshot read path's current snapshot: installed
-	// by DB.Update commits, served (refcounted) by DB.Query while fresh,
-	// and dropped when a legacy per-op mutation makes it stale. Nil until
-	// the first transactional commit — queries then read the live store
-	// directly, which is equivalent while nothing is being batched.
+	// by DB.Update, served (refcounted) by DB.Query while fresh, and
+	// dropped when a document load, drop or calibration epoch bump makes
+	// it stale. Nil until the first Update — queries then read the live
+	// store directly, which is equivalent while nothing is being batched.
 	shared atomic.Pointer[core.Snapshot]
 }
 
@@ -213,8 +213,9 @@ func (db *DB) Close() error {
 }
 
 // Document is a handle to one loaded document. A handle obtained from
-// DB reads the live store; one obtained from Snapshot.Document reads
-// that snapshot's pinned version and rejects mutation.
+// DB reads the latest committed state; one obtained from
+// Snapshot.Document reads that snapshot's pinned version. Mutations go
+// through DB.Update.
 type Document struct {
 	db   *DB
 	id   mass.DocID
@@ -239,17 +240,6 @@ func (d *Document) readStore() (*mass.Store, func()) {
 		return sn.Store(), sn.Unref
 	}
 	return d.db.engine.Store(), func() {}
-}
-
-// writer returns the store mutations apply to. Snapshot-bound handles
-// get their read-only snapshot store, whose mutators fail with
-// ErrReadOnlySnapshot; live handles always mutate the live trees, never
-// the shared read snapshot.
-func (d *Document) writer() *mass.Store {
-	if d.snap != nil {
-		return d.snap.cs.Store()
-	}
-	return d.db.engine.Store()
 }
 
 // LoadXML shreds and indexes the XML document from r under a unique name.
@@ -333,11 +323,12 @@ type Node struct {
 	Value string
 }
 
-// Query is a compiled XPath expression. Compile produces the default plan
-// (the paper's "VQP"); CompileOptimized runs the cost-driven optimizer
-// ("VQP-OPT"). A query may be executed many times and against any
-// document, though an optimized plan's rewrites were chosen using the
-// statistics of the document passed to CompileOptimized.
+// Query is a compiled XPath expression, produced by DB.Prepare: the
+// default plan (the paper's "VQP") without a document, or the
+// cost-driven optimizer's plan ("VQP-OPT") with WithDocument. A query may
+// be run many times and against any document, though an optimized plan's
+// rewrites were chosen using the statistics of the document it was
+// prepared against.
 type Query struct {
 	q *core.Query
 }
@@ -406,23 +397,6 @@ func (db *DB) Prepare(expr string, opts ...CompileOption) (*Query, error) {
 	return &Query{q: q}, nil
 }
 
-// Compile parses expr into its default (unoptimized) query plan.
-//
-// Deprecated: use Prepare with WithoutOptimization and WithoutCache.
-func (db *DB) Compile(expr string) (*Query, error) {
-	return db.Prepare(expr, WithoutOptimization(), WithoutCache())
-}
-
-// CompileOptimized parses expr and optimizes its plan against doc's live
-// index statistics. The resulting plan is guaranteed to have estimated
-// cost no worse than the default plan's.
-//
-// Deprecated: use Prepare with WithDocument (add WithoutCache for the
-// exact uncached behavior of this method).
-func (db *DB) CompileOptimized(doc *Document, expr string) (*Query, error) {
-	return db.Prepare(expr, WithDocument(doc), WithoutCache())
-}
-
 // Query is the one-shot serving fast path: it compiles expr with the
 // cost-driven optimizer against doc's statistics and executes it, going
 // through the plan cache. The first call for a given (document,
@@ -439,19 +413,6 @@ func (db *DB) CompileOptimized(doc *Document, expr string) (*Query, error) {
 // or per-query budgets.
 func (db *DB) Query(doc *Document, expr string) (*Results, error) {
 	return db.QueryContext(context.Background(), doc, expr)
-}
-
-// CompileCached is DB.Query's compilation half without the execution: it
-// returns a (possibly cached) compiled query for expr.
-//
-// Deprecated: use Prepare — with WithDocument for optimized true, with
-// WithoutOptimization for optimized false.
-func (db *DB) CompileCached(doc *Document, expr string, optimized bool) (*Query, error) {
-	opts := []CompileOption{WithDocument(doc)}
-	if !optimized {
-		opts = append(opts, WithoutOptimization())
-	}
-	return db.Prepare(expr, opts...)
 }
 
 // CacheStats reports the serving fast path's effectiveness: plan-cache
@@ -555,28 +516,6 @@ func (q *Query) Run(ctx context.Context, doc *Document, opts ...QueryOption) (*R
 		return nil, err
 	}
 	return &Results{doc: doc, it: it}, nil
-}
-
-// Execute runs the query against doc with the document root as the
-// initial context node.
-//
-// Deprecated: use Run.
-func (q *Query) Execute(doc *Document) (*Results, error) {
-	return q.Run(context.Background(), doc)
-}
-
-// ExecuteOrdered runs the query and delivers results in document order.
-//
-// Deprecated: use Run with Ordered.
-func (q *Query) ExecuteOrdered(doc *Document) (*Results, error) {
-	return q.Run(context.Background(), doc, Ordered())
-}
-
-// ExecuteFrom runs the query with an explicit initial context node.
-//
-// Deprecated: use Run with From.
-func (q *Query) ExecuteFrom(doc *Document, startKey string, vars map[string][]string) (*Results, error) {
-	return q.Run(context.Background(), doc, From(startKey, vars))
 }
 
 func flexKey(k string) flex.Key { return flex.Key(k) }
@@ -751,60 +690,6 @@ func (d *Document) StringValue(key string) (string, error) {
 	s, release := d.readStore()
 	defer release()
 	return s.StringValue(d.id, flex.Key(key))
-}
-
-// InsertElement inserts a new element named name as a content child of
-// the node at parentKey, at position pos among existing content children
-// (negative or past-the-end appends). Indexes and statistics update
-// immediately: the next CountName probe already reflects the insert —
-// VAMANA's cost model never goes stale under updates.
-//
-// Snapshot-bound handles fail with ErrReadOnlySnapshot.
-//
-// Deprecated: use DB.Update, which batches mutations into one atomic,
-// group-committed version. This per-operation form commits and
-// journals each call individually.
-func (d *Document) InsertElement(parentKey string, pos int, name string) (string, error) {
-	k, err := d.writer().InsertElement(d.id, flex.Key(parentKey), pos, name)
-	return string(k), err
-}
-
-// InsertText inserts a new text node under parentKey (see InsertElement).
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) InsertText(parentKey string, pos int, value string) (string, error) {
-	k, err := d.writer().InsertText(d.id, flex.Key(parentKey), pos, value)
-	return string(k), err
-}
-
-// InsertAttribute adds an attribute to the element at ownerKey.
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) InsertAttribute(ownerKey, name, value string) (string, error) {
-	k, err := d.writer().InsertAttribute(d.id, flex.Key(ownerKey), name, value)
-	return string(k), err
-}
-
-// UpdateText replaces the value of a text or attribute node, keeping the
-// value index (TC statistics) exact.
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) UpdateText(key, newValue string) error {
-	return d.writer().UpdateText(d.id, flex.Key(key), newValue)
-}
-
-// RenameElement changes an element's name, maintaining the name index.
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) RenameElement(key, newName string) error {
-	return d.writer().RenameElement(d.id, flex.Key(key), newName)
-}
-
-// DeleteSubtree removes the node at key and its entire subtree.
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) DeleteSubtree(key string) error {
-	return d.writer().DeleteSubtree(d.id, flex.Key(key))
 }
 
 // WriteXML serializes the node at key (and its subtree) as XML to w.

@@ -1,6 +1,7 @@
 package vamana
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,6 +19,15 @@ func openDB(t testing.TB) *DB {
 	return db
 }
 
+// mustUpdate runs fn as one DB.Update transaction and fails the test if
+// it does not commit.
+func mustUpdate(t testing.TB, db *DB, fn func(tx *Txn) error) {
+	t.Helper()
+	if err := db.Update(fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func loadAuction(t testing.TB, db *DB, factor float64) *Document {
 	t.Helper()
 	src := xmark.GenerateString(xmark.Config{Factor: factor, Seed: 51})
@@ -32,11 +42,11 @@ func TestQuickstartFlow(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.003)
 
-	q, err := db.Compile("//person/address")
+	q, err := db.Prepare("//person/address", WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Execute(doc)
+	res, err := q.Run(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +69,14 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 
 	// The optimized query returns the same set.
-	qo, err := db.CompileOptimized(doc, "//person/address")
+	qo, err := db.Prepare("//person/address", WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !qo.Optimized() {
-		t.Fatal("CompileOptimized did not mark the query optimized")
+		t.Fatal("Prepare WithDocument did not mark the query optimized")
 	}
-	ro, err := qo.Execute(doc)
+	ro, err := qo.Run(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestExplain(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.002)
-	q, err := db.CompileOptimized(doc, "//province[text()='Vermont']/ancestor::person")
+	q, err := db.Prepare("//province[text()='Vermont']/ancestor::person", WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +137,8 @@ func TestStatsAndCounts(t *testing.T) {
 func TestStringValueAndNodeFetch(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.002)
-	q, _ := db.Compile("//person[name='Yung Flach']/name")
-	res, err := q.Execute(doc)
+	q, _ := db.Prepare("//person[name='Yung Flach']/name", WithoutCache())
+	res, err := q.Run(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +161,8 @@ func TestStringValueAndNodeFetch(t *testing.T) {
 func TestExecuteFrom(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.002)
-	q, _ := db.Compile("//person[address/province='Vermont']")
-	res, _ := q.Execute(doc)
+	q, _ := db.Prepare("//person[address/province='Vermont']", WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	keys, err := res.Keys()
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +170,8 @@ func TestExecuteFrom(t *testing.T) {
 	if len(keys) == 0 {
 		t.Skip("no Vermont persons at this factor/seed")
 	}
-	rel, _ := db.Compile("address/city")
-	r2, err := rel.ExecuteFrom(doc, keys[0], nil)
+	rel, _ := db.Prepare("address/city", WithoutCache())
+	r2, err := rel.Run(context.Background(), doc, From(keys[0], nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +194,10 @@ func TestMultipleDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := db.Compile("//x")
-	r1, _ := q.Execute(d1)
+	q, _ := db.Prepare("//x", WithoutCache())
+	r1, _ := q.Run(context.Background(), d1)
 	k1, _ := r1.Keys()
-	r2, _ := q.Execute(d2)
+	r2, _ := q.Run(context.Background(), d2)
 	k2, _ := r2.Keys()
 	if len(k1) != 1 || len(k2) != 2 {
 		t.Fatalf("cross-document results: %d, %d", len(k1), len(k2))
@@ -225,8 +235,8 @@ func TestPersistentDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := db2.Compile("//x")
-	res, _ := q.Execute(doc)
+	q, _ := db2.Prepare("//x", WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	keys, err := res.Keys()
 	if err != nil {
 		t.Fatal(err)
@@ -238,10 +248,10 @@ func TestPersistentDB(t *testing.T) {
 
 func TestCompileErrors(t *testing.T) {
 	db := openDB(t)
-	if _, err := db.Compile("///"); err == nil {
+	if _, err := db.Prepare("///", WithoutCache()); err == nil {
 		t.Fatal("bad expression compiled")
 	}
-	if _, err := db.Compile("1 + 2"); err == nil {
+	if _, err := db.Prepare("1 + 2", WithoutCache()); err == nil {
 		t.Fatal("non-path expression compiled")
 	}
 	if _, err := db.Document("ghost"); err == nil {
@@ -263,8 +273,8 @@ func TestWriteXMLAndNumericRange(t *testing.T) {
 		t.Fatalf("serialized: %q", b.String())
 	}
 	// Fragment export from a query result.
-	q, _ := db.Compile("//item[cost=99]")
-	res, _ := q.Execute(doc)
+	q, _ := db.Prepare("//item[cost=99]", WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	keys, _ := res.Keys()
 	if len(keys) != 1 {
 		t.Fatal("setup failed")
@@ -284,11 +294,11 @@ func TestWriteXMLAndNumericRange(t *testing.T) {
 		t.Fatalf("NumericRangeCount(0,100) = %d", n)
 	}
 	// Range-predicate queries run through the rewrite end to end.
-	qr, err := db.CompileOptimized(doc, "//cost[text() < 50]")
+	qr, err := db.Prepare("//cost[text() < 50]", WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, _ := qr.Execute(doc)
+	rr, _ := qr.Run(context.Background(), doc)
 	hits, err := rr.Keys()
 	if err != nil {
 		t.Fatal(err)
