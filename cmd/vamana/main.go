@@ -67,9 +67,9 @@ func usage() {
   vamana stats   -db FILE -doc NAME [-name ELEM] [-text VALUE]
   vamana docs    -db FILE
   vamana traces  -addr HOST:PORT [-n N] [-chrome F.json]
-                                               dump a serving process's flight recorder
+                                               dump a serving process's traced queries
   vamana requests -addr HOST:PORT [-slow] [-json]
-                                               dump a vamanad's recent/slow request rings
+                                               dump a vamanad's recent/slow requests
   vamana cost    -addr HOST:PORT [-json]       dump a serving process's cost-model
                                                observatory (q-error profiles)
   vamana verify  -db FILE                      checksum every page of a database

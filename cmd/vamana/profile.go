@@ -34,7 +34,7 @@ func (o *obsFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve the metrics and /debug/vamana endpoints on this address (e.g. localhost:9090)")
 	fs.DurationVar(&o.slow, "slow", 0, "log queries at or above this duration to stderr (0 disables)")
 	fs.IntVar(&o.traceEvery, "trace", 0, "print an execution trace (with span tree) for 1 in N queries (0 disables)")
-	fs.IntVar(&o.flight, "flight", 0, "keep the last N query traces in the flight recorder (0 disables)")
+	fs.IntVar(&o.flight, "flight", 0, "record spans for every query and keep the last N records (0: sampled and slow queries only, 256 kept)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write recorded traces as Chrome trace-event JSON to this file on exit")
 }
 
@@ -46,14 +46,7 @@ func (o *obsFlags) apply(opts vamana.Options) vamana.Options {
 	}
 	if o.traceEvery > 0 {
 		opts.TraceEvery = o.traceEvery
-		opts.TraceSink = func(tc *vamana.TraceContext) {
-			if tc.Root != nil {
-				_ = tc.Export().WriteTree(os.Stderr)
-			} else {
-				fmt.Fprintf(os.Stderr, "trace: %s doc=%d cached=%v compile=%v total=%v results=%d\n",
-					tc.Expr, tc.Doc, tc.CacheHit, tc.Compile, tc.Total, tc.Results)
-			}
-		}
+		opts.TraceSink = func(t *vamana.QueryTrace) { _ = t.WriteTree(os.Stderr) }
 	}
 	if o.flight > 0 {
 		opts.FlightRecorderSize = o.flight

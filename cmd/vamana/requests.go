@@ -1,10 +1,10 @@
 package main
 
 // The requests subcommand: dump a vamanad's recent and slow request
-// rings from its /debug/vamana/requests endpoint.
+// records from its /debug/vamana/requests endpoint.
 //
 //	vamana requests -addr localhost:8372         recent + slow requests
-//	vamana requests -addr localhost:8372 -slow   slow ring only
+//	vamana requests -addr localhost:8372 -slow   slow requests only
 
 import (
 	"encoding/json"
@@ -15,31 +15,14 @@ import (
 	"net/url"
 	"os"
 	"time"
-)
 
-// requestLine mirrors serve.RequestRecord's JSON shape (the CLI stays
-// decoupled from the internal package).
-type requestLine struct {
-	Time      time.Time `json:"time"`
-	ID        string    `json:"id"`
-	Tenant    string    `json:"tenant"`
-	Doc       string    `json:"doc"`
-	Expr      string    `json:"expr"`
-	Outcome   string    `json:"outcome"`
-	Reason    string    `json:"reason"`
-	Status    int       `json:"status"`
-	QueueWait int64     `json:"queue_wait_ns"`
-	TTFB      int64     `json:"ttfb_ns"`
-	Total     int64     `json:"total_ns"`
-	Results   uint64    `json:"results"`
-	Bytes     uint64    `json:"bytes"`
-	TraceID   uint64    `json:"trace_id"`
-}
+	"vamana"
+)
 
 func cmdRequests(args []string) error {
 	fs := flag.NewFlagSet("requests", flag.ExitOnError)
 	addr := fs.String("addr", "", "the vamanad address (e.g. localhost:8372)")
-	slowOnly := fs.Bool("slow", false, "print only the slow-request ring")
+	slowOnly := fs.Bool("slow", false, "print only the slow requests")
 	asJSON := fs.Bool("json", false, "print the raw JSON payload")
 	fs.Parse(args)
 	if *addr == "" {
@@ -61,8 +44,8 @@ func cmdRequests(args []string) error {
 		return err
 	}
 	var payload struct {
-		Recent []requestLine `json:"recent"`
-		Slow   []requestLine `json:"slow"`
+		Recent []*vamana.QueryTrace `json:"recent"`
+		Slow   []*vamana.QueryTrace `json:"slow"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		return err
@@ -74,19 +57,18 @@ func cmdRequests(args []string) error {
 	return nil
 }
 
-func printRequests(title string, lines []requestLine) {
-	fmt.Printf("%s (%d):\n", title, len(lines))
-	for _, l := range lines {
+func printRequests(title string, records []*vamana.QueryTrace) {
+	fmt.Printf("%s (%d):\n", title, len(records))
+	for _, t := range records {
 		extra := ""
-		if l.Reason != "" {
-			extra = " reason=" + l.Reason
+		if t.Reason != "" {
+			extra = " reason=" + t.Reason
 		}
-		if l.TraceID != 0 {
-			extra += fmt.Sprintf(" trace=%d", l.TraceID)
+		if t.Root != nil {
+			extra += fmt.Sprintf(" trace=%d", t.ID)
 		}
 		fmt.Printf("  %s %s tenant=%s doc=%s %q %s status=%d queue=%v ttfb=%v total=%v results=%d bytes=%d%s\n",
-			l.Time.Format(time.RFC3339Nano), l.ID, l.Tenant, l.Doc, l.Expr, l.Outcome, l.Status,
-			time.Duration(l.QueueWait), time.Duration(l.TTFB), time.Duration(l.Total),
-			l.Results, l.Bytes, extra)
+			t.Start.Format(time.RFC3339Nano), t.Request, t.Tenant, t.Doc, t.Expr, t.Outcome, t.Status,
+			t.QueueWait, t.TTFB, t.Total, t.Results, t.Bytes, extra)
 	}
 }

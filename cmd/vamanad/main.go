@@ -15,7 +15,7 @@
 //	GET /v1/stats                             admission + tenant state
 //	GET /healthz                              200, or 503 while draining
 //	GET /metrics                              Prometheus text metrics
-//	GET /debug/vamana/requests                recent + slow request rings
+//	GET /debug/vamana/requests                recent + slow requests
 //	GET /debug/vamana/*                       engine debug handlers
 //
 // Requests carry their tenant in the X-Vamana-Tenant header; the
@@ -74,11 +74,9 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "bound on graceful drain")
 		tenantsPath  = flag.String("tenants", "", "tenant entitlements JSON file")
 		slowQuery    = flag.Duration("slow-query", 0, "slow-query threshold (0 = off)")
-		recorder     = flag.Int("flight-recorder", 128, "flight-recorder ring size (0 = off)")
+		recorder     = flag.Int("flight-recorder", 128, "size of the record ring behind /debug/vamana/{requests,slow,traces}; > 0 also records spans for every query (0 = no per-query spans, ring of 256)")
 		accessLog    = flag.String("access-log", "", "access log destination: a file path, \"stderr\", or \"stdout\" (empty = off)")
-		requestRing  = flag.Int("request-ring", 256, "recent/slow request ring size at /debug/vamana/requests (negative = off)")
-		slowRequest  = flag.Duration("slow-request", 500*time.Millisecond, "slow-request ring threshold (negative = off)")
-		noRequestObs = flag.Bool("no-request-obs", false, "disable per-request observability (IDs, SLO histograms, access log, request rings)")
+		slowRequest  = flag.Duration("slow-request", 500*time.Millisecond, "threshold for the slow list at /debug/vamana/requests (negative = off)")
 	)
 	flag.Var(&loads, "load", "load an XML document: name=path (repeatable)")
 	flag.Parse()
@@ -141,9 +139,7 @@ func main() {
 		QueueWait:            *queueWait,
 		MaxConns:             *maxConns,
 		DrainTimeout:         *drainTimeout,
-		RequestRingSize:      *requestRing,
 		SlowRequestThreshold: *slowRequest,
-		DisableRequestObs:    *noRequestObs,
 	}
 	switch *accessLog {
 	case "":

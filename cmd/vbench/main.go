@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -183,23 +184,11 @@ func main() {
 func writeTraces(path string, fixtures []*bench.Fixture, queries []bench.Query) error {
 	var traces []*obs.QueryTrace
 	for _, f := range fixtures {
-		engine, doc := f.VamanaEngine()
-		engine.EnableFlightRecorder(len(queries))
-		for _, q := range queries {
-			it, err := engine.QueryContext(context.Background(), doc, q.XPath, govern.Limits{})
-			if err != nil {
-				return fmt.Errorf("trace %s: %w", q.ID, err)
-			}
-			for it.Next() {
-			}
-			it.Close()
+		ts, err := traceFixture(f, queries)
+		if err != nil {
+			return err
 		}
-		// snapshot is newest first; keep run order within the fixture.
-		ts := engine.Traces()
-		for i := len(ts) - 1; i >= 0; i-- {
-			traces = append(traces, ts[i])
-		}
-		engine.EnableFlightRecorder(0)
+		traces = append(traces, ts...)
 	}
 	out, err := os.Create(path)
 	if err != nil {
@@ -211,6 +200,34 @@ func writeTraces(path string, fixtures []*bench.Fixture, queries []bench.Query) 
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d trace(s) to %s — open in https://ui.perfetto.dev\n", len(traces), path)
 	return nil
+}
+
+// traceFixture runs the queries once on a flight-recorded engine of its
+// own over f's document — the timed sweep's engine stays untraced — and
+// returns their traces in run order.
+func traceFixture(f *bench.Fixture, queries []bench.Query) ([]*obs.QueryTrace, error) {
+	engine, err := core.Open(core.Options{FlightRecorderSize: len(queries)})
+	if err != nil {
+		return nil, err
+	}
+	defer engine.Close()
+	doc, err := engine.LoadString("auction", f.Source())
+	if err != nil {
+		return nil, err
+	}
+	for _, q := range queries {
+		it, err := engine.QueryContext(context.Background(), doc, q.XPath, govern.Limits{})
+		if err != nil {
+			return nil, fmt.Errorf("trace %s: %w", q.ID, err)
+		}
+		for it.Next() {
+		}
+		it.Close()
+	}
+	// The ring snapshot is newest first.
+	ts := engine.Traces()
+	slices.Reverse(ts)
+	return ts, nil
 }
 
 // bestOf repeats each point and keeps the fastest successful run —

@@ -67,48 +67,10 @@ func (db *DB) DebugHandler(prefix string) http.Handler {
 		})
 	})
 	mux.HandleFunc(prefix+"/slow", func(w http.ResponseWriter, r *http.Request) {
-		slow := db.SlowQueries()
-		// SlowQuery carries an error interface and no JSON tags; render
-		// an explicit shape matching the trace exporter's field names.
-		type slowEntry struct {
-			Expr           string    `json:"expr"`
-			Doc            uint64    `json:"doc"`
-			Start          time.Time `json:"start"`
-			TotalNS        int64     `json:"total_ns"`
-			Results        uint64    `json:"results"`
-			CacheHit       bool      `json:"cache_hit"`
-			PagesRead      uint64    `json:"pages_read"`
-			RecordsDecoded uint64    `json:"records_decoded"`
-			NodeCacheHits  uint64    `json:"node_cache_hits"`
-			TraceID        uint64    `json:"trace_id,omitempty"`
-			WorstOp        string    `json:"worst_op,omitempty"`
-			WorstQErr      float64   `json:"worst_q_error,omitempty"`
-			Err            string    `json:"err,omitempty"`
-		}
-		out := make([]slowEntry, len(slow))
-		for i, sq := range slow {
-			out[i] = slowEntry{
-				Expr:           sq.Expr,
-				Doc:            uint64(sq.Doc),
-				Start:          sq.Start,
-				TotalNS:        sq.Total.Nanoseconds(),
-				Results:        sq.Results,
-				CacheHit:       sq.CacheHit,
-				PagesRead:      sq.PagesRead,
-				RecordsDecoded: sq.RecordsDecoded,
-				NodeCacheHits:  sq.NodeCacheHits,
-				TraceID:        sq.TraceID,
-				WorstOp:        sq.WorstOp,
-				WorstQErr:      sq.WorstQErr,
-			}
-			if sq.Err != nil {
-				out[i].Err = sq.Err.Error()
-			}
-		}
-		writeJSON(w, out)
+		writeJSON(w, db.SlowQueries())
 	})
 	mux.HandleFunc(prefix+"/traces", func(w http.ResponseWriter, r *http.Request) {
-		traces := db.RecentTraces()
+		traces := obs.Filter(db.RecentTraces(), func(t *QueryTrace) bool { return t.Root != nil })
 		if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(traces) {
 			traces = traces[:n]
 		}
@@ -152,8 +114,8 @@ func (db *DB) DebugHandler(prefix string) http.Handler {
 		fmt.Fprint(w, "<html><head><title>vamana debug</title></head><body><h1>vamana debug</h1><ul>")
 		for _, ep := range []struct{ path, desc string }{
 			{prefix + "/metrics", "counters, quantiles, per-second rates (JSON)"},
-			{prefix + "/slow", "slow-query ring, most recent first"},
-			{prefix + "/traces", "flight recorder (?format=chrome|text)"},
+			{prefix + "/slow", "slow queries, most recent first"},
+			{prefix + "/traces", "records with span trees (?format=chrome|text)"},
 			{prefix + "/plancache", "plan-cache and statistics-memo counters"},
 			{prefix + "/docs", "loaded documents with node statistics"},
 			{prefix + "/cost", "cost-model observatory (?format=text)"},

@@ -43,24 +43,25 @@ type Options struct {
 	// negative disables plan caching.
 	PlanCacheSize int
 	// SlowQueryThreshold records QueryContext calls whose end-to-end
-	// latency meets or exceeds it into the slow-query ring (and
-	// SlowQueryLog, when set). 0 disables slow-query tracking.
+	// latency meets or exceeds it into the ring (Engine.SlowQueries is
+	// the view of them) and SlowQueryLog, when set. 0 disables slow-query
+	// tracking.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog, when non-nil, receives one line per slow query.
 	SlowQueryLog io.Writer
-	// TraceEvery samples a TraceContext for 1-in-N QueryContext calls
-	// (1 traces every query). 0 disables tracing; the unsampled cache-hit
-	// path then allocates no per-query trace state at all.
+	// TraceEvery records spans for 1-in-N QueryContext calls (1 traces
+	// every query) and writes their records into the ring. 0 disables
+	// sampling; the unsampled cache-hit path then allocates no per-query
+	// trace state at all.
 	TraceEvery int
-	// TraceSink receives each sampled TraceContext after its query
-	// finishes. Called from the goroutine that drained the iterator;
+	// TraceSink receives each sampled record after its query finishes.
+	// Called from the goroutine that drained the iterator;
 	// implementations should be fast or hand off.
-	TraceSink func(*TraceContext)
-	// FlightRecorderSize keeps the last N complete query traces (with
-	// full span trees) in a bounded ring, readable via Engine.Traces —
-	// so a query that turns out slow or budget-tripped is already
-	// captured. N>0 records spans for every query (independent of
-	// TraceEvery sampling); 0 disables the recorder.
+	TraceSink func(*obs.QueryTrace)
+	// FlightRecorderSize sizes the ring of recent records (default 256)
+	// and, when N>0, records spans for every query (independent of
+	// TraceEvery sampling), so a query that turns out slow or
+	// budget-tripped already has its span tree in the ring.
 	FlightRecorderSize int
 	// ExecBatch sets the executor's pull-batch size for every query this
 	// engine runs (see exec.Context.Batch). 0 selects exec.DefaultBatch;
@@ -85,15 +86,20 @@ type Engine struct {
 	// epoch-validated plan cache and statistics memo.
 	live view
 
-	// slow is the slow-query recorder; nil when no threshold is set.
-	slow       *slowLog
+	// ring holds the engine's records: slow, traced, and the serving
+	// layer's per-request ones.
+	ring *traceRing
+	// slowAt is Options.SlowQueryThreshold (0: off); slowLog writes its
+	// line per slow query, nil without Options.SlowQueryLog.
+	slowAt     time.Duration
+	slowLog    *obs.LineLog
 	traceEvery uint64
-	traceSink  func(*TraceContext)
+	traceSink  func(*obs.QueryTrace)
 	traceN     atomic.Uint64
-	// flight is the bounded ring of recent complete traces; nil when
-	// Options.FlightRecorderSize is 0.
-	flight *flightRecorder
-	// traceSeq mints TraceContext IDs.
+	// traceAll records spans for every query (Options.FlightRecorderSize
+	// > 0).
+	traceAll bool
+	// traceSeq mints record IDs.
 	traceSeq atomic.Uint64
 	// execBatch is Options.ExecBatch, stamped on every run's exec.Context.
 	execBatch int
@@ -141,15 +147,18 @@ func Open(opts Options) (*Engine, error) {
 		e.cost = newCostObservatory(s, opts.CostCalibration)
 	}
 	if opts.SlowQueryThreshold > 0 {
-		e.slow = &slowLog{threshold: opts.SlowQueryThreshold, w: opts.SlowQueryLog}
+		e.slowAt = opts.SlowQueryThreshold
+		e.slowLog = obs.NewLineLog(opts.SlowQueryLog, appendSlowLine)
 	}
 	if opts.TraceEvery > 0 {
 		e.traceEvery = uint64(opts.TraceEvery)
 		e.traceSink = opts.TraceSink
 	}
+	size := defaultRingSize
 	if opts.FlightRecorderSize > 0 {
-		e.flight = newFlightRecorder(opts.FlightRecorderSize)
+		e.traceAll, size = true, opts.FlightRecorderSize
 	}
+	e.ring = newTraceRing(size)
 	return e, nil
 }
 
@@ -303,10 +312,10 @@ func (e *Engine) QueryContext(cctx context.Context, doc mass.DocID, expr string,
 // query is the one query path, run over view v (the live view or a
 // snapshot's). Every call is instrumented: the compile-vs-serve split
 // and an end-to-end latency histogram feed the global metrics, queries
-// over Options.SlowQueryThreshold land in the slow-query log, and 1-in-
-// TraceEvery calls carry a sampled TraceContext. On the common path
-// (cache hit, unsampled) the instrumentation adds two time.Now calls and
-// a handful of counter updates — no allocations.
+// over Options.SlowQueryThreshold land in the ring and the slow-query
+// log, and traced calls record spans. On the common path (cache hit,
+// unsampled) the instrumentation adds two time.Now calls and a handful
+// of counter updates — no allocations.
 func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
 	start := time.Now()
 	// Pre-flight: a pre-canceled or pre-expired ctx fails here, before
@@ -341,34 +350,38 @@ func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr strin
 	// and snapshot usage accounting arm the accounting limiter without
 	// spans, so every slow entry carries its storage deltas.
 	sampled := e.traceEvery > 0 && e.traceN.Add(1)%e.traceEvery == 0
-	traced := sampled || e.flight != nil
+	traced := sampled || e.traceAll
 	ctx.Trace = traced
-	ctx.Account = e.slow != nil || v.usage != nil
-	// A traced query (and the rare compile miss, whose cost dwarfs one
-	// allocation) carries a TraceContext instead of the bare Query, so
+	ctx.Account = e.slowAt > 0 || v.usage != nil
+	// A run that may write a record under a serving request joins the
+	// wire identity; the finish hook then hands the record to the request
+	// instead of the ring (the serving layer records the combined one).
+	var rt *RequestTrace
+	if traced || e.slowAt > 0 {
+		rt = requestTraceFrom(cctx)
+	}
+	// Such a run (and the rare compile miss, whose cost dwarfs one
+	// allocation) carries a traceContext instead of the bare Query, so
 	// the finish hook can report compile time and cache-hit status.
-	if traced || !hit {
-		tc := &TraceContext{
-			ID:       e.traceSeq.Add(1),
-			Expr:     expr,
-			Doc:      doc,
-			Start:    start,
-			CacheHit: hit,
-			Compile:  time.Since(start),
-			sampled:  sampled,
-			traced:   traced,
-			q:        q,
+	if traced || !hit || rt != nil {
+		tc := &traceContext{
+			QueryTrace: obs.QueryTrace{
+				ID:       e.traceSeq.Add(1),
+				Expr:     expr,
+				Start:    start,
+				CacheHit: hit,
+				Compile:  time.Since(start),
+			},
+			sampled: sampled,
+			traced:  traced,
+			q:       q,
+			req:     rt,
 		}
 		if sampled {
 			obs.TracesSampled.Inc()
 		}
-		// A traced run under a serving request joins the wire identity;
-		// the finish hook then hands the export to the request instead of
-		// the flight ring (the serving layer records the combined trace).
-		if traced {
-			if rt := requestTraceFrom(cctx); rt != nil {
-				tc.Request, tc.Tenant, tc.req = rt.ID, rt.Tenant, rt
-			}
+		if rt != nil {
+			tc.Request, tc.Tenant = rt.ID, rt.Tenant
 		}
 		ctx.FinishObj = tc
 	}
@@ -376,8 +389,10 @@ func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr strin
 }
 
 // queryFinished is the query path's iterator finish hook for view v: it
-// closes out the query's latency observation, cost fold, slow-query
-// record, sampled trace and — on snapshot handles — usage accounting.
+// closes out the query's latency observation, cost fold and — on
+// snapshot handles — usage accounting, and completes the record of a
+// slow or traced run: into the ring, or to the serving request it ran
+// under, plus the slow-query log line and the sampled-trace sink.
 func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 	total := time.Since(it.StartTime())
 	obs.QueryLatency.Observe(total)
@@ -392,24 +407,12 @@ func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 	var (
 		expr string
 		hit  bool
-		tc   *TraceContext
+		tc   *traceContext
 	)
 	switch o := it.FinishObj().(type) {
-	case *TraceContext:
+	case *traceContext:
 		tc = o
 		expr, hit = o.Expr, o.CacheHit
-		tc.Total = total
-		tc.Results = it.Results()
-		tc.Err = it.Err()
-		if lim := it.Limiter(); lim != nil {
-			tc.PagesRead = lim.PagesRead()
-			tc.RecordsDecoded = lim.DecodedRecords()
-			tc.NodeCacheHits = lim.NodeCacheHits()
-		}
-		if tc.traced {
-			tc.DocName = v.store.DocName(tc.Doc)
-			tc.Root = buildSpanTree(tc.q.plan, it.StepSpans(), it.Results(), int64(total))
-		}
 	case *Query:
 		// The unsampled cache-hit fast path carries the shared Query.
 		expr, hit = o.expr, true
@@ -422,74 +425,47 @@ func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 	if e.cost != nil {
 		worstOp, worstQ = e.cost.fold(it, it.Doc(), expr)
 	}
-	if e.slow != nil && total >= e.slow.threshold {
+	slow := e.slowAt > 0 && total >= e.slowAt
+	traced := tc != nil && tc.traced
+	if !slow && !traced {
+		return
+	}
+	if tc == nil {
+		tc = &traceContext{QueryTrace: obs.QueryTrace{ID: e.traceSeq.Add(1), Expr: expr, Start: it.StartTime(), CacheHit: hit}}
+	}
+	t := &tc.QueryTrace
+	t.Doc = v.store.DocName(it.Doc())
+	t.Total = total
+	t.Results = it.Results()
+	if err := it.Err(); err != nil {
+		t.Err = err.Error()
+	}
+	if lim := it.Limiter(); lim != nil {
+		t.PagesRead = lim.PagesRead()
+		t.RecordsDecoded = lim.DecodedRecords()
+		t.NodeCacheHits = lim.NodeCacheHits()
+	}
+	if traced {
+		t.Root = buildSpanTree(tc.q.plan, it.StepSpans(), it.Results(), int64(total))
+	}
+	if slow {
 		obs.SlowQueries.Inc()
-		sq := SlowQuery{
-			Expr:     expr,
-			Doc:      it.Doc(),
-			Start:    it.StartTime(),
-			Total:    total,
-			Results:  it.Results(),
-			CacheHit: hit,
-			Err:      it.Err(),
-		}
-		if lim := it.Limiter(); lim != nil {
-			sq.PagesRead = lim.PagesRead()
-			sq.RecordsDecoded = lim.DecodedRecords()
-			sq.NodeCacheHits = lim.NodeCacheHits()
-		}
-		if tc != nil && tc.traced {
-			sq.TraceID = tc.ID
-		}
 		// Name the worst-misestimated operator so a slow query points
 		// straight at the cost-model miss that may have caused it.
 		if worstOp != nil && worstQ >= 2 {
-			sq.WorstOp = worstOp.Label()
-			sq.WorstQErr = worstQ
+			t.WorstOp = worstOp.Label()
+			t.WorstQErr = worstQ
 		}
-		e.slow.record(sq)
+		e.slowLog.Write(t)
 	}
-	if tc != nil && tc.traced {
-		if tc.req != nil {
-			tc.req.Captured = tc.Export()
-		} else if e.flight != nil {
-			e.flight.record(tc.Export())
-		}
+	if tc.req != nil {
+		tc.req.Captured = t
+	} else {
+		e.ring.add(t)
 	}
-	if tc != nil && tc.sampled && e.traceSink != nil {
-		e.traceSink(tc)
+	if tc.sampled && e.traceSink != nil {
+		e.traceSink(t)
 	}
-}
-
-// EnableFlightRecorder turns the flight recorder on (or resizes it)
-// after Open — used by tools that benchmark untraced first and then
-// want a traced pass on the same engine. Not safe to call concurrently
-// with in-flight queries.
-func (e *Engine) EnableFlightRecorder(size int) {
-	if size <= 0 {
-		e.flight = nil
-		return
-	}
-	e.flight = newFlightRecorder(size)
-}
-
-// Traces returns the flight recorder's contents — the last N complete
-// query traces with span trees, most recent first. Empty unless
-// Options.FlightRecorderSize is set.
-func (e *Engine) Traces() []*obs.QueryTrace {
-	if e.flight == nil {
-		return nil
-	}
-	return e.flight.snapshot()
-}
-
-// SlowQueries returns the recorded slow queries, most recent first (empty
-// unless Options.SlowQueryThreshold is set).
-func (e *Engine) SlowQueries() []SlowQuery {
-	if e.slow == nil {
-		return nil
-	}
-	return e.slow.snapshot()
 }
 
 // calibrateFn returns the cost-correction hook for this engine's

@@ -1,10 +1,12 @@
 package core
 
-// The flight recorder: a bounded ring of the last N complete query
-// traces. Unlike TraceEvery sampling (which picks queries up front) the
-// recorder keeps every recent query, so when one trips the slow-query
-// threshold or a resource budget its full span tree is already captured
-// — the diagnosis is retroactive, no re-run with tracing enabled needed.
+// The engine's one record store: a bounded ring of the most recent
+// obs.QueryTrace records — slow queries, traced queries (the flight
+// recorder: every query when Options.FlightRecorderSize is set, so a
+// query that turns out slow or budget-tripped already has its span
+// tree), and the serving layer's one record per request. The slow,
+// traced and request lists are filters over one snapshot, not rings of
+// their own.
 
 import (
 	"sync"
@@ -12,50 +14,61 @@ import (
 	"vamana/internal/obs"
 )
 
-// flightRecorder is a mutex-guarded ring of exported traces. Writes are
-// one pointer store per query (only queries that recorded spans reach
-// it); snapshots copy the pointers, never the trees, so a reader holds
-// the lock for microseconds regardless of span fan-out.
-type flightRecorder struct {
+// defaultRingSize is the ring's capacity when Options.FlightRecorderSize
+// does not set one.
+const defaultRingSize = 256
+
+// traceRing is a mutex-guarded ring of records. Writes are one pointer
+// store; snapshots copy the pointers, never the records, so a reader
+// holds the lock for microseconds regardless of span fan-out.
+type traceRing struct {
 	mu   sync.Mutex
 	ring []*obs.QueryTrace
 	n    uint64 // total recorded; ring index is n % len(ring)
 }
 
-func newFlightRecorder(size int) *flightRecorder {
-	return &flightRecorder{ring: make([]*obs.QueryTrace, size)}
+func newTraceRing(size int) *traceRing {
+	return &traceRing{ring: make([]*obs.QueryTrace, size)}
 }
 
-func (f *flightRecorder) record(t *obs.QueryTrace) {
-	f.mu.Lock()
-	f.ring[f.n%uint64(len(f.ring))] = t
-	f.n++
-	f.mu.Unlock()
+func (r *traceRing) add(t *obs.QueryTrace) {
+	r.mu.Lock()
+	r.ring[r.n%uint64(len(r.ring))] = t
+	r.n++
+	r.mu.Unlock()
 }
 
-// RecordTrace appends an externally assembled trace to the flight ring.
-// The serving layer uses it to record request-level traces — serve-layer
-// spans grafted above a captured engine trace (see RequestTrace) — so
-// `vamana traces` shows the whole request as one timeline. No-op when
-// the recorder is off.
-func (e *Engine) RecordTrace(t *obs.QueryTrace) {
-	if e.flight != nil {
-		e.flight.record(t)
-	}
-}
-
-// snapshot returns the recorded traces, most recent first. The traces
-// themselves are immutable once recorded; callers may hold them freely.
-func (f *flightRecorder) snapshot() []*obs.QueryTrace {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := f.n
-	if n > uint64(len(f.ring)) {
-		n = uint64(len(f.ring))
-	}
+// snapshot returns the recorded records, most recent first. Records are
+// immutable once recorded; callers may hold them freely.
+func (r *traceRing) snapshot() []*obs.QueryTrace {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := min(r.n, uint64(len(r.ring)))
 	out := make([]*obs.QueryTrace, 0, n)
 	for i := uint64(0); i < n; i++ {
-		out = append(out, f.ring[(f.n-1-i)%uint64(len(f.ring))])
+		out = append(out, r.ring[(r.n-1-i)%uint64(len(r.ring))])
 	}
 	return out
+}
+
+// RecordTrace appends an externally assembled record to the ring,
+// assigning it an ID when it has none. The serving layer writes its one
+// record per request through it: serve-layer spans grafted above a
+// captured engine record (see RequestTrace), or a request-only record
+// when the engine captured none.
+func (e *Engine) RecordTrace(t *obs.QueryTrace) {
+	if t.ID == 0 {
+		t.ID = e.traceSeq.Add(1)
+	}
+	e.ring.add(t)
+}
+
+// Traces returns every record in the ring, most recent first.
+func (e *Engine) Traces() []*obs.QueryTrace { return e.ring.snapshot() }
+
+// SlowQueries returns the ring's records at or above
+// Options.SlowQueryThreshold, most recent first; none when no threshold
+// is set.
+func (e *Engine) SlowQueries() []*obs.QueryTrace {
+	return obs.Filter(e.ring.snapshot(), func(t *obs.QueryTrace) bool { return e.slowAt > 0 && t.Total >= e.slowAt })
 }

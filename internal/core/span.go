@@ -7,8 +7,6 @@ package core
 // estimated and actual cardinalities.
 
 import (
-	"strconv"
-
 	"vamana/internal/exec"
 	"vamana/internal/obs"
 	"vamana/internal/plan"
@@ -96,32 +94,4 @@ func buildSpanTree(p *plan.Plan, spans []exec.StepSpan, results uint64, totalNS 
 		return sp
 	}
 	return walk(p.Root, 0)
-}
-
-// Export converts the trace to its wire form — the flat obs.QueryTrace
-// the flight recorder stores and the Chrome/text exporters consume.
-func (tc *TraceContext) Export() *obs.QueryTrace {
-	t := &obs.QueryTrace{
-		ID:             tc.ID,
-		Expr:           tc.Expr,
-		Doc:            tc.DocName,
-		Start:          tc.Start,
-		Compile:        tc.Compile,
-		Total:          tc.Total,
-		CacheHit:       tc.CacheHit,
-		Results:        tc.Results,
-		PagesRead:      tc.PagesRead,
-		RecordsDecoded: tc.RecordsDecoded,
-		NodeCacheHits:  tc.NodeCacheHits,
-		Request:        tc.Request,
-		Tenant:         tc.Tenant,
-		Root:           tc.Root,
-	}
-	if t.Doc == "" {
-		t.Doc = strconv.FormatUint(uint64(tc.Doc), 10)
-	}
-	if tc.Err != nil {
-		t.Err = tc.Err.Error()
-	}
-	return t
 }

@@ -25,7 +25,7 @@ var (
 	SlowQueries = NewCounter("vamana_slow_queries_total",
 		"Queries exceeding the configured slow-query threshold.")
 	TracesSampled = NewCounter("vamana_traces_sampled_total",
-		"Queries that carried a sampled TraceContext.")
+		"Queries sampled for span recording by the 1-in-N trace sampler.")
 
 	// Cost-model observatory: est-vs-act cardinality accuracy and the
 	// calibration feedback loop. Per-class q-error profiles are

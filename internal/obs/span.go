@@ -14,6 +14,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -57,13 +58,16 @@ type Span struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// QueryTrace is one query's complete recorded execution: identity,
-// end-to-end timings, whole-query resource consumption, and the span
-// tree. It is the unit the flight recorder stores and the exporters
-// consume.
+// QueryTrace is the one record of what a query or a served request
+// cost: identity, end-to-end timings, whole-query resource consumption,
+// the cost observatory's worst estimate, the serving layer's outcome,
+// and the span tree when spans were recorded. The engine's ring stores
+// it, the slow-query and access logs are its one-line serialisations,
+// and the exporters consume it. Fields a record does not carry stay at
+// their zero value and are omitted from its JSON.
 type QueryTrace struct {
-	// ID is the engine-assigned trace sequence number, unique per engine
-	// lifetime.
+	// ID is the engine-assigned record sequence number, unique per
+	// engine lifetime.
 	ID uint64 `json:"id"`
 	// Expr and Doc identify the query.
 	Expr string `json:"expr"`
@@ -89,9 +93,69 @@ type QueryTrace struct {
 	// it billed to. Empty for queries not driven through vamanad.
 	Request string `json:"request,omitempty"`
 	Tenant  string `json:"tenant,omitempty"`
-	// Root is the span tree, nil when spans were not recorded (e.g. the
-	// query failed before execution).
+	// WorstOp names the query's worst-misestimated operator (largest
+	// q-error, when at least 2x) and WorstQErr its q-error — the cost
+	// observatory's pointer at a possible mis-planning cause. Set on slow
+	// queries only.
+	WorstOp   string  `json:"worst_op,omitempty"`
+	WorstQErr float64 `json:"worst_q_error,omitempty"`
+	// The serving layer's view of a request: its outcome ("ok",
+	// "rejected", "error", "canceled"), the admission rejection reason,
+	// the HTTP status, the admission queue wait, the time to the
+	// response's first byte, and the body bytes written.
+	Outcome   string        `json:"outcome,omitempty"`
+	Reason    string        `json:"reason,omitempty"`
+	Status    int           `json:"status,omitempty"`
+	QueueWait time.Duration `json:"queue_wait_ns,omitempty"`
+	TTFB      time.Duration `json:"ttfb_ns,omitempty"`
+	Bytes     uint64        `json:"bytes,omitempty"`
+	// Root is the span tree, nil when spans were not recorded (the run
+	// was neither sampled nor flight-recorded, or failed before
+	// execution).
 	Root *Span `json:"root,omitempty"`
+}
+
+// Filter returns, most recent first like the ring snapshot it is given,
+// the records keep accepts — the slow, traced and request views.
+func Filter(ts []*QueryTrace, keep func(*QueryTrace) bool) []*QueryTrace {
+	out := []*QueryTrace{}
+	for _, t := range ts {
+		if keep(t) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// LineLog writes records as lines onto one writer. Each line is built
+// in one reused buffer and handed to the writer in a single Write under
+// the lock, so concurrent records never interleave and the writer needs
+// no locking of its own.
+type LineLog struct {
+	mu     sync.Mutex
+	w      io.Writer
+	format func(dst []byte, t *QueryTrace) []byte
+	buf    []byte
+}
+
+// NewLineLog returns a log writing format's line for each record to w,
+// or nil when w is nil.
+func NewLineLog(w io.Writer, format func(dst []byte, t *QueryTrace) []byte) *LineLog {
+	if w == nil {
+		return nil
+	}
+	return &LineLog{w: w, format: format}
+}
+
+// Write logs t. A nil log writes nothing.
+func (l *LineLog) Write(t *QueryTrace) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.buf = l.format(l.buf[:0], t)
+	_, _ = l.w.Write(l.buf)
+	l.mu.Unlock()
 }
 
 // WriteTree writes the trace as an indented text tree, one line per

@@ -1,19 +1,17 @@
 package serve
 
-// Request observability: the serving half of the flight recorder. Every
-// /v1/query request gets a wire request ID (generated, or adopted from
-// X-Vamana-Request / a W3C traceparent), echoed on the response and
-// stamped into the engine's trace context, so one identifier joins the
-// client's log line, the access log, the recent/slow request rings, and
-// the span timeline in `vamana traces`. The serve layer's own phases —
-// admission wait, prepare, engine execution, first byte, stream drain —
-// are grafted as parent spans above the engine's operator span tree and
-// recorded as one combined trace per request.
-//
-// Everything here is gated by Config.DisableRequestObs; the daemon's
-// behavior with it set is byte-identical to a daemon without this file
-// (minus the cumulative tenant counters, which are accounting, not
-// observability).
+// Request observability: the serving half of the engine's record ring.
+// Every /v1/query request gets a wire request ID (generated, or adopted
+// from X-Vamana-Request / a W3C traceparent), echoed on the response and
+// stamped into the engine's record of the run, so one identifier joins
+// the client's log line, the access log, /debug/vamana/requests, and
+// the span timeline in `vamana traces`. Each finished request writes
+// exactly one obs.QueryTrace into the DB's ring: the engine's captured
+// record with the serve layer's outcome added and — when it has spans —
+// the serve layer's own phases (admission wait, prepare, first byte,
+// stream drain) grafted as parent spans above the engine's operator
+// span tree; otherwise a request-only record. The access log line is
+// that record's NDJSON serialisation.
 
 import (
 	"crypto/rand"
@@ -24,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,32 +113,6 @@ func traceparentID(tp string) string {
 	return id
 }
 
-// RequestRecord is one finished /v1/query request as the access log and
-// the /debug/vamana/requests rings report it.
-type RequestRecord struct {
-	Time     time.Time `json:"time"`
-	ID       string    `json:"id"`
-	Tenant   string    `json:"tenant"`
-	Doc      string    `json:"doc"`
-	Expr     string    `json:"expr"`
-	ExprHash string    `json:"expr_hash"`
-	Outcome  string    `json:"outcome"`
-	// Reason is the admission rejection reason, empty otherwise.
-	Reason string `json:"reason,omitempty"`
-	Status int    `json:"status"`
-	// QueueWait is the admission queue wait; TTFB the time to the
-	// response's first byte (zero when nothing was written); Total the
-	// end-to-end request duration.
-	QueueWait time.Duration `json:"queue_wait_ns"`
-	TTFB      time.Duration `json:"ttfb_ns,omitempty"`
-	Total     time.Duration `json:"total_ns"`
-	Results   uint64        `json:"results"`
-	Bytes     uint64        `json:"bytes"`
-	// TraceID links the record to its flight-recorder trace (vamana
-	// traces), zero when the run was not traced.
-	TraceID uint64 `json:"trace_id,omitempty"`
-}
-
 // exprHash is a stable short hash of a query expression — the access
 // log's join key for "same query, many requests" aggregation without
 // logging unbounded expression text twice.
@@ -151,110 +122,61 @@ func exprHash(expr string) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// appendRecord appends rec as one NDJSON access-log line. Hand-built
-// for fixed field order and one allocation-free pass (the log is on the
-// request path when configured).
-func appendRecord(dst []byte, rec *RequestRecord) []byte {
+// appendRecord appends a request's record as one NDJSON access-log
+// line: id is the wire request ID, and trace_id the record's ID when it
+// carries spans. Hand-built for fixed field order in one pass (the log
+// is on the request path when configured).
+func appendRecord(dst []byte, t *obs.QueryTrace) []byte {
 	dst = append(dst, `{"time":`...)
-	dst = appendJSONString(dst, rec.Time.Format(time.RFC3339Nano))
+	dst = appendJSONString(dst, t.Start.Format(time.RFC3339Nano))
 	dst = append(dst, `,"id":`...)
-	dst = appendJSONString(dst, rec.ID)
+	dst = appendJSONString(dst, t.Request)
 	dst = append(dst, `,"tenant":`...)
-	dst = appendJSONString(dst, rec.Tenant)
+	dst = appendJSONString(dst, t.Tenant)
 	dst = append(dst, `,"doc":`...)
-	dst = appendJSONString(dst, rec.Doc)
+	dst = appendJSONString(dst, t.Doc)
 	dst = append(dst, `,"expr":`...)
-	dst = appendJSONString(dst, rec.Expr)
+	dst = appendJSONString(dst, t.Expr)
 	dst = append(dst, `,"expr_hash":`...)
-	dst = appendJSONString(dst, rec.ExprHash)
+	dst = appendJSONString(dst, exprHash(t.Expr))
 	dst = append(dst, `,"outcome":`...)
-	dst = appendJSONString(dst, rec.Outcome)
-	if rec.Reason != "" {
+	dst = appendJSONString(dst, t.Outcome)
+	if t.Reason != "" {
 		dst = append(dst, `,"reason":`...)
-		dst = appendJSONString(dst, rec.Reason)
+		dst = appendJSONString(dst, t.Reason)
 	}
 	dst = append(dst, `,"status":`...)
-	dst = strconv.AppendInt(dst, int64(rec.Status), 10)
+	dst = strconv.AppendInt(dst, int64(t.Status), 10)
 	dst = append(dst, `,"queue_wait_ns":`...)
-	dst = strconv.AppendInt(dst, rec.QueueWait.Nanoseconds(), 10)
-	if rec.TTFB > 0 {
+	dst = strconv.AppendInt(dst, t.QueueWait.Nanoseconds(), 10)
+	if t.TTFB > 0 {
 		dst = append(dst, `,"ttfb_ns":`...)
-		dst = strconv.AppendInt(dst, rec.TTFB.Nanoseconds(), 10)
+		dst = strconv.AppendInt(dst, t.TTFB.Nanoseconds(), 10)
 	}
 	dst = append(dst, `,"total_ns":`...)
-	dst = strconv.AppendInt(dst, rec.Total.Nanoseconds(), 10)
+	dst = strconv.AppendInt(dst, t.Total.Nanoseconds(), 10)
 	dst = append(dst, `,"results":`...)
-	dst = strconv.AppendUint(dst, rec.Results, 10)
+	dst = strconv.AppendUint(dst, t.Results, 10)
 	dst = append(dst, `,"bytes":`...)
-	dst = strconv.AppendUint(dst, rec.Bytes, 10)
-	if rec.TraceID != 0 {
+	dst = strconv.AppendUint(dst, t.Bytes, 10)
+	if t.Root != nil {
 		dst = append(dst, `,"trace_id":`...)
-		dst = strconv.AppendUint(dst, rec.TraceID, 10)
+		dst = strconv.AppendUint(dst, t.ID, 10)
 	}
 	return append(dst, '}', '\n')
 }
 
-// accessLog serializes NDJSON record lines onto one writer.
-type accessLog struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
-}
-
-func (l *accessLog) write(rec *RequestRecord) {
-	l.mu.Lock()
-	l.buf = appendRecord(l.buf[:0], rec)
-	_, _ = l.w.Write(l.buf)
-	l.mu.Unlock()
-}
-
-// requestRing is a bounded ring of finished requests, most recent
-// first on snapshot — the /debug/vamana/requests payload.
-type requestRing struct {
-	mu   sync.Mutex
-	ring []RequestRecord
-	n    uint64
-}
-
-func newRequestRing(size int) *requestRing {
-	return &requestRing{ring: make([]RequestRecord, size)}
-}
-
-func (r *requestRing) add(rec RequestRecord) {
-	r.mu.Lock()
-	r.ring[r.n%uint64(len(r.ring))] = rec
-	r.n++
-	r.mu.Unlock()
-}
-
-func (r *requestRing) snapshot() []RequestRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.n
-	if n > uint64(len(r.ring)) {
-		n = uint64(len(r.ring))
-	}
-	out := make([]RequestRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.ring[(r.n-1-i)%uint64(len(r.ring))])
-	}
-	return out
-}
-
-// requestObs is the server's request-observability state: ID
-// generation, the optional access log, and the recent/slow rings.
+// requestObs is the server's request-observability state: ID generation
+// and the optional access log.
 type requestObs struct {
-	log    *accessLog   // nil: no access log
-	recent *requestRing // nil: ring disabled
-	slow   *requestRing // nil: slow ring disabled
-	slowAt time.Duration
+	log *obs.LineLog // nil: no access log
 
 	salt uint64
 	seq  atomic.Uint64
 }
 
-func newRequestObs(logW io.Writer, ringSize int, slowAt time.Duration) *requestObs {
-	o := &requestObs{slowAt: slowAt}
+func newRequestObs(logW io.Writer) *requestObs {
+	o := &requestObs{log: obs.NewLineLog(logW, appendRecord)}
 	// One syscall at startup, none per request: IDs are the process salt
 	// XOR a Weyl sequence, so concurrent requests get distinct,
 	// unpredictable-enough 16-hex-digit IDs without contending on a
@@ -262,15 +184,6 @@ func newRequestObs(logW io.Writer, ringSize int, slowAt time.Duration) *requestO
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err == nil {
 		o.salt = binary.LittleEndian.Uint64(b[:])
-	}
-	if logW != nil {
-		o.log = &accessLog{w: logW}
-	}
-	if ringSize > 0 {
-		o.recent = newRequestRing(ringSize)
-		if slowAt > 0 {
-			o.slow = newRequestRing(ringSize)
-		}
 	}
 	return o
 }
@@ -295,34 +208,20 @@ func (o *requestObs) requestID(r *http.Request) string {
 	return string(hex[:])
 }
 
-// record folds one finished request into the log and rings.
-func (o *requestObs) record(rec *RequestRecord) {
-	if o.log != nil {
-		o.log.write(rec)
-	}
-	if o.recent != nil {
-		o.recent.add(*rec)
-	}
-	if o.slow != nil && (rec.Total >= o.slowAt || rec.Outcome == OutcomeError) {
-		o.slow.add(*rec)
-	}
-}
-
-// handleRequests serves /debug/vamana/requests: the recent and slow
-// request rings, most recent first.
+// handleRequests serves /debug/vamana/requests: the DB ring's request
+// records, most recent first, and the slow ones among them (at or above
+// Config.SlowRequestThreshold, or failed).
 func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	var payload struct {
-		Recent []RequestRecord `json:"recent"`
-		Slow   []RequestRecord `json:"slow"`
+		Recent []*obs.QueryTrace `json:"recent"`
+		Slow   []*obs.QueryTrace `json:"slow"`
 	}
-	if s.obs != nil {
-		if s.obs.recent != nil {
-			payload.Recent = s.obs.recent.snapshot()
-		}
-		if s.obs.slow != nil {
-			payload.Slow = s.obs.slow.snapshot()
-		}
+	payload.Recent = obs.Filter(s.db.RecentTraces(), func(t *obs.QueryTrace) bool { return t.Request != "" })
+	if slowAt := s.cfg.SlowRequestThreshold; slowAt > 0 {
+		payload.Slow = obs.Filter(payload.Recent, func(t *obs.QueryTrace) bool {
+			return t.Total >= slowAt || t.Outcome == OutcomeError
+		})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -378,8 +277,7 @@ type reqState struct {
 }
 
 // beginRequest opens request observability: resolve the ID and echo it
-// on the response. cw is the handler's counting writer (always present;
-// byte accounting is not gated on observability).
+// on the response. cw is the handler's counting writer.
 func (s *Server) beginRequest(cw *countingWriter, r *http.Request, tn *tenant, req queryRequest, start time.Time) *reqState {
 	rs := &reqState{
 		srv:   s,
@@ -417,10 +315,11 @@ func (rs *reqState) fail(err error) {
 	}
 }
 
-// finish closes out the request: histograms, access log, rings, and —
-// when the engine captured a trace for this request — the combined
-// serve+engine trace into the flight recorder. Runs deferred, after
-// res.Close has fired the engine's finish hook (which fills
+// finish closes out the request: histograms, then its one record into
+// the DB's ring and the access log — the engine's captured record with
+// the serve layer's fields (and spans, when it has some) added, or a
+// request-only record when the engine captured none. Runs deferred,
+// after res.Close has fired the engine's finish hook (which fills
 // rt.Captured).
 func (rs *reqState) finish(results uint64) {
 	total := time.Since(rs.start)
@@ -428,34 +327,28 @@ func (rs *reqState) finish(results uint64) {
 	obs.ServerRequestLatency.Observe(total, rs.tn.name, outcome)
 	obs.ServerRequestQueueWait.Observe(rs.queueWait, rs.tn.name, outcome)
 
-	rec := RequestRecord{
-		Time:      rs.start,
-		ID:        rs.id,
-		Tenant:    rs.tn.name,
-		Doc:       rs.doc,
-		Expr:      rs.expr,
-		ExprHash:  exprHash(rs.expr),
-		Outcome:   outcome,
-		Status:    rs.cw.status,
-		QueueWait: rs.queueWait,
-		TTFB:      rs.cw.ttfb,
-		Total:     total,
-		Results:   results,
-		Bytes:     rs.cw.bytes,
+	t := rs.rt.Captured
+	switch {
+	case t == nil:
+		t = &obs.QueryTrace{}
+	case t.Root != nil:
+		t.Root = rs.requestSpan(t, outcome, total, results)
 	}
+	t.Request, t.Tenant = rs.id, rs.tn.name
+	t.Doc, t.Expr = rs.doc, rs.expr
+	t.Start, t.Total, t.Results = rs.start, total, results
+	t.Outcome, t.Status = outcome, rs.cw.status
+	t.QueueWait, t.TTFB, t.Bytes = rs.queueWait, rs.cw.ttfb, rs.cw.bytes
 	var oe *OverloadError
 	if errors.As(rs.err, &oe) {
-		rec.Reason = string(oe.Reason)
+		t.Reason = string(oe.Reason)
 	}
-	if rs.rt.Captured != nil {
-		rec.TraceID = rs.rt.Captured.ID
-		rs.srv.db.RecordTrace(rs.buildTrace(&rec))
-	}
-	rs.srv.obs.record(&rec)
+	rs.srv.db.RecordTrace(t)
+	rs.srv.obs.log.Write(t)
 }
 
-// buildTrace grafts the serve-layer spans above the engine's captured
-// span tree, producing one request-rooted trace:
+// requestSpan grafts the serve-layer spans above the engine's captured
+// span tree eng.Root, producing one request-rooted tree:
 //
 //	request
 //	├─ admission     arrival → slot grant (attrs: queue wait)
@@ -464,30 +357,24 @@ func (rs *reqState) finish(results uint64) {
 //	│                request timeline
 //	├─ ttfb          zero-width marker at the first response byte
 //	└─ stream        engine finish → last byte flushed
-func (rs *reqState) buildTrace(rec *RequestRecord) *obs.QueryTrace {
-	cap := rs.rt.Captured
-	totalNS := rec.Total.Nanoseconds()
+func (rs *reqState) requestSpan(eng *obs.QueryTrace, outcome string, total time.Duration, results uint64) *obs.Span {
+	totalNS := total.Nanoseconds()
 	// Engine span offsets are relative to the engine query's start;
 	// shift them onto the request timeline.
-	delta := cap.Start.Sub(rs.start).Nanoseconds()
-	if delta < 0 {
-		delta = 0
-	}
-	shiftSpans(cap.Root, delta)
-	engineEnd := delta + cap.Total.Nanoseconds()
-	if engineEnd > totalNS {
-		engineEnd = totalNS
-	}
+	delta := max(eng.Start.Sub(rs.start).Nanoseconds(), 0)
+	shiftSpans(eng.Root, delta)
+	engineEnd := min(delta+eng.Total.Nanoseconds(), totalNS)
+	bytes := strconv.FormatUint(rs.cw.bytes, 10)
 
 	root := &obs.Span{
 		Name: "request", Kind: "serve",
 		StartNS: 0, EndNS: totalNS,
-		Out: cap.Results,
+		Out: eng.Results,
 		Attrs: map[string]string{
-			"request": rec.ID,
-			"tenant":  rec.Tenant,
-			"outcome": rec.Outcome,
-			"bytes":   strconv.FormatUint(rec.Bytes, 10),
+			"request": rs.id,
+			"tenant":  rs.tn.name,
+			"outcome": outcome,
+			"bytes":   bytes,
 		},
 	}
 	root.Children = append(root.Children, &obs.Span{
@@ -499,27 +386,20 @@ func (rs *reqState) buildTrace(rec *RequestRecord) *obs.QueryTrace {
 		Name: "prepare", Kind: "serve",
 		StartNS: rs.admitEnd.Nanoseconds(), EndNS: rs.execStart.Nanoseconds(),
 	})
-	if cap.Root != nil {
-		root.Children = append(root.Children, cap.Root)
-	}
-	if rec.TTFB > 0 {
+	root.Children = append(root.Children, eng.Root)
+	if ttfb := rs.cw.ttfb.Nanoseconds(); ttfb > 0 {
 		root.Children = append(root.Children, &obs.Span{
 			Name: "ttfb", Kind: "serve",
-			StartNS: rec.TTFB.Nanoseconds(), EndNS: rec.TTFB.Nanoseconds(),
+			StartNS: ttfb, EndNS: ttfb,
 		})
 	}
 	root.Children = append(root.Children, &obs.Span{
 		Name: "stream", Kind: "serve",
 		StartNS: engineEnd, EndNS: totalNS,
-		Out:   rec.Results,
-		Attrs: map[string]string{"bytes": strconv.FormatUint(rec.Bytes, 10)},
+		Out:   results,
+		Attrs: map[string]string{"bytes": bytes},
 	})
-
-	t := *cap
-	t.Start = rs.start
-	t.Total = rec.Total
-	t.Root = root
-	return &t
+	return root
 }
 
 // shiftSpans moves a span tree forward by delta nanoseconds.

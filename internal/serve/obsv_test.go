@@ -1,14 +1,15 @@
 package serve
 
 // Request-observability tests: wire request IDs (generated, adopted,
-// echoed), the access log and request rings, per-tenant cumulative
-// counters and latency quantiles in Stats, and the combined
-// serve+engine span tree in the flight recorder.
+// echoed), the access log and the request views, one ring record per
+// request, per-tenant cumulative counters and latency quantiles in
+// Stats, and the combined serve+engine span tree.
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"vamana"
+	"vamana/internal/obs"
 )
 
 var generatedIDPattern = regexp.MustCompile(`^[0-9a-f]{16}$`)
@@ -169,9 +171,98 @@ func TestRequestIDPropagation(t *testing.T) {
 	})
 }
 
+// accessLine is the NDJSON access-log line's shape: the wire format the
+// log's readers parse, pinned byte-for-byte by TestAccessLogGolden.
+type accessLine struct {
+	Time      time.Time     `json:"time"`
+	ID        string        `json:"id"`
+	Tenant    string        `json:"tenant"`
+	Doc       string        `json:"doc"`
+	Expr      string        `json:"expr"`
+	ExprHash  string        `json:"expr_hash"`
+	Outcome   string        `json:"outcome"`
+	Reason    string        `json:"reason"`
+	Status    int           `json:"status"`
+	QueueWait time.Duration `json:"queue_wait_ns"`
+	TTFB      time.Duration `json:"ttfb_ns"`
+	Total     time.Duration `json:"total_ns"`
+	Results   uint64        `json:"results"`
+	Bytes     uint64        `json:"bytes"`
+	TraceID   uint64        `json:"trace_id"`
+}
+
+// requestsPayload is the /debug/vamana/requests response.
+type requestsPayload struct {
+	Recent []*vamana.QueryTrace `json:"recent"`
+	Slow   []*vamana.QueryTrace `json:"slow"`
+}
+
+func getRequests(t *testing.T, ts *httptest.Server) requestsPayload {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/debug/vamana/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var payload requestsPayload
+	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestAccessLogGolden pins the access-log line byte-for-byte: field
+// names, order and omission rules, with id the wire request ID and
+// trace_id the record's ID only when it carries spans. The expected
+// lines are what the log wrote for the same requests before the log
+// became a serialisation of the one record.
+func TestAccessLogGolden(t *testing.T) {
+	full := &obs.QueryTrace{
+		ID:        42,
+		Start:     time.Date(2026, 3, 14, 15, 9, 26, 535897932, time.UTC),
+		Request:   "golden-req-1",
+		Tenant:    "gold",
+		Doc:       "auction",
+		Expr:      "//person[name=\"Zoë \\\"Q\\\"\"]/address<\t>",
+		Outcome:   OutcomeError,
+		Reason:    "queue_full",
+		Status:    429,
+		QueueWait: 1500 * time.Microsecond,
+		TTFB:      2 * time.Millisecond,
+		Total:     3*time.Millisecond + 7,
+		Results:   3,
+		Bytes:     123,
+		Root:      &obs.Span{Name: "request"},
+	}
+	bare := &obs.QueryTrace{
+		ID:      7, // no spans: not logged as trace_id
+		Start:   time.Date(2025, 12, 31, 23, 59, 59, 0, time.FixedZone("", 3600)),
+		Request: "0123456789abcdef",
+		Tenant:  "default",
+		Doc:     "lib",
+		Expr:    "//title",
+		Outcome: OutcomeOK,
+		Status:  200,
+		Total:   time.Second,
+		Results: 20,
+		Bytes:   999,
+	}
+	for _, c := range []struct {
+		rec  *obs.QueryTrace
+		want string
+	}{
+		{full, "{\"time\":\"2026-03-14T15:09:26.535897932Z\",\"id\":\"golden-req-1\",\"tenant\":\"gold\",\"doc\":\"auction\",\"expr\":\"//person[name=\\\"Zoë \\\\\\\"Q\\\\\\\"\\\"]/address<\\t>\",\"expr_hash\":\"a9662da718d15b52\",\"outcome\":\"error\",\"reason\":\"queue_full\",\"status\":429,\"queue_wait_ns\":1500000,\"ttfb_ns\":2000000,\"total_ns\":3000007,\"results\":3,\"bytes\":123,\"trace_id\":42}\n"},
+		{bare, "{\"time\":\"2025-12-31T23:59:59+01:00\",\"id\":\"0123456789abcdef\",\"tenant\":\"default\",\"doc\":\"lib\",\"expr\":\"//title\",\"expr_hash\":\"ea17765912ab9553\",\"outcome\":\"ok\",\"status\":200,\"queue_wait_ns\":0,\"total_ns\":1000000000,\"results\":20,\"bytes\":999}\n"},
+	} {
+		if got := string(appendRecord(nil, c.rec)); got != c.want {
+			t.Errorf("access log line moved:\n got %q\nwant %q", got, c.want)
+		}
+	}
+}
+
 // TestAccessLogAndRequestRings checks one request's record is visible,
-// with the same wire ID, in the NDJSON access log, the recent ring, and
-// (below the 1ns threshold everything is slow) the slow ring.
+// with the same wire ID, in the NDJSON access log, the recent list, and
+// (below the 1ns threshold everything is slow) the slow list.
 func TestAccessLogAndRequestRings(t *testing.T) {
 	checkGoroutines(t)
 	var logBuf syncBuffer
@@ -196,7 +287,7 @@ func TestAccessLogAndRequestRings(t *testing.T) {
 		return strings.Contains(logBuf.String(), "ring-test-1")
 	})
 	line := strings.TrimSpace(logBuf.String())
-	var rec RequestRecord
+	var rec accessLine
 	if err := json.Unmarshal([]byte(line), &rec); err != nil {
 		t.Fatalf("access log line is not JSON: %v\n%s", err, line)
 	}
@@ -211,24 +302,117 @@ func TestAccessLogAndRequestRings(t *testing.T) {
 		t.Fatalf("ttfb = %v outside (0, total=%v]", rec.TTFB, rec.Total)
 	}
 
-	// The same record, most recent first, in both debug rings.
-	dresp, err := ts.Client().Get(ts.URL + "/debug/vamana/requests")
-	if err != nil {
-		t.Fatal(err)
+	// The same record, most recent first, in both debug lists.
+	payload := getRequests(t, ts)
+	if len(payload.Recent) == 0 || payload.Recent[0].Request != "ring-test-1" {
+		t.Fatalf("recent list = %+v", payload.Recent)
 	}
-	defer dresp.Body.Close()
-	var payload struct {
-		Recent []RequestRecord `json:"recent"`
-		Slow   []RequestRecord `json:"slow"`
+	if len(payload.Slow) == 0 || payload.Slow[0].Request != "ring-test-1" {
+		t.Fatalf("slow list (1ns threshold) = %+v", payload.Slow)
 	}
-	if err := json.NewDecoder(dresp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
-	if len(payload.Recent) == 0 || payload.Recent[0].ID != "ring-test-1" {
-		t.Fatalf("recent ring = %+v", payload.Recent)
-	}
-	if len(payload.Slow) == 0 || payload.Slow[0].ID != "ring-test-1" {
-		t.Fatalf("slow ring (1ns threshold) = %+v", payload.Slow)
+}
+
+// TestOneRecordPerRequest: a request whose engine run is slow, with the
+// cost observatory on, leaves exactly one record in the DB's ring — the
+// serve fields and the engine's storage consumption together, plus the
+// grafted span tree when the run was flight-recorded — and that one
+// record is what every view lists.
+func TestOneRecordPerRequest(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		flight int
+	}{{"flight-recorded", 8}, {"slow only", 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			checkGoroutines(t)
+			db, err := vamana.Open(vamana.Options{SlowQueryThreshold: time.Nanosecond, FlightRecorderSize: c.flight})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			if _, err := db.LoadXMLString("lib", "<lib><a><b/></a><a><b/></a></lib>"); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := db.CostProfile(); !ok {
+				t.Fatal("cost observatory is off")
+			}
+			_, ts := newTestServer(t, Config{DB: db, SlowRequestThreshold: time.Nanosecond})
+
+			const id = "one-record-1"
+			req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/query?doc=lib&q=//b", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(RequestHeader, id)
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d", resp.StatusCode)
+			}
+
+			withID := func(ts []*vamana.QueryTrace) []*vamana.QueryTrace {
+				var out []*vamana.QueryTrace
+				for _, tr := range ts {
+					if tr.Request == id {
+						out = append(out, tr)
+					}
+				}
+				return out
+			}
+			waitFor(t, "the request's record", func() bool { return len(withID(db.RecentTraces())) > 0 })
+			ring := withID(db.RecentTraces())
+			if len(ring) != 1 {
+				t.Fatalf("ring holds %d records for the request, want 1: %+v", len(ring), ring)
+			}
+			rec := ring[0]
+			if rec.Outcome != OutcomeOK || rec.Status != http.StatusOK || rec.TTFB <= 0 || rec.Bytes == 0 || rec.Results != 2 {
+				t.Errorf("serve fields = outcome %q status %d ttfb %v bytes %d results %d",
+					rec.Outcome, rec.Status, rec.TTFB, rec.Bytes, rec.Results)
+			}
+			if rec.QueueWait < 0 || rec.QueueWait > rec.Total {
+				t.Errorf("queue wait %v outside [0, total=%v]", rec.QueueWait, rec.Total)
+			}
+			// In-memory stores read no pages; index traversal always hits
+			// the node cache.
+			if rec.NodeCacheHits == 0 {
+				t.Errorf("engine storage deltas missing: pages %d records %d cachehits %d",
+					rec.PagesRead, rec.RecordsDecoded, rec.NodeCacheHits)
+			}
+			traced := 0
+			if c.flight > 0 {
+				traced = 1
+				if rec.Root == nil || rec.Root.Name != "request" || len(rec.Root.Children) < 3 || rec.Root.Children[2].Kind == "serve" {
+					t.Fatalf("record has no grafted request span tree: %+v", rec.Root)
+				}
+			} else if rec.Root != nil {
+				t.Fatalf("untraced run's record carries spans: %+v", rec.Root)
+			}
+
+			if n := len(withID(db.SlowQueries())); n != 1 {
+				t.Errorf("SlowQueries lists the request %d times, want 1", n)
+			}
+			dresp, err := ts.Client().Get(ts.URL + "/debug/vamana/traces")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dresp.Body.Close()
+			var traces []*vamana.QueryTrace
+			if err := json.NewDecoder(dresp.Body).Decode(&traces); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(withID(traces)); n != traced {
+				t.Errorf("/debug/vamana/traces lists the request %d times, want %d", n, traced)
+			}
+			payload := getRequests(t, ts)
+			if n := len(withID(payload.Recent)); n != 1 {
+				t.Errorf("/debug/vamana/requests recent lists the request %d times, want 1", n)
+			}
+			if n := len(withID(payload.Slow)); n != 1 {
+				t.Errorf("/debug/vamana/requests slow lists the request %d times, want 1", n)
+			}
+		})
 	}
 }
 
@@ -257,7 +441,7 @@ func TestAccessLogRejectionRecord(t *testing.T) {
 	waitFor(t, "rejection log line", func() bool {
 		return strings.Contains(logBuf.String(), "rejected-req-1")
 	})
-	var rec RequestRecord
+	var rec accessLine
 	if err := json.Unmarshal([]byte(strings.TrimSpace(logBuf.String())), &rec); err != nil {
 		t.Fatal(err)
 	}
@@ -420,44 +604,4 @@ func TestRequestTraceNesting(t *testing.T) {
 			t.Fatalf("chrome export missing %s:\n%s", want, out)
 		}
 	}
-}
-
-// TestDisableRequestObs: with request observability off the wire is
-// clean — no ID/queue-wait headers, empty rings — but the cumulative
-// tenant counters stay truthful.
-func TestDisableRequestObs(t *testing.T) {
-	checkGoroutines(t)
-	s, ts := newTestServer(t, Config{DisableRequestObs: true})
-
-	resp, body := get(t, ts, "plain", "doc=lib&q=//title")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d (%s)", resp.StatusCode, body)
-	}
-	if id := resp.Header.Get(RequestHeader); id != "" {
-		t.Fatalf("request ID header present with obs disabled: %q", id)
-	}
-	if qw := resp.Header.Get(QueueWaitHeader); qw != "" {
-		t.Fatalf("queue wait header present with obs disabled: %q", qw)
-	}
-
-	dresp, err := ts.Client().Get(ts.URL + "/debug/vamana/requests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dresp.Body.Close()
-	var payload struct {
-		Recent []RequestRecord `json:"recent"`
-		Slow   []RequestRecord `json:"slow"`
-	}
-	if err := json.NewDecoder(dresp.Body).Decode(&payload); err != nil {
-		t.Fatal(err)
-	}
-	if len(payload.Recent) != 0 || len(payload.Slow) != 0 {
-		t.Fatalf("rings populated with obs disabled: %+v", payload)
-	}
-
-	waitFor(t, "served counter with obs disabled", func() bool {
-		st := s.Stats().Tenants["plain"]
-		return st.Served == 1 && st.BytesStreamed > 0
-	})
 }

@@ -77,22 +77,14 @@ type Config struct {
 
 	// AccessLog receives one structured NDJSON line per finished
 	// /v1/query request (id, tenant, expr hash, outcome, queue wait,
-	// TTFB, total, bytes). nil disables the log; rings and metrics are
-	// unaffected.
+	// TTFB, total, bytes). nil disables the log; the request records in
+	// the DB's ring and the metrics are unaffected.
 	AccessLog io.Writer
-	// RequestRingSize bounds the recent-requests ring served at
-	// /debug/vamana/requests (the slow ring has the same capacity).
-	// Default 256; negative disables the rings.
-	RequestRingSize int
-	// SlowRequestThreshold routes requests at or above this end-to-end
-	// duration (and every errored request) into the slow-request ring.
-	// Default 500ms; negative disables the slow ring.
+	// SlowRequestThreshold selects the requests at or above this
+	// end-to-end duration (and every errored request) for the slow list
+	// of /debug/vamana/requests. Default 500ms; negative empties the
+	// list.
 	SlowRequestThreshold time.Duration
-	// DisableRequestObs turns off per-request observability entirely —
-	// request IDs, SLO histograms, access log, request rings, combined
-	// serve+engine traces. The cumulative tenant counters in TenantStats
-	// keep counting (they are accounting, not observability).
-	DisableRequestObs bool
 
 	// Hooks expose deterministic test points; nil in production.
 	Hooks Hooks
@@ -114,7 +106,7 @@ type Server struct {
 	db  *vamana.DB
 	adm *admission
 	reg *registry
-	obs *requestObs // nil when Config.DisableRequestObs
+	obs *requestObs
 	mux *http.ServeMux
 
 	// wg tracks in-flight query handlers so Handler-only deployments
@@ -143,9 +135,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
-	if cfg.RequestRingSize == 0 {
-		cfg.RequestRingSize = 256
-	}
 	if cfg.SlowRequestThreshold == 0 {
 		cfg.SlowRequestThreshold = 500 * time.Millisecond
 	}
@@ -154,9 +143,7 @@ func New(cfg Config) (*Server, error) {
 		db:  cfg.DB,
 		adm: newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait),
 		reg: newRegistry(cfg.DefaultTenant, cfg.Tenants),
-	}
-	if !cfg.DisableRequestObs {
-		s.obs = newRequestObs(cfg.AccessLog, cfg.RequestRingSize, cfg.SlowRequestThreshold)
+		obs: newRequestObs(cfg.AccessLog),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.handleQuery)
@@ -384,24 +371,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	defer s.wg.Done()
 
-	// Byte accounting stays on unconditionally (TenantStats must be
-	// truthful); everything else hangs off rs, nil when request
-	// observability is disabled. rs.finish is deferred first so it runs
-	// last — after res.Close has fired the engine's finish hook and
-	// filled the captured trace.
+	// rs.finish is deferred first so it runs last — after res.Close has
+	// fired the engine's finish hook and filled the captured record.
 	cw := &countingWriter{ResponseWriter: w, start: start}
 	w = cw
 	var count uint64
-	var rs *reqState
-	if s.obs != nil {
-		rs = s.beginRequest(cw, r, tn, req, start)
-		defer func() { rs.finish(count) }()
-	}
+	rs := s.beginRequest(cw, r, tn, req, start)
+	defer func() { rs.finish(count) }()
 
 	queueWait, err := s.adm.admit(r.Context(), tn)
-	if rs != nil {
-		rs.admitted(queueWait, err)
-	}
+	rs.admitted(queueWait, err)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -427,20 +406,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	doc, err := s.db.Document(req.doc)
 	if err != nil {
-		if rs != nil {
-			rs.fail(err)
-		}
+		rs.fail(err)
 		writeError(w, err)
 		return
 	}
 
-	ctx := r.Context()
-	if rs != nil {
-		// A traced engine run joins the request: it stamps the wire ID
-		// into its trace and hands the export back for span grafting.
-		ctx = vamana.WithRequestTrace(ctx, &rs.rt)
-		rs.executing()
-	}
+	// A slow or traced engine run joins the request: it stamps the wire
+	// ID into its record and hands the record back for the request's.
+	ctx := vamana.WithRequestTrace(r.Context(), &rs.rt)
+	rs.executing()
 	var res *vamana.Results
 	if tn.allowCached(req.expr) {
 		res, err = s.db.QueryContext(ctx, doc, req.expr, opts...)
@@ -455,9 +429,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		if rs != nil {
-			rs.fail(err)
-		}
+		rs.fail(err)
 		writeError(w, err)
 		return
 	}
@@ -478,9 +450,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for res.Next() {
 		n, nerr := res.Node()
 		if nerr != nil {
-			if rs != nil {
-				rs.fail(nerr)
-			}
+			rs.fail(nerr)
 			if bw == nil {
 				writeError(w, nerr)
 				return
@@ -496,9 +466,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		line = appendNode(line[:0], n)
 		if _, werr := bw.Write(line); werr != nil {
 			// Client went away mid-stream; nothing left to tell it.
-			if rs != nil {
-				rs.fail(context.Canceled)
-			}
+			rs.fail(context.Canceled)
 			obs.TenantResults.Add(tn.name, count)
 			return
 		}
@@ -506,9 +474,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.TenantResults.Add(tn.name, count)
 	if qerr := res.Err(); qerr != nil {
-		if rs != nil {
-			rs.fail(qerr)
-		}
+		rs.fail(qerr)
 		if bw == nil {
 			writeError(w, qerr)
 			return

@@ -241,14 +241,61 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestSlowQueryLogConcurrent: concurrent slow queries share one plain
+// bytes.Buffer as SlowQueryLog, which has no locking of its own. Every
+// line must arrive whole — one Write per line, made under the log's
+// lock — and the run must be race-free under -race.
+func TestSlowQueryLogConcurrent(t *testing.T) {
+	var buf bytes.Buffer
+	db, err := Open(Options{SlowQueryThreshold: time.Nanosecond, SlowQueryLog: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc, err := db.LoadXMLString("lib", "<lib><a><b/></a><a><b/></a></lib>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, queries = 4, 20
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < queries; i++ {
+				res, err := db.Query(doc, "//b")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := res.Keys(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	line := regexp.MustCompile(`^slow query: //b doc=lib total=\S+ results=2 cached=(true|false) pages=\d+ records=\d+ cachehits=\d+$`)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != goroutines*queries {
+		t.Fatalf("slow log has %d lines, want %d:\n%s", len(lines), goroutines*queries, buf.String())
+	}
+	for _, l := range lines {
+		if !line.MatchString(l) {
+			t.Fatalf("malformed slow log line %q", l)
+		}
+	}
+}
+
 // TestTraceSampling samples 1 in 2 queries and expects exactly half of
 // the runs to reach the sink.
 func TestTraceSampling(t *testing.T) {
 	var mu sync.Mutex
-	var traces []*TraceContext
+	var traces []*QueryTrace
 	db, err := Open(Options{
 		TraceEvery: 2,
-		TraceSink: func(tc *TraceContext) {
+		TraceSink: func(tc *QueryTrace) {
 			mu.Lock()
 			traces = append(traces, tc)
 			mu.Unlock()
@@ -413,7 +460,7 @@ func TestObservabilityAfterUpdate(t *testing.T) {
 	db, err := Open(Options{
 		SlowQueryThreshold: 1,
 		TraceEvery:         1,
-		TraceSink:          func(*TraceContext) { sunk.Add(1) },
+		TraceSink:          func(*QueryTrace) { sunk.Add(1) },
 		FlightRecorderSize: 8,
 	})
 	if err != nil {

@@ -99,9 +99,10 @@ VAMANA_BATCH_GATE=1 go test -run '^TestBatchThroughputGate$' -v -count 1 -timeou
 
 echo "== cost-observatory tests under the race detector"
 # Concurrent accumulator folds, calibration EWMA CASes, epoch-bump
-# invalidation, and the on/off differential harness — the observatory's
+# invalidation, the on/off differential harness, and concurrent slow
+# queries sharing one unlocked slow-query log writer — the observatory's
 # correctness battery, run with -race on top of the plain ./... pass.
-go test -race -run 'TestCostObservatory|TestCostCalibration|TestCalibrationDifferential|TestSlowQueryWorstOp' -count 1 .
+go test -race -run 'TestCostObservatory|TestCostCalibration|TestCalibrationDifferential|TestSlowQueryWorstOp|TestSlowQueryLogConcurrent' -count 1 .
 
 echo "== calibration overhead gate (observatory on vs off, 1% budget, zero-alloc pin)"
 # Allocation pin plus interleaved best-of-rounds timing — see
@@ -124,8 +125,8 @@ echo "== server battery under the race detector"
 # Admission state machine on the wire, concurrent tenants vs a
 # committing writer with byte-identical streams, graceful drain
 # (including crash-during-drain recovery), goroutine-leak checks, and
-# the request-observability battery (wire IDs, access log, request
-# rings, combined serve+engine traces) — the vamanad proof
+# the request-observability battery (wire IDs, access log, one ring
+# record per request, combined serve+engine traces) — the vamanad proof
 # obligations. Included in the plain ./... -race pass above, but run
 # with -count 1 here so a cached result never masks a flaky race.
 go test -race -count 1 ./internal/serve
@@ -135,12 +136,5 @@ echo "== remote overhead gate (vamanad HTTP minus in-process p95, 550us budget)"
 # paired interleaved rounds, best-of-rounds — see
 # TestRemoteOverheadGate.
 VAMANA_REMOTE_GATE=1 go test -run '^TestRemoteOverheadGate$' -v -count 1 .
-
-echo "== serve observability overhead gate (request obs on vs off, 2% budget)"
-# Remote cached Q1 p95 with the full per-request stack (IDs, SLO
-# histograms, access log, rings) vs the same daemon with it disabled,
-# paired interleaved rounds, best-of-rounds — see
-# TestServeObsOverheadGate.
-VAMANA_SERVE_OBS_GATE=1 go test -run '^TestServeObsOverheadGate$' -v -count 1 .
 
 echo "OK"

@@ -207,7 +207,7 @@ func TestSlowQueryStorageDeltas(t *testing.T) {
 	db, err := Open(Options{
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog:       &buf,
-		FlightRecorderSize: 4,
+		FlightRecorderSize: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +233,8 @@ func TestSlowQueryStorageDeltas(t *testing.T) {
 		if sq.NodeCacheHits == 0 {
 			t.Errorf("slow entry %q has zero node-cache hits: %+v", sq.Expr, sq)
 		}
-		if sq.TraceID == 0 {
-			t.Errorf("slow entry %q carries no trace id (flight recorder is on)", sq.Expr)
+		if sq.Root == nil {
+			t.Errorf("slow entry %q carries no span tree (flight recorder is on)", sq.Expr)
 		}
 	}
 	if sq := slow[0]; sq.Expr != recordsExpr || sq.RecordsDecoded == 0 {

@@ -87,19 +87,20 @@ type Options struct {
 	// SlowQueryLog receives one line per slow query (e.g. os.Stderr or a
 	// log file). Ignored unless SlowQueryThreshold is set.
 	SlowQueryLog io.Writer
-	// TraceEvery samples a full TraceContext for 1 in N DB.Query calls
-	// (1 traces every query, 0 disables). When a query is not sampled the
-	// serving hot path allocates no trace state, so sampling bounds the
-	// observability overhead regardless of query rate.
+	// TraceEvery records a full span tree for 1 in N DB.Query calls
+	// (1 traces every query, 0 disables) into the ring. When a query is
+	// not sampled the serving hot path allocates no trace state, so
+	// sampling bounds the observability overhead regardless of query
+	// rate.
 	TraceEvery int
-	// TraceSink receives each sampled trace after its query finishes.
-	TraceSink func(*TraceContext)
-	// FlightRecorderSize keeps the last N complete query traces — span
-	// trees included — in a bounded ring readable via DB.RecentTraces
-	// and the /debug/vamana/traces endpoint. With the recorder on, every
-	// query records spans (not just the 1-in-TraceEvery samples), so a
-	// query that turns out slow or budget-tripped is already captured
-	// retroactively. 0 disables the recorder.
+	// TraceSink receives each sampled record after its query finishes.
+	TraceSink func(*QueryTrace)
+	// FlightRecorderSize sizes the database's ring of recent records —
+	// slow queries, traced queries and served requests, readable via
+	// DB.RecentTraces and the /debug/vamana endpoints; 0 keeps the
+	// default of 256. A positive size also records spans for every query
+	// (not just the 1-in-TraceEvery samples), so a query that turns out
+	// slow or budget-tripped already has its span tree in the ring.
 	FlightRecorderSize int
 	// DefaultLimits is the resource-budget set applied to every query run
 	// on this database. Per-query options (WithTimeout, WithMaxResults, …)
@@ -128,13 +129,12 @@ type Options struct {
 	CostCalibration bool
 }
 
-// TraceContext is a sampled per-query execution trace: compile-vs-serve
-// split, cache-hit status, end-to-end latency, result count, storage
-// consumption, and (when spans were recorded) the operator span tree.
-type TraceContext = core.TraceContext
-
-// QueryTrace is one complete recorded query trace in export form — what
-// the flight recorder stores and the Chrome/text exporters consume.
+// QueryTrace is the one record of a query or served request: compile-
+// vs-serve split, cache-hit status, end-to-end latency, result count,
+// storage consumption, the worst-misestimated operator of a slow query,
+// the serving outcome of a request, and (when spans were recorded) the
+// operator span tree. The database's ring stores it; the slow-query log
+// and vamanad's access log are its one-line forms.
 type QueryTrace = obs.QueryTrace
 
 // Span is one operator's recorded execution within a query trace.
@@ -146,12 +146,12 @@ func WriteChromeTrace(w io.Writer, traces []*QueryTrace) error {
 	return obs.WriteChromeTrace(w, traces)
 }
 
-// RequestTrace joins a serving-layer request to the engine trace that
-// runs under it: attach one to a query context with WithRequestTrace and
-// the engine stamps the request ID and tenant into the exported trace;
-// when the run was traced (flight recorder on), the export is handed
-// back in Captured instead of the flight ring so the serving layer can
-// graft its own spans above it and record the combined trace
+// RequestTrace joins a serving-layer request to the engine record of
+// the query that runs under it: attach one to a query context with
+// WithRequestTrace and the engine stamps the request ID and tenant into
+// its record; when the run was slow or traced, the record is handed
+// back in Captured instead of the ring so the serving layer can graft
+// its own spans above it and record the combined record
 // (DB.RecordTrace) — one ring entry per request, serve and engine spans
 // in one timeline.
 type RequestTrace = core.RequestTrace
@@ -161,9 +161,6 @@ type RequestTrace = core.RequestTrace
 func WithRequestTrace(ctx context.Context, rt *RequestTrace) context.Context {
 	return core.WithRequestTrace(ctx, rt)
 }
-
-// SlowQuery is one recorded slow query (see Options.SlowQueryThreshold).
-type SlowQuery = core.SlowQuery
 
 // StorageMetrics snapshots a database's storage-level activity counters:
 // pager I/O, B+-tree node-cache traffic, records decoded, statistics
@@ -429,19 +426,19 @@ func (db *DB) CacheStats() CacheStats { return db.engine.CacheStats() }
 // that reached storage (memo misses).
 func (db *DB) StorageMetrics() StorageMetrics { return db.engine.Store().Metrics() }
 
-// SlowQueries returns the recorded slow queries, most recent first.
-// Empty unless Options.SlowQueryThreshold was set.
-func (db *DB) SlowQueries() []SlowQuery { return db.engine.SlowQueries() }
+// SlowQueries returns the ring's records at or above
+// Options.SlowQueryThreshold, most recent first. Empty unless the
+// threshold was set.
+func (db *DB) SlowQueries() []*QueryTrace { return db.engine.SlowQueries() }
 
-// RecentTraces returns the flight recorder's contents — the last N
-// complete query traces with span trees, most recent first. Empty unless
-// Options.FlightRecorderSize was set.
+// RecentTraces returns every record in the database's ring — slow
+// queries, traced queries and served requests — most recent first.
 func (db *DB) RecentTraces() []*QueryTrace { return db.engine.Traces() }
 
-// RecordTrace appends an externally assembled trace to the flight
-// recorder — the serving daemon uses it to record request-level traces
-// (serve-layer spans above a Captured engine trace, see RequestTrace).
-// No-op unless Options.FlightRecorderSize was set.
+// RecordTrace appends an externally assembled record to the ring,
+// assigning it an ID when it has none. The serving daemon writes its one
+// record per request through it (serve-layer fields and spans over a
+// Captured engine record, see RequestTrace).
 func (db *DB) RecordTrace(t *QueryTrace) { db.engine.RecordTrace(t) }
 
 // WriteMetrics writes the full metric exposition in Prometheus text
