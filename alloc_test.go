@@ -1,0 +1,80 @@
+package vamana
+
+import (
+	"context"
+	"testing"
+	"time"
+)
+
+// raceEnabled is set under the race detector (race_test.go), whose
+// sync.Pool drops pooled run state at random and so makes per-query
+// allocation counts noisy.
+var raceEnabled bool
+
+// TestFeatureAllocPins is the deterministic half of the engine's
+// overhead budgets: a feature that every warm query passes through must
+// add no allocations to the cache-hit path. How much time a feature
+// costs is the benchmark's to report (benchmark/, paired against the
+// parent commit); an allocation count is exact, so it is pinned here.
+// The cost observatory's fold has its own pin in internal/core
+// (TestCostFoldAllocFree), since it cannot be switched off to compare.
+func TestFeatureAllocPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const expr = "//person/address" // the paper's Q1
+	open := func(opts Options) (*DB, *Document) {
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		doc := loadAuction(t, db, 0.002)
+		for _, e := range workloadExprs {
+			drainCount(t, db, doc, e)
+		}
+		return db, doc
+	}
+	plainDB, plainDoc := open(Options{})
+	plain := func() (*Results, error) { return plainDB.Query(plainDoc, expr) }
+
+	// Sampling configured but never firing: the hot path takes the
+	// trace-aware branches on every query yet records no span.
+	unsampledDB, unsampledDoc := open(Options{TraceEvery: 1 << 30})
+	// A slow-query threshold no query meets: every run is accounted.
+	slowDB, slowDoc := open(Options{SlowQueryThreshold: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	governed := []QueryOption{WithMaxResults(1 << 40), WithMaxPagesRead(1 << 40), WithMaxDecodedRecords(1 << 40)}
+
+	for _, c := range []struct {
+		name string
+		run  func() (*Results, error)
+	}{
+		{"unsampled tracing", func() (*Results, error) { return unsampledDB.Query(unsampledDoc, expr) }},
+		{"unmet slow threshold", func() (*Results, error) { return slowDB.Query(slowDoc, expr) }},
+		{"governed query", func() (*Results, error) { return plainDB.QueryContext(ctx, plainDoc, expr, governed...) }},
+	} {
+		base, with := queryAllocs(t, plain), queryAllocs(t, c.run)
+		t.Logf("%s: %.1f allocs/query, plain %.1f", c.name, with, base)
+		if with > base {
+			t.Errorf("%s allocates on the warm cache-hit path: %.1f > %.1f allocs/query", c.name, with, base)
+		}
+	}
+}
+
+// queryAllocs is the average allocation count of one drained run.
+func queryAllocs(t *testing.T, run func() (*Results, error)) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(50, func() {
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for res.Next() {
+		}
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

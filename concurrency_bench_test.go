@@ -30,9 +30,8 @@ import (
 //     insert + delete batched into a single group-committed version.
 //
 // The writer is paced, not spinning: an unthrottled in-memory commit
-// loop measures CPU timesharing on small machines (see
-// TestMixedReadWriteGate), while a fixed pace makes read-solo and
-// read-with-writer comparable across runs.
+// loop measures CPU timesharing on small machines, while a fixed pace
+// makes read-solo and read-with-writer comparable across runs.
 func BenchmarkMixedReadWrite(b *testing.B) {
 	const (
 		docKB       = 32

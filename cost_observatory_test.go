@@ -69,9 +69,7 @@ func TestCostObservatoryProfile(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.003)
 
-	if p, ok := db.CostProfile(); !ok {
-		t.Fatal("CostProfile not available on a default-options database")
-	} else if p.Observations != 0 {
+	if p := db.CostProfile(); p.Observations != 0 {
 		t.Fatalf("fresh database already has %d observations", p.Observations)
 	}
 
@@ -82,10 +80,7 @@ func TestCostObservatoryProfile(t *testing.T) {
 		}
 	}
 
-	p, ok := db.CostProfile()
-	if !ok {
-		t.Fatal("CostProfile unavailable after queries")
-	}
+	p := db.CostProfile()
 	if p.Observations == 0 || len(p.Classes) == 0 {
 		t.Fatalf("observatory empty after workload: %+v", p)
 	}
@@ -130,18 +125,6 @@ func TestCostObservatoryProfile(t *testing.T) {
 	if !strings.Contains(txt.String(), "cost-model observatory") ||
 		!strings.Contains(txt.String(), "AXIS") {
 		t.Errorf("WriteText output malformed:\n%s", txt.String())
-	}
-
-	// Disabling the observatory removes the profile entirely.
-	off, err := Open(Options{DisableCostObservatory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	offDoc := loadAuction(t, off, 0.003)
-	drainCount(t, off, offDoc, workloadExprs[0])
-	if _, ok := off.CostProfile(); ok {
-		t.Error("CostProfile available despite DisableCostObservatory")
 	}
 }
 
@@ -211,18 +194,6 @@ func TestCostDebugEndpointsAndMetrics(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", series)
 		}
 	}
-
-	// Disabled observatory: /cost 404s but the rest of the page works.
-	off, err := Open(Options{DisableCostObservatory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	rec = httptest.NewRecorder()
-	off.DebugHandler("/debug/vamana").ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vamana/cost", nil))
-	if rec.Code != 404 {
-		t.Errorf("/cost on disabled observatory: status %d, want 404", rec.Code)
-	}
 }
 
 // TestSlowQueryWorstOpAnnotation drives a deterministically misestimated
@@ -275,8 +246,8 @@ func TestCostCalibrationLearns(t *testing.T) {
 	// class EWMAs; the first one alone drifts far past the bump
 	// threshold.
 	want := drainCount(t, db, doc, expr)
-	p, ok := db.CostProfile()
-	if !ok || !p.CalibrationEnabled {
+	p := db.CostProfile()
+	if !p.CalibrationEnabled {
 		t.Fatalf("calibration not reported enabled: %+v", p)
 	}
 	if p.EpochBumps == 0 {
@@ -299,7 +270,7 @@ func TestCostCalibrationLearns(t *testing.T) {
 	if after >= before {
 		t.Errorf("calibration did not reduce q-error: %.2f -> %.2f", before, after)
 	}
-	p, _ = db.CostProfile()
+	p = db.CostProfile()
 	anyFactor := false
 	for _, c := range p.Classes {
 		if c.Factor < 1 {
@@ -421,8 +392,8 @@ func TestCostObservatoryConcurrentFolds(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	p, ok := db.CostProfile()
-	if !ok || p.Observations == 0 {
+	p := db.CostProfile()
+	if p.Observations == 0 {
 		t.Fatalf("observatory empty after concurrent load: %+v", p)
 	}
 	// Profile under concurrent load must stay internally consistent.
@@ -553,10 +524,7 @@ func TestCostObservatoryClassesParity(t *testing.T) {
 	for _, expr := range workloadExprs {
 		drainCount(t, db, doc, expr)
 	}
-	p, ok := db.CostProfile()
-	if !ok {
-		t.Fatal("CostProfile unavailable")
-	}
+	p := db.CostProfile()
 	var got []string
 	for _, c := range p.Classes {
 		got = append(got, fmt.Sprintf("%s/%q samples=%d p50=%g p95=%g max=%g under=%d",

@@ -91,11 +91,7 @@ func (db *DB) DebugHandler(prefix string) http.Handler {
 		writeJSON(w, db.CacheStats())
 	})
 	mux.HandleFunc(prefix+"/cost", func(w http.ResponseWriter, r *http.Request) {
-		p, ok := db.CostProfile()
-		if !ok {
-			http.Error(w, "cost observatory disabled", http.StatusNotFound)
-			return
-		}
+		p := db.CostProfile()
 		if r.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			p.WriteText(w)

@@ -3,8 +3,6 @@ package vamana
 import (
 	"context"
 	"errors"
-	"math"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -503,92 +501,4 @@ func TestResultsAll(t *testing.T) {
 	if res.Next() {
 		t.Error("Next after breaking out of AllKeys returned true")
 	}
-}
-
-// TestGovernanceOverheadGate asserts that an active limiter (cancelable
-// context plus finite budgets) costs the warm serving path at most 3%
-// over the ungoverned fast path (nil limiter).
-//
-// Methodology: single-goroutine measurement loops, interleaved rounds,
-// and a best-of-rounds comparison. On a time-shared machine the noise is
-// additive (scheduler preemption, frequency drift, cache pollution from
-// neighbors), so the minimum over rounds converges to the true cost of
-// each path, while per-round ratios conflate that noise — which swings
-// far more than 3% round to round — with the governance delta being
-// measured. Skipped unless VAMANA_GOVERNANCE_GATE is set —
-// scripts/check.sh runs it.
-func TestGovernanceOverheadGate(t *testing.T) {
-	if os.Getenv("VAMANA_GOVERNANCE_GATE") == "" {
-		t.Skip("set VAMANA_GOVERNANCE_GATE=1 to run the governance-overhead gate")
-	}
-	db := openDB(t)
-	doc := loadAuction(t, db, xmark.FactorForBytes(32<<10))
-	for _, expr := range workloadExprs {
-		drainCount(t, db, doc, expr)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	governedOpts := []QueryOption{
-		WithMaxResults(1 << 40),
-		WithMaxPagesRead(1 << 40),
-		WithMaxDecodedRecords(1 << 40),
-	}
-	loop := func(governed bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				expr := workloadExprs[i%len(workloadExprs)]
-				var res *Results
-				var err error
-				if governed {
-					res, err = db.QueryContext(ctx, doc, expr, governedOpts...)
-				} else {
-					res, err = db.Query(doc, expr)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				for res.Next() {
-				}
-				if err := res.Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	measure := func(governed bool) float64 {
-		return float64(testing.Benchmark(loop(governed)).NsPerOp())
-	}
-
-	measure(true) // warm-up round, discarded
-	const (
-		rounds   = 7
-		attempts = 3
-		budget   = 1.03
-	)
-	// A genuine regression exceeds the budget on every attempt; a noise
-	// spike (neighbor stealing the core for one measurement window) does
-	// not, so the gate only fails when no attempt comes in under budget.
-	var ratio float64
-	for attempt := 1; attempt <= attempts; attempt++ {
-		offBest, onBest := math.MaxFloat64, math.MaxFloat64
-		var offs, ons []float64
-		for i := 0; i < rounds; i++ {
-			var off, on float64
-			if i%2 == 0 {
-				off, on = measure(false), measure(true)
-			} else {
-				on, off = measure(true), measure(false)
-			}
-			offs, ons = append(offs, off), append(ons, on)
-			offBest, onBest = min(offBest, off), min(onBest, on)
-		}
-		ratio = onBest / offBest
-		t.Logf("attempt %d: warm serving ns/op ungoverned %v (best %.0f), governed %v (best %.0f), best-of-rounds ratio %.3f",
-			attempt, offs, offBest, ons, onBest, ratio)
-		if ratio <= budget {
-			return
-		}
-	}
-	t.Errorf("governance overhead %.1f%% exceeds the 3%% budget on all %d attempts", 100*(ratio-1), attempts)
 }

@@ -35,9 +35,6 @@ type Options struct {
 	// Backend, when non-nil, overrides Path as the pager's storage (see
 	// mass.Options.Backend). Used by crash-safety tests to inject faults.
 	Backend pager.Backend
-	// DisableChecksumVerify skips per-page CRC verification on reads.
-	// Diagnostics and benchmarking only.
-	DisableChecksumVerify bool
 	// PlanCacheSize bounds the number of compiled plans the serving fast
 	// path keeps (see Engine.QueryContext). 0 selects the default (256);
 	// negative disables plan caching.
@@ -68,15 +65,11 @@ type Options struct {
 	// 1 degenerates to tuple-at-a-time execution. Exposed mainly for the
 	// vbench batch sweep and the differential harness.
 	ExecBatch int
-	// DisableCostObservatory turns off est-vs-act accuracy collection on
-	// the serving path (on by default; the fold is allocation-free and
-	// inside the 1% observability budget). Benchmark pairing only.
-	DisableCostObservatory bool
 	// CostCalibration enables the observatory's feedback loop: learned
 	// per-class correction factors are applied inside cost estimation,
 	// cached plans are invalidated when a factor drifts, and the
 	// plan-regression sentinel tracks decision changes. Results are
-	// never affected — only plan choice. Implies the observatory.
+	// never affected — only plan choice.
 	CostCalibration bool
 }
 
@@ -103,7 +96,7 @@ type Engine struct {
 	traceSeq atomic.Uint64
 	// execBatch is Options.ExecBatch, stamped on every run's exec.Context.
 	execBatch int
-	// cost is the est-vs-act accuracy observatory; nil when disabled.
+	// cost is the est-vs-act accuracy observatory every query folds into.
 	cost *CostObservatory
 }
 
@@ -130,22 +123,22 @@ func (e *Engine) bindView(v *view) {
 // Open creates or reopens an engine.
 func Open(opts Options) (*Engine, error) {
 	s, err := mass.Open(mass.Options{
-		Path:                  opts.Path,
-		CachePages:            opts.CachePages,
-		Backend:               opts.Backend,
-		DisableChecksumVerify: opts.DisableChecksumVerify,
+		Path:       opts.Path,
+		CachePages: opts.CachePages,
+		Backend:    opts.Backend,
 	})
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{live: view{store: s, probes: cost.NewMemoProbes(s)}, execBatch: opts.ExecBatch}
+	e := &Engine{
+		live:      view{store: s, probes: cost.NewMemoProbes(s)},
+		execBatch: opts.ExecBatch,
+		cost:      newCostObservatory(s, opts.CostCalibration),
+	}
 	if opts.PlanCacheSize >= 0 {
 		e.live.plans = newPlanCache(opts.PlanCacheSize)
 	}
 	e.bindView(&e.live)
-	if !opts.DisableCostObservatory {
-		e.cost = newCostObservatory(s, opts.CostCalibration)
-	}
 	if opts.SlowQueryThreshold > 0 {
 		e.slowAt = opts.SlowQueryThreshold
 		e.slowLog = obs.NewLineLog(opts.SlowQueryLog, appendSlowLine)
@@ -244,7 +237,7 @@ func (e *Engine) compileOptimizedOn(v *view, doc mass.DocID, expr string) (*Quer
 	// the two cost models rank different plans cheapest. Compile misses
 	// are rare enough that the second optimization (probe-memoized) is
 	// in the noise.
-	if e.cost != nil && e.cost.calibrating && e.cost.calibrationActive() {
+	if e.cost.calibrating && e.cost.calibrationActive() {
 		raw := &opt.Optimizer{Store: v.store, Doc: doc, Probes: v.probes}
 		if rawPlan, rerr := raw.Optimize(defPlan); rerr == nil && planShape(rawPlan) != planShape(optPlan) {
 			e.cost.regressions.Add(1)
@@ -420,11 +413,7 @@ func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 	// Fold the run's actual per-step cardinalities against the plan's
 	// estimates — every query feeds the cost observatory, not only the
 	// sampled ones. Allocation-free on the steady path.
-	var worstOp *plan.Step
-	var worstQ float64
-	if e.cost != nil {
-		worstOp, worstQ = e.cost.fold(it, it.Doc(), expr)
-	}
+	worstOp, worstQ := e.cost.fold(it, it.Doc(), expr)
 	slow := e.slowAt > 0 && total >= e.slowAt
 	traced := tc != nil && tc.traced
 	if !slow && !traced {
@@ -471,21 +460,15 @@ func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 // calibrateFn returns the cost-correction hook for this engine's
 // estimations: nil unless Options.CostCalibration is on.
 func (e *Engine) calibrateFn() func(*plan.Step, uint64) uint64 {
-	if e.cost != nil && e.cost.calibrating {
+	if e.cost.calibrating {
 		return e.cost.calibrateStep
 	}
 	return nil
 }
 
 // CostProfile snapshots the cost-model observatory: per-operator-class
-// q-error profiles, worst offenders, and calibration state. The second
-// return is false when the observatory is disabled.
-func (e *Engine) CostProfile() (CostProfile, bool) {
-	if e.cost == nil {
-		return CostProfile{}, false
-	}
-	return e.cost.Profile(), true
-}
+// q-error profiles, worst offenders, and calibration state.
+func (e *Engine) CostProfile() CostProfile { return e.cost.Profile() }
 
 // CacheStats reports plan-cache and statistics-memo counters.
 func (e *Engine) CacheStats() CacheStats {
@@ -543,9 +526,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 			return err
 		}
 	}
-	if e.cost != nil {
-		e.cost.Profile().writeProm(w)
-	}
+	e.cost.Profile().writeProm(w)
 	return nil
 }
 

@@ -182,3 +182,42 @@ func TestCompileErrorsPropagate(t *testing.T) {
 		t.Error("non-node-set expression compiled")
 	}
 }
+
+// TestCostFoldAllocFree pins the cost observatory's claim that every
+// query can afford it: once each class's worst offender has reached its
+// fixed point, folding a finished run into the per-class accumulators
+// allocates nothing. Repeated folds of one run observe identical
+// q-errors, so no new maximum (the fold's only allocation) can appear.
+func TestCostFoldAllocFree(t *testing.T) {
+	for _, calibrating := range []bool{false, true} {
+		e, err := Open(Options{CostCalibration: calibrating})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		d, err := e.LoadString("auction", xmark.GenerateString(xmark.Config{Factor: 0.002, Seed: 81}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, expr := range []string{"//person/address", "//person[profile/age]/name", "//open_auction/bidder/increase"} {
+			q, err := e.CompileOptimized(d, expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it, err := run(q, d, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := it.Collect(); err != nil {
+				t.Fatal(err)
+			}
+			if op, _ := e.cost.fold(it, d, expr); op == nil {
+				t.Fatalf("%s: fold observed no cost-annotated step", expr)
+			}
+			if n := testing.AllocsPerRun(100, func() { e.cost.fold(it, d, expr) }); n != 0 {
+				t.Errorf("%s (calibration %v): fold allocates %.1f times per query", expr, calibrating, n)
+			}
+			it.Close()
+		}
+	}
+}

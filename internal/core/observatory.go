@@ -12,8 +12,7 @@ package core
 // into one obs.QErrorAccum per operator class, where a class is the
 // step's axis × the rewrite rule that produced it (plan.Step.Prov). The
 // fold runs for every query on the serving path; it is allocation-free
-// and all-atomic, so it rides inside the existing ≤1% observability
-// budget (TestCalibrationOverheadGate pins this).
+// (TestCostFoldAllocFree pins this) and all-atomic.
 //
 // Calibration (Options.CostCalibration) additionally maintains a
 // per-class EWMA of log2(act/raw_est) — a running geometric mean of the

@@ -156,9 +156,6 @@ type Options struct {
 	// Backend, when non-nil, overrides Path as the storage to open the
 	// pager over (used by tests to inject faults below the pager).
 	Backend pager.Backend
-	// DisableChecksumVerify skips per-page CRC verification on reads.
-	// Diagnostics and benchmarking only.
-	DisableChecksumVerify bool
 }
 
 // ErrNoDoc is returned when an operation names a document that is not
@@ -171,28 +168,14 @@ func Open(opts Options) (*Store, error) {
 	var err error
 	switch {
 	case opts.Backend != nil:
-		pg, err = pager.OpenBackend(pager.Config{
-			Backend:               opts.Backend,
-			DisableChecksumVerify: opts.DisableChecksumVerify,
-		})
-		if err != nil {
-			return nil, err
-		}
+		pg, err = pager.OpenBackend(opts.Backend)
 	case opts.Path == "":
 		pg = pager.NewMemory()
 	default:
-		b, berr := pager.NewFileBackend(opts.Path)
-		if berr != nil {
-			return nil, berr
-		}
-		pg, err = pager.OpenBackend(pager.Config{
-			Backend:               b,
-			DisableChecksumVerify: opts.DisableChecksumVerify,
-		})
-		if err != nil {
-			b.Close()
-			return nil, err
-		}
+		pg, err = pager.Open(opts.Path)
+	}
+	if err != nil {
+		return nil, err
 	}
 	s := &Store{
 		pg:         pg,

@@ -32,8 +32,7 @@ import (
 
 // enabled gates every counter and histogram write. Default on; the
 // VAMANA_OBS environment variable ("off", "0", "false") disables it at
-// process start, and SetEnabled toggles it at runtime (used by the
-// metrics-overhead benchmark gate).
+// process start, and SetEnabled toggles it at runtime.
 var enabled atomic.Bool
 
 func init() {

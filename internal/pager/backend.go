@@ -31,9 +31,8 @@ type Backend interface {
 // fileBackend adapts *os.File to Backend.
 type fileBackend struct{ f *os.File }
 
-// NewFileBackend opens (or creates) path as a pager Backend. Callers that
-// need non-default pager configuration pass the result to OpenBackend;
-// plain Open does both steps.
+// NewFileBackend opens (or creates) path as a pager Backend for
+// OpenBackend; plain Open does both steps.
 func NewFileBackend(path string) (Backend, error) {
 	return openFileBackend(path)
 }

@@ -21,7 +21,7 @@ var fuzzBase struct {
 func fuzzBaseSnapshot(t *testing.T) ([]byte, PageID, PageID) {
 	fuzzBase.once.Do(func() {
 		b := faultfs.New()
-		p, err := OpenBackend(Config{Backend: b})
+		p, err := OpenBackend(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func FuzzPagerReopen(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte, off uint64, xor byte) {
 		// Part 1: arbitrary bytes as a page file.
-		if p, err := OpenBackend(Config{Backend: faultfs.FromBytes(raw)}); err == nil {
+		if p, err := OpenBackend(faultfs.FromBytes(raw)); err == nil {
 			buf := make([]byte, PageSize)
 			n := p.NumPages()
 			if n > 64 { // garbage meta may claim a huge page count; sample
@@ -76,7 +76,7 @@ func FuzzPagerReopen(f *testing.F) {
 		if xor != 0 && len(img) > 0 {
 			img[off%uint64(len(img))] ^= xor
 		}
-		p, err := OpenBackend(Config{Backend: faultfs.FromBytes(img)})
+		p, err := OpenBackend(faultfs.FromBytes(img))
 		if err != nil {
 			t.Fatalf("open with one damaged byte must recover via the surviving meta copy: %v", err)
 		}

@@ -76,7 +76,6 @@ type Pager struct {
 	npages  PageID   // number of pages including the two meta pages
 	free    []PageID // free list (in-memory; persisted in the meta page on Flush)
 	epoch   uint64   // meta epoch of the newest durable meta page
-	verify  bool     // verify page checksums on read
 
 	// pending holds committed page images not yet durable (file mode
 	// only). Flush makes the whole batch durable atomically via the
@@ -168,16 +167,6 @@ func NewMemory() *Pager {
 	return p
 }
 
-// Config configures OpenBackend.
-type Config struct {
-	// Backend is the storage to open the pager over.
-	Backend Backend
-	// DisableChecksumVerify skips CRC verification on page reads (pages
-	// are still stamped on write). For benchmarking and forensics only:
-	// it trades corruption detection for a few nanoseconds per read.
-	DisableChecksumVerify bool
-}
-
 // Open opens (or creates) a file-backed pager at path. An existing file
 // has its metadata validated (picking the newer of the two meta copies)
 // and any interrupted commit completed from its journal.
@@ -186,7 +175,7 @@ func Open(path string) (*Pager, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := OpenBackend(Config{Backend: b})
+	p, err := OpenBackend(b)
 	if err != nil {
 		b.Close()
 		return nil, err
@@ -197,17 +186,16 @@ func Open(path string) (*Pager, error) {
 // OpenBackend opens (or creates) a pager over an arbitrary Backend. The
 // caller retains ownership of the backend only on error; on success the
 // pager closes it.
-func OpenBackend(cfg Config) (*Pager, error) {
+func OpenBackend(b Backend) (*Pager, error) {
 	p := &Pager{
-		backend:  cfg.Backend,
-		verify:   !cfg.DisableChecksumVerify,
+		backend:  b,
 		pending:  make(map[PageID][]byte),
 		dirty:    make(map[PageID][]byte),
 		pins:     make(map[uint64]int),
 		versions: make(map[PageID][]pageVersion),
 		scratch:  make([]byte, DiskPageSize),
 	}
-	size, err := cfg.Backend.Size()
+	size, err := b.Size()
 	if err != nil {
 		return nil, fmt.Errorf("pager: size: %w", err)
 	}
@@ -316,7 +304,7 @@ func (p *Pager) readDisk(id PageID, buf []byte) error {
 			return fmt.Errorf("pager: read page %d: %w", id, err)
 		}
 	}
-	if p.verify && !verifyPage(p.scratch, id) {
+	if !verifyPage(p.scratch, id) {
 		p.m.ChecksumFails++
 		return fmt.Errorf("%w: page %d", ErrChecksum, id)
 	}
@@ -410,10 +398,8 @@ func (p *Pager) Close() error {
 // Verify checks the CRC32C of every durable allocated page (free-listed
 // pages hold stale images and are skipped) and returns the number of
 // pages checked plus the ids that failed verification. Buffered writes
-// are committed first so the scan sees the current state, and checksums
-// are checked even when the pager was opened with DisableChecksumVerify
-// (that flag governs only the regular read path). Memory pagers have
-// nothing to verify.
+// are committed first so the scan sees the current state. Memory pagers
+// have nothing to verify.
 func (p *Pager) Verify() (checked int, corrupt []PageID, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -430,9 +416,6 @@ func (p *Pager) Verify() (checked int, corrupt []PageID, err error) {
 	for _, id := range p.free {
 		skip[id] = true
 	}
-	saved := p.verify
-	p.verify = true
-	defer func() { p.verify = saved }()
 	buf := make([]byte, PageSize)
 	for id := firstDataPage; id < p.npages; id++ {
 		if skip[id] {

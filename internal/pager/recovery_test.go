@@ -21,7 +21,7 @@ import (
 func buildBase(t *testing.T) (snap []byte, pa, pb PageID) {
 	t.Helper()
 	b := faultfs.New()
-	p, err := OpenBackend(Config{Backend: b})
+	p, err := OpenBackend(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestChecksumDetectsBitRot(t *testing.T) {
 	b := faultfs.FromBytes(snap)
 	// Flip one bit in the middle of page pa's payload behind the pager.
 	b.FlipBit(int64(pa)*DiskPageSize+1234, 3)
-	p, err := OpenBackend(Config{Backend: b})
+	p, err := OpenBackend(b)
 	if err != nil {
 		t.Fatalf("open after payload bit flip: %v", err)
 	}
@@ -115,21 +115,6 @@ func TestChecksumDetectsBitRot(t *testing.T) {
 	}
 }
 
-func TestDisableChecksumVerify(t *testing.T) {
-	snap, pa, _ := buildBase(t)
-	b := faultfs.FromBytes(snap)
-	b.FlipBit(int64(pa)*DiskPageSize+1234, 3)
-	p, err := OpenBackend(Config{Backend: b, DisableChecksumVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	buf := make([]byte, PageSize)
-	if err := p.Read(pa, buf); err != nil {
-		t.Fatalf("unverified read should pass through rot: %v", err)
-	}
-}
-
 func TestMisdirectedWriteDetected(t *testing.T) {
 	// Copy page pa's (valid, checksummed) disk image over page pb: each
 	// byte of pb is "correct" for pa, but the id mixed into the CRC makes
@@ -139,7 +124,7 @@ func TestMisdirectedWriteDetected(t *testing.T) {
 	img := make([]byte, DiskPageSize)
 	copy(img, snap[int64(pa)*DiskPageSize:int64(pa+1)*DiskPageSize])
 	b.Corrupt(int64(pb)*DiskPageSize, img)
-	p, err := OpenBackend(Config{Backend: b})
+	p, err := OpenBackend(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +141,7 @@ func TestMetaPingPongFallback(t *testing.T) {
 	for slot := int64(0); slot < 2; slot++ {
 		b := faultfs.FromBytes(snap)
 		b.Corrupt(slot*DiskPageSize, junk)
-		p, err := OpenBackend(Config{Backend: b})
+		p, err := OpenBackend(b)
 		if err != nil {
 			t.Fatalf("open with meta slot %d destroyed: %v", slot, err)
 		}
@@ -171,7 +156,7 @@ func TestMetaPingPongFallback(t *testing.T) {
 	b := faultfs.FromBytes(snap)
 	b.Corrupt(0, junk)
 	b.Corrupt(DiskPageSize, junk)
-	if _, err := OpenBackend(Config{Backend: b}); !errors.Is(err, ErrTornMeta) {
+	if _, err := OpenBackend(b); !errors.Is(err, ErrTornMeta) {
 		t.Fatalf("open with both meta slots destroyed: got %v, want ErrTornMeta", err)
 	}
 }
@@ -182,7 +167,7 @@ func TestCrashAbandonsBufferedWrites(t *testing.T) {
 	// pre-mutation store.
 	snap, pa, pb := buildBase(t)
 	b := faultfs.FromBytes(snap)
-	p, err := OpenBackend(Config{Backend: b})
+	p, err := OpenBackend(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +176,7 @@ func TestCrashAbandonsBufferedWrites(t *testing.T) {
 	if err := p.Flush(); err == nil {
 		t.Fatal("Flush on a crashed backend succeeded")
 	}
-	p2, err := OpenBackend(Config{Backend: faultfs.FromBytes(b.Snapshot())})
+	p2, err := OpenBackend(faultfs.FromBytes(b.Snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +195,7 @@ func TestFlushCrashMatrix(t *testing.T) {
 
 	// Clean run to count the commit's backend operations.
 	clean := faultfs.FromBytes(snap)
-	p, err := OpenBackend(Config{Backend: clean})
+	p, err := OpenBackend(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +213,7 @@ func TestFlushCrashMatrix(t *testing.T) {
 	sawPre, sawPost := false, false
 	run := func(name string, arm func(b *faultfs.Backend)) {
 		b := faultfs.FromBytes(snap)
-		p, err := OpenBackend(Config{Backend: b})
+		p, err := OpenBackend(b)
 		if err != nil {
 			t.Fatalf("%s: open: %v", name, err)
 		}
@@ -239,7 +224,7 @@ func TestFlushCrashMatrix(t *testing.T) {
 		}
 		p.Close() // backend is dead; errors expected and irrelevant
 
-		p2, err := OpenBackend(Config{Backend: faultfs.FromBytes(b.Snapshot())})
+		p2, err := OpenBackend(faultfs.FromBytes(b.Snapshot()))
 		if err != nil {
 			t.Fatalf("%s: reopen after crash: %v", name, err)
 		}
@@ -276,7 +261,7 @@ func TestJournalReplayOnReopen(t *testing.T) {
 	// completes: reopen must finish the commit from the journal.
 	snap, pa, pb := buildBase(t)
 	b := faultfs.FromBytes(snap)
-	p, err := OpenBackend(Config{Backend: b})
+	p, err := OpenBackend(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +275,7 @@ func TestJournalReplayOnReopen(t *testing.T) {
 	}
 	p.Close()
 
-	p2, err := OpenBackend(Config{Backend: faultfs.FromBytes(b.Snapshot())})
+	p2, err := OpenBackend(faultfs.FromBytes(b.Snapshot()))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -307,7 +292,7 @@ func TestVerifyFindsCorruptPages(t *testing.T) {
 	snap, pa, pb := buildBase(t)
 	b := faultfs.FromBytes(snap)
 	b.FlipBit(int64(pb)*DiskPageSize+99, 0)
-	p, err := OpenBackend(Config{Backend: b})
+	p, err := OpenBackend(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +313,7 @@ func TestVerifyFindsCorruptPages(t *testing.T) {
 func TestFreedPagesSkippedByVerify(t *testing.T) {
 	snap, _, pb := buildBase(t)
 	b := faultfs.FromBytes(snap)
-	p, err := OpenBackend(Config{Backend: b})
+	p, err := OpenBackend(b)
 	if err != nil {
 		t.Fatal(err)
 	}

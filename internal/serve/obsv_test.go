@@ -332,9 +332,6 @@ func TestOneRecordPerRequest(t *testing.T) {
 			if _, err := db.LoadXMLString("lib", "<lib><a><b/></a><a><b/></a></lib>"); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := db.CostProfile(); !ok {
-				t.Fatal("cost observatory is off")
-			}
 			_, ts := newTestServer(t, Config{DB: db, SlowRequestThreshold: time.Nanosecond})
 
 			const id = "one-record-1"

@@ -66,12 +66,6 @@ type Options struct {
 	// and tools that need to interpose on the database's I/O (e.g. fault
 	// injection, read-only snapshots).
 	Backend Backend
-	// DisableChecksumVerify opens the store without verifying per-page
-	// CRC32C checksums on reads (pages are still stamped on write). This
-	// trades corruption detection for a small per-read saving; it exists
-	// for benchmarking the checksum cost and for forensic salvage of a
-	// damaged store. Leave it false in production.
-	DisableChecksumVerify bool
 	// PlanCacheSize bounds the number of compiled query plans kept by the
 	// serving fast path (DB.Query). 0 selects the default of 256 plans;
 	// negative disables plan caching, making DB.Query compile on every
@@ -114,12 +108,6 @@ type Options struct {
 	// exists for benchmarking the batch sweep and for differential
 	// testing, not for tuning production workloads.
 	ExecBatchSize int
-	// DisableCostObservatory turns off the cost-model observatory: the
-	// per-query fold of actual operator cardinalities against the
-	// optimizer's estimates (DB.CostProfile, /debug/vamana/cost). The
-	// fold is allocation-free and costs well under 1% of serving
-	// latency, so this knob exists for benchmark pairing, not tuning.
-	DisableCostObservatory bool
 	// CostCalibration enables the observatory's feedback loop: each
 	// operator class's observed estimation error feeds an EWMA
 	// correction factor that the cost estimator applies on subsequent
@@ -183,19 +171,17 @@ type DB struct {
 // Open creates or reopens a database.
 func Open(opts Options) (*DB, error) {
 	e, err := core.Open(core.Options{
-		Path:                   opts.Path,
-		CachePages:             opts.CachePages,
-		Backend:                opts.Backend,
-		DisableChecksumVerify:  opts.DisableChecksumVerify,
-		PlanCacheSize:          opts.PlanCacheSize,
-		SlowQueryThreshold:     opts.SlowQueryThreshold,
-		SlowQueryLog:           opts.SlowQueryLog,
-		TraceEvery:             opts.TraceEvery,
-		TraceSink:              opts.TraceSink,
-		FlightRecorderSize:     opts.FlightRecorderSize,
-		ExecBatch:              opts.ExecBatchSize,
-		DisableCostObservatory: opts.DisableCostObservatory,
-		CostCalibration:        opts.CostCalibration,
+		Path:               opts.Path,
+		CachePages:         opts.CachePages,
+		Backend:            opts.Backend,
+		PlanCacheSize:      opts.PlanCacheSize,
+		SlowQueryThreshold: opts.SlowQueryThreshold,
+		SlowQueryLog:       opts.SlowQueryLog,
+		TraceEvery:         opts.TraceEvery,
+		TraceSink:          opts.TraceSink,
+		FlightRecorderSize: opts.FlightRecorderSize,
+		ExecBatch:          opts.ExecBatchSize,
+		CostCalibration:    opts.CostCalibration,
 	})
 	if err != nil {
 		return nil, err
@@ -458,9 +444,8 @@ type CostClassProfile = core.CostClassProfile
 // CostOffender is the worst-misestimated observation kept per class.
 type CostOffender = core.CostOffender
 
-// CostProfile returns the observatory's current snapshot. The second
-// return is false when Options.DisableCostObservatory was set.
-func (db *DB) CostProfile() (CostProfile, bool) { return db.engine.CostProfile() }
+// CostProfile returns the observatory's current snapshot.
+func (db *DB) CostProfile() CostProfile { return db.engine.CostProfile() }
 
 // MetricsHandler returns an HTTP handler serving WriteMetrics — mount it
 // on a mux (or pass to http.ListenAndServe) to expose the database's
