@@ -378,7 +378,7 @@ func measureEstimateQuality(eng *core.Engine, expr string, optimized bool, f *be
 	if err != nil {
 		return estimateQuality{}, err
 	}
-	a, err := q.Analyze(doc)
+	a, err := q.Analyze(nil, doc)
 	if err != nil {
 		return estimateQuality{}, err
 	}

@@ -2,26 +2,20 @@ package vamana
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"math"
-	"math/rand"
 	"net/http/httptest"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"vamana/internal/obs"
 )
 
 // skewedDoc is a document built to misestimate deterministically: the
 // only <b> under an <a> is one of 64, so the child::b step in //a/b gets
 // a Table I OUT bound of COUNT(b)=64 against an actual of 1 — a q-error
-// of exactly 64, large enough to trigger calibration on one sample.
+// of exactly 64.
 func skewedDoc(t testing.TB, db *DB) *Document {
 	t.Helper()
 	var sb strings.Builder
@@ -35,34 +29,6 @@ func skewedDoc(t testing.TB, db *DB) *Document {
 		t.Fatal(err)
 	}
 	return doc
-}
-
-// geomeanQError runs expr's optimized plan to completion and returns the
-// geometric-mean q-error over its cost-annotated operators, via the same
-// Analyze machinery ExplainAnalyze renders.
-func geomeanQError(t testing.TB, db *DB, doc *Document, expr string) float64 {
-	t.Helper()
-	q, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
-	if err != nil {
-		t.Fatalf("Prepare(%s): %v", expr, err)
-	}
-	an, err := q.q.Analyze(doc.id)
-	if err != nil {
-		t.Fatalf("Analyze(%s): %v", expr, err)
-	}
-	var sumLog float64
-	n := 0
-	for _, st := range an.Stats {
-		if st.Op == nil || !st.Op.Cost.Done {
-			continue
-		}
-		sumLog += math.Log2(obs.QError(st.Op.Cost.Out, st.Out))
-		n++
-	}
-	if n == 0 {
-		t.Fatalf("Analyze(%s): no cost-annotated operators", expr)
-	}
-	return math.Exp2(sumLog / float64(n))
 }
 
 func TestCostObservatoryProfile(t *testing.T) {
@@ -84,9 +50,6 @@ func TestCostObservatoryProfile(t *testing.T) {
 	if p.Observations == 0 || len(p.Classes) == 0 {
 		t.Fatalf("observatory empty after workload: %+v", p)
 	}
-	if p.CalibrationEnabled {
-		t.Error("calibration reported enabled on a default-options database")
-	}
 	var sum uint64
 	for i, c := range p.Classes {
 		sum += c.Samples
@@ -95,9 +58,6 @@ func TestCostObservatoryProfile(t *testing.T) {
 		}
 		if c.P50 < 1 || c.P95 < c.P50 || c.Max < 1 {
 			t.Errorf("class %s/%q has inconsistent quantiles: %+v", c.Axis, c.Rewrite, c)
-		}
-		if c.Factor != 1 {
-			t.Errorf("class %s/%q has factor %g with calibration off", c.Axis, c.Rewrite, c.Factor)
 		}
 		if i > 0 && p.Classes[i-1].P95 < c.P95 {
 			t.Errorf("classes not sorted worst-first: %g before %g", p.Classes[i-1].P95, c.P95)
@@ -180,7 +140,8 @@ func TestCostDebugEndpointsAndMetrics(t *testing.T) {
 		t.Errorf("/debug/pprof/cmdline status %d", rec.Code)
 	}
 
-	// The Prometheus exposition carries the labeled class series.
+	// The Prometheus exposition carries the labeled class series, and
+	// none of the deleted calibration series.
 	var prom bytes.Buffer
 	if err := db.WriteMetrics(&prom); err != nil {
 		t.Fatal(err)
@@ -192,6 +153,15 @@ func TestCostDebugEndpointsAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(prom.String(), series) {
 			t.Errorf("metrics exposition missing %q", series)
+		}
+	}
+	for _, gone := range []string{
+		"vamana_cost_class_factor",
+		"vamana_cost_calibration_epoch_bumps_total",
+		"vamana_cost_plan_regressions_total",
+	} {
+		if strings.Contains(prom.String(), gone) {
+			t.Errorf("metrics exposition still carries deleted series %q", gone)
 		}
 	}
 }
@@ -227,116 +197,19 @@ func TestSlowQueryWorstOpAnnotation(t *testing.T) {
 	}
 }
 
-// TestCostCalibrationLearns checks the feedback loop end to end on the
-// skewed document: the first fold learns a 64x overestimate, bumps the
-// statistics epoch (invalidating the cached plan), and subsequent
-// compiles carry a corrected, near-exact OUT bound.
-func TestCostCalibrationLearns(t *testing.T) {
-	db, err := Open(Options{CostCalibration: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	doc := skewedDoc(t, db)
-	const expr = "//a/b"
-
-	before := geomeanQError(t, db, doc, expr)
-
-	// Train: every serving-path run folds (est, act) pairs into the
-	// class EWMAs; the first one alone drifts far past the bump
-	// threshold.
-	want := drainCount(t, db, doc, expr)
-	p := db.CostProfile()
-	if !p.CalibrationEnabled {
-		t.Fatalf("calibration not reported enabled: %+v", p)
-	}
-	if p.EpochBumps == 0 {
-		t.Fatalf("no epoch bump after a 64x misestimate: %+v", p)
-	}
-	// The bump must invalidate the cached plan on the next lookup, and
-	// the recompiled (calibrated) plan must return identical results.
-	csBefore := db.CacheStats()
-	for i := 0; i < 30; i++ {
-		if n := drainCount(t, db, doc, expr); n != want {
-			t.Fatalf("run %d returned %d results, want %d", i, n, want)
-		}
-	}
-	if cs := db.CacheStats(); cs.Invalidations <= csBefore.Invalidations {
-		t.Errorf("epoch bump did not invalidate cached plans: %+v -> %+v", csBefore, cs)
-	}
-
-	after := geomeanQError(t, db, doc, expr)
-	t.Logf("skewed //a/b geomean q-error: uncalibrated %.2f, calibrated %.2f", before, after)
-	if after >= before {
-		t.Errorf("calibration did not reduce q-error: %.2f -> %.2f", before, after)
-	}
-	p = db.CostProfile()
-	anyFactor := false
-	for _, c := range p.Classes {
-		if c.Factor < 1 {
-			anyFactor = true
-		}
-		if c.Factor < 1.0/1024 {
-			t.Errorf("factor below floor: %+v", c)
-		}
-	}
-	if !anyFactor {
-		t.Error("no class learned a correction factor below 1")
-	}
-}
-
-// TestCostCalibrationImprovesXmark pairs two databases over the same
-// xmark document — calibration off and on — trains the calibrated one on
-// the paper's Q1-Q5 workload, and asserts the workload's geometric-mean
-// q-error drops. The numbers logged here are the ones EXPERIMENTS.md
-// reports.
-func TestCostCalibrationImprovesXmark(t *testing.T) {
-	open := func(calibrate bool) (*DB, *Document) {
-		db, err := Open(Options{CostCalibration: calibrate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		return db, loadAuction(t, db, 0.003)
-	}
-	dbOff, docOff := open(false)
-	dbOn, docOn := open(true)
-
-	// Train both the same way (the uncalibrated one just accumulates).
-	for round := 0; round < 20; round++ {
-		for _, expr := range workloadExprs {
-			drainCount(t, dbOff, docOff, expr)
-			drainCount(t, dbOn, docOn, expr)
-		}
-	}
-
-	var sumOff, sumOn float64
-	for _, expr := range workloadExprs {
-		gOff := geomeanQError(t, dbOff, docOff, expr)
-		gOn := geomeanQError(t, dbOn, docOn, expr)
-		t.Logf("%-50s geomean q-error: raw %6.2f calibrated %6.2f", expr, gOff, gOn)
-		sumOff += math.Log2(gOff)
-		sumOn += math.Log2(gOn)
-	}
-	gOff := math.Exp2(sumOff / float64(len(workloadExprs)))
-	gOn := math.Exp2(sumOn / float64(len(workloadExprs)))
-	t.Logf("workload geomean q-error: raw %.2f calibrated %.2f", gOff, gOn)
-	if gOn >= gOff {
-		t.Errorf("calibration did not improve workload q-error: %.3f -> %.3f", gOff, gOn)
-	}
-}
-
-// TestCostObservatoryConcurrentFolds exercises the striped accumulators,
-// lazy class creation, EWMA CASes, and epoch bumps from many goroutines
-// at once; its real assertions are the race detector's.
+// TestCostObservatoryConcurrentFolds exercises the striped accumulators
+// and lazy class creation from many goroutines at once, with committing
+// updates to the skewed document bumping its statistics epoch (and
+// invalidating its cached plans) underneath the folds; its real
+// assertions are the race detector's.
 func TestCostObservatoryConcurrentFolds(t *testing.T) {
-	db, err := Open(Options{CostCalibration: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db := openDB(t)
 	doc := loadAuction(t, db, 0.003)
-	skew := skewedDoc(t, db) // drives epoch bumps concurrently
+	skew := skewedDoc(t, db)
+	skewRoot, err := queryKeys(db, skew, "/r")
+	if err != nil || len(skewRoot) != 1 {
+		t.Fatalf("skewed root: %v %v", skewRoot, err)
+	}
 
 	want := make([]int, len(workloadExprs))
 	for i, expr := range workloadExprs {
@@ -353,6 +226,15 @@ func TestCostObservatoryConcurrentFolds(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				if (g+i)%4 == 0 {
+					// An <e/> leaves //a/b's result alone but commits a
+					// change to the document, so its epoch moves.
+					if err := db.Update(func(tx *Txn) error {
+						_, err := tx.InsertElement(skew, skewRoot[0], -1, "e")
+						return err
+					}); err != nil {
+						errs <- err
+						return
+					}
 					res, err := db.Query(skew, "//a/b")
 					if err != nil {
 						errs <- err
@@ -404,113 +286,6 @@ func TestCostObservatoryConcurrentFolds(t *testing.T) {
 	if sum != p.Observations {
 		t.Errorf("class samples sum %d != observations %d", sum, p.Observations)
 	}
-}
-
-// TestCalibrationDifferential is the on/off differential harness: over a
-// seeded random corpus, a calibrating database and a plain one must
-// return byte-identical ordered results — before and after calibration
-// has had a pass to learn factors and recompile plans.
-func TestCalibrationDifferential(t *testing.T) {
-	const seed, docs, queriesPerDoc = 9001, 6, 20
-	for d := 0; d < docs; d++ {
-		docSeed := int64(seed + d)
-		g := &diffGen{r: rand.New(rand.NewSource(docSeed))}
-		src := g.genDoc()
-		queries := make([]string, queriesPerDoc)
-		for i := range queries {
-			queries[i] = g.genQuery()
-		}
-
-		dbOff, err := Open(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dbOn, err := Open(Options{CostCalibration: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		docOff, err := dbOff.LoadXMLString("doc", src)
-		if err != nil {
-			t.Fatalf("doc seed %d: %v", docSeed, err)
-		}
-		docOn, err := dbOn.LoadXMLString("doc", src)
-		if err != nil {
-			t.Fatalf("doc seed %d: %v", docSeed, err)
-		}
-
-		// Pass 0 runs on raw estimates while calibration learns; pass 1
-		// runs against whatever corrected factors and recompiled plans
-		// pass 0 produced. Results must never move.
-		for pass := 0; pass < 2; pass++ {
-			for _, expr := range queries {
-				offServed := servedSortedKeys(t, dbOff, docOff, expr)
-				onServed := servedSortedKeys(t, dbOn, docOn, expr)
-				if !equalKeys(offServed, onServed) {
-					t.Fatalf("served results diverge (seed %d pass %d expr %q):\noff: %v\non:  %v\ndoc: %s",
-						docSeed, pass, expr, offServed, onServed, src)
-				}
-				offOrdered := orderedKeys(t, dbOff, docOff, expr)
-				onOrdered := orderedKeys(t, dbOn, docOn, expr)
-				if !equalKeys(offOrdered, onOrdered) {
-					t.Fatalf("ordered results diverge (seed %d pass %d expr %q):\noff: %v\non:  %v\ndoc: %s",
-						docSeed, pass, expr, offOrdered, onOrdered, src)
-				}
-			}
-		}
-		dbOff.Close()
-		dbOn.Close()
-	}
-}
-
-// servedSortedKeys drives expr through the serving path (feeding the
-// observatory fold) and returns its result keys sorted, since pipelined
-// emission order is plan-dependent.
-func servedSortedKeys(t *testing.T, db *DB, doc *Document, expr string) []string {
-	t.Helper()
-	res, err := db.Query(doc, expr)
-	if err != nil {
-		t.Fatalf("Query(%s): %v", expr, err)
-	}
-	var keys []string
-	for res.Next() {
-		keys = append(keys, res.Key())
-	}
-	if err := res.Err(); err != nil {
-		t.Fatalf("Query(%s) drain: %v", expr, err)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// orderedKeys returns expr's document-ordered result keys through the
-// cached optimized plan — the canonical byte-comparable stream.
-func orderedKeys(t *testing.T, db *DB, doc *Document, expr string) []string {
-	t.Helper()
-	q, err := db.Prepare(expr, WithDocument(doc))
-	if err != nil {
-		t.Fatalf("CompileCached(%s): %v", expr, err)
-	}
-	res, err := q.Run(context.Background(), doc, Ordered())
-	if err != nil {
-		t.Fatalf("Run(%s): %v", expr, err)
-	}
-	keys, err := res.Keys()
-	if err != nil {
-		t.Fatalf("Run(%s) drain: %v", expr, err)
-	}
-	return keys
-}
-
-func equalKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestCostObservatoryClassesParity pins the observatory's q-error classes

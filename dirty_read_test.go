@@ -19,10 +19,10 @@ func queryKeys(db *DB, doc *Document, expr string) ([]string, error) {
 
 // TestNoDirtyReadsDuringTransaction is the regression test for the
 // DESIGN §13 limitation: direct Document reads (CountName, Stats, Node,
-// StringValue, WriteXML, queries) issued while a DB.Update is open used
-// to hit the live trees and observe the transaction's buffered writes.
-// They must observe the last committed state instead, from the very
-// first transaction on.
+// StringValue, WriteXML, queries, ExplainAnalyze) issued while a
+// DB.Update is open used to hit the live trees and observe the
+// transaction's buffered writes. They must observe the last committed
+// state instead, from the very first transaction on.
 func TestNoDirtyReadsDuringTransaction(t *testing.T) {
 	db := openDB(t)
 	doc, err := db.LoadXMLString("d", `<lib><book><title>Committed</title></book></lib>`)
@@ -36,6 +36,11 @@ func TestNoDirtyReadsDuringTransaction(t *testing.T) {
 	}
 	if len(keys) != 1 {
 		t.Fatalf("setup: %d books", len(keys))
+	}
+
+	book, err := db.Prepare("//book", WithDocument(doc))
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// First-ever transaction: no commit has installed a shared snapshot
@@ -82,6 +87,9 @@ func TestNoDirtyReadsDuringTransaction(t *testing.T) {
 		}
 		if got, err := queryKeys(db, doc, "//book"); err != nil || len(got) != 1 {
 			t.Errorf("mid-txn query //book = %d keys, %v; want 1", len(got), err)
+		}
+		if an, err := book.ExplainAnalyze(doc); err != nil || !strings.Contains(an, "act OUT=1\n") {
+			t.Errorf("mid-txn ExplainAnalyze(//book) = %v; want act OUT=1 (dirty read):\n%s", err, an)
 		}
 		return nil
 	}); err != nil {

@@ -20,16 +20,20 @@ type Analysis struct {
 	Stats   []exec.OpStats
 }
 
-// Analyze estimates the plan for doc, executes it to completion, and
-// returns the estimates and the actual per-operator counters side by
-// side — the machinery behind ExplainAnalyze, exposed structurally so
-// tests and tools can assert on the numbers instead of parsing text.
-func (q *Query) Analyze(doc mass.DocID) (*Analysis, error) {
-	p, err := q.Estimate(doc)
+// Analyze estimates the plan for doc in store st (nil: the live store),
+// executes it there to completion, and returns the estimates and the
+// actual per-operator counters side by side — the machinery behind
+// ExplainAnalyze, exposed structurally so tests and tools can assert on
+// the numbers instead of parsing text.
+func (q *Query) Analyze(st *mass.Store, doc mass.DocID) (*Analysis, error) {
+	p, err := q.Estimate(st, doc)
 	if err != nil {
 		return nil, err
 	}
-	it, err := exec.Run(p, exec.Context{Store: q.engine.live.store, Doc: doc})
+	if st == nil {
+		st = q.engine.live.store
+	}
+	it, err := exec.Run(p, exec.Context{Store: st, Doc: doc})
 	if err != nil {
 		return nil, err
 	}

@@ -65,12 +65,6 @@ type Options struct {
 	// 1 degenerates to tuple-at-a-time execution. Exposed mainly for the
 	// vbench batch sweep and the differential harness.
 	ExecBatch int
-	// CostCalibration enables the observatory's feedback loop: learned
-	// per-class correction factors are applied inside cost estimation,
-	// cached plans are invalidated when a factor drifts, and the
-	// plan-regression sentinel tracks decision changes. Results are
-	// never affected — only plan choice.
-	CostCalibration bool
 }
 
 // Engine is a VAMANA instance: one MASS store plus the query pipeline.
@@ -133,7 +127,7 @@ func Open(opts Options) (*Engine, error) {
 	e := &Engine{
 		live:      view{store: s, probes: cost.NewMemoProbes(s)},
 		execBatch: opts.ExecBatch,
-		cost:      newCostObservatory(s, opts.CostCalibration),
+		cost:      newCostObservatory(),
 	}
 	if opts.PlanCacheSize >= 0 {
 		e.live.plans = newPlanCache(opts.PlanCacheSize)
@@ -216,12 +210,10 @@ func (e *Engine) compileOptimizedOn(v *view, doc mass.DocID, expr string) (*Quer
 	if err != nil {
 		return nil, err
 	}
-	defPlan := q.plan
 	o := &opt.Optimizer{
-		Store:     v.store,
-		Doc:       doc,
-		Probes:    v.probes,
-		Calibrate: e.calibrateFn(),
+		Store:  v.store,
+		Doc:    doc,
+		Probes: v.probes,
 		Trace: func(format string, args ...any) {
 			q.trace = append(q.trace, fmt.Sprintf(format, args...))
 		},
@@ -232,18 +224,6 @@ func (e *Engine) compileOptimizedOn(v *view, doc mass.DocID, expr string) (*Quer
 	}
 	q.plan = optPlan
 	q.optimized = true
-	// Plan-regression sentinel: once calibration has learned a real
-	// correction, also optimize under raw costs and count compiles where
-	// the two cost models rank different plans cheapest. Compile misses
-	// are rare enough that the second optimization (probe-memoized) is
-	// in the noise.
-	if e.cost.calibrating && e.cost.calibrationActive() {
-		raw := &opt.Optimizer{Store: v.store, Doc: doc, Probes: v.probes}
-		if rawPlan, rerr := raw.Optimize(defPlan); rerr == nil && planShape(rawPlan) != planShape(optPlan) {
-			e.cost.regressions.Add(1)
-			obs.CostPlanRegressions.Inc()
-		}
-	}
 	return q, nil
 }
 
@@ -413,7 +393,7 @@ func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 	// Fold the run's actual per-step cardinalities against the plan's
 	// estimates — every query feeds the cost observatory, not only the
 	// sampled ones. Allocation-free on the steady path.
-	worstOp, worstQ := e.cost.fold(it, it.Doc(), expr)
+	worstOp, worstQ := e.cost.fold(it, expr)
 	slow := e.slowAt > 0 && total >= e.slowAt
 	traced := tc != nil && tc.traced
 	if !slow && !traced {
@@ -457,17 +437,8 @@ func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 	}
 }
 
-// calibrateFn returns the cost-correction hook for this engine's
-// estimations: nil unless Options.CostCalibration is on.
-func (e *Engine) calibrateFn() func(*plan.Step, uint64) uint64 {
-	if e.cost.calibrating {
-		return e.cost.calibrateStep
-	}
-	return nil
-}
-
 // CostProfile snapshots the cost-model observatory: per-operator-class
-// q-error profiles, worst offenders, and calibration state.
+// q-error profiles and worst offenders.
 func (e *Engine) CostProfile() CostProfile { return e.cost.Profile() }
 
 // CacheStats reports plan-cache and statistics-memo counters.
@@ -544,22 +515,29 @@ func (q *Query) Plan() *plan.Plan { return q.plan }
 func (q *Query) Trace() []string { return q.trace }
 
 // Estimate annotates a copy of the plan with cost information for doc
-// without executing it, and returns the annotated copy. The query's own
-// plan is never written after compilation — a Query is immutable and safe
-// for concurrent use by any number of goroutines (which is what lets the
-// engine's plan cache share one Query across a serving fleet).
-func (q *Query) Estimate(doc mass.DocID) (*plan.Plan, error) {
+// in store st (nil selects the engine's live store, whose statistics
+// memo it shares) without executing it, and returns the annotated copy.
+// The query's own plan is never written after compilation — a Query is
+// immutable and safe for concurrent use by any number of goroutines
+// (which is what lets the engine's plan cache share one Query across a
+// serving fleet).
+func (q *Query) Estimate(st *mass.Store, doc mass.DocID) (*plan.Plan, error) {
+	var probes cost.Probes = q.engine.live.probes
+	if st != nil && st != q.engine.live.store {
+		probes = st
+	}
 	p := q.plan.Clone()
-	est := &cost.Estimator{Store: q.engine.live.probes, Doc: doc, Calibrate: q.engine.calibrateFn()}
+	est := &cost.Estimator{Store: probes, Doc: doc}
 	if err := est.Estimate(p); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Explain renders the cost-annotated plan and ordered list for doc.
-func (q *Query) Explain(doc mass.DocID) (string, error) {
-	p, err := q.Estimate(doc)
+// Explain renders the cost-annotated plan and ordered list for doc in
+// store st (nil: the live store).
+func (q *Query) Explain(st *mass.Store, doc mass.DocID) (string, error) {
+	p, err := q.Estimate(st, doc)
 	if err != nil {
 		return "", err
 	}
@@ -577,8 +555,8 @@ func (q *Query) Explain(doc mass.DocID) (string, error) {
 // are upper bounds. The annotated clone is what executes, so the
 // per-operator stats refer to operators carrying fresh estimates while
 // the shared plan stays untouched. Use Analyze for the structured form.
-func (q *Query) ExplainAnalyze(doc mass.DocID) (string, error) {
-	a, err := q.Analyze(doc)
+func (q *Query) ExplainAnalyze(st *mass.Store, doc mass.DocID) (string, error) {
+	a, err := q.Analyze(st, doc)
 	if err != nil {
 		return "", err
 	}

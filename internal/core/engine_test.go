@@ -139,7 +139,7 @@ func TestExplainAndTrace(t *testing.T) {
 	if len(q.Trace()) == 0 {
 		t.Error("no optimizer trace for a rewritable query")
 	}
-	out, err := q.Explain(d)
+	out, err := q.Explain(nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestEstimateOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := e.Compile("//x")
-	p, err := q.Estimate(d)
+	p, err := q.Estimate(nil, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,35 +189,29 @@ func TestCompileErrorsPropagate(t *testing.T) {
 // allocates nothing. Repeated folds of one run observe identical
 // q-errors, so no new maximum (the fold's only allocation) can appear.
 func TestCostFoldAllocFree(t *testing.T) {
-	for _, calibrating := range []bool{false, true} {
-		e, err := Open(Options{CostCalibration: calibrating})
+	e := openEngine(t)
+	d, err := e.LoadString("auction", xmark.GenerateString(xmark.Config{Factor: 0.002, Seed: 81}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, expr := range []string{"//person/address", "//person[profile/age]/name", "//open_auction/bidder/increase"} {
+		q, err := e.CompileOptimized(d, expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { e.Close() })
-		d, err := e.LoadString("auction", xmark.GenerateString(xmark.Config{Factor: 0.002, Seed: 81}))
+		it, err := run(q, d, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, expr := range []string{"//person/address", "//person[profile/age]/name", "//open_auction/bidder/increase"} {
-			q, err := e.CompileOptimized(d, expr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			it, err := run(q, d, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := it.Collect(); err != nil {
-				t.Fatal(err)
-			}
-			if op, _ := e.cost.fold(it, d, expr); op == nil {
-				t.Fatalf("%s: fold observed no cost-annotated step", expr)
-			}
-			if n := testing.AllocsPerRun(100, func() { e.cost.fold(it, d, expr) }); n != 0 {
-				t.Errorf("%s (calibration %v): fold allocates %.1f times per query", expr, calibrating, n)
-			}
-			it.Close()
+		if _, err := it.Collect(); err != nil {
+			t.Fatal(err)
 		}
+		if op, _ := e.cost.fold(it, expr); op == nil {
+			t.Fatalf("%s: fold observed no cost-annotated step", expr)
+		}
+		if n := testing.AllocsPerRun(100, func() { e.cost.fold(it, expr) }); n != 0 {
+			t.Errorf("%s: fold allocates %.1f times per query", expr, n)
+		}
+		it.Close()
 	}
 }

@@ -45,13 +45,6 @@ type Estimator struct {
 	// Probes counts index statistics probes issued, exposing how cheap
 	// costing is (reported by the optimization-overhead experiment).
 	Probes int
-	// Calibrate, when non-nil, maps a step's Table I OUT bound to a
-	// corrected estimate (the cost observatory's learned per-class
-	// multiplicative factors). The uncorrected bound is preserved in
-	// Cost.RawOut so the feedback loop never learns from its own output.
-	// Corrections only ever shrink the bound — OUT stays an upper bound
-	// direction-wise, just a tighter one.
-	Calibrate func(s *plan.Step, out uint64) uint64
 }
 
 // Estimate walks the plan bottom-up (leaf operators first, propagating
@@ -65,7 +58,7 @@ func (e *Estimator) Estimate(p *plan.Plan) error {
 	if err != nil {
 		return err
 	}
-	root.Cost = plan.Cost{In: out, Out: out, RawOut: out, Done: true}
+	root.Cost = plan.Cost{In: out, Out: out, Done: true}
 	e.scaleSelectivity(p)
 	return nil
 }
@@ -96,7 +89,7 @@ func (e *Estimator) visitContext(op plan.Op, in uint64, hasIn bool) (uint64, err
 		if err != nil {
 			return 0, err
 		}
-		t.Cost = plan.Cost{In: l + r, Out: l + r, RawOut: l + r, Sel: 1, Done: true}
+		t.Cost = plan.Cost{In: l + r, Out: l + r, Sel: 1, Done: true}
 		return l + r, nil
 	default:
 		return 0, fmt.Errorf("cost: %T cannot appear on a context path", op)
@@ -126,11 +119,7 @@ func (e *Estimator) visitStep(s *plan.Step, in uint64, hasIn bool) (uint64, erro
 			return 0, err
 		}
 	}
-	raw := out
-	if e.Calibrate != nil {
-		out = e.Calibrate(s, out)
-	}
-	s.Cost = plan.Cost{Count: count, In: in, Out: out, RawOut: raw, Sel: rawSelectivity(in, out), Done: true}
+	s.Cost = plan.Cost{Count: count, In: in, Out: out, Sel: rawSelectivity(in, out), Done: true}
 	return out, nil
 }
 
@@ -189,12 +178,12 @@ func (e *Estimator) visitPred(op plan.Op, in uint64) (uint64, error) {
 			return 0, err
 		}
 		// Case 6: no reduction is assumed for a bare exists filter.
-		t.Cost = plan.Cost{In: in, Out: in, RawOut: in, Sel: 1, Done: true}
+		t.Cost = plan.Cost{In: in, Out: in, Sel: 1, Done: true}
 		return in, nil
 	case *plan.BinaryPred:
 		return e.visitBinaryPred(t, in)
 	case *plan.ExprPred:
-		t.Cost = plan.Cost{In: in, Out: in, RawOut: in, Sel: 1, Done: true}
+		t.Cost = plan.Cost{In: in, Out: in, Sel: 1, Done: true}
 		return in, nil
 	default:
 		return 0, fmt.Errorf("cost: %T is not a predicate operator", op)
@@ -217,7 +206,7 @@ func (e *Estimator) visitBinaryPred(b *plan.BinaryPred, in uint64) (uint64, erro
 			// Both filters apply; the tighter bound wins.
 			out = min64(l, r)
 		}
-		b.Cost = plan.Cost{In: in, Out: out, RawOut: out, Sel: rawSelectivity(in, out), Done: true}
+		b.Cost = plan.Cost{In: in, Out: out, Sel: rawSelectivity(in, out), Done: true}
 		return out, nil
 	default:
 		// Comparison: estimate both sides; a value-based equivalence
@@ -245,7 +234,6 @@ func (e *Estimator) visitBinaryPred(b *plan.BinaryPred, in uint64) (uint64, erro
 					return 0, err
 				}
 				t.Cost.Out = t.Cost.TC
-				t.Cost.RawOut = t.Cost.TC
 				t.Cost.Done = true
 				if b.Cond == plan.CondEQ && !t.Numeric && pathKind != sideOther {
 					vc, hasVC = t.Cost.TC, true
@@ -260,7 +248,7 @@ func (e *Estimator) visitBinaryPred(b *plan.BinaryPred, in uint64) (uint64, erro
 		if hasVC {
 			out = min64(in, vc)
 		}
-		b.Cost = plan.Cost{In: in, Out: out, RawOut: out, TC: vc, Sel: rawSelectivity(in, out), Done: true}
+		b.Cost = plan.Cost{In: in, Out: out, TC: vc, Sel: rawSelectivity(in, out), Done: true}
 		return out, nil
 	}
 }

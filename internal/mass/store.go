@@ -82,12 +82,12 @@ type Store struct {
 	// an open transaction — and drives the publish short-circuit.
 	// commitGen counts changes to the *committed* state only:
 	// transaction commits advance it, and so do the changes made outside
-	// a transaction — document loads and drops, and calibration epoch
-	// bumps; buffered transaction writes do not (inTxn, guarded by mu,
-	// tells the two apart). Lock-free reads of commitGen let DB.Query
-	// test whether a shared snapshot still equals the latest committed
-	// version — during an open transaction it does, however many writes
-	// the transaction has buffered. publishedGen/pubValid record the generation whose
+	// a transaction — document loads and drops; buffered transaction
+	// writes do not (inTxn, guarded by mu, tells the two apart).
+	// Lock-free reads of commitGen let DB.Query test whether a shared
+	// snapshot still equals the latest committed version — during an
+	// open transaction it does, however many writes the transaction has
+	// buffered. publishedGen/pubValid record the generation whose
 	// state was last published to the pager's committed layer.
 	// cachePages remembers the configured cache budget so snapshot
 	// stores and post-rollback reloads size their node caches
@@ -549,9 +549,8 @@ func (s *Store) Epoch(d DocID) uint64 {
 // mutation. Called with mu held, including on failed partial mutations —
 // a spurious bump only costs one redundant recomputation. It also
 // advances the store generation, and — outside a transaction (a document
-// load or drop, or a calibration bump), where the change reaches
-// committed state immediately — the commit generation, which marks any
-// shared auto-snapshot stale. Buffered transaction writes leave
+// load or drop), where the change reaches committed state immediately —
+// the commit generation, which marks any shared auto-snapshot stale. Buffered transaction writes leave
 // commitGen alone: the latest committed version is unchanged until
 // Commit, which advances it once for the whole batch.
 func (s *Store) bumpEpochLocked(d DocID) {
@@ -569,20 +568,9 @@ func (s *Store) Gen() uint64 { return s.gen.Load() }
 
 // CommitGen returns the store's commit generation: it advances exactly
 // when the committed state changes (transaction commits, document loads
-// and drops, calibration epoch bumps). Lock-free, so the serving path can
+// and drops). Lock-free, so the serving path can
 // test a shared snapshot's freshness with one atomic load.
 func (s *Store) CommitGen() uint64 { return s.commitGen.Load() }
-
-// BumpEpoch advances the document's statistics epoch without a data
-// mutation, dropping cached plans and memoized probes derived from it.
-// The cost-calibration feedback loop calls this when a correction factor
-// drifts far enough that plans costed under the old factor should be
-// re-optimized on their next lookup.
-func (s *Store) BumpEpoch(d DocID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bumpEpochLocked(d)
-}
 
 // DocID resolves a document name.
 func (s *Store) DocID(name string) (DocID, bool) {

@@ -27,18 +27,13 @@ var (
 	TracesSampled = NewCounter("vamana_traces_sampled_total",
 		"Queries sampled for span recording by the 1-in-N trace sampler.")
 
-	// Cost-model observatory: est-vs-act cardinality accuracy and the
-	// calibration feedback loop. Per-class q-error profiles are
-	// per-engine (core.Engine.CostProfile); these are the process-wide
-	// roll-ups.
+	// Cost-model observatory: est-vs-act cardinality accuracy. Per-class
+	// q-error profiles are per-engine (core.Engine.CostProfile); these
+	// are the process-wide roll-ups.
 	CostObservations = NewCounter("vamana_cost_observations_total",
 		"Per-operator estimated-vs-actual cardinality pairs folded into q-error profiles.")
 	CostUnderestimates = NewCounter("vamana_cost_underestimates_total",
 		"Observations where the actual cardinality exceeded the estimate (upper-bound miss).")
-	CostCalibrationBumps = NewCounter("vamana_cost_calibration_epoch_bumps_total",
-		"Statistics-epoch bumps triggered by calibration-factor drift.")
-	CostPlanRegressions = NewCounter("vamana_cost_plan_regressions_total",
-		"Compiles where calibrated costs ranked a different plan cheapest than raw costs.")
 
 	// Serving daemon (internal/serve): admission-control outcomes and
 	// instantaneous load. Rejections are split by reason so an operator

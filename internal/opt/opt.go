@@ -38,10 +38,6 @@ type Optimizer struct {
 	// Trace, when non-nil, receives a line per optimization decision —
 	// surfaced by the engine's EXPLAIN facility.
 	Trace func(format string, args ...any)
-	// Calibrate is threaded into the cost estimator (see
-	// cost.Estimator.Calibrate) so rewrite acceptance ranks candidates
-	// under the same corrected estimates the serving path reports on.
-	Calibrate func(s *plan.Step, out uint64) uint64
 }
 
 const defaultMaxIterations = 16
@@ -62,7 +58,7 @@ func (o *Optimizer) Optimize(p *plan.Plan) (*plan.Plan, error) {
 	if probes == nil {
 		probes = o.Store
 	}
-	est := &cost.Estimator{Store: probes, Doc: o.Doc, Calibrate: o.Calibrate}
+	est := &cost.Estimator{Store: probes, Doc: o.Doc}
 
 	Cleanup(q)
 	for iter := 0; iter < maxIter; iter++ {
@@ -106,9 +102,9 @@ func (o *Optimizer) applyOne(q *plan.Plan, rules []Rule, est *cost.Estimator) (b
 			if !ok {
 				continue
 			}
-			// Tag the rewritten subtree with the rule's name before
-			// costing, so calibration factors keyed on provenance apply to
-			// the candidate the same way they will to the committed plan.
+			// Tag the rewritten subtree with the rule's name: the cost
+			// observatory keys its q-error classes on Prov, so a
+			// committed plan's steps name the rule that produced them.
 			// Rejected candidates are discarded, so stamping is free.
 			stampProvenance(candidate, r.Name)
 			// Dynamic costing of the transformed subtree only — "this is

@@ -22,16 +22,12 @@ import (
 // Cost is the estimator's annotation on an operator (paper §VI-B):
 // COUNT(op), TC(op), IN(op), OUT(op) and the scaled selectivity ratio δ.
 type Cost struct {
-	Count uint64 // nodes satisfying the node test in the index
-	TC    uint64 // text count (literal operators)
-	In    uint64 // max tuples received from the context child
-	Out   uint64 // max tuples produced
-	// RawOut is Out before any calibration correction was applied; the
-	// observatory learns correction factors against it so feedback never
-	// compounds on its own output. Equal to Out when calibration is off.
-	RawOut uint64
-	Sel    float64 // selectivity ratio δ scaled to [0,1]
-	Done   bool    // set once the estimator has visited the operator
+	Count uint64  // nodes satisfying the node test in the index
+	TC    uint64  // text count (literal operators)
+	In    uint64  // max tuples received from the context child
+	Out   uint64  // max tuples produced
+	Sel   float64 // selectivity ratio δ scaled to [0,1]
+	Done  bool    // set once the estimator has visited the operator
 }
 
 // Base carries the identity and cost annotation every operator shares.

@@ -84,18 +84,19 @@ echo "== batch throughput gate (batched vs tuple-at-a-time scan drains, 1.5x flo
 VAMANA_BATCH_GATE=1 go test -run '^TestBatchThroughputGate$' -v -count 1 -timeout 20m .
 
 echo "== cost-observatory tests under the race detector"
-# Concurrent accumulator folds, calibration EWMA CASes, epoch-bump
-# invalidation, the on/off differential harness, and concurrent slow
-# queries sharing one unlocked slow-query log writer — the observatory's
-# correctness battery, run with -race on top of the plain ./... pass.
-go test -race -run 'TestCostObservatory|TestCostCalibration|TestCalibrationDifferential|TestSlowQueryWorstOp|TestSlowQueryLogConcurrent' -count 1 .
+# Concurrent accumulator folds racing committed-update epoch
+# invalidation, and concurrent slow queries sharing one unlocked
+# slow-query log writer — the observatory's correctness battery, run
+# with -race on top of the plain ./... pass.
+go test -race -run 'TestCostObservatory|TestSlowQueryWorstOp|TestSlowQueryLogConcurrent' -count 1 .
 
 echo "== snapshot/transaction tests under the race detector"
 # Snapshot isolation, transaction atomicity, typed busy/read-only
-# errors, and the mixed-workload battery (readers on pinned snapshots
-# racing a committing writer, streams byte-identical to committed
-# states) — see snapshot_test.go.
-go test -race -run 'TestSnapshotIsolation|TestSnapshotReadOnlyPublic|TestUpdateTxnPublic|TestDropBusyPublic|TestPrepareRunEquivalence|TestMixedReadWriteRace' -count 1 .
+# errors, Explain/ExplainAnalyze reading the pinned version, and the
+# mixed-workload battery (readers on pinned snapshots racing a
+# committing writer, streams byte-identical to committed states) — see
+# snapshot_test.go.
+go test -race -run 'TestSnapshotIsolation|TestSnapshotReadOnlyPublic|TestSnapshotExplainAnalyze|TestUpdateTxnPublic|TestDropBusyPublic|TestPrepareRunEquivalence|TestMixedReadWriteRace' -count 1 .
 
 echo "== server battery under the race detector"
 # Admission state machine on the wire, concurrent tenants vs a

@@ -143,14 +143,13 @@ func (db *DB) acquireShared() *core.Snapshot {
 		return nil
 	}
 	if sn.Gen() < db.engine.Store().CommitGen() {
-		// Stale — a document load, drop or calibration epoch bump changed
-		// committed state outside a transaction. (Writes buffered inside
-		// an open Update do not advance CommitGen, so the snapshot keeps
-		// serving the latest committed state throughout a transaction,
-		// and commits install their replacement before the generation
-		// moves.) Uninstall so its pinned pages reclaim; queries fall
-		// back to direct reads until the next Update installs a fresh
-		// one.
+		// Stale — a document load or drop changed committed state
+		// outside a transaction. (Writes buffered inside an open Update
+		// do not advance CommitGen, so the snapshot keeps serving the
+		// latest committed state throughout a transaction, and commits
+		// install their replacement before the generation moves.)
+		// Uninstall so its pinned pages reclaim; queries fall back to
+		// direct reads until the next Update installs a fresh one.
 		if db.shared.CompareAndSwap(sn, nil) {
 			sn.Close()
 		}

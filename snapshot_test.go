@@ -142,6 +142,65 @@ func TestSnapshotReadOnlyPublic(t *testing.T) {
 	}
 }
 
+// TestSnapshotExplainAnalyze: Explain and ExplainAnalyze on a
+// snapshot-bound handle estimate and execute against the pinned
+// version, as Run does, and refuse a closed snapshot.
+func TestSnapshotExplainAnalyze(t *testing.T) {
+	db := openDB(t)
+	doc, err := db.LoadXMLString("d", `<lib><book/></lib>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdoc, err := sn.Document("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustUpdate(t, db, func(tx *Txn) error {
+		_, err := tx.InsertElement(doc, "a.b", -1, "book")
+		return err
+	})
+	q, err := db.Prepare("//book", WithDocument(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := q.Run(context.Background(), sdoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := res.Keys(); err != nil || len(keys) != 1 {
+		t.Fatalf("Run on snapshot = %d keys, %v; want 1", len(keys), err)
+	}
+	ex, err := q.Explain(sdoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ex, "OUT=1") || strings.Contains(ex, "OUT=2") {
+		t.Errorf("Explain on snapshot estimated against another version:\n%s", ex)
+	}
+	an, err := q.ExplainAnalyze(sdoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(an, "results: 1\n") || !strings.Contains(an, "act OUT=1\n") || strings.Contains(an, "OUT=2") {
+		t.Errorf("ExplainAnalyze on snapshot read another version:\n%s", an)
+	}
+	// The live handle sees the committed second book.
+	if an, err := q.ExplainAnalyze(doc); err != nil || !strings.Contains(an, "act OUT=2\n") {
+		t.Errorf("ExplainAnalyze on live handle = %v:\n%s", err, an)
+	}
+	sn.Close()
+	if _, err := q.Explain(sdoc); !errors.Is(err, ErrSnapshotClosed) {
+		t.Errorf("Explain on closed snapshot: %v", err)
+	}
+	if _, err := q.ExplainAnalyze(sdoc); !errors.Is(err, ErrSnapshotClosed) {
+		t.Errorf("ExplainAnalyze on closed snapshot: %v", err)
+	}
+}
+
 // TestUpdateTxnPublic: DB.Update commits atomically, rolls back on
 // error, and the Txn is dead once the function returns.
 func TestUpdateTxnPublic(t *testing.T) {

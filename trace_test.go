@@ -93,7 +93,7 @@ func TestSpanTreeInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d compile: %v", i+1, err)
 		}
-		p, err := q.q.Estimate(doc.id)
+		p, err := q.q.Estimate(nil, doc.id)
 		if err != nil {
 			t.Fatalf("Q%d estimate: %v", i+1, err)
 		}

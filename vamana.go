@@ -108,13 +108,6 @@ type Options struct {
 	// exists for benchmarking the batch sweep and for differential
 	// testing, not for tuning production workloads.
 	ExecBatchSize int
-	// CostCalibration enables the observatory's feedback loop: each
-	// operator class's observed estimation error feeds an EWMA
-	// correction factor that the cost estimator applies on subsequent
-	// compiles, and cached plans are invalidated when a factor drifts.
-	// Query results are never affected — calibration can only change
-	// which equivalent plan runs. Off by default.
-	CostCalibration bool
 }
 
 // QueryTrace is the one record of a query or served request: compile-
@@ -162,8 +155,7 @@ type DB struct {
 	defaults Limits
 	// shared is the auto-snapshot read path's current snapshot: installed
 	// by DB.Update, served (refcounted) by DB.Query while fresh, and
-	// dropped when a document load, drop or calibration epoch bump makes
-	// it stale. Nil until the first Update — queries then read the live
+	// dropped when a document load or drop makes it stale. Nil until the first Update — queries then read the live
 	// store directly, which is equivalent while nothing is being batched.
 	shared atomic.Pointer[core.Snapshot]
 }
@@ -181,7 +173,6 @@ func Open(opts Options) (*DB, error) {
 		TraceSink:          opts.TraceSink,
 		FlightRecorderSize: opts.FlightRecorderSize,
 		ExecBatch:          opts.ExecBatchSize,
-		CostCalibration:    opts.CostCalibration,
 	})
 	if err != nil {
 		return nil, err
@@ -433,8 +424,7 @@ func (db *DB) RecordTrace(t *QueryTrace) { db.engine.RecordTrace(t) }
 func (db *DB) WriteMetrics(w io.Writer) error { return db.engine.WriteMetrics(w) }
 
 // CostProfile is a snapshot of the cost-model observatory: q-error
-// accuracy profiles per operator class, worst offenders, and
-// calibration state.
+// accuracy profiles per operator class and worst offenders.
 type CostProfile = core.CostProfile
 
 // CostClassProfile summarizes one operator class (axis × rewrite-rule
@@ -465,15 +455,28 @@ func (q *Query) Optimized() bool { return q.q.Optimized() }
 
 // Explain renders the cost-annotated physical plan, the ordered operator
 // list L(P), and (for optimized queries) the rewrite decisions taken.
+// Estimates come from the version the handle doc reads: a snapshot
+// handle's pinned version, otherwise the last committed one.
 func (q *Query) Explain(doc *Document) (string, error) {
-	return q.q.Explain(doc.id)
+	if doc.snap != nil && doc.snap.closed.Load() {
+		return "", ErrSnapshotClosed
+	}
+	s, release := doc.readStore()
+	defer release()
+	return q.q.Explain(s, doc.id)
 }
 
 // ExplainAnalyze estimates, executes, and renders the plan with estimated
 // bounds next to the actual per-operator tuple counts observed during
-// execution.
+// execution. It estimates and executes against the version Explain
+// reads.
 func (q *Query) ExplainAnalyze(doc *Document) (string, error) {
-	return q.q.ExplainAnalyze(doc.id)
+	if doc.snap != nil && doc.snap.closed.Load() {
+		return "", ErrSnapshotClosed
+	}
+	s, release := doc.readStore()
+	defer release()
+	return q.q.ExplainAnalyze(s, doc.id)
 }
 
 // Run executes the query against doc. By default results stream from
