@@ -13,7 +13,8 @@ var raceEnabled bool
 
 // TestFeatureAllocPins is the deterministic half of the engine's
 // overhead budgets: a feature that every warm query passes through must
-// add no allocations to the cache-hit path. How much time a feature
+// add no allocations to the cache-hit path, and a warm prepared Query.Run
+// allocates exactly what a warm cache-hit DB.Query does. How much time a feature
 // costs is the benchmark's to report (benchmark/, paired against the
 // parent commit); an allocation count is exact, so it is pinned here.
 // The cost observatory's fold has its own pin in internal/core
@@ -46,6 +47,12 @@ func TestFeatureAllocPins(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	governed := []QueryOption{WithMaxResults(1 << 40), WithMaxPagesRead(1 << 40), WithMaxDecodedRecords(1 << 40)}
+	// A prepared run enters the query path after the compile: it must
+	// count as the cache hit it is, or it would carry a trace record.
+	prepared, err := plainDB.Prepare(expr, WithDocument(plainDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, c := range []struct {
 		name string
@@ -54,11 +61,12 @@ func TestFeatureAllocPins(t *testing.T) {
 		{"unsampled tracing", func() (*Results, error) { return unsampledDB.Query(unsampledDoc, expr) }},
 		{"unmet slow threshold", func() (*Results, error) { return slowDB.Query(slowDoc, expr) }},
 		{"governed query", func() (*Results, error) { return plainDB.QueryContext(ctx, plainDoc, expr, governed...) }},
+		{"prepared Run", func() (*Results, error) { return prepared.Run(ctx, plainDoc) }},
 	} {
 		base, with := queryAllocs(t, plain), queryAllocs(t, c.run)
 		t.Logf("%s: %.1f allocs/query, plain %.1f", c.name, with, base)
-		if with > base {
-			t.Errorf("%s allocates on the warm cache-hit path: %.1f > %.1f allocs/query", c.name, with, base)
+		if with != base {
+			t.Errorf("%s allocates %.1f/query on the warm path, a plain cache-hit DB.Query %.1f", c.name, with, base)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package vamana
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -19,8 +20,8 @@ func queryKeys(db *DB, doc *Document, expr string) ([]string, error) {
 
 // TestNoDirtyReadsDuringTransaction is the regression test for the
 // DESIGN §13 limitation: direct Document reads (CountName, Stats, Node,
-// StringValue, WriteXML, queries, ExplainAnalyze) issued while a
-// DB.Update is open used to hit the live trees and observe the
+// StringValue, WriteXML, queries, prepared runs, ExplainAnalyze) issued
+// while a DB.Update is open used to hit the live trees and observe the
 // transaction's buffered writes. They must observe the last committed
 // state instead, from the very first transaction on.
 func TestNoDirtyReadsDuringTransaction(t *testing.T) {
@@ -87,6 +88,11 @@ func TestNoDirtyReadsDuringTransaction(t *testing.T) {
 		}
 		if got, err := queryKeys(db, doc, "//book"); err != nil || len(got) != 1 {
 			t.Errorf("mid-txn query //book = %d keys, %v; want 1", len(got), err)
+		}
+		if res, err := book.Run(context.Background(), doc); err != nil {
+			t.Errorf("mid-txn Query.Run: %v", err)
+		} else if got, err := res.Keys(); err != nil || len(got) != 1 {
+			t.Errorf("mid-txn Query.Run //book = %d keys, %v; want 1 (dirty read)", len(got), err)
 		}
 		if an, err := book.ExplainAnalyze(doc); err != nil || !strings.Contains(an, "act OUT=1\n") {
 			t.Errorf("mid-txn ExplainAnalyze(//book) = %v; want act OUT=1 (dirty read):\n%s", err, an)

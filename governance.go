@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"vamana/internal/core"
 	"vamana/internal/govern"
 	"vamana/internal/xpath"
 )
@@ -54,20 +55,13 @@ type Limits = govern.Limits
 // Options.DefaultLimits (per-query settings win field by field).
 type QueryOption func(*queryConfig)
 
-type queryConfig struct {
-	limits  Limits
-	ordered bool
-	// start/vars are the run's initial context node and variable
-	// bindings; fromSet records that From was supplied (distinguishing
-	// an explicit empty key from the default document root).
-	start   string
-	vars    map[string][]string
-	fromSet bool
-}
+// queryConfig is one run's resolved parameters, handed to the engine
+// as they are.
+type queryConfig = core.RunArgs
 
 // config resolves the DB's default limits plus per-query options.
 func (db *DB) config(opts []QueryOption) queryConfig {
-	cfg := queryConfig{limits: db.defaults}
+	cfg := queryConfig{Limits: db.defaults}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -77,32 +71,32 @@ func (db *DB) config(opts []QueryOption) queryConfig {
 // WithTimeout bounds the query's wall-clock time. It composes with any
 // context deadline — the earlier one wins.
 func WithTimeout(d time.Duration) QueryOption {
-	return func(c *queryConfig) { c.limits.Timeout = d }
+	return func(c *queryConfig) { c.Limits.Timeout = d }
 }
 
 // WithMaxResults bounds the number of results delivered: exactly n
 // results can stream out, and materializing the (n+1)th fails the query
 // with a *BudgetError.
 func WithMaxResults(n uint64) QueryOption {
-	return func(c *queryConfig) { c.limits.MaxResults = n }
+	return func(c *queryConfig) { c.Limits.MaxResults = n }
 }
 
 // WithMaxPagesRead bounds the number of index pages the query may read
 // from the pager (node-cache hits are free).
 func WithMaxPagesRead(n uint64) QueryOption {
-	return func(c *queryConfig) { c.limits.MaxPagesRead = n }
+	return func(c *queryConfig) { c.Limits.MaxPagesRead = n }
 }
 
 // WithMaxDecodedRecords bounds the number of clustered-index records the
 // query may decode.
 func WithMaxDecodedRecords(n uint64) QueryOption {
-	return func(c *queryConfig) { c.limits.MaxDecodedRecords = n }
+	return func(c *queryConfig) { c.Limits.MaxDecodedRecords = n }
 }
 
 // WithLimits replaces the whole budget set for this query, including the
 // database defaults (zero fields mean unlimited, not "inherit").
 func WithLimits(l Limits) QueryOption {
-	return func(c *queryConfig) { c.limits = l }
+	return func(c *queryConfig) { c.Limits = l }
 }
 
 // Ordered delivers the run's results in document order. The result set
@@ -111,14 +105,15 @@ func WithLimits(l Limits) QueryOption {
 // delivery matters more than ordering (reverse axes otherwise stream in
 // axis order).
 func Ordered() QueryOption {
-	return func(c *queryConfig) { c.ordered = true }
+	return func(c *queryConfig) { c.Ordered = true }
 }
 
 // From starts the run at an explicit initial context node — a FLEX key
 // previously obtained from a result — instead of the document root, with
 // optional variable bindings for $name references (nil for none).
 func From(startKey string, vars map[string][]string) QueryOption {
-	return func(c *queryConfig) { c.start = startKey; c.vars = vars; c.fromSet = true }
+	start, v := flexKey(startKey), flexVars(vars)
+	return func(c *queryConfig) { c.Start, c.Vars = start, v }
 }
 
 // QueryContext is Query under governance: the run observes ctx's
@@ -133,32 +128,13 @@ func From(startKey string, vars map[string][]string) QueryOption {
 // streamed results remain valid, and its resources (executor state,
 // index cursors) are released.
 func (db *DB) QueryContext(ctx context.Context, doc *Document, expr string, opts ...QueryOption) (*Results, error) {
-	cfg := db.config(opts)
-	// A snapshot-bound handle always queries its snapshot's pinned
-	// version.
-	if doc.snap != nil {
-		if doc.snap.closed.Load() {
-			return nil, ErrSnapshotClosed
-		}
-		return doc.snap.queryContext(ctx, doc, expr, cfg)
-	}
-	// Auto-snapshot: serve from the shared snapshot when one is fresh,
-	// so a long result stream never observes a concurrent writer
-	// mid-flight. The temporary reference covers query startup; from
-	// then on the iterator holds its own pin until it finishes.
-	if sn := db.acquireShared(); sn != nil {
-		it, err := sn.QueryContext(ctx, doc.id, expr, cfg.limits)
-		sn.Unref()
-		if err != nil {
-			return nil, err
-		}
-		return &Results{doc: doc, it: it}, nil
-	}
-	it, err := db.engine.QueryContext(ctx, doc.id, expr, cfg.limits)
+	v, err := doc.read()
 	if err != nil {
 		return nil, err
 	}
-	return &Results{doc: doc, it: it}, nil
+	it, err := db.engine.Query(ctx, v.sn, doc.id, expr, db.config(opts))
+	v.release()
+	return newResults(doc, it, err)
 }
 
 // wrapNoDoc translates the storage layer's unknown-document error into

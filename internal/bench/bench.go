@@ -16,7 +16,6 @@ import (
 	"vamana/internal/baseline/galax"
 	"vamana/internal/baseline/pathjoin"
 	"vamana/internal/core"
-	"vamana/internal/govern"
 	"vamana/internal/mass"
 	"vamana/internal/xmark"
 )
@@ -219,7 +218,7 @@ func (f *Fixture) Run(e Engine, q Query) Result {
 
 func (f *Fixture) timeVamana(cq *core.Query) (int, time.Duration, error) {
 	t0 := time.Now()
-	it, err := cq.RunContext(context.Background(), nil, f.doc, "", nil, false, govern.Limits{})
+	it, err := cq.Run(context.Background(), nil, f.doc, core.RunArgs{})
 	if err != nil {
 		return 0, 0, err
 	}

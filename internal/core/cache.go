@@ -8,9 +8,8 @@ import (
 	"vamana/internal/mass"
 )
 
-// defaultPlanCacheSize is the total cached-plan capacity when Options
-// leaves PlanCacheSize at 0.
-const defaultPlanCacheSize = 256
+// planCapacity is the engine's total cached-plan capacity.
+const planCapacity = 256
 
 // planCacheShards spreads the cache over independently-locked LRU shards
 // so concurrent serving goroutines do not contend on one mutex.
@@ -50,9 +49,6 @@ type planShard struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheSize
-	}
 	per := (capacity + planCacheShards - 1) / planCacheShards
 	c := &planCache{capPerShard: per}
 	for i := range c.shards {

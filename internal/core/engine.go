@@ -35,19 +35,15 @@ type Options struct {
 	// Backend, when non-nil, overrides Path as the pager's storage (see
 	// mass.Options.Backend). Used by crash-safety tests to inject faults.
 	Backend pager.Backend
-	// PlanCacheSize bounds the number of compiled plans the serving fast
-	// path keeps (see Engine.QueryContext). 0 selects the default (256);
-	// negative disables plan caching.
-	PlanCacheSize int
-	// SlowQueryThreshold records QueryContext calls whose end-to-end
+	// SlowQueryThreshold records runs, prepared or not, whose end-to-end
 	// latency meets or exceeds it into the ring (Engine.SlowQueries is
 	// the view of them) and SlowQueryLog, when set. 0 disables slow-query
 	// tracking.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog, when non-nil, receives one line per slow query.
 	SlowQueryLog io.Writer
-	// TraceEvery records spans for 1-in-N QueryContext calls (1 traces
-	// every query) and writes their records into the ring. 0 disables
+	// TraceEvery records spans for 1-in-N runs (1 traces every query)
+	// and writes their records into the ring. 0 disables
 	// sampling; the unsampled cache-hit path then allocates no per-query
 	// trace state at all.
 	TraceEvery int
@@ -95,10 +91,9 @@ type Engine struct {
 }
 
 // view is one read view the query path runs over: the store it reads,
-// the plan cache (nil compiles per call) and statistics memo its
-// compiles go through, and — for Engine.Snapshot handles only — usage
-// counters. The engine owns its live view; every Snapshot carries its
-// own.
+// the plan cache and statistics memo its compiles go through, and — for
+// Engine.Snapshot handles only — usage counters. The engine owns its
+// live view; every Snapshot carries its own.
 type view struct {
 	store  *mass.Store
 	plans  *planCache
@@ -125,12 +120,9 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		live:      view{store: s, probes: cost.NewMemoProbes(s)},
+		live:      view{store: s, plans: newPlanCache(planCapacity), probes: cost.NewMemoProbes(s)},
 		execBatch: opts.ExecBatch,
 		cost:      newCostObservatory(),
-	}
-	if opts.PlanCacheSize >= 0 {
-		e.live.plans = newPlanCache(opts.PlanCacheSize)
 	}
 	e.bindView(&e.live)
 	if opts.SlowQueryThreshold > 0 {
@@ -248,10 +240,6 @@ func (e *Engine) compileCachedOn(v *view, doc mass.DocID, expr string, optimized
 		}
 		return e.Compile(expr)
 	}
-	if v.plans == nil {
-		q, err := compile()
-		return q, false, err
-	}
 	k := planKey{expr: expr, optimized: optimized}
 	var epoch uint64
 	if optimized {
@@ -279,17 +267,49 @@ func (e *Engine) compileCachedOn(v *view, doc mass.DocID, expr string, optimized
 // Steady-state serving of a repeated query costs one cache lookup plus
 // execution — no parsing, no optimization, no statistics probes.
 func (e *Engine) QueryContext(cctx context.Context, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
-	return e.query(cctx, &e.live, doc, expr, limits)
+	return e.query(cctx, &e.live, doc, expr, RunArgs{Limits: limits})
 }
 
-// query is the one query path, run over view v (the live view or a
-// snapshot's). Every call is instrumented: the compile-vs-serve split
-// and an end-to-end latency histogram feed the global metrics, queries
-// over Options.SlowQueryThreshold land in the ring and the slow-query
-// log, and traced calls record spans. On the common path (cache hit,
-// unsampled) the instrumentation adds two time.Now calls and a handful
-// of counter updates — no allocations.
-func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
+// RunArgs are one run's parameters: the initial context node ("" selects
+// the document root), variable bindings, document-order delivery, and
+// resource budgets (zero limits = unlimited).
+type RunArgs struct {
+	Start   flex.Key
+	Vars    map[string][]flex.Key
+	Ordered bool
+	Limits  govern.Limits
+}
+
+// Query is QueryContext with every run parameter explicit, over sn's
+// frozen state (nil: the live store).
+func (e *Engine) Query(cctx context.Context, sn *Snapshot, doc mass.DocID, expr string, a RunArgs) (*exec.Iterator, error) {
+	return e.query(cctx, e.viewOf(sn), doc, expr, a)
+}
+
+// Run executes the prepared query against doc over sn's frozen state
+// (nil: the live store). It enters the one query path at its run half,
+// so a prepared run is observed like any other query.
+func (q *Query) Run(cctx context.Context, sn *Snapshot, doc mass.DocID, a RunArgs) (*exec.Iterator, error) {
+	start := time.Now()
+	if err := govern.CheckContext(cctx); err != nil {
+		return nil, err
+	}
+	// A prepared run counts as a cache hit: it compiled at Prepare.
+	return q.engine.run(cctx, q.engine.viewOf(sn), q, doc, a, start, true)
+}
+
+// viewOf returns sn's read view, or the live one for nil.
+func (e *Engine) viewOf(sn *Snapshot) *view {
+	if sn == nil {
+		return &e.live
+	}
+	return &sn.view
+}
+
+// query is the one query path's compile half, run over view v (the live
+// view or a snapshot's): compile expr through v's plan cache, then hand
+// off to the run half.
+func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr string, a RunArgs) (*exec.Iterator, error) {
 	start := time.Now()
 	// Pre-flight: a pre-canceled or pre-expired ctx fails here, before
 	// the plan cache, the optimizer's statistics probes, or storage is
@@ -302,6 +322,17 @@ func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr strin
 	if err != nil {
 		return nil, err
 	}
+	return e.run(cctx, v, q, doc, a, start, hit)
+}
+
+// run is the one query path's run half: every query execution but
+// Analyze's goes through it. Every run is instrumented: the
+// compile-vs-serve split and an end-to-end latency histogram feed the
+// global metrics, runs over Options.SlowQueryThreshold land in the ring
+// and the slow-query log, and traced runs record spans. On the common
+// path (cache hit, unsampled) the instrumentation adds two time.Now
+// calls and a handful of counter updates — no allocations.
+func (e *Engine) run(cctx context.Context, v *view, q *Query, doc mass.DocID, a RunArgs, start time.Time, hit bool) (*exec.Iterator, error) {
 	if hit {
 		obs.QueriesServedCached.Inc()
 	} else {
@@ -310,8 +341,11 @@ func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr strin
 	ctx := exec.Context{
 		Store:       v.store,
 		Doc:         doc,
+		Start:       a.Start,
+		Vars:        a.Vars,
+		Ordered:     a.Ordered,
 		Ctx:         cctx,
-		Limits:      limits,
+		Limits:      a.Limits,
 		OnFinish:    v.finishFn,
 		FinishStart: start,
 		FinishObj:   q,
@@ -340,7 +374,7 @@ func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr strin
 		tc := &traceContext{
 			QueryTrace: obs.QueryTrace{
 				ID:       e.traceSeq.Add(1),
-				Expr:     expr,
+				Expr:     q.expr,
 				Start:    start,
 				CacheHit: hit,
 				Compile:  time.Since(start),
@@ -392,8 +426,15 @@ func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 	}
 	// Fold the run's actual per-step cardinalities against the plan's
 	// estimates — every query feeds the cost observatory, not only the
-	// sampled ones. Allocation-free on the steady path.
-	worstOp, worstQ := e.cost.fold(it, expr)
+	// sampled ones. Allocation-free on the steady path. A run started
+	// From a node other than the root is skipped: the plan's estimates
+	// describe the run from the document root, so its actuals would read
+	// as misestimates.
+	var worstOp *plan.Step
+	var worstQ float64
+	if it.Start() == flex.Root {
+		worstOp, worstQ = e.cost.fold(it, expr)
+	}
 	slow := e.slowAt > 0 && total >= e.slowAt
 	traced := tc != nil && tc.traced
 	if !slow && !traced {
@@ -444,12 +485,11 @@ func (e *Engine) CostProfile() CostProfile { return e.cost.Profile() }
 // CacheStats reports plan-cache and statistics-memo counters.
 func (e *Engine) CacheStats() CacheStats {
 	var st CacheStats
-	if p := e.live.plans; p != nil {
-		st.Hits = p.hits.Load()
-		st.Misses = p.misses.Load()
-		st.Evictions = p.evictions.Load()
-		st.Invalidations = p.invalidations.Load()
-	}
+	p := e.live.plans
+	st.Hits = p.hits.Load()
+	st.Misses = p.misses.Load()
+	st.Evictions = p.evictions.Load()
+	st.Invalidations = p.invalidations.Load()
 	st.ProbeHits, st.ProbeMisses, st.ProbeResets = e.live.probes.Counters()
 	return st
 }
@@ -561,19 +601,4 @@ func (q *Query) ExplainAnalyze(st *mass.Store, doc mass.DocID) (string, error) {
 		return "", err
 	}
 	return fmt.Sprintf("query: %s\noptimized: %v\n", q.expr, q.optimized) + a.String(), nil
-}
-
-// RunContext executes the compiled query with every run parameter
-// explicit: the store to read (nil selects the engine's live store;
-// snapshot runs pass the snapshot's frozen store), the initial context
-// node ("" selects the document root), variable bindings, document-order
-// delivery, and governance.
-func (q *Query) RunContext(ctx context.Context, st *mass.Store, doc mass.DocID, start flex.Key, vars map[string][]flex.Key, ordered bool, limits govern.Limits) (*exec.Iterator, error) {
-	if err := govern.CheckContext(ctx); err != nil {
-		return nil, err
-	}
-	if st == nil {
-		st = q.engine.live.store
-	}
-	return exec.Run(q.plan, exec.Context{Store: st, Doc: doc, Start: start, Vars: vars, Ordered: ordered, Ctx: ctx, Limits: limits, Batch: q.engine.execBatch})
 }

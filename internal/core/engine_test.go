@@ -7,7 +7,6 @@ import (
 
 	"vamana/internal/exec"
 	"vamana/internal/flex"
-	"vamana/internal/govern"
 	"vamana/internal/mass"
 	"vamana/internal/xmark"
 )
@@ -24,7 +23,7 @@ func openEngine(t testing.TB) *Engine {
 
 // run executes q on the live store from start ("" = document root).
 func run(q *Query, d mass.DocID, start flex.Key) (*exec.Iterator, error) {
-	return q.RunContext(context.Background(), nil, d, start, nil, false, govern.Limits{})
+	return q.Run(context.Background(), nil, d, RunArgs{Start: start})
 }
 
 func TestCompileExecutePipeline(t *testing.T) {
@@ -213,5 +212,40 @@ func TestCostFoldAllocFree(t *testing.T) {
 			t.Errorf("%s: fold allocates %.1f times per query", expr, n)
 		}
 		it.Close()
+	}
+}
+
+// TestCostFoldSkipsFromRuns: a run started From a node other than the
+// root feeds the cost observatory nothing — the plan's estimates
+// describe the run from the document root — while the same prepared
+// query run from the root does.
+func TestCostFoldSkipsFromRuns(t *testing.T) {
+	e := openEngine(t)
+	d, err := e.LoadString("d", "<r><b><c/><c/></b><c/></r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.CompileOptimized(d, "descendant::c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := func(start flex.Key) uint64 {
+		t.Helper()
+		before := e.CostProfile().Observations
+		it, err := run(q, d, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := it.Collect(); err != nil {
+			t.Fatal(err)
+		}
+		it.Close()
+		return e.CostProfile().Observations - before
+	}
+	if n := folded(""); n == 0 {
+		t.Fatal("a run from the root folded no observation")
+	}
+	if n := folded("a.b.b"); n != 0 {
+		t.Fatalf("a run From a.b.b folded %d observations", n)
 	}
 }

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 
 	"vamana/internal/cost"
-	"vamana/internal/exec"
-	"vamana/internal/govern"
 	"vamana/internal/mass"
 )
 
@@ -20,17 +17,16 @@ import (
 // repeated query at full cache-hit speed no matter how hard the live
 // store is being updated underneath.
 
-// snapshotPlanCacheSize bounds each snapshot's private plan cache.
+// snapshotPlanCapacity bounds each snapshot's private plan cache.
 // Snapshots are expected to serve a small working set of queries; the
 // engine-level cache (shared, epoch-validated) stays the big one.
-const snapshotPlanCacheSize = 64
+const snapshotPlanCapacity = 64
 
 // Snapshot is a frozen, refcounted view of the engine for consistent
-// reads. Its queries run the engine's one query path over the
-// snapshot's own read view; mutations are rejected by the underlying
-// read-only store.
+// reads. Queries on it (Engine.Query, Query.Run) run the engine's one
+// query path over the snapshot's own read view; mutations are rejected
+// by the underlying read-only store.
 type Snapshot struct {
-	e    *Engine
 	ms   *mass.Snapshot
 	view view
 }
@@ -62,7 +58,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	return e.newSnapshot(ms, view{
 		store:  st,
 		probes: cost.NewMemoProbes(st),
-		plans:  newPlanCache(snapshotPlanCacheSize),
+		plans:  newPlanCache(snapshotPlanCapacity),
 		usage:  &usageCounters{},
 	}), nil
 }
@@ -81,7 +77,7 @@ func (e *Engine) wrapShared(ms *mass.Snapshot) *Snapshot {
 }
 
 func (e *Engine) newSnapshot(ms *mass.Snapshot, v view) *Snapshot {
-	sn := &Snapshot{e: e, ms: ms, view: v}
+	sn := &Snapshot{ms: ms, view: v}
 	e.bindView(&sn.view)
 	return sn
 }
@@ -123,11 +119,6 @@ func (sn *Snapshot) Usage() SnapshotUsage {
 // while iterators opened from it are still streaming (the view stays
 // pinned until the last one finishes).
 func (sn *Snapshot) Close() error { return sn.ms.Close() }
-
-// QueryContext is Engine.QueryContext against the frozen state.
-func (sn *Snapshot) QueryContext(cctx context.Context, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
-	return sn.e.query(cctx, &sn.view, doc, expr, limits)
-}
 
 // Update runs fn inside a write transaction: all mutations made through
 // the passed mass.Update become visible atomically when fn returns nil,

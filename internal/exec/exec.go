@@ -511,6 +511,10 @@ func (it *Iterator) Limiter() *Limiter { return it.env.lim }
 // Doc returns the document the iterator runs against.
 func (it *Iterator) Doc() mass.DocID { return it.env.doc }
 
+// Start returns the run's initial context node (flex.Root unless
+// Context.Start set another).
+func (it *Iterator) Start() flex.Key { return it.env.start }
+
 // StartTime returns the Context.FinishStart timestamp the iterator was
 // created with (zero if none was set).
 func (it *Iterator) StartTime() time.Time { return it.finishStart }

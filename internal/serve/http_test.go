@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,7 +23,14 @@ import (
 // newTestDB opens an in-memory DB with one small document.
 func newTestDB(t *testing.T) *vamana.DB {
 	t.Helper()
-	db, err := vamana.Open(vamana.Options{})
+	return newLibDB(t, vamana.Options{})
+}
+
+// newLibDB opens a DB with opts and loads the "lib" document of twenty
+// books into it.
+func newLibDB(t *testing.T, opts vamana.Options) *vamana.DB {
+	t.Helper()
+	db, err := vamana.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,19 +368,32 @@ func TestHTTPTenantLimitsClamped(t *testing.T) {
 
 func TestHTTPPlanQuota(t *testing.T) {
 	checkGoroutines(t)
-	db := newTestDB(t)
+	// Every run is slow, so each request leaves one record in the ring.
+	db := newLibDB(t, vamana.Options{SlowQueryThreshold: time.Nanosecond})
 	s, ts := newTestServer(t, Config{
-		DB: db,
+		DB:                   db,
+		SlowRequestThreshold: time.Nanosecond,
 		Tenants: map[string]TenantConfig{
 			"quota": {PlanQuota: 2},
 		},
 	})
 
 	exprs := []string{"//title", "//book", "//book/title", "//lib"}
-	for _, e := range exprs {
-		resp, body := get(t, ts, "quota", "doc=lib&q="+e)
+	for i, e := range exprs {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/query?doc=lib&q="+e, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TenantHeader, "quota")
+		req.Header.Set(RequestHeader, fmt.Sprintf("quota-%d", i))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status = %d (%s)", e, resp.StatusCode, body)
+			t.Fatalf("%s status = %d", e, resp.StatusCode)
 		}
 	}
 	st := s.Stats()
@@ -382,6 +403,68 @@ func TestHTTPPlanQuota(t *testing.T) {
 	}
 	if ten.PlansCached != 2 {
 		t.Fatalf("plans cached = %d, want 2", ten.PlansCached)
+	}
+
+	// The last request was over quota and ran a throwaway prepared plan;
+	// its one record still carries the joined engine record's storage
+	// deltas (in-memory index traversal always hits the node cache).
+	const id = "quota-3"
+	var recs []*vamana.QueryTrace
+	waitFor(t, "the over-quota request's record", func() bool {
+		recs = recs[:0]
+		for _, tr := range db.RecentTraces() {
+			if tr.Request == id {
+				recs = append(recs, tr)
+			}
+		}
+		return len(recs) > 0
+	})
+	if len(recs) != 1 {
+		t.Fatalf("ring holds %d records for the request, want 1: %+v", len(recs), recs)
+	}
+	if rec := recs[0]; rec.Results != 1 || rec.NodeCacheHits == 0 {
+		t.Fatalf("over-quota record = results %d cachehits %d; want 1 result and the engine's storage deltas",
+			rec.Results, rec.NodeCacheHits)
+	}
+}
+
+// TestHTTPOrderedCached: ordered=1 on the cached serving path delivers
+// a reverse-axis result in document order.
+func TestHTTPOrderedCached(t *testing.T) {
+	checkGoroutines(t)
+	db := newTestDB(t)
+	_, ts := newTestServer(t, Config{DB: db})
+	doc, err := db.Document("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, e := range []string{"/lib", "/lib/book[1]"} {
+		res, err := db.Query(doc, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := res.Keys()
+		if err != nil || len(keys) != 1 {
+			t.Fatalf("%s: %v, %v", e, keys, err)
+		}
+		want = append(want, keys[0])
+	}
+	resp, body := get(t, ts, "", "doc=lib&ordered=1&q=/lib/book[1]/title/ancestor::*")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d (%s)", resp.StatusCode, body)
+	}
+	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+	var got []string
+	for _, l := range lines[:len(lines)-1] {
+		var node struct{ Key string }
+		if err := json.Unmarshal([]byte(l), &node); err != nil {
+			t.Fatalf("node line: %v (%s)", err, l)
+		}
+		got = append(got, node.Key)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ordered=1 keys = %v, want document order %v", got, want)
 	}
 }
 

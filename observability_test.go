@@ -119,10 +119,11 @@ func TestExplainAnalyzeActualsMatchQuery(t *testing.T) {
 }
 
 // TestPlanCacheEvictionConcurrent mixes compile and serve traffic over
-// far more distinct expressions than a tiny cache can hold, concurrently,
-// and checks that eviction counters move and results stay correct.
+// far more distinct expressions than the 256-plan cache can hold,
+// concurrently, and checks that eviction counters move and results stay
+// correct.
 func TestPlanCacheEvictionConcurrent(t *testing.T) {
-	db, err := Open(Options{PlanCacheSize: 8})
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +136,10 @@ func TestPlanCacheEvictionConcurrent(t *testing.T) {
 		t.Fatal("no results for canonical expression")
 	}
 
-	exprs := make([]string, 0, 40)
-	for i := 0; i < 39; i++ {
+	// Each expression caches an optimized and an unoptimized plan: 400
+	// expressions are three times the cache's capacity.
+	exprs := make([]string, 0, 400)
+	for i := 0; i < 399; i++ {
 		exprs = append(exprs, fmt.Sprintf("//person/x%d", i))
 	}
 	exprs = append(exprs, canonical)
@@ -187,7 +190,7 @@ func TestPlanCacheEvictionConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The storm thrashed the 8-entry cache; back-to-back repeats of one
+	// The storm thrashed the cache; back-to-back repeats of one
 	// expression must now hit.
 	drainCount(t, db, doc, canonical)
 	if got := drainCount(t, db, doc, canonical); got != want {

@@ -92,11 +92,13 @@ go test -race -run 'TestCostObservatory|TestSlowQueryWorstOp|TestSlowQueryLogCon
 
 echo "== snapshot/transaction tests under the race detector"
 # Snapshot isolation, transaction atomicity, typed busy/read-only
-# errors, Explain/ExplainAnalyze reading the pinned version, and the
+# errors, Explain/ExplainAnalyze reading the pinned version, query
+# options and prepared runs reading (and observed) alike on every entry
+# point, no dirty reads inside an open transaction, and the
 # mixed-workload battery (readers on pinned snapshots racing a
 # committing writer, streams byte-identical to committed states) — see
 # snapshot_test.go.
-go test -race -run 'TestSnapshotIsolation|TestSnapshotReadOnlyPublic|TestSnapshotExplainAnalyze|TestUpdateTxnPublic|TestDropBusyPublic|TestPrepareRunEquivalence|TestMixedReadWriteRace' -count 1 .
+go test -race -run 'TestSnapshotIsolation|TestSnapshotReadOnlyPublic|TestSnapshotExplainAnalyze|TestUpdateTxnPublic|TestDropBusyPublic|TestPrepareRunEquivalence|TestMixedReadWriteRace|TestQueryOptionsEveryEntryPoint|TestPreparedRunObserved|TestNoDirtyReadsDuringTransaction' -count 1 .
 
 echo "== server battery under the race detector"
 # Admission state machine on the wire, concurrent tenants vs a

@@ -184,27 +184,3 @@ func TestSharedQueryConcurrentExplain(t *testing.T) {
 		}
 	}
 }
-
-// TestServingWithoutPlanCache verifies the negative PlanCacheSize knob:
-// serving still works, it just compiles every time.
-func TestServingWithoutPlanCache(t *testing.T) {
-	db, err := Open(Options{PlanCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	doc := loadAuction(t, db, 0.003)
-	for i := 0; i < 3; i++ {
-		res, err := db.Query(doc, "//person/address")
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys, err := res.Keys()
-		if err != nil || len(keys) == 0 {
-			t.Fatalf("uncached serving failed: %d keys, %v", len(keys), err)
-		}
-	}
-	if st := db.CacheStats(); st.Hits != 0 {
-		t.Fatalf("plan cache disabled but recorded hits: %+v", st)
-	}
-}

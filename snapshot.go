@@ -1,7 +1,6 @@
 package vamana
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 
@@ -18,11 +17,14 @@ import (
 // mutations become visible atomically on commit, made durable with one
 // group-committed journal flush shared by concurrent committers.
 //
-// DB.Query and friends are auto-snapshot wrappers: when a recent commit
-// installed a shared snapshot they serve from it (so a long result stream
-// never observes a concurrent writer mid-flight), and otherwise they read
-// the live store directly, which is equivalent because each individual
-// read path is internally consistent.
+// A snapshot is queried like the database: DB.Query, Query.Run and the
+// Document reads on a handle from Snapshot.Document read its pinned
+// version. On a live handle the same reads are auto-snapshot reads: when
+// a recent commit installed a shared snapshot they serve from it (so a
+// long result stream never observes a concurrent writer mid-flight), and
+// otherwise they read the live store directly, which is equivalent
+// because each individual read path is internally consistent.
+// Document.read picks the version for all of them.
 
 var (
 	// ErrDocumentBusy reports a Drop refused because open snapshots or
@@ -34,7 +36,8 @@ var (
 	// ErrTxnDone reports a use of a transaction that already committed or
 	// rolled back.
 	ErrTxnDone = mass.ErrTxnDone
-	// ErrSnapshotClosed reports a query started on a closed Snapshot.
+	// ErrSnapshotClosed reports a read started through a closed
+	// Snapshot's document handle.
 	ErrSnapshotClosed = errors.New("vamana: snapshot is closed")
 )
 
@@ -76,8 +79,11 @@ func (sn *Snapshot) Usage() SnapshotUsage { return sn.cs.Usage() }
 func (sn *Snapshot) Documents() []string { return sn.cs.Store().Documents() }
 
 // Document returns a handle for name bound to this snapshot: all reads
-// through it observe the pinned version. The error for an unknown name
-// satisfies errors.Is(err, ErrNoSuchDocument).
+// through it — DB.Query, Query.Run, Explain and the Document methods —
+// observe the pinned version. DB.Query compiles against the snapshot's
+// frozen statistics and keeps those plans cached for the snapshot's
+// whole life, however hard the live store is updated underneath. The
+// error for an unknown name satisfies errors.Is(err, ErrNoSuchDocument).
 func (sn *Snapshot) Document(name string) (*Document, error) {
 	if sn.closed.Load() {
 		return nil, ErrSnapshotClosed
@@ -87,40 +93,6 @@ func (sn *Snapshot) Document(name string) (*Document, error) {
 		return nil, wrapNoDoc(mass.ErrNoDoc, name)
 	}
 	return &Document{db: sn.db, id: id, name: name, snap: sn}, nil
-}
-
-// Query is DB.Query against the snapshot's pinned version.
-func (sn *Snapshot) Query(doc *Document, expr string) (*Results, error) {
-	return sn.QueryContext(context.Background(), doc, expr)
-}
-
-// QueryContext is DB.QueryContext against the snapshot's pinned version.
-// Plans compile against the snapshot's frozen statistics and stay cached
-// for the snapshot's whole life — a snapshot keeps serving cached plans
-// however hard the live store is updated underneath.
-func (sn *Snapshot) QueryContext(ctx context.Context, doc *Document, expr string, opts ...QueryOption) (*Results, error) {
-	if sn.closed.Load() {
-		return nil, ErrSnapshotClosed
-	}
-	cfg := sn.db.config(opts)
-	return sn.queryContext(ctx, doc, expr, cfg)
-}
-
-// queryContext runs one query on the snapshot, rebinding the result
-// stream's document handle to the snapshot so StringValue and friends
-// read the same pinned version the results came from.
-func (sn *Snapshot) queryContext(ctx context.Context, doc *Document, expr string, cfg queryConfig) (*Results, error) {
-	it, err := sn.cs.QueryContext(ctx, doc.id, expr, cfg.limits)
-	if err != nil {
-		return nil, err
-	}
-	rdoc := doc
-	if rdoc.snap != sn {
-		c := *doc
-		c.snap = sn
-		rdoc = &c
-	}
-	return &Results{doc: rdoc, it: it}, nil
 }
 
 // Close releases the snapshot. Idempotent; safe while result streams

@@ -82,14 +82,14 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 
 	// Queries through each snapshot see its version.
-	res, err := sn1.Query(sdoc1, "//appendix")
+	res, err := db.Query(sdoc1, "//appendix")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if keys, _ := res.Keys(); len(keys) != 0 {
 		t.Fatalf("snapshot 1 sees the new element: %v", keys)
 	}
-	res, err = sn2.Query(sdoc2, "//appendix")
+	res, err = db.Query(sdoc2, "//appendix")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,11 @@ func TestSnapshotReadOnlyPublic(t *testing.T) {
 		t.Fatalf("DeleteSubtree on snapshot: %v", err)
 	}
 	sn.Close()
-	if _, err := sn.Query(sdoc, "//book"); !errors.Is(err, ErrSnapshotClosed) {
+	if _, err := db.Query(sdoc, "//book"); !errors.Is(err, ErrSnapshotClosed) {
 		t.Fatalf("query on closed snapshot: %v", err)
+	}
+	if _, err := sdoc.CountName("book"); !errors.Is(err, ErrSnapshotClosed) {
+		t.Fatalf("CountName on closed snapshot: %v", err)
 	}
 	if _, err := sn.Document("lib"); !errors.Is(err, ErrSnapshotClosed) {
 		t.Fatalf("Document on closed snapshot: %v", err)
@@ -522,7 +525,7 @@ func TestMixedReadWriteRace(t *testing.T) {
 				}
 				// The snapshot's query agrees with its bytes, and a
 				// re-read is identical — the pinned version cannot move.
-				res, err := sn.Query(sdoc, "//marker")
+				res, err := db.Query(sdoc, "//marker")
 				if err != nil {
 					sn.Close()
 					errc <- fmt.Errorf("reader %d query: %w", r, err)

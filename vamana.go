@@ -66,23 +66,16 @@ type Options struct {
 	// and tools that need to interpose on the database's I/O (e.g. fault
 	// injection, read-only snapshots).
 	Backend Backend
-	// PlanCacheSize bounds the number of compiled query plans kept by the
-	// serving fast path (DB.Query). 0 selects the default of 256 plans;
-	// negative disables plan caching, making DB.Query compile on every
-	// call. Cached optimized plans are invalidated automatically when
-	// their document is updated (statistics-epoch based), so a hit is
-	// always as fresh as a recompile.
-	PlanCacheSize int
-	// SlowQueryThreshold records DB.Query calls at or above this
-	// end-to-end latency into the slow-query ring (DB.SlowQueries) and,
-	// when SlowQueryLog is set, as one line per query there. 0 disables
-	// slow-query tracking.
+	// SlowQueryThreshold records queries — DB.Query and Query.Run alike —
+	// at or above this end-to-end latency into the slow-query ring
+	// (DB.SlowQueries) and, when SlowQueryLog is set, as one line per
+	// query there. 0 disables slow-query tracking.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog receives one line per slow query (e.g. os.Stderr or a
 	// log file). Ignored unless SlowQueryThreshold is set.
 	SlowQueryLog io.Writer
-	// TraceEvery records a full span tree for 1 in N DB.Query calls
-	// (1 traces every query, 0 disables) into the ring. When a query is
+	// TraceEvery records a full span tree for 1 in N queries (1 traces
+	// every query, 0 disables) into the ring. When a query is
 	// not sampled the serving hot path allocates no trace state, so
 	// sampling bounds the observability overhead regardless of query
 	// rate.
@@ -154,9 +147,11 @@ type DB struct {
 	engine   *core.Engine
 	defaults Limits
 	// shared is the auto-snapshot read path's current snapshot: installed
-	// by DB.Update, served (refcounted) by DB.Query while fresh, and
-	// dropped when a document load or drop makes it stale. Nil until the first Update — queries then read the live
-	// store directly, which is equivalent while nothing is being batched.
+	// by DB.Update, served (refcounted, see Document.read) to every read
+	// on a live handle while fresh, and dropped when a document load or
+	// drop makes it stale. Nil until the first Update — reads then use
+	// the live store directly, which is equivalent while nothing is being
+	// batched.
 	shared atomic.Pointer[core.Snapshot]
 }
 
@@ -166,7 +161,6 @@ func Open(opts Options) (*DB, error) {
 		Path:               opts.Path,
 		CachePages:         opts.CachePages,
 		Backend:            opts.Backend,
-		PlanCacheSize:      opts.PlanCacheSize,
 		SlowQueryThreshold: opts.SlowQueryThreshold,
 		SlowQueryLog:       opts.SlowQueryLog,
 		TraceEvery:         opts.TraceEvery,
@@ -199,21 +193,42 @@ type Document struct {
 	snap *Snapshot
 }
 
-// readStore returns the store this handle reads from, plus a release to
-// call when the read finishes: the pinned snapshot store for
-// snapshot-bound handles; otherwise the shared committed snapshot when
-// one is installed — so direct reads never observe an open
-// transaction's buffered writes — falling back to the live store only
-// when no snapshot exists (in which case no transaction has ever run,
-// and DB.Update installs one before its function starts).
-func (d *Document) readStore() (*mass.Store, func()) {
+// readView is the version one read observes: its snapshot (nil: the
+// live store), its store, and whether the read holds a shared reference.
+type readView struct {
+	sn  *core.Snapshot
+	st  *mass.Store
+	ref bool
+}
+
+// read returns the version every read through d observes — queries,
+// prepared runs, Explain and the direct Document reads alike: a
+// snapshot handle reads its snapshot's pinned version (ErrSnapshotClosed
+// once it is closed); a live handle reads the shared committed snapshot
+// when a fresh one is installed, so no read observes an open
+// transaction's buffered writes; otherwise it reads the live store, which
+// is then the latest committed state (DB.Update installs a shared
+// snapshot before its function starts).
+func (d *Document) read() (readView, error) {
 	if d.snap != nil {
-		return d.snap.cs.Store(), func() {}
+		if d.snap.closed.Load() {
+			return readView{}, ErrSnapshotClosed
+		}
+		return readView{sn: d.snap.cs, st: d.snap.cs.Store()}, nil
 	}
 	if sn := d.db.acquireShared(); sn != nil {
-		return sn.Store(), sn.Unref
+		return readView{sn: sn, st: sn.Store(), ref: true}, nil
 	}
-	return d.db.engine.Store(), func() {}
+	return readView{st: d.db.engine.Store()}, nil
+}
+
+// release drops the read's shared-snapshot reference, if it holds one:
+// when a direct read finishes, or once a query has started (its
+// iterator pins the version itself until it finishes).
+func (v readView) release() {
+	if v.ref {
+		v.sn.Unref()
+	}
 }
 
 // LoadXML shreds and indexes the XML document from r under a unique name.
@@ -458,12 +473,12 @@ func (q *Query) Optimized() bool { return q.q.Optimized() }
 // Estimates come from the version the handle doc reads: a snapshot
 // handle's pinned version, otherwise the last committed one.
 func (q *Query) Explain(doc *Document) (string, error) {
-	if doc.snap != nil && doc.snap.closed.Load() {
-		return "", ErrSnapshotClosed
+	v, err := doc.read()
+	if err != nil {
+		return "", err
 	}
-	s, release := doc.readStore()
-	defer release()
-	return q.q.Explain(s, doc.id)
+	defer v.release()
+	return q.q.Explain(v.st, doc.id)
 }
 
 // ExplainAnalyze estimates, executes, and renders the plan with estimated
@@ -471,12 +486,12 @@ func (q *Query) Explain(doc *Document) (string, error) {
 // execution. It estimates and executes against the version Explain
 // reads.
 func (q *Query) ExplainAnalyze(doc *Document) (string, error) {
-	if doc.snap != nil && doc.snap.closed.Load() {
-		return "", ErrSnapshotClosed
+	v, err := doc.read()
+	if err != nil {
+		return "", err
 	}
-	s, release := doc.readStore()
-	defer release()
-	return q.q.ExplainAnalyze(s, doc.id)
+	defer v.release()
+	return q.q.ExplainAnalyze(v.st, doc.id)
 }
 
 // Run executes the query against doc. By default results stream from
@@ -485,22 +500,17 @@ func (q *Query) ExplainAnalyze(doc *Document) (string, error) {
 // variable bindings, and the governance options (WithTimeout,
 // WithMaxResults, …) layer budgets over the database defaults.
 //
-// A snapshot-bound doc (from Snapshot.Document) runs against that
-// snapshot's pinned version; a live handle runs against the live store.
+// The run reads the version DB.QueryContext would read for doc and is
+// observed like any query (latency, slow-query log, traces, snapshot
+// usage); only the compilation already happened, at Prepare.
 func (q *Query) Run(ctx context.Context, doc *Document, opts ...QueryOption) (*Results, error) {
-	cfg := doc.db.config(opts)
-	var st *mass.Store
-	if doc.snap != nil {
-		if doc.snap.closed.Load() {
-			return nil, ErrSnapshotClosed
-		}
-		st = doc.snap.cs.Store()
-	}
-	it, err := q.q.RunContext(ctx, st, doc.id, flexKey(cfg.start), flexVars(cfg.vars), cfg.ordered, cfg.limits)
+	v, err := doc.read()
 	if err != nil {
 		return nil, err
 	}
-	return &Results{doc: doc, it: it}, nil
+	it, err := q.q.Run(ctx, v.sn, doc.id, doc.db.config(opts))
+	v.release()
+	return newResults(doc, it, err)
 }
 
 func flexKey(k string) flex.Key { return flex.Key(k) }
@@ -531,6 +541,14 @@ type Results struct {
 	doc    *Document
 	it     *exec.Iterator
 	closed bool
+}
+
+// newResults wraps a started run's iterator, passing a start error on.
+func newResults(doc *Document, it *exec.Iterator, err error) (*Results, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Results{doc: doc, it: it}, nil
 }
 
 // Next advances to the next result and reports whether one exists. When
@@ -639,67 +657,87 @@ type Stats struct {
 
 // Stats returns node-count statistics for the document.
 func (d *Document) Stats() (Stats, error) {
-	s, release := d.readStore()
-	defer release()
 	var st Stats
-	var err error
-	if st.Nodes, err = s.CountNodes(d.id); err != nil {
+	v, err := d.read()
+	if err != nil {
 		return st, err
 	}
-	if st.Elements, err = s.CountElements(d.id, ""); err != nil {
+	defer v.release()
+	if st.Nodes, err = v.st.CountNodes(d.id); err != nil {
 		return st, err
 	}
-	st.Texts, err = s.CountTexts(d.id, "")
+	if st.Elements, err = v.st.CountElements(d.id, ""); err != nil {
+		return st, err
+	}
+	st.Texts, err = v.st.CountTexts(d.id, "")
 	return st, err
 }
 
 // CountName returns the number of elements with the given name — COUNT in
 // the paper's cost model.
 func (d *Document) CountName(name string) (uint64, error) {
-	s, release := d.readStore()
-	defer release()
-	return s.CountName(d.id, name)
+	v, err := d.read()
+	if err != nil {
+		return 0, err
+	}
+	defer v.release()
+	return v.st.CountName(d.id, name)
 }
 
 // TextCount returns the number of text nodes whose value equals v — TC in
 // the paper's cost model.
 func (d *Document) TextCount(v string) (uint64, error) {
-	s, release := d.readStore()
-	defer release()
-	return s.TextCount(d.id, v, "")
+	rv, err := d.read()
+	if err != nil {
+		return 0, err
+	}
+	defer rv.release()
+	return rv.st.TextCount(d.id, v, "")
 }
 
 // StringValue computes the XPath string-value of the node with the given
 // FLEX key.
 func (d *Document) StringValue(key string) (string, error) {
-	s, release := d.readStore()
-	defer release()
-	return s.StringValue(d.id, flex.Key(key))
+	v, err := d.read()
+	if err != nil {
+		return "", err
+	}
+	defer v.release()
+	return v.st.StringValue(d.id, flex.Key(key))
 }
 
 // WriteXML serializes the node at key (and its subtree) as XML to w.
 // Passing the root key of a query result exports matched fragments;
 // passing "a" (the document node) exports the whole document.
 func (d *Document) WriteXML(key string, w io.Writer) error {
-	s, release := d.readStore()
-	defer release()
-	return s.SerializeSubtree(d.id, flex.Key(key), w)
+	v, err := d.read()
+	if err != nil {
+		return err
+	}
+	defer v.release()
+	return v.st.SerializeSubtree(d.id, flex.Key(key), w)
 }
 
 // NumericRangeCount returns the number of text nodes whose numeric value
 // lies in [lo, hi] (use math.Inf for open ends) — an O(log n) probe of
 // the numeric value index backing range predicates.
 func (d *Document) NumericRangeCount(lo, hi float64) (uint64, error) {
-	s, release := d.readStore()
-	defer release()
-	return s.NumericRangeCount(d.id, lo, true, hi, true)
+	v, err := d.read()
+	if err != nil {
+		return 0, err
+	}
+	defer v.release()
+	return v.st.NumericRangeCount(d.id, lo, true, hi, true)
 }
 
 // Node fetches the node with the given FLEX key.
 func (d *Document) Node(key string) (Node, bool, error) {
-	s, release := d.readStore()
-	defer release()
-	n, ok, err := s.Node(d.id, flex.Key(key))
+	v, err := d.read()
+	if err != nil {
+		return Node{}, false, err
+	}
+	defer v.release()
+	n, ok, err := v.st.Node(d.id, flex.Key(key))
 	if err != nil || !ok {
 		return Node{}, ok, err
 	}
