@@ -481,11 +481,29 @@ func (e *Engine) evalFunc(f *xpath.FuncCall, c evalCtx) (any, error) {
 		case "ceiling":
 			return math.Ceil(n), nil
 		default:
-			return math.Round(n), nil
+			return round(n), nil
 		}
 	default:
 		return nil, fmt.Errorf("dom: unknown function %s()", f.Name)
 	}
+}
+
+// round is XPath 1.0's round() (§4.4): the closest integer, with halves
+// going towards positive infinity, and −0 for a negative value in
+// [−0.5, 0). The engine has its own copy: the oracle shares no number
+// semantics with what it checks.
+func round(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return x
+	}
+	if x < 0 && x >= -0.5 {
+		return math.Copysign(0, -1)
+	}
+	r := math.Floor(x)
+	if x-r >= 0.5 {
+		r++
+	}
+	return r
 }
 
 func (e *Engine) bool_(v any) bool {

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"vamana/internal/govern"
 	"vamana/internal/pager"
@@ -32,10 +31,12 @@ var ErrKeyTooLarge = errors.New("btree: key exceeds maximum size")
 // Pages is the page-storage surface a tree runs on: the full read-write
 // *pager.Pager for live trees, or a read-only epoch-pinned *pager.View
 // for snapshot trees (whose mutating methods fail, which a read-only
-// tree never invokes).
+// tree never invokes). Pages travel without copies both ways: a tree
+// reads the pager's own image and hands over the images it builds, and
+// neither side modifies an image after that.
 type Pages interface {
-	Read(id pager.PageID, buf []byte) error
-	Write(id pager.PageID, buf []byte) error
+	ReadShared(id pager.PageID) ([]byte, error)
+	WriteShared(id pager.PageID, img []byte) error
 	Allocate() (pager.PageID, error)
 	Free(id pager.PageID) error
 	InMemory() bool
@@ -56,8 +57,9 @@ type Tree struct {
 	maxCache int     // evict above this many cached nodes (file-backed pagers only)
 	clock    []*node // eviction ring
 	hand     int
-	scratch  []byte  // page-size buffer reused for I/O
 	m        Metrics // plain counters; callers serialize tree access
+	ent      []byte  // entry encoding buffer reused by Put
+	wide     []byte  // two-page buffer an overfull node is split from
 	// mods counts Put and Delete calls. Cursors stamp it when they reach
 	// a leaf and trust that leaf on a later Seek only while it is
 	// unchanged (see Cursor.Seek).
@@ -68,8 +70,8 @@ type Tree struct {
 // was created or loaded. Trees are externally serialized (see package
 // doc), so plain fields are race-clean under the caller's lock.
 type Metrics struct {
-	CacheHits      uint64 // node loads served from the deserialized-node cache
-	CacheMisses    uint64 // node loads that read and deserialized a page
+	CacheHits      uint64 // node loads served from the node cache
+	CacheMisses    uint64 // node loads that read a page and built its slot table
 	CacheEvictions uint64 // nodes evicted from the cache
 	Splits         uint64 // leaf and branch node splits
 	Seeks          uint64 // cursor seeks (Seek/SeekFirst/SeekLast)
@@ -125,11 +127,10 @@ func newTree(pg Pages) *Tree {
 		pg:       pg,
 		cache:    make(map[pager.PageID]*node),
 		maxCache: mc,
-		scratch:  make([]byte, pager.PageSize),
 	}
 }
 
-// SetMaxCache bounds the deserialized-node cache for file-backed pagers
+// SetMaxCache bounds the node cache for file-backed pagers
 // (memory pagers never evict: their pages already live in memory, so
 // eviction would only add churn).
 func (t *Tree) SetMaxCache(n int) {
@@ -162,12 +163,14 @@ func (t *Tree) newNode(leaf bool) *node {
 		// would corrupt the tree, so this is fatal.
 		panic(fmt.Sprintf("btree: page allocation failed: %v", err))
 	}
-	n := &node{id: id, leaf: leaf, dirty: true}
+	page := make([]byte, pager.PageSize)
+	page[0] = pageBranch
+	header := branchHeaderSize
 	if leaf {
-		n.bytes = leafHeaderSize
-	} else {
-		n.bytes = branchHeaderSize
+		page[0] = pageLeaf
+		header = leafHeaderSize
 	}
+	n := &node{id: id, page: page, slots: []uint16{uint16(header)}, dirty: true}
 	t.cache[id] = n
 	t.clock = append(t.clock, n)
 	return n
@@ -189,11 +192,12 @@ func (t *Tree) loadFor(id pager.PageID, lim *govern.Limiter) (*node, error) {
 		return nil, err
 	}
 	t.m.CacheMisses++
-	if err := t.pg.Read(id, t.scratch); err != nil {
+	page, err := t.pg.ReadShared(id)
+	if err != nil {
 		return nil, err
 	}
-	n := &node{id: id}
-	if err := n.deserialize(t.scratch); err != nil {
+	n := &node{id: id, page: page}
+	if err := n.parse(); err != nil {
 		return nil, err
 	}
 	t.cache[id] = n
@@ -201,18 +205,46 @@ func (t *Tree) loadFor(id pager.PageID, lim *govern.Limiter) (*node, error) {
 	return n, nil
 }
 
+// store hands a dirty node's page to the pager. From then on the image is
+// shared and immutable; the node's next edit works on a clone.
 func (t *Tree) store(n *node) error {
 	if !n.dirty {
 		return nil
 	}
-	if err := n.serialize(t.scratch); err != nil {
-		return err
-	}
-	if err := t.pg.Write(n.id, t.scratch); err != nil {
+	if err := t.pg.WriteShared(n.id, n.page); err != nil {
 		return err
 	}
 	n.dirty = false
 	return nil
+}
+
+// mutable readies n for an in-place edit: a clean node's page is a shared
+// image, so the first edit since the node was loaded or stored clones it.
+func (n *node) mutable() {
+	if !n.dirty {
+		n.page = append(make([]byte, 0, pager.PageSize), n.page...)
+		n.dirty = true
+	}
+}
+
+// edit replaces entries [i, j) of n with ent (nil removes them), in
+// place. When the result would overflow the page, n is left holding it in
+// the tree's two-page buffer, and edit returns n's own page for the caller
+// to split into at once (splitLeaf, splitBranch); otherwise it returns nil.
+func (t *Tree) edit(n *node, i, j int, ent []byte) (own []byte) {
+	n.mutable()
+	if n.used()+len(ent)-int(n.slots[j]-n.slots[i]) <= pager.PageSize {
+		n.slots = splice(n.page, n.slots, i, j, ent)
+		return nil
+	}
+	if t.wide == nil {
+		t.wide = make([]byte, 2*pager.PageSize)
+	}
+	own = n.page
+	copy(t.wide, own[:n.used()])
+	n.page = t.wide
+	n.slots = splice(n.page, n.slots, i, j, ent)
+	return own
 }
 
 // Flush writes all dirty nodes back to the pager.
@@ -229,12 +261,12 @@ func (t *Tree) Flush() error {
 // for which skip returns true (nil skips nothing). It exists for
 // adjacent read-only snapshot trees: when the only pages that changed
 // between two committed versions are in the skip set, every other page
-// is byte-identical, so the previous snapshot's decoded nodes are valid
-// for the new one and carry over by pointer — a fresh snapshot starts
-// with a warm cache instead of re-decoding its working set from scratch.
-// Sharing *node objects is safe only because read-only trees never
-// mutate a node after deserializing it; the caller must serialize access
-// to both trees for the duration of the call.
+// is byte-identical, so the previous snapshot's nodes (page image and
+// slot table) are valid for the new one and carry over by pointer — a
+// fresh snapshot starts with a warm cache instead of re-reading its
+// working set. Sharing *node objects is safe only because read-only
+// trees never edit a node; the caller must serialize access to both
+// trees for the duration of the call.
 func (t *Tree) AdoptCache(prev *Tree, skip func(pager.PageID) bool) {
 	for id, n := range prev.cache {
 		if n.dirty || (skip != nil && skip(id)) {
@@ -268,39 +300,69 @@ func (t *Tree) maybeEvict() error {
 }
 
 // leafIndex returns the position of key in leaf n, or the insertion point
-// and false.
+// and false. The binary searches here and in childIndex are written out,
+// not sort.Search closures, so that a descent inlines its key reads.
 func leafIndex(n *node, key []byte) (int, bool) {
-	i := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], key) >= 0 })
-	if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-		return i, true
+	lo, hi := 0, n.entries()
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		switch c := bytes.Compare(n.key(m), key); {
+		case c < 0:
+			lo = m + 1
+		case c > 0:
+			hi = m
+		default:
+			return m, true
+		}
 	}
-	return i, false
+	return lo, false
 }
 
-// childIndex returns the branch child whose subtree covers key.
+// childIndex returns the branch child whose subtree covers key: the
+// number of separators <= key, where separator i begins entry i+1.
 func childIndex(n *node, key []byte) int {
-	// Number of separators <= key.
-	return sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], key) > 0 })
+	lo, hi := 0, n.entries()-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bytes.Compare(n.key(m+1), key) <= 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// find descends to the leaf covering key and returns it with key's
+// position there.
+func (t *Tree) find(key []byte) (*node, int, bool, error) {
+	n, err := t.load(t.root)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	for !n.leaf() {
+		if n, err = t.load(n.child(childIndex(n, key))); err != nil {
+			return nil, 0, false, err
+		}
+	}
+	i, ok := leafIndex(n, key)
+	return n, i, ok, nil
 }
 
 // Get returns the value stored under key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	n, err := t.load(t.root)
-	if err != nil {
+	n, i, ok, err := t.find(key)
+	if err != nil || !ok {
 		return nil, false, err
 	}
-	for !n.leaf {
-		if n, err = t.load(n.children[childIndex(n, key)]); err != nil {
+	v, ovf, total := n.value(i)
+	if ovf != pager.InvalidPage {
+		v, err = t.readOverflow(ovf, total)
+		if err != nil {
 			return nil, false, err
 		}
-	}
-	i, ok := leafIndex(n, key)
-	if !ok {
-		return nil, false, nil
-	}
-	v, err := t.readValue(n.vals[i])
-	if err != nil {
-		return nil, false, err
+	} else {
+		v = append([]byte(nil), v...)
 	}
 	if err := t.maybeEvict(); err != nil {
 		return nil, false, err
@@ -313,45 +375,18 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 // be retained or modified; fn runs before View returns. Reports whether
 // the key was found.
 func (t *Tree) View(key []byte, fn func(v []byte)) (bool, error) {
-	n, err := t.load(t.root)
-	if err != nil {
+	n, i, ok, err := t.find(key)
+	if err != nil || !ok {
 		return false, err
 	}
-	for !n.leaf {
-		if n, err = t.load(n.children[childIndex(n, key)]); err != nil {
+	v, ovf, total := n.value(i)
+	if ovf != pager.InvalidPage {
+		if v, err = t.readOverflow(ovf, total); err != nil {
 			return false, err
 		}
 	}
-	i, ok := leafIndex(n, key)
-	if !ok {
-		return false, nil
-	}
-	lv := n.vals[i]
-	if lv.isOverflow() {
-		v, err := t.readValue(lv)
-		if err != nil {
-			return false, err
-		}
-		fn(v)
-		return true, nil
-	}
-	fn(lv.inline)
+	fn(v)
 	return true, nil
-}
-
-// Has reports whether key is present without materializing its value.
-func (t *Tree) Has(key []byte) (bool, error) {
-	n, err := t.load(t.root)
-	if err != nil {
-		return false, err
-	}
-	for !n.leaf {
-		if n, err = t.load(n.children[childIndex(n, key)]); err != nil {
-			return false, err
-		}
-	}
-	_, ok := leafIndex(n, key)
-	return ok, nil
 }
 
 // splitResult describes a child split to be applied in the parent.
@@ -380,21 +415,19 @@ func (t *Tree) Put(key, value []byte) (bool, error) {
 	if split != nil {
 		// Grow the tree: new root above the old root and its new sibling.
 		nr := t.newNode(false)
-		nr.children = []pager.PageID{root.id, split.right}
-		nr.counts = []uint64{split.leftCount, split.rightCount}
-		nr.keys = [][]byte{split.sep}
-		nr.bytes = branchHeaderSize + childRefSize + branchEntrySize(split.sep)
+		nr.slots = splice(nr.page, nr.slots, 0, 0, appendChildRef(t.ent[:0], root.id, split.leftCount))
+		nr.slots = splice(nr.page, nr.slots, 1, 1, appendBranchEntry(t.ent[:0], split.sep, split.right, split.rightCount))
 		t.root = nr.id
 	}
 	return added, t.maybeEvict()
 }
 
 func (t *Tree) insert(n *node, key, value []byte) (bool, *splitResult, error) {
-	if n.leaf {
+	if n.leaf() {
 		return t.insertLeaf(n, key, value)
 	}
 	idx := childIndex(n, key)
-	child, err := t.load(n.children[idx])
+	child, err := t.load(n.child(idx))
 	if err != nil {
 		return false, nil, err
 	}
@@ -402,136 +435,125 @@ func (t *Tree) insert(n *node, key, value []byte) (bool, *splitResult, error) {
 	if err != nil {
 		return false, nil, err
 	}
-	n.dirty = true
-	if added {
-		n.counts[idx]++
-	}
-	if split != nil {
-		n.counts[idx] = split.leftCount
-		n.keys = insertBytesAt(n.keys, idx, split.sep)
-		n.children = insertPageAt(n.children, idx+1, split.right)
-		n.counts = insertCountAt(n.counts, idx+1, split.rightCount)
-		n.bytes += branchEntrySize(split.sep)
-		if n.bytes > pager.PageSize {
-			return added, t.splitBranch(n), nil
+	switch {
+	case split != nil:
+		n.mutable()
+		n.setCount(idx, split.leftCount)
+		t.ent = appendBranchEntry(t.ent[:0], split.sep, split.right, split.rightCount)
+		if own := t.edit(n, idx+1, idx+1, t.ent); own != nil {
+			return added, t.splitBranch(n, own), nil
 		}
+	case added:
+		n.mutable()
+		n.setCount(idx, n.count(idx)+1)
 	}
 	return added, nil, nil
 }
 
 func (t *Tree) insertLeaf(n *node, key, value []byte) (bool, *splitResult, error) {
 	i, found := leafIndex(n, key)
-	lv, err := t.makeValue(value)
+	ent, err := t.leafEntry(key, value)
 	if err != nil {
 		return false, nil, err
 	}
-	n.dirty = true
+	j := i
 	if found {
-		old := n.vals[i]
-		n.bytes -= leafEntrySize(n.keys[i], old)
-		if old.isOverflow() {
-			if err := t.freeOverflow(old.overflow); err != nil {
+		if _, ovf, _ := n.value(i); ovf != pager.InvalidPage {
+			if err := t.freeOverflow(ovf); err != nil {
 				return false, nil, err
 			}
 		}
-		n.vals[i] = lv
-		n.bytes += leafEntrySize(n.keys[i], lv)
-		if n.bytes > pager.PageSize {
-			return false, t.splitLeaf(n, i), nil
-		}
-		return false, nil, nil
+		j = i + 1
 	}
-	k := append([]byte(nil), key...)
-	n.keys = insertBytesAt(n.keys, i, k)
-	n.vals = insertValAt(n.vals, i, lv)
-	n.bytes += leafEntrySize(k, lv)
-	if n.bytes > pager.PageSize {
-		return true, t.splitLeaf(n, i), nil
+	if own := t.edit(n, i, j, ent); own != nil {
+		return !found, t.splitLeaf(n, own, i), nil
 	}
-	return true, nil, nil
+	return !found, nil, nil
 }
 
-// splitLeaf divides an overfull leaf. insertedAt biases the split point:
+// leafEntry encodes the leaf entry for key and value into the tree's
+// entry buffer, first spilling a value longer than maxInlineValue to an
+// overflow chain.
+func (t *Tree) leafEntry(key, value []byte) ([]byte, error) {
+	e := binary.AppendUvarint(t.ent[:0], uint64(len(key)))
+	e = append(e, key...)
+	if len(value) <= maxInlineValue {
+		e = binary.AppendUvarint(e, uint64(len(value))<<1)
+		e = append(e, value...)
+	} else {
+		first, err := t.writeOverflow(value)
+		if err != nil {
+			return nil, err
+		}
+		e = binary.AppendUvarint(e, uint64(len(value))<<1|1)
+		e = binary.LittleEndian.AppendUint32(e, uint32(first))
+	}
+	t.ent = e
+	return e, nil
+}
+
+// splitLeaf divides an overfull leaf, which edit left in the tree's
+// two-page buffer, moving its upper entries to a new right sibling and
+// writing the rest back into own. insertedAt biases the split point:
 // appending workloads (insertion at the right edge) split 9:1 so pages end
 // up nearly full under the document-order bulk loads MASS performs.
-func (t *Tree) splitLeaf(n *node, insertedAt int) *splitResult {
+func (t *Tree) splitLeaf(n *node, own []byte, insertedAt int) *splitResult {
 	t.m.Splits++
-	target := n.bytes / 2
-	if insertedAt >= len(n.keys)-1 {
-		target = n.bytes * 9 / 10
+	nk := n.entries()
+	target := n.used() / 2
+	if insertedAt >= nk-1 {
+		target = n.used() * 9 / 10
 	} else if insertedAt == 0 {
-		target = n.bytes / 10
+		target = n.used() / 10
 	}
-	acc := leafHeaderSize
 	split := 0
-	for i := 0; i < len(n.keys)-1; i++ {
-		acc += leafEntrySize(n.keys[i], n.vals[i])
-		if acc >= target {
+	for i := 0; i < nk-1; i++ {
+		if int(n.slots[i+1]) >= target {
 			split = i + 1
 			break
 		}
 	}
 	if split == 0 {
-		split = len(n.keys) / 2
-		if split == 0 {
-			split = 1
-		}
+		split = max(nk/2, 1)
 	}
 	r := t.newNode(true)
-	r.keys = append(r.keys, n.keys[split:]...)
-	r.vals = append(r.vals, n.vals[split:]...)
-	n.keys = n.keys[:split]
-	n.vals = n.vals[:split]
-	n.bytes = leafHeaderSize
-	for i := range n.keys {
-		n.bytes += leafEntrySize(n.keys[i], n.vals[i])
-	}
-	r.bytes = leafHeaderSize
-	for i := range r.keys {
-		r.bytes += leafEntrySize(r.keys[i], r.vals[i])
-	}
+	t.moveTail(n, r, own, split, int(n.slots[split]))
 	// Stitch sibling links: n <-> r <-> old n.next.
-	r.next = n.next
-	r.prev = n.id
-	if r.next != pager.InvalidPage {
-		if nn, err := t.load(r.next); err == nil {
-			nn.prev = r.id
-			nn.dirty = true
+	r.setNext(n.next())
+	r.setPrev(n.id)
+	if r.next() != pager.InvalidPage {
+		if nn, err := t.load(r.next()); err == nil {
+			nn.mutable()
+			nn.setPrev(r.id)
 		}
 	}
-	n.next = r.id
-	n.dirty = true
+	n.setNext(r.id)
 	return &splitResult{
-		sep:        append([]byte(nil), r.keys[0]...),
+		sep:        append([]byte(nil), r.key(0)...),
 		right:      r.id,
-		leftCount:  uint64(len(n.keys)),
-		rightCount: uint64(len(r.keys)),
+		leftCount:  uint64(n.entries()),
+		rightCount: uint64(r.entries()),
 	}
 }
 
-func (t *Tree) splitBranch(n *node) *splitResult {
+// splitBranch divides an overfull branch (see splitLeaf) so both halves
+// are under half the byte budget. The separator before the right half's
+// first child moves up to the parent.
+func (t *Tree) splitBranch(n *node, own []byte) *splitResult {
 	t.m.Splits++
-	// Split children so both halves are under half the byte budget.
-	target := n.bytes / 2
-	acc := branchHeaderSize + childRefSize
+	nc := n.entries()
+	target := n.used() / 2
 	m := 1
-	for ; m < len(n.children)-1; m++ {
-		acc += branchEntrySize(n.keys[m-1])
-		if acc >= target {
+	for ; m < nc-1; m++ {
+		if int(n.slots[m+1]) >= target {
 			break
 		}
 	}
-	sep := n.keys[m-1]
+	sep := append([]byte(nil), n.key(m)...)
 	r := t.newNode(false)
-	r.children = append(r.children, n.children[m:]...)
-	r.counts = append(r.counts, n.counts[m:]...)
-	r.keys = append(r.keys, n.keys[m:]...)
-	n.children = n.children[:m]
-	n.counts = n.counts[:m]
-	n.keys = n.keys[:m-1]
-	recalcBranchBytes(n)
-	recalcBranchBytes(r)
-	n.dirty = true
+	// The right half starts with child m's bare reference: its separator
+	// is the one that moves up.
+	t.moveTail(n, r, own, m, int(n.slots[m+1])-childRefSize)
 	return &splitResult{
 		sep:        sep,
 		right:      r.id,
@@ -540,11 +562,22 @@ func (t *Tree) splitBranch(n *node) *splitResult {
 	}
 }
 
-func recalcBranchBytes(n *node) {
-	n.bytes = branchHeaderSize + childRefSize*len(n.children)
-	for _, k := range n.keys {
-		n.bytes += branchEntrySize(k) - childRefSize
+// moveTail finishes a split of n, which edit left in the tree's
+// two-page buffer: the bytes from offset start to the end move to the
+// fresh node r as its entries, and n keeps its entries [0, keep), written
+// back into own, which becomes its page again.
+func (t *Tree) moveTail(n, r *node, own []byte, keep, start int) {
+	header := int(r.slots[0])
+	copy(r.page[header:], n.page[start:n.used()])
+	for _, s := range n.slots[keep+1:] {
+		r.slots = append(r.slots, uint16(int(s)-start+header))
 	}
+	binary.LittleEndian.PutUint16(r.page[1:3], uint16(r.entries()))
+	clear(own)
+	copy(own, n.page[:n.slots[keep]])
+	n.page = own
+	n.slots = n.slots[:keep+1]
+	binary.LittleEndian.PutUint16(n.page[1:3], uint16(keep))
 }
 
 // Delete removes key if present and reports whether it was found. Leaves
@@ -561,10 +594,10 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		idx int
 	}
 	var path []step
-	for !n.leaf {
+	for !n.leaf() {
 		idx := childIndex(n, key)
 		path = append(path, step{n, idx})
-		if n, err = t.load(n.children[idx]); err != nil {
+		if n, err = t.load(n.child(idx)); err != nil {
 			return false, err
 		}
 	}
@@ -572,100 +605,78 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 	if !found {
 		return false, nil
 	}
-	if n.vals[i].isOverflow() {
-		if err := t.freeOverflow(n.vals[i].overflow); err != nil {
+	if _, ovf, _ := n.value(i); ovf != pager.InvalidPage {
+		if err := t.freeOverflow(ovf); err != nil {
 			return false, err
 		}
 	}
-	n.bytes -= leafEntrySize(n.keys[i], n.vals[i])
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	n.dirty = true
+	t.edit(n, i, i+1, nil)
 	for _, s := range path {
-		s.n.counts[s.idx]--
-		s.n.dirty = true
+		s.n.mutable()
+		s.n.setCount(s.idx, s.n.count(s.idx)-1)
 	}
 	return true, t.maybeEvict()
-}
-
-// makeValue stores value inline or spills it to overflow pages.
-func (t *Tree) makeValue(value []byte) (leafValue, error) {
-	if len(value) <= maxInlineValue {
-		return leafValue{inline: append([]byte(nil), value...)}, nil
-	}
-	first, err := t.writeOverflow(value)
-	if err != nil {
-		return leafValue{}, err
-	}
-	return leafValue{overflow: first, totalLen: len(value)}, nil
 }
 
 const overflowHeader = 4 + 2 // next page, used bytes
 const overflowCap = pager.PageSize - overflowHeader
 
+// writeOverflow spills value to a chain of freshly allocated pages and
+// returns the first.
 func (t *Tree) writeOverflow(value []byte) (pager.PageID, error) {
-	var first, prev pager.PageID
-	buf := make([]byte, pager.PageSize)
-	prevBuf := make([]byte, pager.PageSize)
-	for off := 0; off < len(value); {
-		id, err := t.pg.Allocate()
-		if err != nil {
-			return pager.InvalidPage, err
-		}
-		n := len(value) - off
-		if n > overflowCap {
-			n = overflowCap
-		}
-		for i := range buf {
-			buf[i] = 0
-		}
+	first, err := t.pg.Allocate()
+	if err != nil {
+		return pager.InvalidPage, err
+	}
+	for id, off := first, 0; ; {
+		n := min(len(value)-off, overflowCap)
+		buf := make([]byte, pager.PageSize)
 		binary.LittleEndian.PutUint16(buf[4:6], uint16(n))
 		copy(buf[overflowHeader:], value[off:off+n])
-		if err := t.pg.Write(id, buf); err != nil {
+		off += n
+		next := pager.InvalidPage
+		if off < len(value) {
+			if next, err = t.pg.Allocate(); err != nil {
+				return pager.InvalidPage, err
+			}
+			binary.LittleEndian.PutUint32(buf[0:4], uint32(next))
+		}
+		if err := t.pg.WriteShared(id, buf); err != nil {
 			return pager.InvalidPage, err
 		}
-		if first == pager.InvalidPage {
-			first = id
-		} else {
-			// Patch previous page's next pointer.
-			if err := t.pg.Read(prev, prevBuf); err != nil {
-				return pager.InvalidPage, err
-			}
-			binary.LittleEndian.PutUint32(prevBuf[0:4], uint32(id))
-			if err := t.pg.Write(prev, prevBuf); err != nil {
-				return pager.InvalidPage, err
-			}
+		if next == pager.InvalidPage {
+			return first, nil
 		}
-		prev = id
-		off += n
+		id = next
 	}
-	return first, nil
 }
 
-func (t *Tree) readValue(v leafValue) ([]byte, error) {
-	if !v.isOverflow() {
-		return append([]byte(nil), v.inline...), nil
-	}
-	out := make([]byte, 0, v.totalLen)
-	buf := make([]byte, pager.PageSize)
-	for id := v.overflow; id != pager.InvalidPage; {
-		if err := t.pg.Read(id, buf); err != nil {
+// readOverflow materializes the total bytes of the overflow chain
+// starting at first.
+func (t *Tree) readOverflow(first pager.PageID, total int) ([]byte, error) {
+	out := make([]byte, 0, total)
+	for id := first; id != pager.InvalidPage; {
+		buf, err := t.pg.ReadShared(id)
+		if err != nil {
 			return nil, err
 		}
 		used := int(binary.LittleEndian.Uint16(buf[4:6]))
+		if used > overflowCap {
+			return nil, fmt.Errorf("btree: corrupt overflow page %d", id)
+		}
 		out = append(out, buf[overflowHeader:overflowHeader+used]...)
 		id = pager.PageID(binary.LittleEndian.Uint32(buf[0:4]))
 	}
-	if len(out) != v.totalLen {
-		return nil, fmt.Errorf("btree: overflow chain length %d, want %d", len(out), v.totalLen)
+	if len(out) != total {
+		return nil, fmt.Errorf("btree: overflow chain length %d, want %d", len(out), total)
 	}
 	return out, nil
 }
 
 func (t *Tree) freeOverflow(first pager.PageID) error {
-	buf := make([]byte, pager.PageSize)
 	for id := first; id != pager.InvalidPage; {
-		if err := t.pg.Read(id, buf); err != nil {
+		buf, err := t.pg.ReadShared(id)
+		if err != nil {
 			return err
 		}
 		next := pager.PageID(binary.LittleEndian.Uint32(buf[0:4]))
@@ -675,32 +686,4 @@ func (t *Tree) freeOverflow(first pager.PageID) error {
 		id = next
 	}
 	return nil
-}
-
-func insertBytesAt(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertValAt(s []leafValue, i int, v leafValue) []leafValue {
-	s = append(s, leafValue{})
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertPageAt(s []pager.PageID, i int, v pager.PageID) []pager.PageID {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertCountAt(s []uint64, i int, v uint64) []uint64 {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }

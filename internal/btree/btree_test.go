@@ -3,9 +3,11 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"vamana/internal/pager"
@@ -129,13 +131,45 @@ func TestLargeAscendingInsert(t *testing.T) {
 
 // TestRandomOpsAgainstModel runs a randomized sequence of Put/Delete/Get
 // against a map+sorted-slice reference model, then verifies full forward
-// and reverse iteration and range counts.
+// and reverse iteration and range counts, and every page against the
+// format oracle. Halfway through it pins a pager view and loads a
+// read-only tree over it; that tree shares the pinned page images with
+// the writer, so the writer's later edits, splits and flushes must all
+// copy on write for it to still return the pinned model exactly.
 func TestRandomOpsAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tr := newMemTree(t)
+	pg := newRecordingPages()
+	tr, err := New(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	model := map[string]string{}
+	var pinned *Tree
+	var pinnedModel map[string]string
+	var splitsAtPin uint64
 	randKey := func() string { return fmt.Sprintf("k%05d", rng.Intn(5000)) }
 	for op := 0; op < 30000; op++ {
+		switch {
+		case op == 15000:
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			view := pg.PinView()
+			defer view.Close()
+			if pinned, err = Load(view, tr.Root()); err != nil {
+				t.Fatal(err)
+			}
+			pinnedModel = maps.Clone(model)
+			verifyAgainstModel(t, pinned, pinnedModel) // caches every node
+			splitsAtPin = tr.Metrics().Splits
+		case op > 15000 && op%1000 == 0:
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := pg.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4, 5: // put
 			k, v := randKey(), fmt.Sprintf("v%d", op)
@@ -170,8 +204,23 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				t.Fatalf("Get(%q) = %q,%v want %q,%v", k, v, ok, want, wantOK)
 			}
 		}
+		if op == 20000 {
+			// Wide values grow leaves past a page: splits after the pin.
+			for i := 0; i < 200; i++ {
+				k, v := randKey(), strings.Repeat("w", 200)
+				if _, err := tr.Put([]byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				model[k] = v
+			}
+		}
 	}
 	verifyAgainstModel(t, tr, model)
+	checkAgainstOracle(t, pg, tr, model)
+	if tr.Metrics().Splits == splitsAtPin {
+		t.Fatal("no split after the pin")
+	}
+	verifyAgainstModel(t, pinned, pinnedModel)
 }
 
 func verifyAgainstModel(t *testing.T, tr *Tree, model map[string]string) {

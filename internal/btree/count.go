@@ -1,7 +1,5 @@
 package btree
 
-import "bytes"
-
 // Rank returns the number of entries with key strictly less than target.
 // It runs in O(log n) page visits using the subtree counts stored in
 // branch entries; no leaf between the tree edges and the target is read.
@@ -11,19 +9,16 @@ func (t *Tree) Rank(target []byte) (uint64, error) {
 		return 0, err
 	}
 	var rank uint64
-	for !n.leaf {
+	for !n.leaf() {
 		idx := childIndex(n, target)
 		for i := 0; i < idx; i++ {
-			rank += n.counts[i]
+			rank += n.count(i)
 		}
-		if n, err = t.load(n.children[idx]); err != nil {
+		if n, err = t.load(n.child(idx)); err != nil {
 			return 0, err
 		}
 	}
-	i := 0
-	for i < len(n.keys) && bytes.Compare(n.keys[i], target) < 0 {
-		i++
-	}
+	i, _ := leafIndex(n, target)
 	return rank + uint64(i), nil
 }
 

@@ -56,9 +56,9 @@ func (c *Cursor) Seek(target []byte) bool {
 	c.t.m.Seeks++
 	c.valid, c.err = false, nil
 	if n := c.leaf; n != nil && c.mods == c.t.mods {
-		if keys := n.keys; len(keys) > 0 &&
-			bytes.Compare(keys[0], target) <= 0 && bytes.Compare(target, keys[len(keys)-1]) <= 0 {
-			c.idx = gallop(keys, c.idx, target)
+		if nk := n.entries(); nk > 0 &&
+			bytes.Compare(n.key(0), target) <= 0 && bytes.Compare(target, n.key(nk-1)) <= 0 {
+			c.idx = gallop(n, c.idx, target)
 			c.valid = true
 			return true
 		}
@@ -68,8 +68,8 @@ func (c *Cursor) Seek(target []byte) bool {
 		c.err = err
 		return false
 	}
-	for !n.leaf {
-		if n, err = c.load(n.children[childIndex(n, target)]); err != nil {
+	for !n.leaf() {
+		if n, err = c.load(n.child(childIndex(n, target))); err != nil {
 			c.err = err
 			return false
 		}
@@ -79,23 +79,24 @@ func (c *Cursor) Seek(target []byte) bool {
 	return c.skipForward()
 }
 
-// gallop returns the index of the first key >= target in keys, given
-// keys[0] <= target <= keys[len(keys)-1]. It searches outward from the
+// gallop returns the index of the first key >= target in leaf n, given
+// n.key(0) <= target <= n.key(last). It searches outward from the
 // hint position in doubling strides and bisects the bracket it finds, so
 // a target a few entries from the hint costs a few comparisons however
 // large the leaf is.
-func gallop(keys [][]byte, hint int, target []byte) int {
+func gallop(n *node, hint int, target []byte) int {
+	last := n.entries() - 1
 	if hint < 0 {
 		hint = 0
-	} else if hint >= len(keys) {
-		hint = len(keys) - 1
+	} else if hint > last {
+		hint = last
 	}
-	// Invariant: keys[lo] < target (or lo == -1) and keys[hi] >= target.
-	lo, hi := -1, len(keys)-1
-	if bytes.Compare(keys[hint], target) < 0 {
+	// Invariant: key(lo) < target (or lo == -1) and key(hi) >= target.
+	lo, hi := -1, last
+	if bytes.Compare(n.key(hint), target) < 0 {
 		lo = hint
 		for step := 1; lo+step < hi; step <<= 1 {
-			if bytes.Compare(keys[lo+step], target) >= 0 {
+			if bytes.Compare(n.key(lo+step), target) >= 0 {
 				hi = lo + step
 				break
 			}
@@ -104,7 +105,7 @@ func gallop(keys [][]byte, hint int, target []byte) int {
 	} else {
 		hi = hint
 		for step := 1; hi-step > lo; step <<= 1 {
-			if bytes.Compare(keys[hi-step], target) < 0 {
+			if bytes.Compare(n.key(hi-step), target) < 0 {
 				lo = hi - step
 				break
 			}
@@ -113,7 +114,7 @@ func gallop(keys [][]byte, hint int, target []byte) int {
 	}
 	for hi-lo > 1 {
 		mid := int(uint(lo+hi) >> 1)
-		if bytes.Compare(keys[mid], target) < 0 {
+		if bytes.Compare(n.key(mid), target) < 0 {
 			lo = mid
 		} else {
 			hi = mid
@@ -131,8 +132,8 @@ func (c *Cursor) SeekFirst() bool {
 		c.err = err
 		return false
 	}
-	for !n.leaf {
-		if n, err = c.load(n.children[0]); err != nil {
+	for !n.leaf() {
+		if n, err = c.load(n.child(0)); err != nil {
 			c.err = err
 			return false
 		}
@@ -150,13 +151,13 @@ func (c *Cursor) SeekLast() bool {
 		c.err = err
 		return false
 	}
-	for !n.leaf {
-		if n, err = c.load(n.children[len(n.children)-1]); err != nil {
+	for !n.leaf() {
+		if n, err = c.load(n.child(n.entries() - 1)); err != nil {
 			c.err = err
 			return false
 		}
 	}
-	c.leaf, c.idx, c.mods = n, len(n.keys)-1, c.t.mods
+	c.leaf, c.idx, c.mods = n, n.entries()-1, c.t.mods
 	return c.skipBackward()
 }
 
@@ -193,12 +194,12 @@ func (c *Cursor) Prev() bool {
 // skipForward normalizes a position that may be past a leaf's end (or on an
 // empty leaf) by walking the sibling links forward.
 func (c *Cursor) skipForward() bool {
-	for c.idx >= len(c.leaf.keys) {
-		if c.leaf.next == pager.InvalidPage {
+	for c.idx >= c.leaf.entries() {
+		if c.leaf.next() == pager.InvalidPage {
 			c.valid = false
 			return false
 		}
-		n, err := c.load(c.leaf.next)
+		n, err := c.load(c.leaf.next())
 		if err != nil {
 			c.err, c.valid = err, false
 			return false
@@ -211,16 +212,16 @@ func (c *Cursor) skipForward() bool {
 
 func (c *Cursor) skipBackward() bool {
 	for c.idx < 0 {
-		if c.leaf.prev == pager.InvalidPage {
+		if c.leaf.prev() == pager.InvalidPage {
 			c.valid = false
 			return false
 		}
-		n, err := c.load(c.leaf.prev)
+		n, err := c.load(c.leaf.prev())
 		if err != nil {
 			c.err, c.valid = err, false
 			return false
 		}
-		c.leaf, c.idx = n, len(n.keys)-1
+		c.leaf, c.idx = n, n.entries()-1
 	}
 	c.valid = true
 	return true
@@ -233,21 +234,26 @@ func (c *Cursor) Valid() bool { return c.valid }
 // or a governance trip from the attached limiter.
 func (c *Cursor) Err() error { return c.err }
 
-// Key returns the current entry's key. The slice is owned by the tree; do
-// not modify it.
+// Key returns the current entry's key. The slice is a view of the tree's
+// page, valid until the tree is next mutated; do not modify it.
 func (c *Cursor) Key() []byte {
 	if !c.valid {
 		return nil
 	}
-	return c.leaf.keys[c.idx]
+	return c.leaf.key(c.idx)
 }
 
-// Value returns the current entry's value (materializing overflow chains).
+// Value returns a copy of the current entry's value (materializing
+// overflow chains).
 func (c *Cursor) Value() ([]byte, error) {
 	if !c.valid {
 		return nil, nil
 	}
-	return c.t.readValue(c.leaf.vals[c.idx])
+	v, ovf, total := c.leaf.value(c.idx)
+	if ovf != pager.InvalidPage {
+		return c.t.readOverflow(ovf, total)
+	}
+	return append([]byte(nil), v...), nil
 }
 
 // ValueView returns the current entry's value without copying when it is
@@ -258,11 +264,11 @@ func (c *Cursor) ValueView() ([]byte, error) {
 	if !c.valid {
 		return nil, nil
 	}
-	lv := c.leaf.vals[c.idx]
-	if lv.isOverflow() {
-		return c.t.readValue(lv)
+	v, ovf, total := c.leaf.value(c.idx)
+	if ovf != pager.InvalidPage {
+		return c.t.readOverflow(ovf, total)
 	}
-	return lv.inline, nil
+	return v, nil
 }
 
 // ScanBatch bulk-advances the cursor: starting at the current entry it
@@ -290,27 +296,27 @@ func (c *Cursor) ScanBatch(hi []byte, needValue bool, visit func(k, v []byte) bo
 	}
 	for {
 		leaf := c.leaf
-		keys := leaf.keys
+		nk := leaf.entries()
 		// One range check per leaf: when the leaf's last key is already
 		// below hi, every entry in it is in range and the per-entry
 		// compare is skipped for the whole leaf.
-		wholeLeaf := hi == nil || (len(keys) > 0 && bytes.Compare(keys[len(keys)-1], hi) < 0)
-		for c.idx < len(keys) {
-			k := keys[c.idx]
+		wholeLeaf := hi == nil || (nk > 0 && bytes.Compare(leaf.key(nk-1), hi) < 0)
+		for c.idx < nk {
+			k, voff := leaf.keyAt(int(leaf.slots[c.idx]))
 			if !wholeLeaf && bytes.Compare(k, hi) >= 0 {
 				return false
 			}
 			var v []byte
 			if needValue {
-				lv := leaf.vals[c.idx]
-				if lv.isOverflow() {
+				inline, ovf, total := leaf.valueAt(voff)
+				if ovf != pager.InvalidPage {
 					var err error
-					if v, err = c.t.readValue(lv); err != nil {
+					if v, err = c.t.readOverflow(ovf, total); err != nil {
 						c.err, c.valid = err, false
 						return false
 					}
 				} else {
-					v = lv.inline
+					v = inline
 				}
 			}
 			c.idx++
@@ -318,11 +324,11 @@ func (c *Cursor) ScanBatch(hi []byte, needValue bool, visit func(k, v []byte) bo
 				return true
 			}
 		}
-		if leaf.next == pager.InvalidPage {
+		if leaf.next() == pager.InvalidPage {
 			c.valid = false
 			return false
 		}
-		n, err := c.load(leaf.next)
+		n, err := c.load(leaf.next())
 		if err != nil {
 			c.err, c.valid = err, false
 			return false
@@ -334,7 +340,7 @@ func (c *Cursor) ScanBatch(hi []byte, needValue bool, visit func(k, v []byte) bo
 // InRange reports whether the cursor is valid and its key is < hi (hi nil
 // means unbounded). A convenience for half-open range scans.
 func (c *Cursor) InRange(hi []byte) bool {
-	return c.valid && (hi == nil || bytes.Compare(c.leaf.keys[c.idx], hi) < 0)
+	return c.valid && (hi == nil || bytes.Compare(c.leaf.key(c.idx), hi) < 0)
 }
 
 // NewCursor returns an unpositioned cursor; call one of the Seek methods.

@@ -13,10 +13,10 @@ const (
 	pageBranch = byte('B')
 )
 
-// Serialized header sizes.
+// Page header sizes.
 const (
-	leafHeaderSize   = 1 + 2 + 4 + 4 // type, nkeys, next, prev
-	branchHeaderSize = 1 + 2         // type, nchildren
+	leafHeaderSize   = 1 + 2 + 4 + 4 // type, entry count, next, prev
+	branchHeaderSize = 1 + 2         // type, entry count
 	childRefSize     = 4 + 8         // page id, subtree count
 )
 
@@ -29,194 +29,232 @@ const maxInlineValue = 2048
 // least four separators.
 const maxKeySize = 1024
 
-// node is the in-memory form of a B+-tree page. Leaves hold sorted
-// key/value entries plus sibling links; branches hold child references with
-// subtree entry counts and the separator keys between them
-// (keys[i] is the minimum key of the subtree under children[i+1]).
+// node is a B+-tree page, read and edited in place. The page image is a
+// header followed by a run of entries and then zeros:
+//
+//   - a leaf entry is uvarint len(key), key, uvarint len(value)<<1|spilled,
+//     then the inline value bytes, or the first overflow page's 4-byte id
+//     when spilled;
+//   - branch entry 0 is a child reference (4-byte page id, 8-byte subtree
+//     count); branch entry i > 0 is uvarint len(sep), sep, then child
+//     reference i, where sep is the smallest key under child i.
+//
+// The header's 2-byte count is the number of entries (keys in a leaf,
+// children in a branch); a leaf header also links its siblings. slots[i]
+// is the page offset of entry i and the last slot is the end of the last
+// entry, so entry i is page[slots[i]:slots[i+1]]. The slot table is built
+// in one pass when the page is loaded (parse) and kept current by every
+// edit (splice).
+//
+// A clean node's page is an immutable image shared with the pager — and,
+// in memory mode, with every other tree reading the same version — so
+// each page is held once. The first edit of a clean node clones the page
+// (mutable); store hands the edited image to the pager, after which it is
+// immutable again.
 type node struct {
 	id    pager.PageID
-	leaf  bool
+	page  []byte
+	slots []uint16
 	dirty bool
-
-	// leaf fields
-	keys [][]byte
-	vals []leafValue
-	next pager.PageID
-	prev pager.PageID
-
-	// branch fields; len(keys) == len(children)-1 when branch
-	children []pager.PageID
-	counts   []uint64
-
-	bytes int // current serialized size estimate
 }
 
-// leafValue is either an inline value or a reference to an overflow chain.
-type leafValue struct {
-	inline   []byte
-	overflow pager.PageID // InvalidPage when inline
-	totalLen int          // length of the full value when overflow
+func (n *node) leaf() bool { return n.page[0] == pageLeaf }
+
+// entries returns the number of entries: keys in a leaf, children in a
+// branch.
+func (n *node) entries() int { return len(n.slots) - 1 }
+
+// used returns the number of page bytes in use, header included.
+func (n *node) used() int { return int(n.slots[len(n.slots)-1]) }
+
+// key returns the key that begins entry i: leaf key i, or in a branch
+// (i > 0) the separator before child i, the smallest key under it. The
+// view's capacity ends with the key, so an append by the caller copies.
+func (n *node) key(i int) []byte {
+	k, _ := n.keyAt(int(n.slots[i]))
+	return k
 }
 
-func (v leafValue) isOverflow() bool { return v.overflow != pager.InvalidPage }
-
-func leafEntrySize(k []byte, v leafValue) int {
-	n := uvarintLen(uint64(len(k))) + len(k)
-	if v.isOverflow() {
-		return n + uvarintLen(uint64(v.totalLen)<<1|1) + 4
+// keyAt returns the key framed at off and the offset just past it. A key
+// is at most maxKeySize bytes (parse checks), so its length takes one or
+// two varint bytes, decoded here without a call.
+func (n *node) keyAt(off int) ([]byte, int) {
+	p := n.page
+	l := int(p[off])
+	if l >= 0x80 {
+		off++
+		l = l&0x7f | int(p[off])<<7
 	}
-	return n + uvarintLen(uint64(len(v.inline))<<1) + len(v.inline)
+	off++
+	return p[off : off+l : off+l], off + l
 }
 
-func branchEntrySize(sep []byte) int {
-	return uvarintLen(uint64(len(sep))) + len(sep) + childRefSize
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
+// valueAt decodes the leaf value framed at off: its inline bytes (nil
+// when empty), or the first page and total length of its overflow chain.
+func (n *node) valueAt(off int) (inline []byte, overflow pager.PageID, total int) {
+	info, w := binary.Uvarint(n.page[off:])
+	off += w
+	l := int(info >> 1)
+	if info&1 == 1 {
+		return nil, pager.PageID(binary.LittleEndian.Uint32(n.page[off:])), l
 	}
-	return n
+	if l == 0 {
+		return nil, pager.InvalidPage, 0
+	}
+	return n.page[off : off+l : off+l], pager.InvalidPage, l
 }
+
+// value decodes leaf entry i's value; see valueAt.
+func (n *node) value(i int) ([]byte, pager.PageID, int) {
+	_, off := n.keyAt(int(n.slots[i]))
+	return n.valueAt(off)
+}
+
+// childRef returns the offset of branch child i's reference, the last
+// childRefSize bytes of entry i.
+func (n *node) childRef(i int) int { return int(n.slots[i+1]) - childRefSize }
+
+func (n *node) child(i int) pager.PageID {
+	return pager.PageID(binary.LittleEndian.Uint32(n.page[n.childRef(i):]))
+}
+
+func (n *node) count(i int) uint64 {
+	return binary.LittleEndian.Uint64(n.page[n.childRef(i)+4:])
+}
+
+func (n *node) setCount(i int, c uint64) {
+	binary.LittleEndian.PutUint64(n.page[n.childRef(i)+4:], c)
+}
+
+func (n *node) next() pager.PageID { return pager.PageID(binary.LittleEndian.Uint32(n.page[3:7])) }
+func (n *node) prev() pager.PageID { return pager.PageID(binary.LittleEndian.Uint32(n.page[7:11])) }
+
+func (n *node) setNext(id pager.PageID) { binary.LittleEndian.PutUint32(n.page[3:7], uint32(id)) }
+func (n *node) setPrev(id pager.PageID) { binary.LittleEndian.PutUint32(n.page[7:11], uint32(id)) }
 
 // subtreeCount returns the number of entries under n.
 func (n *node) subtreeCount() uint64 {
-	if n.leaf {
-		return uint64(len(n.keys))
+	if n.leaf() {
+		return uint64(n.entries())
 	}
 	var s uint64
-	for _, c := range n.counts {
-		s += c
+	for i := 0; i < n.entries(); i++ {
+		s += n.count(i)
 	}
 	return s
 }
 
-// serialize renders n into buf, which must be pager.PageSize long.
-func (n *node) serialize(buf []byte) error {
-	for i := range buf {
-		buf[i] = 0
+// parse validates n.page and builds its slot table in one pass over the
+// entry frames.
+func (n *node) parse() error {
+	p := n.page
+	if len(p) != pager.PageSize {
+		return fmt.Errorf("btree: page %d is %d bytes", n.id, len(p))
 	}
-	if n.leaf {
-		if len(n.keys) > 0xFFFF {
-			return fmt.Errorf("btree: leaf %d has %d keys", n.id, len(n.keys))
-		}
-		buf[0] = pageLeaf
-		binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.keys)))
-		binary.LittleEndian.PutUint32(buf[3:7], uint32(n.next))
-		binary.LittleEndian.PutUint32(buf[7:11], uint32(n.prev))
-		off := leafHeaderSize
-		for i, k := range n.keys {
-			off += binary.PutUvarint(buf[off:], uint64(len(k)))
-			off += copy(buf[off:], k)
-			v := n.vals[i]
-			if v.isOverflow() {
-				off += binary.PutUvarint(buf[off:], uint64(v.totalLen)<<1|1)
-				binary.LittleEndian.PutUint32(buf[off:off+4], uint32(v.overflow))
-				off += 4
-			} else {
-				off += binary.PutUvarint(buf[off:], uint64(len(v.inline))<<1)
-				off += copy(buf[off:], v.inline)
+	leaf := p[0] == pageLeaf
+	off := leafHeaderSize
+	switch {
+	case leaf:
+	case p[0] == pageBranch:
+		off = branchHeaderSize
+	default:
+		return fmt.Errorf("btree: page %d has unknown type %q", n.id, p[0])
+	}
+	c := int(binary.LittleEndian.Uint16(p[1:3]))
+	if !leaf && c == 0 {
+		return fmt.Errorf("btree: corrupt branch %d", n.id)
+	}
+	slots := make([]uint16, c+1)
+	for i := 0; i < c; i++ {
+		slots[i] = uint16(off)
+		if leaf {
+			off = skipFrame(p, off, false)
+			if off >= 0 {
+				off = skipFrame(p, off, true)
+			}
+		} else {
+			if i > 0 {
+				off = skipFrame(p, off, false)
+			}
+			if off >= 0 {
+				off += childRefSize
 			}
 		}
-		if off > pager.PageSize {
-			return fmt.Errorf("btree: leaf %d overflows page (%d bytes)", n.id, off)
+		if off < 0 || off > len(p) {
+			if leaf {
+				return fmt.Errorf("btree: corrupt leaf %d", n.id)
+			}
+			return fmt.Errorf("btree: corrupt branch %d", n.id)
 		}
-		return nil
 	}
-	if len(n.children) > 0xFFFF {
-		return fmt.Errorf("btree: branch %d has %d children", n.id, len(n.children))
-	}
-	buf[0] = pageBranch
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.children)))
-	off := branchHeaderSize
-	for i, c := range n.children {
-		if i > 0 {
-			sep := n.keys[i-1]
-			off += binary.PutUvarint(buf[off:], uint64(len(sep)))
-			off += copy(buf[off:], sep)
-		}
-		binary.LittleEndian.PutUint32(buf[off:off+4], uint32(c))
-		binary.LittleEndian.PutUint64(buf[off+4:off+12], n.counts[i])
-		off += childRefSize
-	}
-	if off > pager.PageSize {
-		return fmt.Errorf("btree: branch %d overflows page (%d bytes)", n.id, off)
-	}
+	slots[c] = uint16(off)
+	n.slots = slots
 	return nil
 }
 
-// deserialize parses buf into n (which must have id set).
-func (n *node) deserialize(buf []byte) error {
-	switch buf[0] {
-	case pageLeaf:
-		n.leaf = true
-		nk := int(binary.LittleEndian.Uint16(buf[1:3]))
-		n.next = pager.PageID(binary.LittleEndian.Uint32(buf[3:7]))
-		n.prev = pager.PageID(binary.LittleEndian.Uint32(buf[7:11]))
-		n.keys = make([][]byte, 0, nk)
-		n.vals = make([]leafValue, 0, nk)
-		off := leafHeaderSize
-		n.bytes = leafHeaderSize
-		for i := 0; i < nk; i++ {
-			klen, w := binary.Uvarint(buf[off:])
-			if w <= 0 || off+w+int(klen) > len(buf) {
-				return fmt.Errorf("btree: corrupt leaf %d", n.id)
-			}
-			off += w
-			k := append([]byte(nil), buf[off:off+int(klen)]...)
-			off += int(klen)
-			vinfo, w := binary.Uvarint(buf[off:])
-			if w <= 0 {
-				return fmt.Errorf("btree: corrupt leaf %d", n.id)
-			}
-			off += w
-			var v leafValue
-			if vinfo&1 == 1 {
-				v.totalLen = int(vinfo >> 1)
-				v.overflow = pager.PageID(binary.LittleEndian.Uint32(buf[off : off+4]))
-				off += 4
-			} else {
-				vlen := int(vinfo >> 1)
-				if off+vlen > len(buf) {
-					return fmt.Errorf("btree: corrupt leaf %d", n.id)
-				}
-				v.inline = append([]byte(nil), buf[off:off+vlen]...)
-				off += vlen
-			}
-			n.keys = append(n.keys, k)
-			n.vals = append(n.vals, v)
-			n.bytes += leafEntrySize(k, v)
-		}
-		return nil
-	case pageBranch:
-		n.leaf = false
-		nc := int(binary.LittleEndian.Uint16(buf[1:3]))
-		n.children = make([]pager.PageID, 0, nc)
-		n.counts = make([]uint64, 0, nc)
-		n.keys = make([][]byte, 0, nc-1)
-		off := branchHeaderSize
-		n.bytes = branchHeaderSize
-		for i := 0; i < nc; i++ {
-			if i > 0 {
-				klen, w := binary.Uvarint(buf[off:])
-				if w <= 0 || off+w+int(klen) > len(buf) {
-					return fmt.Errorf("btree: corrupt branch %d", n.id)
-				}
-				off += w
-				k := append([]byte(nil), buf[off:off+int(klen)]...)
-				off += int(klen)
-				n.keys = append(n.keys, k)
-				n.bytes += branchEntrySize(k) - childRefSize
-			}
-			n.children = append(n.children, pager.PageID(binary.LittleEndian.Uint32(buf[off:off+4])))
-			n.counts = append(n.counts, binary.LittleEndian.Uint64(buf[off+4:off+12]))
-			off += childRefSize
-			n.bytes += childRefSize
-		}
-		return nil
-	default:
-		return fmt.Errorf("btree: page %d has unknown type %q", n.id, buf[0])
+// skipFrame returns the offset just past the uvarint-framed field at off,
+// or -1 when it runs off the page or frames a key longer than maxKeySize.
+// A leaf value frame (value) carries its length shifted left by one, with
+// the low bit marking a 4-byte overflow reference in place of the bytes.
+func skipFrame(p []byte, off int, value bool) int {
+	if off >= len(p) {
+		return -1
 	}
+	x, w := binary.Uvarint(p[off:])
+	if value {
+		if x&1 == 1 {
+			x = 4
+		} else {
+			x >>= 1
+		}
+	}
+	if w <= 0 || x > uint64(len(p)) || (!value && x > maxKeySize) {
+		return -1
+	}
+	return off + w + int(x)
+}
+
+// splice replaces entries [i, j) of page with ent — one encoded entry, or
+// none when nil — moving the entries after them, and returns the updated
+// slot table. page must have room for the result. Bytes the edit frees at
+// the end are zeroed, so a page stays byte-identical to one written from
+// scratch.
+func splice(page []byte, slots []uint16, i, j int, ent []byte) []uint16 {
+	start, end, used := int(slots[i]), int(slots[j]), int(slots[len(slots)-1])
+	delta := len(ent) - (end - start)
+	copy(page[start+len(ent):], page[end:used])
+	copy(page[start:], ent)
+	if delta < 0 {
+		clear(page[used+delta : used])
+	}
+	k := 0
+	if ent != nil {
+		k = 1
+	}
+	switch {
+	case k > j-i:
+		slots = append(slots, 0)
+		copy(slots[j+1:], slots[j:])
+	case k < j-i:
+		slots = append(slots[:i+k], slots[j:]...)
+	}
+	for x := i + k; x < len(slots); x++ {
+		slots[x] = uint16(int(slots[x]) + delta)
+	}
+	binary.LittleEndian.PutUint16(page[1:3], uint16(len(slots)-1))
+	return slots
+}
+
+// appendChildRef encodes a branch child reference.
+func appendChildRef(dst []byte, id pager.PageID, count uint64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	return binary.LittleEndian.AppendUint64(dst, count)
+}
+
+// appendBranchEntry encodes a branch entry past the first: the separator
+// and the reference of the child it begins.
+func appendBranchEntry(dst, sep []byte, id pager.PageID, count uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(sep)))
+	dst = append(dst, sep...)
+	return appendChildRef(dst, id, count)
 }

@@ -167,43 +167,3 @@ func TestQuickDeleteConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickSerializationRoundTrip: flushing every node and reloading the
-// tree from its root page preserves all content byte-for-byte.
-func TestQuickSerializationRoundTrip(t *testing.T) {
-	f := func(seed int64, n uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pg := pager.NewMemory()
-		tr, err := New(pg)
-		if err != nil {
-			return false
-		}
-		model := map[string]string{}
-		for i := 0; i < int(n%1500)+1; i++ {
-			k := fmt.Sprintf("key-%06d", rng.Intn(5000))
-			v := fmt.Sprintf("val-%d", rng.Int63())
-			model[k] = v
-			if _, err := tr.Put([]byte(k), []byte(v)); err != nil {
-				return false
-			}
-		}
-		if err := tr.Flush(); err != nil {
-			return false
-		}
-		tr2, err := Load(pg, tr.Root())
-		if err != nil {
-			return false
-		}
-		for k, v := range model {
-			got, ok, err := tr2.Get([]byte(k))
-			if err != nil || !ok || string(got) != v {
-				return false
-			}
-		}
-		n2, err := tr2.Len()
-		return err == nil && n2 == uint64(len(model))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

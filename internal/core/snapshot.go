@@ -136,7 +136,7 @@ func (sn *Snapshot) Close() error { return sn.ms.Close() }
 //
 // prev, when non-nil, is the shared snapshot currently installed; if it
 // is still the directly preceding committed state, the replacement
-// adopts its decoded-node caches for every page the commit left
+// adopts its node caches for every page the commit left
 // untouched, so per-commit snapshots stay warm (see mass.CommitWith).
 func (e *Engine) Update(fn func(*mass.Update) error, prev *Snapshot, install func(*Snapshot)) (epoch uint64, err error) {
 	u, err := e.live.store.BeginUpdate()

@@ -266,6 +266,11 @@ func (e *env) compare(op xpath.BinaryOp, l, r value) (bool, error) {
 		if rIsNS {
 			ns, other, flip = rns, l, true
 		}
+		if o, ok := other.(bool); ok {
+			// A boolean compares with the set's boolean value, which
+			// an empty set has too (§3.4).
+			return compareBool(cond, len(ns) > 0, o, flip), nil
+		}
 		for _, k := range ns {
 			sv, err := e.stringValue(k)
 			if err != nil {
@@ -273,9 +278,6 @@ func (e *env) compare(op xpath.BinaryOp, l, r value) (bool, error) {
 			}
 			var hit bool
 			switch o := other.(type) {
-			case bool:
-				hit = compareBool(cond, len(ns) > 0, o, flip)
-				return hit, nil
 			case float64:
 				a, b := toNumber(sv), o
 				if flip {
@@ -445,14 +447,14 @@ func (e *env) evalFunc(f *xpath.FuncCall, c evalCtx) (value, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := int(math.Round(e.toNum(sv))) - 1
+		start := int(round(e.toNum(sv))) - 1
 		end := len(s)
 		if len(f.Args) == 3 {
 			lv, err := arg(2)
 			if err != nil {
 				return nil, err
 			}
-			end = start + int(math.Round(e.toNum(lv)))
+			end = start + int(round(e.toNum(lv)))
 		}
 		if start < 0 {
 			start = 0
@@ -548,11 +550,28 @@ func (e *env) evalFunc(f *xpath.FuncCall, c evalCtx) (value, error) {
 		case "ceiling":
 			return math.Ceil(n), nil
 		default:
-			return math.Round(n), nil
+			return round(n), nil
 		}
 	default:
 		return nil, fmt.Errorf("exec: unknown function %s()", f.Name)
 	}
+}
+
+// round is XPath 1.0's round() (§4.4): the closest integer, halves going
+// towards positive infinity. NaN, the infinities and both zeros pass
+// through, and a negative value that rounds to zero gives −0.
+func round(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) || x == 0 {
+		return x
+	}
+	r := math.Floor(x)
+	if x-r >= 0.5 {
+		r++
+	}
+	if r == 0 && x < 0 {
+		return math.Copysign(0, -1)
+	}
+	return r
 }
 
 // stringValue returns the XPath string-value of the node at k.

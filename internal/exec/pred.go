@@ -183,8 +183,9 @@ func (p *cmpEval) eval(candidate flex.Key, _, _ int) (bool, error) {
 
 func compareNum(cond plan.PredCond, a, b float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
-		// NaN compares false to everything except !=.
-		return cond == plan.CondNE && !(math.IsNaN(a) && math.IsNaN(b))
+		// NaN compares false to everything, itself included, except by
+		// != (XPath 1.0 §3.4 follows IEEE 754).
+		return cond == plan.CondNE
 	}
 	switch cond {
 	case plan.CondEQ:

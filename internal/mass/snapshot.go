@@ -67,7 +67,7 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 //
 // When prev is the snapshot of the immediately preceding committed
 // version and changed lists every page that differs between the two, the
-// new snapshot's trees adopt prev's decoded-node caches for all other
+// new snapshot's trees adopt prev's node caches for all other
 // pages: a snapshot taken per commit starts warm instead of re-reading
 // its working set, which is what keeps the auto-snapshot serving path
 // near direct-read speed under a busy writer.

@@ -148,10 +148,12 @@ func (s *Store) Metrics() StoreMetrics {
 type Options struct {
 	// Path is the backing page file. Empty means an in-memory store.
 	Path string
-	// CachePages bounds the total deserialized index pages kept in
-	// memory for file-backed stores (spread across the six index trees).
-	// 0 means the default (~6K pages, about 50 MB of 8 KiB pages). Lower
-	// it for memory-constrained deployments; raise it for hot stores.
+	// CachePages bounds the total index pages kept in memory for
+	// file-backed stores (spread across the six index trees); each is one
+	// 8 KiB page image its tree node reads in place. 0 means the default
+	// (~6K pages, about 50 MB). Lower it for memory-constrained
+	// deployments; raise it for hot stores. In-memory stores hold every
+	// page once, shared by the live trees and every snapshot.
 	CachePages int
 	// Backend, when non-nil, overrides Path as the storage to open the
 	// pager over (used by tests to inject faults below the pager).

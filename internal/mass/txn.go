@@ -86,7 +86,7 @@ func (u *Update) Commit() (epoch uint64, err error) {
 // prev, when non-nil, is the caller's currently-installed snapshot. If
 // it is exactly one commit generation behind and the transaction
 // published at most one pager version, the new snapshot adopts prev's
-// decoded-node caches for every unchanged page (see snapshotLocked) —
+// node caches for every unchanged page (see snapshotLocked) —
 // otherwise prev is ignored and the snapshot starts cold.
 func (u *Update) CommitWith(prev *Snapshot, install func(*Snapshot)) (epoch uint64, err error) {
 	return u.commit(prev, install)

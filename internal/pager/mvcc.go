@@ -69,7 +69,7 @@ func (p *Pager) VersionEpoch() uint64 {
 
 // LastCommitPages returns the ids of the pages changed by the most
 // recent version commit — the page-level delta between the two newest
-// committed versions, used to carry decoded-node caches across adjacent
+// committed versions, used to carry node caches across adjacent
 // snapshots. The returned slice is owned by the pager and valid only
 // until the next commit; callers hold the store's writer lock, which
 // serializes commits.
@@ -126,8 +126,9 @@ func (p *Pager) stashLocked(id PageID) {
 	switch {
 	case p.backend == nil:
 		if int(id) < len(p.mem) {
-			// Move, not copy: mem[id] is about to be replaced and nothing
-			// else references the old slice.
+			// Move, not copy: mem[id] is about to be replaced, and no
+			// holder of the old image ever modifies it. A page never
+			// written has a nil image, which records "no committed image".
 			old = p.mem[id]
 		}
 	default:
@@ -147,44 +148,6 @@ func (p *Pager) stashLocked(id PageID) {
 	}
 	p.versions[id] = append(p.versions[id], pageVersion{asOf: p.vEpoch, data: old})
 	p.m.PagesStashed++
-}
-
-// readAtEpoch resolves page id to its committed image as of epoch.
-func (p *Pager) readAtEpoch(epoch uint64, id PageID, buf []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if id >= p.npages {
-		return ErrPageRange
-	}
-	if len(buf) != PageSize {
-		return fmt.Errorf("pager: read buffer is %d bytes, want %d", len(buf), PageSize)
-	}
-	p.m.Reads++
-	if vs := p.versions[id]; len(vs) > 0 {
-		// The first version tagged at or after the pinned epoch holds the
-		// image that was current then; a page never overwritten since the
-		// pin falls through to the committed layer.
-		i := sort.Search(len(vs), func(i int) bool { return vs[i].asOf >= epoch })
-		if i < len(vs) {
-			if vs[i].data == nil {
-				return fmt.Errorf("%w: page %d has no committed image at epoch %d", ErrChecksum, id, epoch)
-			}
-			copy(buf, vs[i].data)
-			return nil
-		}
-	}
-	if p.backend == nil {
-		copy(buf, p.mem[id])
-		return nil
-	}
-	if img, ok := p.pending[id]; ok {
-		copy(buf, img)
-		return nil
-	}
-	return p.readDisk(id, buf)
 }
 
 // PinView pins the current version epoch and returns a read-only View
@@ -265,14 +228,31 @@ func (v *View) Epoch() uint64 { return v.epoch }
 
 // Read copies page id's committed image as of the pinned epoch into buf.
 func (v *View) Read(id PageID, buf []byte) error {
+	if len(buf) != PageSize {
+		return fmt.Errorf("pager: read buffer is %d bytes, want %d", len(buf), PageSize)
+	}
 	if v.closed.Load() {
 		return ErrViewClosed
 	}
-	return v.p.readAtEpoch(v.epoch, id, buf)
+	_, err := v.p.read(id, v.epoch, false, buf)
+	return err
+}
+
+// ReadShared returns page id's committed image as of the pinned epoch,
+// without copying it where the pager holds it in memory; see
+// Pager.ReadShared.
+func (v *View) ReadShared(id PageID) ([]byte, error) {
+	if v.closed.Load() {
+		return nil, ErrViewClosed
+	}
+	return v.p.read(id, v.epoch, false, nil)
 }
 
 // Write rejects mutation through a view.
 func (v *View) Write(PageID, []byte) error { return ErrReadOnlyView }
+
+// WriteShared rejects mutation through a view.
+func (v *View) WriteShared(PageID, []byte) error { return ErrReadOnlyView }
 
 // Allocate rejects allocation through a view.
 func (v *View) Allocate() (PageID, error) { return InvalidPage, ErrReadOnlyView }

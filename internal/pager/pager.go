@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 )
 
@@ -233,7 +234,9 @@ func (p *Pager) Allocate() (PageID, error) {
 	id := p.npages
 	p.npages++
 	if p.backend == nil {
-		p.mem = append(p.mem, make([]byte, PageSize))
+		// No image until the first write installs one; reads of a page
+		// never written see zeros (see imageLocked).
+		p.mem = append(p.mem, nil)
 	}
 	return id, nil
 }
@@ -258,36 +261,86 @@ func (p *Pager) Free(id PageID) error {
 // bytes long. File-backed reads verify the page's CRC32C and return an
 // error wrapping ErrChecksum on mismatch.
 func (p *Pager) Read(id PageID, buf []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if id >= p.npages {
-		return ErrPageRange
-	}
 	if len(buf) != PageSize {
 		return fmt.Errorf("pager: read buffer is %d bytes, want %d", len(buf), PageSize)
 	}
+	_, err := p.read(id, 0, true, buf)
+	return err
+}
+
+// ReadShared returns page id's image without copying it wherever the
+// pager already holds the image in memory (every page of a memory
+// pager; buffered and committed-but-not-durable pages of a file pager).
+// A page that must come from disk is read into a new buffer. Either way
+// the caller must never modify the returned slice: the pager never
+// changes an image once it is installed, so the slice stays valid — and
+// unchanged — for as long as the caller holds it.
+func (p *Pager) ReadShared(id PageID) ([]byte, error) { return p.read(id, 0, true, nil) }
+
+// read serves Read and ReadShared for the live pager (live) and for
+// views pinned at epoch. A nil buf asks for the shared image.
+func (p *Pager) read(id PageID, epoch uint64, live bool, buf []byte) ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil, ErrClosed
+	}
+	if id >= p.npages {
+		return nil, ErrPageRange
+	}
 	p.m.Reads++
-	// Writes buffered since the last version commit shadow everything:
-	// the writer always reads its own writes.
-	if len(p.dirty) != 0 {
-		if img, ok := p.dirty[id]; ok {
-			copy(buf, img)
-			return nil
+	img, err := p.imageLocked(id, epoch, live)
+	if err != nil {
+		return nil, err
+	}
+	if img != nil {
+		if buf == nil {
+			return img, nil
+		}
+		copy(buf, img)
+		return buf, nil
+	}
+	if buf == nil {
+		buf = make([]byte, PageSize)
+	}
+	return buf, p.readDisk(id, buf)
+}
+
+// imageLocked resolves page id to the in-memory image a reader sees, or
+// nil when it must be read from disk. A live read sees the writes
+// buffered since the last version commit first (the writer always reads
+// its own writes); a read pinned at epoch sees the retired version that
+// was current then, if the page has been overwritten since.
+func (p *Pager) imageLocked(id PageID, epoch uint64, live bool) ([]byte, error) {
+	if live {
+		if len(p.dirty) != 0 {
+			if img, ok := p.dirty[id]; ok {
+				return img, nil
+			}
+		}
+	} else if vs := p.versions[id]; len(vs) > 0 {
+		// The first version tagged at or after the pinned epoch holds the
+		// image that was current then; a page never overwritten since the
+		// pin falls through to the committed layer.
+		i := sort.Search(len(vs), func(i int) bool { return vs[i].asOf >= epoch })
+		if i < len(vs) {
+			if vs[i].data == nil {
+				return nil, fmt.Errorf("%w: page %d has no committed image at epoch %d", ErrChecksum, id, epoch)
+			}
+			return vs[i].data, nil
 		}
 	}
 	if p.backend == nil {
-		copy(buf, p.mem[id])
-		return nil
+		if img := p.mem[id]; img != nil {
+			return img, nil
+		}
+		return zeroPage[:], nil
 	}
-	if img, ok := p.pending[id]; ok {
-		copy(buf, img)
-		return nil
-	}
-	return p.readDisk(id, buf)
+	return p.pending[id], nil
 }
+
+// zeroPage is the image of a memory page allocated but never written.
+var zeroPage [PageSize]byte
 
 // readDisk reads and verifies page id from the backend into buf (PageSize
 // bytes). Short reads (a page past the durable end of file) fail
@@ -312,10 +365,21 @@ func (p *Pager) readDisk(id PageID, buf []byte) error {
 	return nil
 }
 
-// Write stores buf (PageSize bytes) as the contents of page id. On file
-// backends the write is buffered; Flush commits the whole batch
-// atomically.
+// Write stores a copy of buf (PageSize bytes) as the contents of page
+// id; the caller may reuse buf afterwards. On file backends the write is
+// buffered; Flush commits the whole batch atomically.
 func (p *Pager) Write(id PageID, buf []byte) error {
+	if len(buf) != PageSize {
+		return fmt.Errorf("pager: write buffer is %d bytes, want %d", len(buf), PageSize)
+	}
+	return p.WriteShared(id, append(make([]byte, 0, PageSize), buf...))
+}
+
+// WriteShared stores img (PageSize bytes) as the contents of page id
+// without copying it: the pager keeps img itself, so the caller must
+// never modify it again. This is how an index hands over a page it
+// built and keeps reading it — one copy of the page, held by both.
+func (p *Pager) WriteShared(id PageID, img []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -324,23 +388,19 @@ func (p *Pager) Write(id PageID, buf []byte) error {
 	if id >= p.npages {
 		return ErrPageRange
 	}
-	if len(buf) != PageSize {
-		return fmt.Errorf("pager: write buffer is %d bytes, want %d", len(buf), PageSize)
+	if len(img) != PageSize {
+		return fmt.Errorf("pager: write buffer is %d bytes, want %d", len(img), PageSize)
 	}
 	p.m.Writes++
 	// Memory fast path: with no snapshot pinned, no update bracket open
-	// and no dirty overlay to shadow it, the write applies in place —
-	// the pre-snapshot behavior, kept allocation- and map-free.
+	// and no dirty overlay to shadow it, the write becomes the committed
+	// image at once. It replaces the old image rather than copying over
+	// it, because a ReadShared caller may still hold the old one.
 	if p.backend == nil && !p.inTxn && len(p.pins) == 0 && len(p.dirty) == 0 {
-		copy(p.mem[id], buf)
+		p.mem[id] = img
 		return nil
 	}
-	img, ok := p.dirty[id]
-	if !ok {
-		img = make([]byte, PageSize)
-		p.dirty[id] = img
-	}
-	copy(img, buf)
+	p.dirty[id] = img
 	return nil
 }
 

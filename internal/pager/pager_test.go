@@ -195,3 +195,69 @@ func TestUserMetaPersistence(t *testing.T) {
 		t.Fatalf("user meta lost: %q", got[:])
 	}
 }
+
+// TestSharedImagesNeverChange pins the zero-copy contract: ReadShared
+// hands out the pager's own image where it holds one, WriteShared keeps
+// the caller's image, Write copies, and no later write changes an image a
+// ReadShared caller holds — on memory and file pagers, with and without a
+// pinned view.
+func TestSharedImagesNeverChange(t *testing.T) {
+	for _, mode := range []string{"memory", "memory-pinned", "file"} {
+		t.Run(mode, func(t *testing.T) {
+			p := NewMemory()
+			if mode == "file" {
+				var err error
+				if p, err = Open(filepath.Join(t.TempDir(), "shared.vam")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer p.Close()
+			id, err := p.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "memory" {
+				img, err := p.ReadShared(id)
+				if err != nil || !bytes.Equal(img, fill(0)) {
+					t.Fatalf("unwritten page reads %v, want zeros", err)
+				}
+			}
+			if mode == "memory-pinned" {
+				v := p.PinView()
+				defer v.Close()
+			}
+			buf := fill(1)
+			if err := p.Write(id, buf); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, fill(2)) // Write copied: reusing buf changes nothing
+			held, err := p.ReadShared(id)
+			if err != nil || !bytes.Equal(held, fill(1)) {
+				t.Fatalf("ReadShared after Write: %v", err)
+			}
+			own := fill(3)
+			if err := p.WriteShared(id, own); err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.ReadShared(id)
+			if err != nil || &got[0] != &own[0] {
+				t.Fatalf("ReadShared after WriteShared is not the written image (%v)", err)
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Write(id, fill(4)); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(held, fill(1)) || !bytes.Equal(own, fill(3)) {
+				t.Fatal("a later write changed an image a reader holds")
+			}
+			if got, err := p.ReadShared(id); err != nil || !bytes.Equal(got, fill(4)) {
+				t.Fatalf("ReadShared after the last write: %v", err)
+			}
+		})
+	}
+}

@@ -76,6 +76,7 @@ echo "== fuzz smokes (10s each)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/xpath/
 go test -run '^$' -fuzz '^FuzzFlexKey$' -fuzztime 10s ./internal/flex/
 go test -run '^$' -fuzz '^FuzzPagerReopen$' -fuzztime 10s ./internal/pager/
+go test -run '^$' -fuzz '^FuzzTreeOps$' -fuzztime 10s ./internal/btree/
 
 echo "== batch throughput gate (batched vs tuple-at-a-time scan drains, 1.5x floor)"
 # Paired interleaved best-of-rounds: the default-batch engine must stay

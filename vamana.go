@@ -56,10 +56,12 @@ type Options struct {
 	// whole store in memory. A file-backed store persists across Open
 	// calls.
 	Path string
-	// CachePages bounds the in-memory index page cache of a file-backed
-	// store (8 KiB pages; the working set beyond it is read from disk on
-	// demand). 0 selects a default of ~6K pages. This is the knob that
-	// keeps memory flat however large the documents grow.
+	// CachePages bounds the index pages a file-backed store keeps in
+	// memory (8 KiB each, read in place by the index nodes; the working
+	// set beyond it is read from disk on demand). 0 selects a default of
+	// ~6K pages. This is the knob that keeps memory flat however large
+	// the documents grow. An in-memory store holds every page once and
+	// ignores it.
 	CachePages int
 	// Backend, when non-nil, overrides Path as the raw storage under the
 	// page layer. Production stores use Path; Backend exists for tests
