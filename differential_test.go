@@ -203,7 +203,13 @@ func (g *diffGen) genStep(last bool) string {
 }
 
 func (g *diffGen) genPredicate() string {
-	switch g.r.Intn(9) {
+	switch g.r.Intn(12) {
+	case 8: // an absolute path: independent of the context node
+		return "[//" + g.pick(diffElems) + "]"
+	case 9:
+		return fmt.Sprintf("[@%s = //%s/@%s]", g.pick(diffAttrs), g.pick(diffElems), g.pick(diffAttrs))
+	case 10:
+		return fmt.Sprintf("[@%s='%s' or /*/%s]", g.pick(diffAttrs), g.pick(diffTexts), g.pick(diffElems))
 	case 0:
 		return fmt.Sprintf("[%d]", 1+g.r.Intn(3))
 	case 1:

@@ -82,7 +82,7 @@ func WithMaxResults(n uint64) QueryOption {
 }
 
 // WithMaxPagesRead bounds the number of index pages the query may read
-// from the pager (node-cache hits are free).
+// from the pager (pages already resident and decoded are free).
 func WithMaxPagesRead(n uint64) QueryOption {
 	return func(c *queryConfig) { c.Limits.MaxPagesRead = n }
 }

@@ -257,21 +257,31 @@ func TestBudgetDecodedRecordsOnSiblingAxes(t *testing.T) {
 }
 
 // TestBudgetMaxPagesRead trips the page-read budget. Page charges happen
-// only on node-cache misses, and in-memory stores never evict, so this
-// needs a file-backed store with the node cache squeezed to its floor —
-// the document's working set then cannot fit and the query must fault
-// pages back in.
+// only on loads no decoded frame serves, and in-memory stores never
+// evict, so this needs a file-backed store whose page cache holds one
+// page — the document's working set then cannot fit and the query must
+// fault pages back in.
 func TestBudgetMaxPagesRead(t *testing.T) {
-	db, err := Open(Options{
-		Path:       filepath.Join(t.TempDir(), "governed.vam"),
-		CachePages: 1, // floors at 16 nodes per index tree
-	})
+	// A freshly loaded document's pages stay in memory until they are
+	// durable, so the query runs on the reopened store: its frame cache
+	// holds one page, and the query must read the rest from disk.
+	opts := Options{Path: filepath.Join(t.TempDir(), "governed.vam"), CachePages: 1}
+	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := db.LoadXMLString("auction",
+		xmark.GenerateString(xmark.Config{Factor: 0.02, Seed: 51})); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
 	defer db.Close()
-	doc, err := db.LoadXMLString("auction",
-		xmark.GenerateString(xmark.Config{Factor: 0.02, Seed: 51}))
+	doc, err := db.Document("auction")
 	if err != nil {
 		t.Fatal(err)
 	}

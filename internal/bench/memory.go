@@ -39,7 +39,7 @@ func MeasureEngineMemory(src string, e Engine) MemoryResult {
 		// VAMANA's large-document configuration is the file-backed MASS
 		// store ("VAMANA exploits the large storage capacity of MASS (up
 		// to several Gbs)", §VIII): pages live on disk, the heap holds
-		// only the bounded node cache. DOM engines have no such mode —
+		// only the bounded page cache. DOM engines have no such mode —
 		// that asymmetry is the paper's scalability argument.
 		dir, err := os.MkdirTemp("", "vamana-mem-*")
 		if err != nil {

@@ -32,14 +32,14 @@ var ErrKeyTooLarge = errors.New("btree: key exceeds maximum size")
 // *pager.Pager for live trees, or a read-only epoch-pinned *pager.View
 // for snapshot trees (whose mutating methods fail, which a read-only
 // tree never invokes). Pages travel without copies both ways: a tree
-// reads the pager's own image and hands over the images it builds, and
+// reads the pager's own frames and hands over the frames it builds, and
 // neither side modifies an image after that.
 type Pages interface {
-	ReadShared(id pager.PageID) ([]byte, error)
-	WriteShared(id pager.PageID, img []byte) error
+	Resident(id pager.PageID) (*pager.Frame, error)
+	ReadFrame(id pager.PageID) (*pager.Frame, error)
+	WriteFrame(id pager.PageID, f *pager.Frame) error
 	Allocate() (pager.PageID, error)
 	Free(id pager.PageID) error
-	InMemory() bool
 }
 
 var (
@@ -49,30 +49,33 @@ var (
 
 // Tree is a counted B+-tree. Create with New or attach to an existing root
 // with Load.
+//
+// A tree caches nothing clean: a node is the decoded form attached to
+// its page's pager frame, shared by every tree reading that version of
+// the page, and the pager alone decides which frames stay resident. The
+// tree keeps only the nodes it has edited since its last Flush, so that
+// it reads its own writes.
 type Tree struct {
-	pg   Pages
-	root pager.PageID
+	pg    Pages
+	root  pager.PageID
+	dirty map[pager.PageID]*node
 
-	cache    map[pager.PageID]*node
-	maxCache int     // evict above this many cached nodes (file-backed pagers only)
-	clock    []*node // eviction ring
-	hand     int
-	m        Metrics // plain counters; callers serialize tree access
-	ent      []byte  // entry encoding buffer reused by Put
-	wide     []byte  // two-page buffer an overfull node is split from
+	m    Metrics // plain counters; callers serialize tree access
+	ent  []byte  // entry encoding buffer reused by Put
+	wide []byte  // two-page buffer an overfull node is split from
 	// mods counts Put and Delete calls. Cursors stamp it when they reach
 	// a leaf and trust that leaf on a later Seek only while it is
 	// unchanged (see Cursor.Seek).
 	mods uint64
 }
 
-// Metrics counts the tree's node-cache and structural activity since it
+// Metrics counts the tree's node loads and structural activity since it
 // was created or loaded. Trees are externally serialized (see package
 // doc), so plain fields are race-clean under the caller's lock.
 type Metrics struct {
-	CacheHits      uint64 // node loads served from the node cache
+	CacheHits      uint64 // node loads served by an already-decoded frame (or the tree's own edits)
 	CacheMisses    uint64 // node loads that read a page and built its slot table
-	CacheEvictions uint64 // nodes evicted from the cache
+	CacheEvictions uint64 // frames the pager evicted; trees leave it 0 and the owning store fills it in
 	Splits         uint64 // leaf and branch node splits
 	Seeks          uint64 // cursor seeks (Seek/SeekFirst/SeekLast)
 	Counts         uint64 // counted-range probes (Count/Rank)
@@ -92,13 +95,9 @@ func (m *Metrics) Add(o Metrics) {
 	m.Counts += o.Counts
 }
 
-// defaultMaxCache bounds the node cache for file-backed pagers. Memory
-// pagers never evict (the pager already holds every page in memory).
-const defaultMaxCache = 1024
-
 // New creates an empty tree whose pages are allocated from pg.
 func New(pg Pages) (*Tree, error) {
-	t := newTree(pg)
+	t := &Tree{pg: pg}
 	root := t.newNode(true)
 	t.root = root.id
 	return t, nil
@@ -110,36 +109,11 @@ func Load(pg Pages, root pager.PageID) (*Tree, error) {
 	if root == pager.InvalidPage {
 		return nil, errors.New("btree: invalid root page")
 	}
-	t := newTree(pg)
-	t.root = root
+	t := &Tree{pg: pg, root: root}
 	if _, err := t.load(root); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-func newTree(pg Pages) *Tree {
-	mc := defaultMaxCache
-	if pg.InMemory() {
-		mc = 1 << 30
-	}
-	return &Tree{
-		pg:       pg,
-		cache:    make(map[pager.PageID]*node),
-		maxCache: mc,
-	}
-}
-
-// SetMaxCache bounds the node cache for file-backed pagers
-// (memory pagers never evict: their pages already live in memory, so
-// eviction would only add churn).
-func (t *Tree) SetMaxCache(n int) {
-	if n < 16 {
-		n = 16
-	}
-	if !t.pg.InMemory() {
-		t.maxCache = n
-	}
 }
 
 // Root returns the current root page id, needed to Load the tree later.
@@ -170,20 +144,38 @@ func (t *Tree) newNode(leaf bool) *node {
 		page[0] = pageLeaf
 		header = leafHeaderSize
 	}
-	n := &node{id: id, page: page, slots: []uint16{uint16(header)}, dirty: true}
-	t.cache[id] = n
-	t.clock = append(t.clock, n)
+	return t.keep(&node{id: id, page: page, slots: []uint16{uint16(header)}, dirty: true})
+}
+
+// keep adds a node the tree edits to its dirty set.
+func (t *Tree) keep(n *node) *node {
+	if t.dirty == nil {
+		t.dirty = make(map[pager.PageID]*node)
+	}
+	t.dirty[n.id] = n
 	return n
 }
 
 func (t *Tree) load(id pager.PageID) (*node, error) { return t.loadFor(id, nil) }
 
-// loadFor is load with per-query governance: a node-cache miss charges one
-// page read against lim before the I/O happens, so a tripped MaxPagesRead
-// budget stops the query without issuing the read. Cache hits are free —
-// the budget bounds a query's pressure on the pager, not its key visits.
+// loadFor is load with per-query governance: a load its page's frame
+// cannot serve already decoded charges one page read against lim before
+// any I/O happens, so a tripped MaxPagesRead budget stops the query
+// without issuing the read. Decoded frames are free — the budget bounds
+// a query's pressure on the pager, not its key visits.
 func (t *Tree) loadFor(id pager.PageID, lim *govern.Limiter) (*node, error) {
-	if n, ok := t.cache[id]; ok {
+	n, ok := t.dirty[id]
+	var f *pager.Frame
+	if !ok {
+		var err error
+		if f, err = t.pg.Resident(id); err != nil {
+			return nil, err
+		}
+		if f != nil {
+			n, ok = f.Decoded().(*node)
+		}
+	}
+	if ok {
 		t.m.CacheHits++
 		lim.AddCacheHits(1)
 		return n, nil
@@ -192,47 +184,43 @@ func (t *Tree) loadFor(id pager.PageID, lim *govern.Limiter) (*node, error) {
 		return nil, err
 	}
 	t.m.CacheMisses++
-	page, err := t.pg.ReadShared(id)
-	if err != nil {
-		return nil, err
+	if f == nil {
+		var err error
+		if f, err = t.pg.ReadFrame(id); err != nil {
+			return nil, err
+		}
 	}
-	n := &node{id: id, page: page}
+	n = &node{id: id, page: f.Data()}
 	if err := n.parse(); err != nil {
 		return nil, err
 	}
-	t.cache[id] = n
-	t.clock = append(t.clock, n)
-	return n, nil
+	return f.Attach(n).(*node), nil
 }
 
-// store hands a dirty node's page to the pager. From then on the image is
-// shared and immutable; the node's next edit works on a clone.
-func (t *Tree) store(n *node) error {
-	if !n.dirty {
-		return nil
+// mutable returns the node to edit for n: n itself once the tree has
+// edited it since its last Flush, otherwise a private copy of n, which
+// belongs to its pager frame and may be read by other trees meanwhile.
+func (t *Tree) mutable(n *node) *node {
+	if n.dirty {
+		return n
 	}
-	if err := t.pg.WriteShared(n.id, n.page); err != nil {
-		return err
+	if m, ok := t.dirty[n.id]; ok {
+		return m
 	}
-	n.dirty = false
-	return nil
+	return t.keep(&node{
+		id:    n.id,
+		page:  append(make([]byte, 0, pager.PageSize), n.page...),
+		slots: append([]uint16(nil), n.slots...),
+		dirty: true,
+	})
 }
 
-// mutable readies n for an in-place edit: a clean node's page is a shared
-// image, so the first edit since the node was loaded or stored clones it.
-func (n *node) mutable() {
-	if !n.dirty {
-		n.page = append(make([]byte, 0, pager.PageSize), n.page...)
-		n.dirty = true
-	}
-}
-
-// edit replaces entries [i, j) of n with ent (nil removes them), in
-// place. When the result would overflow the page, n is left holding it in
-// the tree's two-page buffer, and edit returns n's own page for the caller
-// to split into at once (splitLeaf, splitBranch); otherwise it returns nil.
+// edit replaces entries [i, j) of n, which mutable returned, with ent
+// (nil removes them), in place. When the result would overflow the page,
+// n is left holding it in the tree's two-page buffer, and edit returns
+// n's own page for the caller to split into at once (splitLeaf,
+// splitBranch); otherwise it returns nil.
 func (t *Tree) edit(n *node, i, j int, ent []byte) (own []byte) {
-	n.mutable()
 	if n.used()+len(ent)-int(n.slots[j]-n.slots[i]) <= pager.PageSize {
 		n.slots = splice(n.page, n.slots, i, j, ent)
 		return nil
@@ -247,54 +235,19 @@ func (t *Tree) edit(n *node, i, j int, ent []byte) (own []byte) {
 	return own
 }
 
-// Flush writes all dirty nodes back to the pager.
+// Flush hands every node edited since the last Flush to the pager as a
+// frame with the node already attached. From then on its page is shared
+// and immutable; the node's next edit works on a copy (mutable).
 func (t *Tree) Flush() error {
-	for _, n := range t.cache {
-		if err := t.store(n); err != nil {
+	for id, n := range t.dirty {
+		n.dirty = false
+		f := pager.NewFrame(n.page)
+		f.Attach(n)
+		if err := t.pg.WriteFrame(id, f); err != nil {
+			n.dirty = true
 			return err
 		}
-	}
-	return nil
-}
-
-// AdoptCache seeds t's node cache with prev's entries, skipping page ids
-// for which skip returns true (nil skips nothing). It exists for
-// adjacent read-only snapshot trees: when the only pages that changed
-// between two committed versions are in the skip set, every other page
-// is byte-identical, so the previous snapshot's nodes (page image and
-// slot table) are valid for the new one and carry over by pointer — a
-// fresh snapshot starts with a warm cache instead of re-reading its
-// working set. Sharing *node objects is safe only because read-only
-// trees never edit a node; the caller must serialize access to both
-// trees for the duration of the call.
-func (t *Tree) AdoptCache(prev *Tree, skip func(pager.PageID) bool) {
-	for id, n := range prev.cache {
-		if n.dirty || (skip != nil && skip(id)) {
-			continue
-		}
-		if _, ok := t.cache[id]; ok {
-			continue
-		}
-		t.cache[id] = n
-		t.clock = append(t.clock, n)
-	}
-}
-
-// maybeEvict trims the cache after a public operation completes. It is
-// never called mid-operation, so no in-use node is dropped.
-func (t *Tree) maybeEvict() error {
-	for len(t.clock) > t.maxCache {
-		if t.hand >= len(t.clock) {
-			t.hand = 0
-		}
-		n := t.clock[t.hand]
-		if err := t.store(n); err != nil {
-			return err
-		}
-		delete(t.cache, n.id)
-		t.m.CacheEvictions++
-		t.clock[t.hand] = t.clock[len(t.clock)-1]
-		t.clock = t.clock[:len(t.clock)-1]
+		delete(t.dirty, id)
 	}
 	return nil
 }
@@ -364,9 +317,6 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	} else {
 		v = append([]byte(nil), v...)
 	}
-	if err := t.maybeEvict(); err != nil {
-		return nil, false, err
-	}
 	return v, true, nil
 }
 
@@ -419,7 +369,7 @@ func (t *Tree) Put(key, value []byte) (bool, error) {
 		nr.slots = splice(nr.page, nr.slots, 1, 1, appendBranchEntry(t.ent[:0], split.sep, split.right, split.rightCount))
 		t.root = nr.id
 	}
-	return added, t.maybeEvict()
+	return added, nil
 }
 
 func (t *Tree) insert(n *node, key, value []byte) (bool, *splitResult, error) {
@@ -437,14 +387,14 @@ func (t *Tree) insert(n *node, key, value []byte) (bool, *splitResult, error) {
 	}
 	switch {
 	case split != nil:
-		n.mutable()
+		n = t.mutable(n)
 		n.setCount(idx, split.leftCount)
 		t.ent = appendBranchEntry(t.ent[:0], split.sep, split.right, split.rightCount)
 		if own := t.edit(n, idx+1, idx+1, t.ent); own != nil {
 			return added, t.splitBranch(n, own), nil
 		}
 	case added:
-		n.mutable()
+		n = t.mutable(n)
 		n.setCount(idx, n.count(idx)+1)
 	}
 	return added, nil, nil
@@ -465,6 +415,7 @@ func (t *Tree) insertLeaf(n *node, key, value []byte) (bool, *splitResult, error
 		}
 		j = i + 1
 	}
+	n = t.mutable(n)
 	if own := t.edit(n, i, j, ent); own != nil {
 		return !found, t.splitLeaf(n, own, i), nil
 	}
@@ -523,8 +474,7 @@ func (t *Tree) splitLeaf(n *node, own []byte, insertedAt int) *splitResult {
 	r.setPrev(n.id)
 	if r.next() != pager.InvalidPage {
 		if nn, err := t.load(r.next()); err == nil {
-			nn.mutable()
-			nn.setPrev(r.id)
+			t.mutable(nn).setPrev(r.id)
 		}
 	}
 	n.setNext(r.id)
@@ -610,12 +560,12 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 			return false, err
 		}
 	}
-	t.edit(n, i, i+1, nil)
+	t.edit(t.mutable(n), i, i+1, nil)
 	for _, s := range path {
-		s.n.mutable()
-		s.n.setCount(s.idx, s.n.count(s.idx)-1)
+		m := t.mutable(s.n)
+		m.setCount(s.idx, m.count(s.idx)-1)
 	}
-	return true, t.maybeEvict()
+	return true, nil
 }
 
 const overflowHeader = 4 + 2 // next page, used bytes
@@ -641,7 +591,7 @@ func (t *Tree) writeOverflow(value []byte) (pager.PageID, error) {
 			}
 			binary.LittleEndian.PutUint32(buf[0:4], uint32(next))
 		}
-		if err := t.pg.WriteShared(id, buf); err != nil {
+		if err := t.pg.WriteFrame(id, pager.NewFrame(buf)); err != nil {
 			return pager.InvalidPage, err
 		}
 		if next == pager.InvalidPage {
@@ -656,10 +606,11 @@ func (t *Tree) writeOverflow(value []byte) (pager.PageID, error) {
 func (t *Tree) readOverflow(first pager.PageID, total int) ([]byte, error) {
 	out := make([]byte, 0, total)
 	for id := first; id != pager.InvalidPage; {
-		buf, err := t.pg.ReadShared(id)
+		f, err := t.pg.ReadFrame(id)
 		if err != nil {
 			return nil, err
 		}
+		buf := f.Data()
 		used := int(binary.LittleEndian.Uint16(buf[4:6]))
 		if used > overflowCap {
 			return nil, fmt.Errorf("btree: corrupt overflow page %d", id)
@@ -675,11 +626,11 @@ func (t *Tree) readOverflow(first pager.PageID, total int) ([]byte, error) {
 
 func (t *Tree) freeOverflow(first pager.PageID) error {
 	for id := first; id != pager.InvalidPage; {
-		buf, err := t.pg.ReadShared(id)
+		f, err := t.pg.ReadFrame(id)
 		if err != nil {
 			return err
 		}
-		next := pager.PageID(binary.LittleEndian.Uint32(buf[0:4]))
+		next := pager.PageID(binary.LittleEndian.Uint32(f.Data()[0:4]))
 		if err := t.pg.Free(id); err != nil {
 			return err
 		}

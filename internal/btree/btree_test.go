@@ -427,8 +427,10 @@ func TestFileBackedReopen(t *testing.T) {
 	}
 }
 
-// TestCacheEviction forces the node cache to churn with a file-backed pager
-// and a tiny cache budget.
+// TestCacheEviction forces the pager's frame cache to churn under a
+// file-backed tree with a budget of 8 pages: puts, gets, counts and a
+// cursor walk all load evicted pages again, and the cache never holds
+// more than its budget.
 func TestCacheEviction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "evict.vam")
 	pg, err := pager.Open(path)
@@ -436,16 +438,27 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pg.Close()
+	pg.SetCachePages(8)
 	tr, err := New(pg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.maxCache = 8
+	flush := func() {
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := pg.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	const n = 8000
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key%06d", i*13%n)
 		if _, err := tr.Put([]byte(k), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
+		}
+		if i%1000 == 999 {
+			flush()
 		}
 	}
 	if got, _ := tr.Len(); got != n {
@@ -459,6 +472,20 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if got, err := tr.Count([]byte("key000000"), []byte("key004000")); err != nil || got != 4000 {
 		t.Fatalf("Count = %d, %v", got, err)
+	}
+	c := tr.NewCursor()
+	got := 0
+	for ok := c.SeekFirst(); ok; ok = c.Next() {
+		if want := fmt.Sprintf("key%06d", got); string(c.Key()) != want {
+			t.Fatalf("scan entry %d = %q, want %q", got, c.Key(), want)
+		}
+		got++
+	}
+	if c.Err() != nil || got != n {
+		t.Fatalf("scan = %d entries (%v), want %d", got, c.Err(), n)
+	}
+	if m := pg.Metrics(); m.Evictions == 0 || m.Cached > 8 {
+		t.Errorf("pager: %d evictions, %d frames cached; want evictions and at most 8", m.Evictions, m.Cached)
 	}
 }
 

@@ -21,13 +21,14 @@ type Cursor struct {
 	lim   *govern.Limiter
 	// mods is the tree's modification count when leaf was reached. Seek
 	// resumes from leaf only while it still equals t.mods: any Put or
-	// Delete since may have split, emptied or (after an eviction) replaced
-	// the node object, so the next Seek descends from the root instead.
+	// Delete since may have split or emptied the leaf, or edited a copy of
+	// it that the held node does not show, so the next Seek descends from
+	// the root instead.
 	mods uint64
 }
 
-// SetLimiter attaches a query-governance limiter: every node-cache miss
-// the cursor causes is charged against its page budget, which also
+// SetLimiter attaches a query-governance limiter: every node load no
+// decoded frame serves is charged against its page budget, which also
 // carries sticky cancellation errors into seeks. A nil limiter (the
 // default) means ungoverned. Seeks do not poll cancellation themselves —
 // every seek site sits inside a scan loop that already ticks the same

@@ -178,10 +178,10 @@ func newRecordingPages() *recordingPages {
 	return &recordingPages{Pager: pager.NewMemory(), stored: map[pager.PageID]bool{}, freed: map[pager.PageID]bool{}}
 }
 
-func (r *recordingPages) WriteShared(id pager.PageID, img []byte) error {
+func (r *recordingPages) WriteFrame(id pager.PageID, f *pager.Frame) error {
 	r.stored[id] = true
 	delete(r.freed, id)
-	return r.Pager.WriteShared(id, img)
+	return r.Pager.WriteFrame(id, f)
 }
 
 func (r *recordingPages) Free(id pager.PageID) error {
@@ -201,11 +201,11 @@ func checkAgainstOracle(t *testing.T, pg *recordingPages, tr *Tree, model map[st
 		t.Fatal(err)
 	}
 	read := func(id pager.PageID) []byte {
-		img, err := pg.ReadShared(id)
+		f, err := pg.ReadFrame(id)
 		if err != nil {
 			t.Fatalf("read page %d: %v", id, err)
 		}
-		return img
+		return f.Data()
 	}
 	seen := map[pager.PageID]bool{}
 	var leaves []*oracleNode

@@ -46,11 +46,11 @@ const maxKeySize = 1024
 // in one pass when the page is loaded (parse) and kept current by every
 // edit (splice).
 //
-// A clean node's page is an immutable image shared with the pager — and,
-// in memory mode, with every other tree reading the same version — so
-// each page is held once. The first edit of a clean node clones the page
-// (mutable); store hands the edited image to the pager, after which it is
-// immutable again.
+// A clean node is the decoded form of a pager frame (see Tree.loadFor):
+// it and its page never change, and every tree reading that version of
+// the page shares it, so each page is held and decoded once. A tree edits
+// a private copy (Tree.mutable) and Flush hands the copy to the pager as
+// a new frame, after which it is clean and immutable too.
 type node struct {
 	id    pager.PageID
 	page  []byte

@@ -42,9 +42,9 @@ func (m *seekModel) del(k string) {
 // between keys and fall off either end, with Next/Prev/ScanBatch moving
 // the cursor in between and with Put/Delete (splits included) mutating
 // the tree in between, which by the documented rule voids the held leaf.
-// It runs on a memory pager and on a file pager whose node cache is at
-// its floor, so held leaves are also evicted and re-read behind the
-// cursor's back.
+// It runs on a memory pager and on a file pager whose frame cache holds
+// 16 pages and whose tree is flushed to disk between seeks, so held
+// leaves are also evicted and re-read behind the cursor's back.
 func TestPositionedSeekEqualsFreshSeek(t *testing.T) {
 	for _, backing := range []string{"memory", "file"} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -58,19 +58,22 @@ func TestPositionedSeekEqualsFreshSeek(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer pg.Close()
+					pg.SetCachePages(16)
 				}
 				tr, err := New(pg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr.SetMaxCache(16)
-				checkPositionedSeek(t, tr, rand.New(rand.NewSource(seed)))
+				checkPositionedSeek(t, tr, pg, rand.New(rand.NewSource(seed)))
+				if m := pg.Metrics(); !pg.InMemory() && (m.Evictions == 0 || m.Cached > 16) {
+					t.Errorf("file pager: %d evictions, %d frames cached; want evictions and at most 16", m.Evictions, m.Cached)
+				}
 			})
 		}
 	}
 }
 
-func checkPositionedSeek(t *testing.T, tr *Tree, rng *rand.Rand) {
+func checkPositionedSeek(t *testing.T, tr *Tree, pg *pager.Pager, rng *rand.Rand) {
 	t.Helper()
 	model := &seekModel{}
 	key := func(n int) string { return fmt.Sprintf("k%07d", n) }
@@ -149,7 +152,7 @@ func checkPositionedSeek(t *testing.T, tr *Tree, rng *rand.Rand) {
 		}
 
 		// Move the cursor or mutate the tree before the next seek.
-		switch rng.Intn(12) {
+		switch rng.Intn(13) {
 		case 0: // bulk advance: ScanBatch rests after the last visited entry
 			if pos.Valid() {
 				n := rng.Intn(400)
@@ -180,6 +183,14 @@ func checkPositionedSeek(t *testing.T, tr *Tree, rng *rand.Rand) {
 				} else {
 					put(k + ".x")
 				}
+			}
+		case 4: // make every edit durable: on a file pager the flushed
+			// pages join the frame cache and push held ones out
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := pg.Flush(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

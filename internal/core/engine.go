@@ -29,8 +29,8 @@ type Options struct {
 	// Path is the page file backing the MASS store; empty runs fully in
 	// memory.
 	Path string
-	// CachePages bounds the index page cache for file-backed stores
-	// (see mass.Options.CachePages). 0 selects the default.
+	// CachePages bounds the clean page cache of a file-backed store's
+	// pager (see mass.Options.CachePages). 0 selects the default.
 	CachePages int
 	// Backend, when non-nil, overrides Path as the pager's storage (see
 	// mass.Options.Backend). Used by crash-safety tests to inject faults.
@@ -517,9 +517,9 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 		{"vamana_pager_checksum_failures_total", "Page reads that failed CRC32C verification.", m.Pager.ChecksumFails},
 		{"vamana_pager_meta_fallbacks_total", "Opens that lost one metadata copy and recovered from the other.", m.Pager.MetaFallbacks},
 		{"vamana_pager_journal_replays_total", "Opens that completed an interrupted commit from its journal.", m.Pager.JournalReplays},
-		{"vamana_btree_cache_hits_total", "Index node loads served from cache.", m.Index.CacheHits},
-		{"vamana_btree_cache_misses_total", "Index node loads that read a page.", m.Index.CacheMisses},
-		{"vamana_btree_cache_evictions_total", "Index nodes evicted from cache.", m.Index.CacheEvictions},
+		{"vamana_btree_cache_hits_total", "Index node loads served by an already-decoded page frame.", m.Index.CacheHits},
+		{"vamana_btree_cache_misses_total", "Index node loads that read and decoded a page.", m.Index.CacheMisses},
+		{"vamana_btree_cache_evictions_total", "Clean page frames the pager evicted to stay within CachePages.", m.Index.CacheEvictions},
 		{"vamana_btree_node_splits_total", "Leaf and branch node splits.", m.Index.Splits},
 		{"vamana_btree_cursor_seeks_total", "Cursor seeks across all index trees.", m.Index.Seeks},
 		{"vamana_btree_count_probes_total", "Counted-range probes (Count/Rank).", m.Index.Counts},

@@ -137,9 +137,6 @@ func (o *CostObservatory) class(axis mass.Axis, prov string) *costClass {
 // q-error (nil, 0 when nothing was recorded) for the slow-query log.
 // Allocation-free except when a class records a new worst offender.
 func (o *CostObservatory) fold(it *exec.Iterator, expr string) (*plan.Step, float64) {
-	if !obs.Enabled() {
-		return nil, 0
-	}
 	var worstOp *plan.Step
 	var worstQ float64
 	var nObs, nUnder uint64

@@ -133,12 +133,7 @@ func (sn *Snapshot) Close() error { return sn.ms.Close() }
 // its snapshot is stale but no replacement exists. install runs with the
 // store's writer lock held: it must only swap the snapshot in and
 // release the previous one.
-//
-// prev, when non-nil, is the shared snapshot currently installed; if it
-// is still the directly preceding committed state, the replacement
-// adopts its node caches for every page the commit left
-// untouched, so per-commit snapshots stay warm (see mass.CommitWith).
-func (e *Engine) Update(fn func(*mass.Update) error, prev *Snapshot, install func(*Snapshot)) (epoch uint64, err error) {
+func (e *Engine) Update(fn func(*mass.Update) error, install func(*Snapshot)) (epoch uint64, err error) {
 	u, err := e.live.store.BeginUpdate()
 	if err != nil {
 		return 0, err
@@ -159,11 +154,7 @@ func (e *Engine) Update(fn func(*mass.Update) error, prev *Snapshot, install fun
 	if install == nil {
 		epoch, err = u.Commit()
 	} else {
-		var prevMass *mass.Snapshot
-		if prev != nil {
-			prevMass = prev.ms
-		}
-		epoch, err = u.CommitWith(prevMass, func(ms *mass.Snapshot) {
+		epoch, err = u.CommitWith(func(ms *mass.Snapshot) {
 			install(e.wrapShared(ms))
 		})
 	}

@@ -84,3 +84,33 @@ func TestComparisonAndRoundSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestAbsolutePathsInPredicates checks that a location path starting at
+// the root keeps its anchor inside a predicate — as an existence test,
+// as a comparison operand, and under and/or — on the unoptimized and
+// the optimized plan and on the DOM oracle. Each predicate holds for
+// both a elements, because it does not depend on the context node.
+func TestAbsolutePathsInPredicates(t *testing.T) {
+	s, d, oracle := setup(t, `<r><a id="1">x<b>y</b>z</a><a id="2"><b>w</b><c/></a></r>`)
+	want := runPlan(t, s, d, "//a", false)
+	if len(want) != 2 {
+		t.Fatalf("//a = %v, want two elements", want)
+	}
+	for _, expr := range []string{
+		"//a[//c]",
+		"//a[@id = //a/@id]",
+		"//a[@id='2' or //c]",
+		"//a[//a/@id='2']",
+		"//a[/r/a/b and b]",
+		"//a[/r/a/c = '']",
+	} {
+		if dom := runDOM(t, oracle, expr); !equalStrings(dom, want) {
+			t.Errorf("%s: dom oracle %v, want %v", expr, dom, want)
+		}
+		for _, optimized := range []bool{false, true} {
+			if got := runPlan(t, s, d, expr, optimized); !equalStrings(got, want) {
+				t.Errorf("%s (optimized=%v): %v, want %v", expr, optimized, got, want)
+			}
+		}
+	}
+}

@@ -469,33 +469,31 @@ func (it *Iterator) finishRun() {
 			}
 		}
 	}
-	if obs.Enabled() {
-		if it.err != nil {
-			switch {
-			case errors.Is(it.err, govern.ErrCanceled):
-				obs.QueriesCanceled.Inc()
-			case errors.Is(it.err, govern.ErrDeadlineExceeded):
-				obs.QueriesDeadlineExceeded.Inc()
-			case errors.Is(it.err, govern.ErrBudgetExceeded):
-				obs.QueriesBudgetExceeded.Inc()
-			}
+	if it.err != nil {
+		switch {
+		case errors.Is(it.err, govern.ErrCanceled):
+			obs.QueriesCanceled.Inc()
+		case errors.Is(it.err, govern.ErrDeadlineExceeded):
+			obs.QueriesDeadlineExceeded.Inc()
+		case errors.Is(it.err, govern.ErrBudgetExceeded):
+			obs.QueriesBudgetExceeded.Inc()
 		}
-		obs.ExecRuns.Inc()
-		obs.ExecResults.Add(it.nResults)
-		var scanned uint64
-		for _, s := range it.env.steps {
-			scanned += s.nScanned
-		}
-		obs.ExecEntriesScanned.Add(scanned)
-		var binds uint64
-		for a, n := range it.env.axisBinds {
-			if n != 0 {
-				binds += n
-				axisScanCounters[a].Add(n)
-			}
-		}
-		obs.ExecAxisScans.Add(binds)
 	}
+	obs.ExecRuns.Inc()
+	obs.ExecResults.Add(it.nResults)
+	var scanned uint64
+	for _, s := range it.env.steps {
+		scanned += s.nScanned
+	}
+	obs.ExecEntriesScanned.Add(scanned)
+	var binds uint64
+	for a, n := range it.env.axisBinds {
+		if n != 0 {
+			binds += n
+			axisScanCounters[a].Add(n)
+		}
+	}
+	obs.ExecAxisScans.Add(binds)
 	if it.onFinish != nil {
 		it.onFinish(it)
 	}

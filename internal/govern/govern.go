@@ -84,7 +84,8 @@ type Limits struct {
 	// MaxResults bounds the number of result tuples delivered.
 	MaxResults uint64
 	// MaxPagesRead bounds the number of index pages read from the pager
-	// on behalf of this query (node-cache misses; cache hits are free).
+	// on behalf of this query (loads no decoded page frame served;
+	// decoded frames are free).
 	MaxPagesRead uint64
 	// MaxDecodedRecords bounds the number of clustered-index records
 	// decoded on behalf of this query.

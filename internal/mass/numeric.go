@@ -143,16 +143,11 @@ func (s *Store) NumericRangeCount(d DocID, lo float64, loIncl bool, hi float64, 
 	return s.values.Count(lob, hib)
 }
 
-// NumericRangeScan streams the text nodes of d whose numeric value lies in
-// the range, restricted to ctx's subtree, ordered by numeric value. This
-// backs the optimizer's range-predicate rewrite.
-func (s *Store) NumericRangeScan(d DocID, ctx flex.Key, lo float64, loIncl bool, hi float64, hiIncl bool) *Scan {
-	return s.NumericRangeScanLim(d, ctx, lo, loIncl, hi, hiIncl, nil)
-}
-
-// NumericRangeScanLim is NumericRangeScan under query governance: lim
-// (nil = ungoverned) is ticked per index entry and charged for every page
-// read and record decode the scan causes.
+// NumericRangeScanLim streams the text nodes of d whose numeric value
+// lies in the range, restricted to ctx's subtree, ordered by numeric
+// value. This backs the optimizer's range-predicate rewrite. lim (nil =
+// ungoverned) is ticked per index entry and charged for every page read
+// and record decode the scan causes.
 func (s *Store) NumericRangeScanLim(d DocID, ctx flex.Key, lo float64, loIncl bool, hi float64, hiIncl bool, lim *govern.Limiter) *Scan {
 	if ctx == "" {
 		ctx = flex.Root

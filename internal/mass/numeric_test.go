@@ -77,7 +77,7 @@ func TestNumericRangeCountAndScan(t *testing.T) {
 		}
 	}
 	// Scan returns the text nodes with their values materialized.
-	sc := s.NumericRangeScan(d, "", 10, false, math.Inf(1), true)
+	sc := s.NumericRangeScanLim(d, "", 10, false, math.Inf(1), true, nil)
 	var got []string
 	for {
 		n, ok := sc.Next()

@@ -38,11 +38,6 @@ type Snapshot struct {
 	closed atomic.Bool
 }
 
-// snapshotCacheDivisor scales a snapshot store's node-cache budget
-// relative to the live store's: snapshots are many and usually
-// short-lived, so each gets a quarter of the configured budget.
-const snapshotCacheDivisor = 4
-
 // Snapshot publishes any unpublished state and returns a frozen view of
 // it. The returned snapshot must be Closed; until then DropDocument
 // refuses and retired page versions its view pins stay retained.
@@ -57,7 +52,7 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 	if err := s.publishLocked(); err != nil {
 		return nil, err
 	}
-	return s.snapshotLocked(s.commitGen.Load(), nil, nil)
+	return s.snapshotLocked(s.commitGen.Load())
 }
 
 // snapshotLocked freezes the current published pager version as a
@@ -65,22 +60,17 @@ func (s *Store) Snapshot() (*Snapshot, error) {
 // and have already published (Snapshot) or committed (Update.CommitWith)
 // the state the view should pin.
 //
-// When prev is the snapshot of the immediately preceding committed
-// version and changed lists every page that differs between the two, the
-// new snapshot's trees adopt prev's node caches for all other
-// pages: a snapshot taken per commit starts warm instead of re-reading
-// its working set, which is what keeps the auto-snapshot serving path
-// near direct-read speed under a busy writer.
-func (s *Store) snapshotLocked(gen uint64, prev *Snapshot, changed []pager.PageID) (*Snapshot, error) {
+// The snapshot's trees load the pager's frames, so every page it shares
+// with earlier versions comes already decoded, once for all of them.
+func (s *Store) snapshotLocked(gen uint64) (*Snapshot, error) {
 	view := s.pg.PinView()
 	ro := &Store{
-		pg:         s.pg,
-		ro:         true,
-		docs:       make(map[string]DocID, len(s.docs)),
-		epochs:     make(map[DocID]uint64, len(s.epochs)),
-		readers:    make(map[DocID]int),
-		nextDoc:    s.nextDoc,
-		cachePages: s.cachePages,
+		pg:      s.pg,
+		ro:      true,
+		docs:    make(map[string]DocID, len(s.docs)),
+		epochs:  make(map[DocID]uint64, len(s.epochs)),
+		readers: make(map[DocID]int),
+		nextDoc: s.nextDoc,
 	}
 	for n, d := range s.docs {
 		ro.docs[n] = d
@@ -107,36 +97,6 @@ func (s *Store) snapshotLocked(gen uint64, prev *Snapshot, changed []pager.PageI
 	if err != nil {
 		view.Close()
 		return nil, err
-	}
-	budget := s.cachePages
-	if budget <= 0 {
-		budget = 6144
-	}
-	ro.applyCacheBudget(budget / snapshotCacheDivisor)
-	if prev != nil {
-		var skip func(pager.PageID) bool
-		if len(changed) > 0 {
-			dirty := make(map[pager.PageID]struct{}, len(changed))
-			for _, id := range changed {
-				dirty[id] = struct{}{}
-			}
-			skip = func(id pager.PageID) bool { _, ok := dirty[id]; return ok }
-		}
-		// prev's trees may be serving in-flight readers; its mu
-		// serializes them against the cache walk. Lock order: the live
-		// store's mu (held by the caller) is always taken before a
-		// snapshot clone's — no snapshot code path takes them the other
-		// way around.
-		ps := prev.st
-		ps.mu.Lock()
-		ro.catalog.AdoptCache(ps.catalog, skip)
-		ro.clustered.AdoptCache(ps.clustered, skip)
-		ro.names.AdoptCache(ps.names, skip)
-		ro.attrs.AdoptCache(ps.attrs, skip)
-		ro.elems.AdoptCache(ps.elems, skip)
-		ro.texts.AdoptCache(ps.texts, skip)
-		ro.values.AdoptCache(ps.values, skip)
-		ps.mu.Unlock()
 	}
 	sn := &Snapshot{parent: s, view: view, st: ro, gen: gen, epoch: view.Epoch()}
 	sn.refs.Store(1)
@@ -224,18 +184,4 @@ func (s *Store) EndRead(d DocID) {
 		s.readers[d]--
 	}
 	s.mu.Unlock()
-}
-
-// Readers returns the number of in-flight iterators over d (live stores).
-func (s *Store) Readers(d DocID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readers[d]
-}
-
-// OpenSnapshots returns the number of open snapshots of this store.
-func (s *Store) OpenSnapshots() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapCount
 }

@@ -89,15 +89,11 @@ type Store struct {
 	// open transaction it does, however many writes the transaction has
 	// buffered. publishedGen/pubValid record the generation whose
 	// state was last published to the pager's committed layer.
-	// cachePages remembers the configured cache budget so snapshot
-	// stores and post-rollback reloads size their node caches
-	// consistently.
 	gen          atomic.Uint64
 	commitGen    atomic.Uint64
 	inTxn        bool
 	publishedGen uint64
 	pubValid     bool
-	cachePages   int
 
 	// ro marks a snapshot store: a frozen read-only clone whose trees
 	// read through an epoch-pinned pager view. snapOwner points back at
@@ -118,9 +114,9 @@ type Store struct {
 }
 
 // StoreMetrics is a snapshot of the store's storage-level activity:
-// pager I/O, B+-tree node-cache traffic aggregated across all seven
-// index trees, clustered records decoded, and statistics probes that
-// reached storage.
+// pager I/O, B+-tree node loads aggregated across all seven index trees
+// (with the pager's frame evictions as Index.CacheEvictions), clustered
+// records decoded, and statistics probes that reached storage.
 type StoreMetrics struct {
 	Pager          pager.Metrics
 	Index          btree.Metrics
@@ -141,6 +137,7 @@ func (s *Store) Metrics() StoreMetrics {
 	for _, slot := range s.treeNames() {
 		m.Index.Add((*slot).Metrics())
 	}
+	m.Index.CacheEvictions = m.Pager.Evictions
 	return m
 }
 
@@ -148,12 +145,13 @@ func (s *Store) Metrics() StoreMetrics {
 type Options struct {
 	// Path is the backing page file. Empty means an in-memory store.
 	Path string
-	// CachePages bounds the total index pages kept in memory for
-	// file-backed stores (spread across the six index trees); each is one
-	// 8 KiB page image its tree node reads in place. 0 means the default
-	// (~6K pages, about 50 MB). Lower it for memory-constrained
-	// deployments; raise it for hot stores. In-memory stores hold every
-	// page once, shared by the live trees and every snapshot.
+	// CachePages bounds the clean index pages a file-backed store keeps
+	// in memory: one cache of 8 KiB page images in the pager, each with
+	// its decoded B+-tree node, shared by the live trees and every
+	// snapshot. 0 means the default (6,144 pages, about 50 MB). Lower it
+	// for memory-constrained deployments; raise it for hot stores.
+	// Pages written but not yet durable stay in memory until Flush
+	// regardless. In-memory stores hold every page once.
 	CachePages int
 	// Backend, when non-nil, overrides Path as the storage to open the
 	// pager over (used by tests to inject faults below the pager).
@@ -179,45 +177,26 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	pg.SetCachePages(opts.CachePages)
 	s := &Store{
-		pg:         pg,
-		docs:       make(map[string]DocID),
-		epochs:     make(map[DocID]uint64),
-		readers:    make(map[DocID]int),
-		nextDoc:    1,
-		cachePages: opts.CachePages,
+		pg:      pg,
+		docs:    make(map[string]DocID),
+		epochs:  make(map[DocID]uint64),
+		readers: make(map[DocID]int),
+		nextDoc: 1,
 	}
 	meta := pg.UserMeta()
 	catalogRoot := pager.PageID(binary.LittleEndian.Uint32(meta[:4]))
 	if catalogRoot == pager.InvalidPage {
-		if err := s.initTrees(); err != nil {
-			pg.Close()
-			return nil, err
-		}
-		s.applyCacheBudget(opts.CachePages)
-		return s, nil
+		err = s.initTrees()
+	} else {
+		err = s.loadCatalog(catalogRoot)
 	}
-	if err := s.loadCatalog(catalogRoot); err != nil {
+	if err != nil {
 		pg.Close()
 		return nil, err
 	}
-	s.applyCacheBudget(opts.CachePages)
 	return s, nil
-}
-
-// applyCacheBudget spreads the page-cache budget across the index trees.
-// The clustered index gets half (it sees most traffic); the rest share
-// the remainder.
-func (s *Store) applyCacheBudget(pages int) {
-	if pages <= 0 {
-		pages = 6144
-	}
-	s.clustered.SetMaxCache(pages / 2)
-	rest := pages / 2 / 5
-	for _, t := range []*btree.Tree{s.names, s.attrs, s.elems, s.texts, s.values} {
-		t.SetMaxCache(rest)
-	}
-	s.catalog.SetMaxCache(16)
 }
 
 func (s *Store) initTrees() error {

@@ -67,7 +67,7 @@ func (s *Store) BeginUpdate() (*Update, error) {
 // pass it to SyncCommitted for group-committed durability. On error the
 // transaction is rolled back.
 func (u *Update) Commit() (epoch uint64, err error) {
-	return u.commit(nil, nil)
+	return u.commit(nil)
 }
 
 // CommitWith is Commit plus an atomically-installed snapshot: after the
@@ -82,17 +82,11 @@ func (u *Update) Commit() (epoch uint64, err error) {
 // not call back into mutating store operations; swapping a pointer and
 // releasing the previous snapshot is fine. If freezing fails the commit
 // still succeeds and install is skipped.
-//
-// prev, when non-nil, is the caller's currently-installed snapshot. If
-// it is exactly one commit generation behind and the transaction
-// published at most one pager version, the new snapshot adopts prev's
-// node caches for every unchanged page (see snapshotLocked) —
-// otherwise prev is ignored and the snapshot starts cold.
-func (u *Update) CommitWith(prev *Snapshot, install func(*Snapshot)) (epoch uint64, err error) {
-	return u.commit(prev, install)
+func (u *Update) CommitWith(install func(*Snapshot)) (epoch uint64, err error) {
+	return u.commit(install)
 }
 
-func (u *Update) commit(prev *Snapshot, install func(*Snapshot)) (epoch uint64, err error) {
+func (u *Update) commit(install func(*Snapshot)) (epoch uint64, err error) {
 	if u.done {
 		return 0, ErrTxnDone
 	}
@@ -111,23 +105,7 @@ func (u *Update) commit(prev *Snapshot, install func(*Snapshot)) (epoch uint64, 
 	next := s.commitGen.Load() + 1 // commitGen only moves under writer, held here
 	var sn *Snapshot
 	if install != nil {
-		var changed []pager.PageID
-		if prev != nil && prev.gen+1 == next {
-			switch epoch {
-			case prev.epoch:
-				// Nothing published (empty transaction): every page is
-				// identical, adopt everything.
-			case prev.epoch + 1:
-				// Exactly this transaction's publish separates the two
-				// versions; its page set is the precise delta.
-				changed = s.pg.LastCommitPages()
-			default:
-				prev = nil // intervening commits; delta unknown
-			}
-		} else {
-			prev = nil // prev is not the directly preceding committed state
-		}
-		sn, _ = s.snapshotLocked(next, prev, changed) // on error: commit stands, no install
+		sn, _ = s.snapshotLocked(next) // on error: commit stands, no install
 	}
 	s.mu.Unlock()
 	if sn != nil {
@@ -155,9 +133,11 @@ func (u *Update) Rollback() error {
 }
 
 // rollbackLocked discards the pager bracket and reloads the index trees
-// at their pre-transaction roots. Statistics epochs bumped by the
-// aborted mutations stay bumped — they are monotonic staleness markers,
-// and a spurious bump only costs cache refills.
+// at their pre-transaction roots, dropping the nodes the transaction
+// edited; every committed page keeps its decoded frame. Statistics
+// epochs bumped by the aborted mutations stay bumped — they are
+// monotonic staleness markers, and a spurious bump only costs cache
+// refills.
 func (s *Store) rollbackLocked(u *Update) error {
 	s.inTxn = false
 	s.pg.RollbackUpdate()
@@ -173,7 +153,6 @@ func (s *Store) rollbackLocked(u *Update) error {
 		return err
 	}
 	s.catalog = cat
-	s.applyCacheBudget(s.cachePages)
 	return nil
 }
 

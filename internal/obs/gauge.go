@@ -98,13 +98,8 @@ func (v *CounterVec) cell(value string) *atomic.Uint64 {
 	return c
 }
 
-// Add increments the counter for the given label value when collection
-// is enabled.
-func (v *CounterVec) Add(value string, n uint64) {
-	if enabled.Load() {
-		v.cell(value).Add(n)
-	}
-}
+// Add increments the counter for the given label value.
+func (v *CounterVec) Add(value string, n uint64) { v.cell(value).Add(n) }
 
 // Inc increments the counter for the given label value by one.
 func (v *CounterVec) Inc(value string) { v.Add(value, 1) }

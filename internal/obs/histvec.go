@@ -160,12 +160,8 @@ func (v *HistogramVec) cell(values []string) *histVecCell {
 	return c
 }
 
-// Observe records one duration under the given label values when
-// collection is enabled.
+// Observe records one duration under the given label values.
 func (v *HistogramVec) Observe(d time.Duration, values ...string) {
-	if !enabled.Load() {
-		return
-	}
 	c := v.cell(values)
 	ns := uint64(d.Nanoseconds())
 	b := bits.Len64(ns)

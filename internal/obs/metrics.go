@@ -1,7 +1,7 @@
 package obs
 
 // Process-global metrics reported by the execution and serving layers.
-// Per-store counters (pager I/O, B+-tree node cache, record decodes,
+// Per-store counters (pager I/O, B+-tree node loads, record decodes,
 // statistics probes) are per-instance and exposed through
 // mass.Store.Metrics / core.Engine.WriteMetrics instead.
 var (

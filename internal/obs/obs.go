@@ -6,15 +6,13 @@
 // scans, query latencies — without a debugger or a recompile.
 //
 // Counters here are process-global (they aggregate over every open DB in
-// the process); per-store counters (pager I/O, B+-tree node-cache
-// traffic) live as plain fields under their owners' existing locks and
+// the process); per-store counters (pager I/O, B+-tree node loads)
+// live as plain fields under their owners' existing locks and
 // are merged into the exposition by core.Engine.WriteMetrics.
 //
-// The whole layer can be switched off (SetEnabled, or the VAMANA_OBS=off
-// environment variable), reducing every hot-path instrumentation site to
-// one shared atomic load — the serving fast path stays allocation-free
-// either way, because per-run counts are batched in the executor and
-// flushed once per query.
+// Collection is always on: the serving fast path stays allocation-free
+// because per-run counts are batched in the executor and flushed once
+// per query.
 package obs
 
 import (
@@ -22,34 +20,12 @@ import (
 	"io"
 	"math/bits"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
 )
-
-// enabled gates every counter and histogram write. Default on; the
-// VAMANA_OBS environment variable ("off", "0", "false") disables it at
-// process start, and SetEnabled toggles it at runtime.
-var enabled atomic.Bool
-
-func init() {
-	switch os.Getenv("VAMANA_OBS") {
-	case "off", "0", "false":
-		enabled.Store(false)
-	default:
-		enabled.Store(true)
-	}
-}
-
-// Enabled reports whether metric collection is on.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled switches metric collection on or off at runtime. Counters
-// keep their accumulated values while disabled; they just stop moving.
-func SetEnabled(on bool) { enabled.Store(on) }
 
 // registry holds every metric in registration order for exposition.
 var registry struct {
@@ -107,14 +83,10 @@ func NewCounter(name, help string) *Counter {
 	return c
 }
 
-// Add increments the counter by n when collection is enabled.
-func (c *Counter) Add(n uint64) {
-	if enabled.Load() {
-		c.stripes[stripeIdx()].v.Add(n)
-	}
-}
+// Add increments the counter by n.
+func (c *Counter) Add(n uint64) { c.stripes[stripeIdx()].v.Add(n) }
 
-// Inc increments the counter by one when collection is enabled.
+// Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the counter's current value (the sum over stripes).
@@ -168,11 +140,8 @@ func NewHistogram(name, help string) *Histogram {
 	return h
 }
 
-// Observe records one duration when collection is enabled.
+// Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
-	if !enabled.Load() {
-		return
-	}
 	ns := uint64(d.Nanoseconds())
 	b := bits.Len64(ns) // 0 for 0ns, else floor(log2)+1
 	if b >= histBuckets {

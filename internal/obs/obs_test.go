@@ -20,17 +20,6 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
-func TestCounterDisabled(t *testing.T) {
-	c := NewCounter("test_counter_disabled_total", "test")
-	SetEnabled(false)
-	defer SetEnabled(true)
-	before := c.Value()
-	c.Inc()
-	if c.Value() != before {
-		t.Fatalf("counter moved while collection disabled")
-	}
-}
-
 func TestCounterConcurrent(t *testing.T) {
 	c := NewCounter("test_counter_concurrent_total", "test")
 	before := c.Value()

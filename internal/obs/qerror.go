@@ -10,8 +10,7 @@ package obs
 // cost observatory keys one per operator class (axis × rewrite-rule
 // provenance) per engine, and the engine's exposition writes them out as
 // labeled series. Observations are two or three atomic adds into the
-// caller's stripe; the enabled switch gates them like every other
-// obs write.
+// caller's stripe.
 
 import (
 	"math"
@@ -58,13 +57,9 @@ func QError(est, act uint64) float64 {
 	return float64(a) / float64(e)
 }
 
-// Observe records one estimated-vs-actual cardinality pair when
-// collection is enabled, and returns the pair's q-error (1 when
-// collection is off, since nothing was recorded).
+// Observe records one estimated-vs-actual cardinality pair and returns
+// its q-error.
 func (h *QErrorAccum) Observe(est, act uint64) float64 {
-	if !enabled.Load() {
-		return 1
-	}
 	e, a := est, act
 	if e == 0 {
 		e = 1

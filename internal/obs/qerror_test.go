@@ -76,15 +76,13 @@ func TestQErrorQuantile(t *testing.T) {
 	}
 }
 
-func TestQErrorAccumDisabled(t *testing.T) {
+func TestQErrorAccumObserve(t *testing.T) {
 	var h QErrorAccum
-	SetEnabled(false)
-	defer SetEnabled(true)
-	if q := h.Observe(100, 1); q != 1 {
-		t.Errorf("disabled Observe returned %g, want 1", q)
+	if q := h.Observe(100, 1); q != 100 {
+		t.Errorf("Observe returned %g, want 100", q)
 	}
-	if s := h.Snapshot(); s.Count != 0 || s.Max != 0 {
-		t.Errorf("disabled Observe recorded: %+v", s)
+	if s := h.Snapshot(); s.Count != 1 || s.Max != 100 {
+		t.Errorf("Observe recorded %+v, want one pair with max 100", s)
 	}
 }
 

@@ -113,97 +113,146 @@ func journalHeaderPages(n int) int {
 	return 1 + (n-jhdrFirstCap+jhdrRestCap-1)/jhdrRestCap
 }
 
-// commitLocked is the file-backed Flush: the four-step journaled commit
-// described above. Called with mu held. A no-op when nothing changed
-// since the last commit.
-func (p *Pager) commitLocked() error {
+// commit is the file-backed Flush: the four-step journaled commit
+// described above. The caller holds commitMu, which keeps commits — and
+// their use of epoch and scratch — one at a time. commit takes mu only to
+// gather what it makes durable and to publish the result: while it
+// writes and syncs, reads of resident pages go on, and so do writes,
+// which a later commit makes durable. A no-op when nothing changed since
+// the last commit.
+func (p *Pager) commit() error {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return ErrClosed
+	}
 	// Fold the dirty overlay into the committed (pending) layer first —
 	// durability implies version-commit. An open update bracket keeps
 	// its in-flight writes out: only previously committed state is
 	// journaled.
 	if !p.inTxn {
 		if err := p.commitVersionLocked(); err != nil {
+			p.mu.Unlock()
 			return err
 		}
 	}
 	if !p.metaDirty && len(p.pending) == 0 {
+		p.mu.Unlock()
 		return nil
 	}
-	if len(p.pending) == 0 {
-		// Metadata-only commit: the meta page write is itself atomic
-		// (single-page ping-pong), no journal needed.
-		p.epoch++
-		if err := p.writeMetaLocked(0, 0); err != nil {
-			return err
-		}
-		p.metaDirty = false
-		p.m.Commits++
-		return nil
-	}
-
 	ids := make([]PageID, 0, len(p.pending))
 	for id := range p.pending {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	frames := make([]*Frame, len(ids))
+	for i, id := range ids {
+		frames[i] = p.pending[id]
+	}
+	st := metaState{npages: p.npages, userMeta: p.userMeta, free: append([]PageID(nil), p.free...)}
+	p.metaDirty = false // an allocation or free meanwhile sets it again
+	p.mu.Unlock()
 
-	// Step 1: journal header pages + images past the data region.
-	jstart := p.npages
-	nhdr := journalHeaderPages(len(ids))
-	if err := p.writeJournalLocked(jstart, ids, nhdr); err != nil {
+	err := p.writeCommit(&st, ids, frames)
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err != nil {
+		p.metaDirty = true
 		return err
 	}
-	if err := p.backend.Sync(); err != nil {
+	// The images are durable now. Those read while pending (or replacing
+	// a cached one) move into the clean cache, so reading them again
+	// costs no disk read; the rest leave memory. An image a version
+	// commit replaced during the writes stays pending.
+	for i, id := range ids {
+		if p.pending[id] != frames[i] {
+			continue
+		}
+		if frames[i].ref {
+			p.m.Evictions += p.clean.put(id, frames[i])
+		}
+		delete(p.pending, id)
+	}
+	p.m.Commits++
+	return nil
+}
+
+// writeCommit makes the images and the metadata st durable; see commit.
+func (p *Pager) writeCommit(st *metaState, ids []PageID, frames []*Frame) error {
+	if len(ids) == 0 {
+		// Metadata-only commit: the meta page write is itself atomic
+		// (single-page ping-pong), no journal needed.
+		p.epoch++
+		return p.writeMeta(st, 0, 0)
+	}
+
+	// Step 1: journal header pages + images past the data region.
+	jstart := st.npages
+	nhdr := journalHeaderPages(len(ids))
+	if err := p.writeJournal(jstart, ids, frames, nhdr); err != nil {
+		return err
+	}
+	if err := p.sync(); err != nil {
 		return fmt.Errorf("pager: sync journal: %w", err)
 	}
 
 	// Step 2: commit point — meta referencing the journal.
 	p.epoch++
-	if err := p.writeMetaLocked(jstart, uint32(len(ids))); err != nil {
+	if err := p.writeMeta(st, jstart, uint32(len(ids))); err != nil {
 		return err
 	}
 
 	// Step 3: apply images in place.
-	for _, id := range ids {
-		if err := p.writeDiskLocked(id, p.pending[id]); err != nil {
+	for i, id := range ids {
+		if err := p.writeDisk(id, frames[i].data); err != nil {
 			return err
 		}
 	}
-	if err := p.backend.Sync(); err != nil {
+	if err := p.sync(); err != nil {
 		return fmt.Errorf("pager: sync apply: %w", err)
 	}
 
 	// Step 4: clear the journal reference.
 	p.epoch++
-	if err := p.writeMetaLocked(0, 0); err != nil {
-		return err
-	}
-	for id := range p.pending {
-		delete(p.pending, id)
-	}
-	p.metaDirty = false
-	p.m.Commits++
-	return nil
+	return p.writeMeta(st, 0, 0)
 }
 
-// writeDiskLocked stamps payload with id's trailer and writes the disk
-// page at its home offset.
-func (p *Pager) writeDiskLocked(id PageID, payload []byte) error {
+// writeAt and sync are the commit's backend calls. ioMu keeps them apart
+// from disk reads, which run under mu meanwhile, so that the backend
+// still sees one call at a time.
+func (p *Pager) writeAt(b []byte, off int64) error {
+	p.ioMu.Lock()
+	defer p.ioMu.Unlock()
+	_, err := p.backend.WriteAt(b, off)
+	return err
+}
+
+func (p *Pager) sync() error {
+	p.ioMu.Lock()
+	defer p.ioMu.Unlock()
+	return p.backend.Sync()
+}
+
+// writeDisk stamps payload with id's trailer and writes the disk page at
+// its home offset.
+func (p *Pager) writeDisk(id PageID, payload []byte) error {
 	copy(p.scratch, payload)
 	for i := PageSize; i < DiskPageSize; i++ {
 		p.scratch[i] = 0
 	}
 	stampPage(p.scratch, id)
-	if _, err := p.backend.WriteAt(p.scratch, int64(id)*DiskPageSize); err != nil {
+	if err := p.writeAt(p.scratch, int64(id)*DiskPageSize); err != nil {
 		return fmt.Errorf("pager: write page %d: %w", id, err)
 	}
 	return nil
 }
 
-// writeJournalLocked writes the journal header pages and images starting
-// at page jstart. Header pages are stamped with sentinel ids (they have
-// no home page); image pages are stamped with their destination id.
-func (p *Pager) writeJournalLocked(jstart PageID, ids []PageID, nhdr int) error {
+// writeJournal writes the journal header pages and the images of ids
+// (frames, in the same order) starting at page jstart. Header pages are
+// stamped with sentinel ids (they have no home page); image pages are
+// stamped with their destination id.
+func (p *Pager) writeJournal(jstart PageID, ids []PageID, frames []*Frame, nhdr int) error {
 	idx := 0
 	for h := 0; h < nhdr; h++ {
 		for i := range p.scratch {
@@ -224,52 +273,53 @@ func (p *Pager) writeJournalLocked(jstart PageID, ids []PageID, nhdr int) error 
 		}
 		hid := jhdrSentinelID - PageID(h)
 		stampPage(p.scratch, hid)
-		if _, err := p.backend.WriteAt(p.scratch, int64(jstart+PageID(h))*DiskPageSize); err != nil {
+		if err := p.writeAt(p.scratch, int64(jstart+PageID(h))*DiskPageSize); err != nil {
 			return fmt.Errorf("pager: write journal header %d: %w", h, err)
 		}
 	}
 	for i, id := range ids {
-		copy(p.scratch, p.pending[id])
+		copy(p.scratch, frames[i].data)
 		for j := PageSize; j < DiskPageSize; j++ {
 			p.scratch[j] = 0
 		}
 		stampPage(p.scratch, id)
 		at := int64(jstart+PageID(nhdr+i)) * DiskPageSize
-		if _, err := p.backend.WriteAt(p.scratch, at); err != nil {
+		if err := p.writeAt(p.scratch, at); err != nil {
 			return fmt.Errorf("pager: write journal image for page %d: %w", id, err)
 		}
 	}
 	return nil
 }
 
-// writeMetaLocked builds, stamps, writes and syncs the meta page for the
-// current epoch into slot epoch%2.
-func (p *Pager) writeMetaLocked(jstart PageID, jcount uint32) error {
+// writeMeta builds, stamps, writes and syncs the meta page describing
+// st (page count, user metadata, free list) for the current epoch into
+// slot epoch%2.
+func (p *Pager) writeMeta(st *metaState, jstart PageID, jcount uint32) error {
 	for i := range p.scratch {
 		p.scratch[i] = 0
 	}
 	copy(p.scratch[:8], metaMagic[:])
 	binary.LittleEndian.PutUint64(p.scratch[metaOffEpoch:], p.epoch)
-	binary.LittleEndian.PutUint32(p.scratch[metaOffNPages:], uint32(p.npages))
+	binary.LittleEndian.PutUint32(p.scratch[metaOffNPages:], uint32(st.npages))
 	binary.LittleEndian.PutUint32(p.scratch[metaOffJStart:], uint32(jstart))
 	binary.LittleEndian.PutUint32(p.scratch[metaOffJCount:], jcount)
-	copy(p.scratch[metaOffUserMeta:metaOffUserMeta+userMetaSize], p.userMeta[:])
-	nfree := len(p.free)
+	copy(p.scratch[metaOffUserMeta:metaOffUserMeta+userMetaSize], st.userMeta[:])
+	nfree := len(st.free)
 	if nfree > maxMetaFree {
 		nfree = maxMetaFree
 	}
 	binary.LittleEndian.PutUint32(p.scratch[metaOffFreeCount:], uint32(nfree))
 	off := metaOffFree
 	for i := 0; i < nfree; i++ {
-		binary.LittleEndian.PutUint32(p.scratch[off:off+4], uint32(p.free[i]))
+		binary.LittleEndian.PutUint32(p.scratch[off:off+4], uint32(st.free[i]))
 		off += 4
 	}
 	slot := PageID(p.epoch % 2)
 	stampPage(p.scratch, slot)
-	if _, err := p.backend.WriteAt(p.scratch, int64(slot)*DiskPageSize); err != nil {
+	if err := p.writeAt(p.scratch, int64(slot)*DiskPageSize); err != nil {
 		return fmt.Errorf("pager: write meta page %d: %w", slot, err)
 	}
-	if err := p.backend.Sync(); err != nil {
+	if err := p.sync(); err != nil {
 		return fmt.Errorf("pager: sync meta: %w", err)
 	}
 	return nil
@@ -432,7 +482,7 @@ func (p *Pager) replayJournalLocked(st *metaState, size int64) error {
 		return fmt.Errorf("pager: sync replay: %w", err)
 	}
 	p.epoch++
-	if err := p.writeMetaLocked(0, 0); err != nil {
+	if err := p.writeMeta(st, 0, 0); err != nil {
 		return err
 	}
 	p.m.JournalReplays++

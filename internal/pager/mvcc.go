@@ -2,7 +2,6 @@ package pager
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
@@ -17,7 +16,9 @@ import (
 //     the dirty overlay wholesale.
 //   - committed: the current committed image of every page — mem[] for
 //     memory pagers, the pending map + the file for file pagers (pending
-//     holds committed-but-not-yet-durable images; Flush journals them).
+//     holds committed-but-not-yet-durable images; Flush journals them and
+//     moves the ones read since into the clean cache, which spares
+//     re-reading durable images from the file).
 //   - versions:  retired committed images kept only while a live
 //     snapshot can still see them. stash-on-overwrite: when a version
 //     commit replaces a page's committed image and at least one snapshot
@@ -39,14 +40,14 @@ var ErrReadOnlyView = errors.New("pager: view is read-only")
 // ErrViewClosed is returned when reading through a closed snapshot View.
 var ErrViewClosed = errors.New("pager: view closed")
 
-// pageVersion is one retired committed page image. data is the image
-// that was current for every epoch <= asOf; nil records that the page
-// had no readable committed image when it was first overwritten (a page
+// pageVersion is one retired committed page image. f is the frame that
+// was current for every epoch <= asOf; nil records that the page had no
+// readable committed image when it was first overwritten (a page
 // allocated and written inside the commit that stashed it, or one whose
 // prior on-disk image failed verification).
 type pageVersion struct {
 	asOf uint64
-	data []byte
+	f    *Frame
 }
 
 // txnMark captures the allocator state at BeginUpdate so RollbackUpdate
@@ -65,18 +66,6 @@ func (p *Pager) VersionEpoch() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.vEpoch
-}
-
-// LastCommitPages returns the ids of the pages changed by the most
-// recent version commit — the page-level delta between the two newest
-// committed versions, used to carry node caches across adjacent
-// snapshots. The returned slice is owned by the pager and valid only
-// until the next commit; callers hold the store's writer lock, which
-// serializes commits.
-func (p *Pager) LastCommitPages() []PageID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastCommit
 }
 
 // CommitVersion publishes all buffered writes as the next committed
@@ -99,17 +88,21 @@ func (p *Pager) commitVersionLocked() error {
 		return nil
 	}
 	stash := len(p.pins) > 0
-	p.lastCommit = p.lastCommit[:0]
-	for id, img := range p.dirty {
-		p.lastCommit = append(p.lastCommit, id)
+	for id, f := range p.dirty {
 		if stash {
 			p.stashLocked(id)
 		}
 		if p.backend == nil {
 			// Allocate grows mem eagerly, so id is always in range.
-			p.mem[id] = img
+			p.mem[id] = f
 		} else {
-			p.pending[id] = img
+			// An image replacing one that was read stays cached once
+			// durable, as one read while pending does.
+			if old := p.pending[id]; (old != nil && old.ref) || p.clean.byID[id] != nil {
+				f.ref = true
+			}
+			p.pending[id] = f
+			p.clean.drop(id)
 		}
 		delete(p.dirty, id)
 	}
@@ -122,31 +115,30 @@ func (p *Pager) commitVersionLocked() error {
 // list, tagged with the epoch through which it was current. Called
 // before the commit loop overwrites the committed layer.
 func (p *Pager) stashLocked(id PageID) {
-	var old []byte
+	var old *Frame
 	switch {
 	case p.backend == nil:
 		if int(id) < len(p.mem) {
 			// Move, not copy: mem[id] is about to be replaced, and no
-			// holder of the old image ever modifies it. A page never
-			// written has a nil image, which records "no committed image".
+			// holder of the old frame ever modifies it. A page never
+			// written has a nil frame, which records "no committed image".
 			old = p.mem[id]
 		}
 	default:
-		if img, ok := p.pending[id]; ok {
+		if f, ok := p.pending[id]; ok {
 			// Same move semantics: the pending entry is replaced next.
-			old = img
-		} else {
-			buf := make([]byte, PageSize)
+			old = f
+		} else if old = p.clean.get(id); old == nil {
 			// A failed read means the page never had a committed image
 			// (first write of a fresh page) or is damaged; a nil version
 			// makes a snapshot read of it fail loudly instead of seeing
 			// the newer image.
-			if err := p.readDisk(id, buf); err == nil {
-				old = buf
+			if img, err := p.readDisk(id, make([]byte, DiskPageSize)); err == nil {
+				old = NewFrame(img)
 			}
 		}
 	}
-	p.versions[id] = append(p.versions[id], pageVersion{asOf: p.vEpoch, data: old})
+	p.versions[id] = append(p.versions[id], pageVersion{asOf: p.vEpoch, f: old})
 	p.m.PagesStashed++
 }
 
@@ -202,17 +194,6 @@ func (p *Pager) reclaimLocked() {
 	}
 }
 
-// Pins returns the number of distinct pinned epochs and retained retired
-// page versions — the snapshot footprint, for metrics.
-func (p *Pager) Pins() (pins, retained int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, vs := range p.versions {
-		retained += len(vs)
-	}
-	return len(p.pins), retained
-}
-
 // View is a read-only handle onto the pager pinned at one version
 // epoch. It satisfies the same page-access surface as the Pager itself
 // (so index trees can run over either), with every mutation rejected.
@@ -228,31 +209,33 @@ func (v *View) Epoch() uint64 { return v.epoch }
 
 // Read copies page id's committed image as of the pinned epoch into buf.
 func (v *View) Read(id PageID, buf []byte) error {
-	if len(buf) != PageSize {
-		return fmt.Errorf("pager: read buffer is %d bytes, want %d", len(buf), PageSize)
-	}
-	if v.closed.Load() {
-		return ErrViewClosed
-	}
-	_, err := v.p.read(id, v.epoch, false, buf)
-	return err
+	f, err := v.ReadFrame(id)
+	return copyImage(buf, f, err)
 }
 
-// ReadShared returns page id's committed image as of the pinned epoch,
-// without copying it where the pager holds it in memory; see
-// Pager.ReadShared.
-func (v *View) ReadShared(id PageID) ([]byte, error) {
+// ReadFrame returns page id's frame as of the pinned epoch; see
+// Pager.ReadFrame.
+func (v *View) ReadFrame(id PageID) (*Frame, error) {
 	if v.closed.Load() {
 		return nil, ErrViewClosed
 	}
-	return v.p.read(id, v.epoch, false, nil)
+	return v.p.frame(id, v.epoch, false, true)
+}
+
+// Resident returns page id's frame as of the pinned epoch when it is in
+// memory; see Pager.Resident.
+func (v *View) Resident(id PageID) (*Frame, error) {
+	if v.closed.Load() {
+		return nil, ErrViewClosed
+	}
+	return v.p.frame(id, v.epoch, false, false)
 }
 
 // Write rejects mutation through a view.
 func (v *View) Write(PageID, []byte) error { return ErrReadOnlyView }
 
-// WriteShared rejects mutation through a view.
-func (v *View) WriteShared(PageID, []byte) error { return ErrReadOnlyView }
+// WriteFrame rejects mutation through a view.
+func (v *View) WriteFrame(PageID, *Frame) error { return ErrReadOnlyView }
 
 // Allocate rejects allocation through a view.
 func (v *View) Allocate() (PageID, error) { return InvalidPage, ErrReadOnlyView }

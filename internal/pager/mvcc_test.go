@@ -143,11 +143,11 @@ func TestViewReclamation(t *testing.T) {
 			if err := p.CommitVersion(); err != nil {
 				t.Fatalf("commit: %v", err)
 			}
-			if pins, retained := p.Pins(); pins != 1 || retained == 0 {
+			if pins, retained := len(p.pins), len(p.versions[id]); pins != 1 || retained == 0 {
 				t.Fatalf("want 1 pin with retained versions, got pins=%d retained=%d", pins, retained)
 			}
 			v.Close()
-			if pins, retained := p.Pins(); pins != 0 || retained != 0 {
+			if pins, retained := len(p.pins), len(p.versions); pins != 0 || retained != 0 {
 				t.Fatalf("want everything reclaimed after close, got pins=%d retained=%d", pins, retained)
 			}
 			if _, err := p.Allocate(); err != nil {

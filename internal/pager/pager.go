@@ -1,8 +1,9 @@
 // Package pager provides fixed-size page storage for the MASS indexes. A
 // Pager stores pages either wholly in memory or backed by a file on disk.
-// Higher layers (internal/btree) own page contents and caching; the pager
-// is responsible for durable allocation, reads, writes, the free list —
-// and, for file-backed stores, crash safety:
+// Higher layers (internal/btree) own page contents; the pager is
+// responsible for durable allocation, reads, writes, the free list, the
+// one cache of page images (frames, see frame.go) — and, for file-backed
+// stores, crash safety:
 //
 //   - every on-disk page carries a CRC32C trailer, stamped on write and
 //     verified on read, so torn writes and bit rot surface as a typed
@@ -73,40 +74,48 @@ var (
 type Pager struct {
 	mu      sync.Mutex
 	backend Backend  // nil in memory mode
-	mem     [][]byte // memory mode storage, indexed by PageID
+	mem     []*Frame // memory mode storage, indexed by PageID
 	npages  PageID   // number of pages including the two meta pages
 	free    []PageID // free list (in-memory; persisted in the meta page on Flush)
 	epoch   uint64   // meta epoch of the newest durable meta page
 
 	// pending holds committed page images not yet durable (file mode
 	// only). Flush makes the whole batch durable atomically via the
-	// journal.
-	pending   map[PageID][]byte
+	// journal, then moves the images someone read into clean: the
+	// bounded cache of durable images that spares re-reading them from
+	// disk.
+	pending   map[PageID]*Frame
+	clean     frameCache
 	metaDirty bool // allocation/free-list/userMeta changes since last commit
 
 	// Snapshot machinery — see mvcc.go. dirty buffers writes since the
 	// last version commit (always on file pagers; on memory pagers only
 	// while a snapshot pin or an update bracket is live). versions holds
 	// retired committed images still visible to pinned epochs.
-	dirty      map[PageID][]byte
-	vEpoch     uint64
-	pins       map[uint64]int
-	versions   map[PageID][]pageVersion
-	inTxn      bool
-	txnMark    txnMark
-	lastCommit []PageID // pages changed by the newest version commit
+	dirty    map[PageID]*Frame
+	vEpoch   uint64
+	pins     map[uint64]int
+	versions map[PageID][]pageVersion
+	inTxn    bool
+	txnMark  txnMark
 
 	userMeta [userMetaSize]byte
 	closed   bool
 	m        Metrics // plain counters, guarded by mu
 
-	scratch []byte // DiskPageSize buffer reused for backend I/O
+	// commitMu serializes durable commits (commit.go), which hold mu only
+	// briefly, and guards what they alone use: epoch and scratch. ioMu
+	// hands the backend one call at a time. Lock order: commitMu, mu,
+	// ioMu.
+	commitMu sync.Mutex
+	ioMu     sync.Mutex
+	scratch  []byte // DiskPageSize buffer the commit writes pages from
 }
 
 // Metrics counts the pager's I/O activity since open. All fields are
 // cumulative; Pages is the current page count (including the meta pages).
 type Metrics struct {
-	Reads  uint64 // page reads served (memory copies, buffered writes, or file reads)
+	Reads  uint64 // page reads served (memory copies, buffered writes, or file reads); Resident look-ups are not reads
 	Writes uint64 // page writes accepted (buffered until commit on file backends)
 	Allocs uint64 // pages allocated (fresh or recycled)
 	Frees  uint64 // pages returned to the free list
@@ -121,6 +130,10 @@ type Metrics struct {
 	// Snapshot counters (see mvcc.go).
 	VersionCommits uint64 // version commits that published buffered writes
 	PagesStashed   uint64 // committed images retired into version lists for live snapshots
+
+	// Clean-frame cache (file backends only).
+	Evictions uint64 // clean frames evicted to stay within the cache bound
+	Cached    uint64 // clean frames resident now
 }
 
 // Metrics returns a snapshot of the pager's I/O counters.
@@ -129,7 +142,24 @@ func (p *Pager) Metrics() Metrics {
 	defer p.mu.Unlock()
 	m := p.m
 	m.Pages = uint64(p.npages)
+	m.Cached = uint64(len(p.clean.byID))
 	return m
+}
+
+// SetCachePages bounds a file pager's clean-frame cache to n page images
+// (n <= 0 restores the default of 6,144, about 50 MB); lowering the
+// bound empties the cache. Memory pagers hold every page and ignore it.
+func (p *Pager) SetCachePages(n int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n <= 0 {
+		n = defaultCachePages
+	}
+	if n < len(p.clean.ring) {
+		p.m.Evictions += uint64(len(p.clean.byID))
+		p.clean = frameCache{}
+	}
+	p.clean.max = n
 }
 
 // userMetaSize is the number of client metadata bytes persisted with the
@@ -157,14 +187,11 @@ func (p *Pager) SetUserMeta(m [userMetaSize]byte) {
 func NewMemory() *Pager {
 	p := &Pager{
 		npages:   firstDataPage,
-		dirty:    make(map[PageID][]byte),
+		dirty:    make(map[PageID]*Frame),
 		pins:     make(map[uint64]int),
 		versions: make(map[PageID][]pageVersion),
 	}
-	p.mem = make([][]byte, firstDataPage)
-	for i := range p.mem {
-		p.mem[i] = make([]byte, PageSize)
-	}
+	p.mem = make([]*Frame, firstDataPage)
 	return p
 }
 
@@ -190,8 +217,8 @@ func Open(path string) (*Pager, error) {
 func OpenBackend(b Backend) (*Pager, error) {
 	p := &Pager{
 		backend:  b,
-		pending:  make(map[PageID][]byte),
-		dirty:    make(map[PageID][]byte),
+		pending:  make(map[PageID]*Frame),
+		dirty:    make(map[PageID]*Frame),
 		pins:     make(map[uint64]int),
 		versions: make(map[PageID][]pageVersion),
 		scratch:  make([]byte, DiskPageSize),
@@ -205,7 +232,7 @@ func OpenBackend(b Backend) (*Pager, error) {
 		// immediately after creation still reopens cleanly.
 		p.npages = firstDataPage
 		p.metaDirty = true
-		if err := p.commitLocked(); err != nil {
+		if err := p.commit(); err != nil {
 			return nil, err
 		}
 		return p, nil
@@ -235,7 +262,7 @@ func (p *Pager) Allocate() (PageID, error) {
 	p.npages++
 	if p.backend == nil {
 		// No image until the first write installs one; reads of a page
-		// never written see zeros (see imageLocked).
+		// never written see zeros (see residentLocked).
 		p.mem = append(p.mem, nil)
 	}
 	return id, nil
@@ -261,61 +288,80 @@ func (p *Pager) Free(id PageID) error {
 // bytes long. File-backed reads verify the page's CRC32C and return an
 // error wrapping ErrChecksum on mismatch.
 func (p *Pager) Read(id PageID, buf []byte) error {
-	if len(buf) != PageSize {
-		return fmt.Errorf("pager: read buffer is %d bytes, want %d", len(buf), PageSize)
+	f, err := p.ReadFrame(id)
+	return copyImage(buf, f, err)
+}
+
+// copyImage finishes a Read: it copies the frame a read returned into
+// buf, which must be PageSize bytes long.
+func copyImage(buf []byte, f *Frame, err error) error {
+	if err == nil && len(buf) != PageSize {
+		err = fmt.Errorf("pager: read buffer is %d bytes, want %d", len(buf), PageSize)
 	}
-	_, err := p.read(id, 0, true, buf)
+	if err == nil {
+		copy(buf, f.data)
+	}
 	return err
 }
 
-// ReadShared returns page id's image without copying it wherever the
-// pager already holds the image in memory (every page of a memory
-// pager; buffered and committed-but-not-durable pages of a file pager).
-// A page that must come from disk is read into a new buffer. Either way
-// the caller must never modify the returned slice: the pager never
-// changes an image once it is installed, so the slice stays valid — and
-// unchanged — for as long as the caller holds it.
-func (p *Pager) ReadShared(id PageID) ([]byte, error) { return p.read(id, 0, true, nil) }
+// ReadFrame returns page id's installed frame without copying it,
+// reading the page from disk into the clean cache when it is not
+// resident. Never modify the frame's image: the pager never changes an
+// image once installed, so it stays valid — and unchanged — for as long
+// as the caller holds it.
+func (p *Pager) ReadFrame(id PageID) (*Frame, error) { return p.frame(id, 0, true, true) }
 
-// read serves Read and ReadShared for the live pager (live) and for
-// views pinned at epoch. A nil buf asks for the shared image.
-func (p *Pager) read(id PageID, epoch uint64, live bool, buf []byte) ([]byte, error) {
+// Resident returns page id's frame when the pager holds it in memory,
+// and nil (with no error) when reading it would take a disk read — so a
+// caller can charge for the read before asking ReadFrame for it.
+// Resident look-ups do not count as reads.
+func (p *Pager) Resident(id PageID) (*Frame, error) { return p.frame(id, 0, true, false) }
+
+// frame serves ReadFrame (read) and Resident (!read) for the live pager
+// (live) and for views pinned at epoch.
+func (p *Pager) frame(id PageID, epoch uint64, live, read bool) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return nil, ErrClosed
+	if err := p.checkLocked(id); err != nil {
+		return nil, err
 	}
-	if id >= p.npages {
-		return nil, ErrPageRange
+	f, err := p.residentLocked(id, epoch, live)
+	if !read || err != nil {
+		return f, err
 	}
 	p.m.Reads++
-	img, err := p.imageLocked(id, epoch, live)
+	if f != nil {
+		return f, nil
+	}
+	img, err := p.readDisk(id, make([]byte, DiskPageSize))
 	if err != nil {
 		return nil, err
 	}
-	if img != nil {
-		if buf == nil {
-			return img, nil
-		}
-		copy(buf, img)
-		return buf, nil
-	}
-	if buf == nil {
-		buf = make([]byte, PageSize)
-	}
-	return buf, p.readDisk(id, buf)
+	f = NewFrame(img)
+	p.m.Evictions += p.clean.put(id, f)
+	return f, nil
 }
 
-// imageLocked resolves page id to the in-memory image a reader sees, or
-// nil when it must be read from disk. A live read sees the writes
+func (p *Pager) checkLocked(id PageID) error {
+	if p.closed {
+		return ErrClosed
+	}
+	if id >= p.npages {
+		return ErrPageRange
+	}
+	return nil
+}
+
+// residentLocked resolves page id to the in-memory frame a reader sees,
+// or nil when it must be read from disk. A live read sees the writes
 // buffered since the last version commit first (the writer always reads
 // its own writes); a read pinned at epoch sees the retired version that
 // was current then, if the page has been overwritten since.
-func (p *Pager) imageLocked(id PageID, epoch uint64, live bool) ([]byte, error) {
+func (p *Pager) residentLocked(id PageID, epoch uint64, live bool) (*Frame, error) {
 	if live {
 		if len(p.dirty) != 0 {
-			if img, ok := p.dirty[id]; ok {
-				return img, nil
+			if f, ok := p.dirty[id]; ok {
+				return f, nil
 			}
 		}
 	} else if vs := p.versions[id]; len(vs) > 0 {
@@ -324,45 +370,46 @@ func (p *Pager) imageLocked(id PageID, epoch uint64, live bool) ([]byte, error) 
 		// pin falls through to the committed layer.
 		i := sort.Search(len(vs), func(i int) bool { return vs[i].asOf >= epoch })
 		if i < len(vs) {
-			if vs[i].data == nil {
+			if vs[i].f == nil {
 				return nil, fmt.Errorf("%w: page %d has no committed image at epoch %d", ErrChecksum, id, epoch)
 			}
-			return vs[i].data, nil
+			return vs[i].f, nil
 		}
 	}
 	if p.backend == nil {
-		if img := p.mem[id]; img != nil {
-			return img, nil
+		if f := p.mem[id]; f != nil {
+			return f, nil
 		}
-		return zeroPage[:], nil
+		return zeroFrame, nil
 	}
-	return p.pending[id], nil
+	if f, ok := p.pending[id]; ok {
+		f.ref = true // read while pending: Flush keeps it in the clean cache
+		return f, nil
+	}
+	return p.clean.get(id), nil
 }
 
-// zeroPage is the image of a memory page allocated but never written.
-var zeroPage [PageSize]byte
-
-// readDisk reads and verifies page id from the backend into buf (PageSize
-// bytes). Short reads (a page past the durable end of file) fail
+// readDisk reads and verifies page id from the backend into disk
+// (DiskPageSize bytes) and returns its payload, disk[:PageSize]. Called
+// with mu held. Short reads (a page past the durable end of file) fail
 // verification like any other torn page.
-func (p *Pager) readDisk(id PageID, buf []byte) error {
-	n, err := p.backend.ReadAt(p.scratch, int64(id)*DiskPageSize)
+func (p *Pager) readDisk(id PageID, disk []byte) ([]byte, error) {
+	p.ioMu.Lock()
+	n, err := p.backend.ReadAt(disk, int64(id)*DiskPageSize)
+	p.ioMu.Unlock()
 	if err != nil && n < DiskPageSize {
-		for i := n; i < DiskPageSize; i++ {
-			p.scratch[i] = 0
-		}
+		clear(disk[n:])
 		// A short read at the tail is a verification failure below, not
 		// an I/O error; a failed full-length read is surfaced as-is.
 		if n == 0 && !errors.Is(err, io.EOF) {
-			return fmt.Errorf("pager: read page %d: %w", id, err)
+			return nil, fmt.Errorf("pager: read page %d: %w", id, err)
 		}
 	}
-	if !verifyPage(p.scratch, id) {
+	if !verifyPage(disk, id) {
 		p.m.ChecksumFails++
-		return fmt.Errorf("%w: page %d", ErrChecksum, id)
+		return nil, fmt.Errorf("%w: page %d", ErrChecksum, id)
 	}
-	copy(buf, p.scratch[:PageSize])
-	return nil
+	return disk[:PageSize:PageSize], nil
 }
 
 // Write stores a copy of buf (PageSize bytes) as the contents of page
@@ -372,35 +419,32 @@ func (p *Pager) Write(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("pager: write buffer is %d bytes, want %d", len(buf), PageSize)
 	}
-	return p.WriteShared(id, append(make([]byte, 0, PageSize), buf...))
+	return p.WriteFrame(id, NewFrame(append(make([]byte, 0, PageSize), buf...)))
 }
 
-// WriteShared stores img (PageSize bytes) as the contents of page id
-// without copying it: the pager keeps img itself, so the caller must
-// never modify it again. This is how an index hands over a page it
-// built and keeps reading it — one copy of the page, held by both.
-func (p *Pager) WriteShared(id PageID, img []byte) error {
+// WriteFrame installs f as the contents of page id without copying its
+// image, which the caller must never modify again. This is how an index
+// hands over a page it built and keeps reading it — one copy of the
+// page, held by both, with the index's decoded form already attached.
+func (p *Pager) WriteFrame(id PageID, f *Frame) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
+	if err := p.checkLocked(id); err != nil {
+		return err
 	}
-	if id >= p.npages {
-		return ErrPageRange
-	}
-	if len(img) != PageSize {
-		return fmt.Errorf("pager: write buffer is %d bytes, want %d", len(img), PageSize)
+	if len(f.data) != PageSize {
+		return fmt.Errorf("pager: write buffer is %d bytes, want %d", len(f.data), PageSize)
 	}
 	p.m.Writes++
 	// Memory fast path: with no snapshot pinned, no update bracket open
 	// and no dirty overlay to shadow it, the write becomes the committed
-	// image at once. It replaces the old image rather than copying over
-	// it, because a ReadShared caller may still hold the old one.
+	// image at once. It replaces the old frame rather than copying over
+	// it, because a reader may still hold the old one.
 	if p.backend == nil && !p.inTxn && len(p.pins) == 0 && len(p.dirty) == 0 {
-		p.mem[id] = img
+		p.mem[id] = f
 		return nil
 	}
-	p.dirty[id] = img
+	p.dirty[id] = f
 	return nil
 }
 
@@ -409,22 +453,24 @@ func (p *Pager) WriteShared(id PageID, img []byte) error {
 // no-op. A crash at any point during Flush leaves the store recoverable
 // to either its pre-Flush or post-Flush state.
 func (p *Pager) Flush() error {
+	if p.backend != nil {
+		p.commitMu.Lock()
+		defer p.commitMu.Unlock()
+		return p.commit()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrClosed
 	}
-	if p.backend == nil {
-		// Nothing to make durable, but an outstanding dirty overlay (a
-		// snapshot was pinned when the writes landed) still becomes the
-		// committed state — unless an update bracket is open, in which
-		// case its in-flight writes stay buffered until it resolves.
-		if p.inTxn {
-			return nil
-		}
-		return p.commitVersionLocked()
+	// Nothing to make durable, but an outstanding dirty overlay (a
+	// snapshot was pinned when the writes landed) still becomes the
+	// committed state — unless an update bracket is open, in which case
+	// its in-flight writes stay buffered until it resolves.
+	if p.inTxn {
+		return nil
 	}
-	return p.commitLocked()
+	return p.commitVersionLocked()
 }
 
 // NumPages returns the number of pages, including the reserved meta pages.
@@ -442,12 +488,15 @@ func (p *Pager) Close() error {
 	if err := p.Flush(); err != nil && err != ErrClosed {
 		return err
 	}
+	p.commitMu.Lock() // no commit is writing when the backend closes
+	defer p.commitMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil
 	}
 	p.closed = true
+	p.clean = frameCache{}
 	if p.backend != nil {
 		return p.backend.Close()
 	}
@@ -461,6 +510,11 @@ func (p *Pager) Close() error {
 // are committed first so the scan sees the current state. Memory pagers
 // have nothing to verify.
 func (p *Pager) Verify() (checked int, corrupt []PageID, err error) {
+	if p.backend != nil {
+		if err := p.Flush(); err != nil {
+			return 0, nil, err
+		}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -469,20 +523,17 @@ func (p *Pager) Verify() (checked int, corrupt []PageID, err error) {
 	if p.backend == nil {
 		return 0, nil, nil
 	}
-	if err := p.commitLocked(); err != nil {
-		return 0, nil, err
-	}
 	skip := make(map[PageID]bool, len(p.free))
 	for _, id := range p.free {
 		skip[id] = true
 	}
-	buf := make([]byte, PageSize)
+	disk := make([]byte, DiskPageSize)
 	for id := firstDataPage; id < p.npages; id++ {
 		if skip[id] {
 			continue
 		}
 		checked++
-		if err := p.readDisk(id, buf); err != nil {
+		if _, err := p.readDisk(id, disk); err != nil {
 			if errors.Is(err, ErrChecksum) {
 				corrupt = append(corrupt, id)
 				continue

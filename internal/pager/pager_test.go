@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"vamana/internal/pager/faultfs"
 )
 
 func fill(b byte) []byte {
@@ -196,11 +198,10 @@ func TestUserMetaPersistence(t *testing.T) {
 	}
 }
 
-// TestSharedImagesNeverChange pins the zero-copy contract: ReadShared
-// hands out the pager's own image where it holds one, WriteShared keeps
-// the caller's image, Write copies, and no later write changes an image a
-// ReadShared caller holds — on memory and file pagers, with and without a
-// pinned view.
+// TestSharedImagesNeverChange pins the zero-copy contract: ReadFrame
+// hands out the pager's own frame, WriteFrame keeps the caller's image,
+// Write copies, and no later write changes an image a ReadFrame caller
+// holds — on memory and file pagers, with and without a pinned view.
 func TestSharedImagesNeverChange(t *testing.T) {
 	for _, mode := range []string{"memory", "memory-pinned", "file"} {
 		t.Run(mode, func(t *testing.T) {
@@ -216,8 +217,15 @@ func TestSharedImagesNeverChange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			shared := func() ([]byte, error) {
+				f, err := p.ReadFrame(id)
+				if err != nil {
+					return nil, err
+				}
+				return f.Data(), nil
+			}
 			if mode == "memory" {
-				img, err := p.ReadShared(id)
+				img, err := shared()
 				if err != nil || !bytes.Equal(img, fill(0)) {
 					t.Fatalf("unwritten page reads %v, want zeros", err)
 				}
@@ -231,17 +239,17 @@ func TestSharedImagesNeverChange(t *testing.T) {
 				t.Fatal(err)
 			}
 			copy(buf, fill(2)) // Write copied: reusing buf changes nothing
-			held, err := p.ReadShared(id)
+			held, err := shared()
 			if err != nil || !bytes.Equal(held, fill(1)) {
-				t.Fatalf("ReadShared after Write: %v", err)
+				t.Fatalf("ReadFrame after Write: %v", err)
 			}
 			own := fill(3)
-			if err := p.WriteShared(id, own); err != nil {
+			if err := p.WriteFrame(id, NewFrame(own)); err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.ReadShared(id)
+			got, err := shared()
 			if err != nil || &got[0] != &own[0] {
-				t.Fatalf("ReadShared after WriteShared is not the written image (%v)", err)
+				t.Fatalf("ReadFrame after WriteFrame is not the written image (%v)", err)
 			}
 			if err := p.Flush(); err != nil {
 				t.Fatal(err)
@@ -255,9 +263,75 @@ func TestSharedImagesNeverChange(t *testing.T) {
 			if !bytes.Equal(held, fill(1)) || !bytes.Equal(own, fill(3)) {
 				t.Fatal("a later write changed an image a reader holds")
 			}
-			if got, err := p.ReadShared(id); err != nil || !bytes.Equal(got, fill(4)) {
-				t.Fatalf("ReadShared after the last write: %v", err)
+			if got, err := shared(); err != nil || !bytes.Equal(got, fill(4)) {
+				t.Fatalf("ReadFrame after the last write: %v", err)
 			}
 		})
+	}
+}
+
+// TestCleanCacheBound checks a file pager's clean-frame cache: Flush
+// keeps only the images someone read, commits that keep overwriting
+// cached pages of a cache with room evict nothing, a read pass over more
+// pages than the bound keeps it, and every read sees the newest image.
+func TestCleanCacheBound(t *testing.T) {
+	p, err := OpenBackend(faultfs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.SetCachePages(8)
+	ids := make([]PageID, 6)
+	for i := range ids {
+		ids[i] = mustAlloc(t, p)
+		mustWrite(t, p, ids[i], fill(byte(i)))
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if m := p.Metrics(); m.Cached != 0 {
+		t.Fatalf("Flush cached %d images nobody read", m.Cached)
+	}
+	for _, id := range ids {
+		if _, err := p.ReadFrame(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([][]byte, len(ids))
+	for round := 0; round < 50; round++ {
+		for _, i := range []int{round % 6, (round + 3) % 6} {
+			want[i] = fill(byte(10 + round))
+			mustWrite(t, p, ids[i], want[i])
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := p.Metrics(); m.Evictions != 0 || m.Cached != 6 {
+		t.Fatalf("after overwrite churn: %d evictions, %d frames cached; want 0 and 6", m.Evictions, m.Cached)
+	}
+	for i, id := range ids {
+		if f, err := p.ReadFrame(id); err != nil || !bytes.Equal(f.Data(), want[i]) {
+			t.Fatalf("page %d after overwrite churn: %v", id, err)
+		}
+	}
+	more := make([]PageID, 10)
+	for i := range more {
+		more[i] = mustAlloc(t, p)
+		mustWrite(t, p, more[i], fill(byte(100+i)))
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 3; pass++ {
+		for i, id := range more {
+			f, err := p.ReadFrame(id)
+			if err != nil || !bytes.Equal(f.Data(), fill(byte(100+i))) {
+				t.Fatalf("page %d after eviction: %v", id, err)
+			}
+		}
+	}
+	if m := p.Metrics(); m.Evictions == 0 || m.Cached != 8 {
+		t.Fatalf("after reading 16 pages: %d evictions, %d frames cached; want some and 8", m.Evictions, m.Cached)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"vamana/internal/pager/faultfs"
 )
@@ -335,5 +336,90 @@ func TestFreedPagesSkippedByVerify(t *testing.T) {
 	}
 	if checked != 1 {
 		t.Fatalf("Verify checked %d pages, want 1", checked)
+	}
+}
+
+// TestReadsAndWritesDuringFlush parks a Flush inside its first backend
+// Sync and checks that the commit holds nothing readers and writers
+// need meanwhile: a clean cached page and a page awaiting the commit
+// read back, and a new write and version commit go through. After the
+// Flush finishes, a reopened copy holds what it made durable. (A page
+// that must come from disk would wait for the Sync: the backend sees
+// one call at a time.)
+func TestReadsAndWritesDuringFlush(t *testing.T) {
+	b := faultfs.New()
+	p, err := OpenBackend(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	a := mustAlloc(t, p)
+	mustWrite(t, p, a, fill('a'))
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ReadFrame(a); err != nil { // cached from now on
+		t.Fatal(err)
+	}
+	c := mustAlloc(t, p)
+	mustWrite(t, p, c, fill('c'))
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	parked := false
+	b.BeforeOp = func(op faultfs.Op, off int64, n int) error {
+		if op == faultfs.OpSync && !parked {
+			parked = true
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- p.Flush() }()
+	<-entered
+
+	meanwhile := make(chan error, 1)
+	go func() {
+		for _, want := range []struct {
+			id  PageID
+			img []byte
+		}{{a, fill('a')}, {c, fill('c')}} {
+			f, err := p.ReadFrame(want.id)
+			if err != nil || !bytes.Equal(f.Data(), want.img) {
+				meanwhile <- fmt.Errorf("page %d during the Flush: %v", want.id, err)
+				return
+			}
+		}
+		if err := p.Write(a, fill('A')); err != nil {
+			meanwhile <- err
+			return
+		}
+		meanwhile <- p.CommitVersion()
+	}()
+	select {
+	case err := <-meanwhile:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("reads and writes waited for the Flush's Sync")
+	}
+	close(release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if f, err := p.ReadFrame(a); err != nil || !bytes.Equal(f.Data(), fill('A')) {
+		t.Fatalf("the write made during the Flush was lost: %v", err)
+	}
+
+	q, err := OpenBackend(faultfs.FromBytes(b.Snapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	for id, want := range map[PageID][]byte{a: fill('a'), c: fill('c')} {
+		if f, err := q.ReadFrame(id); err != nil || !bytes.Equal(f.Data(), want) {
+			t.Fatalf("reopened page %d does not hold the flushed image: %v", id, err)
+		}
 	}
 }

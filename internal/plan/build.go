@@ -115,16 +115,21 @@ func (b *builder) union(e *xpath.Binary) (Op, error) {
 
 // predicate compiles a predicate expression to a predicate operator:
 //
-//   - a location path        -> ξ (exists)
+//   - a relative path        -> ξ (exists)
 //   - path/literal compares  -> β(EQ/NE/LT/LE/GT/GE)
 //   - and/or of predicates   -> β(AND/OR)
 //   - anything else          -> ε (general expression predicate)
 //
 // Keeping comparisons in β form (rather than ε) is what lets the
-// optimizer recognize the value-index rewrite (paper §VI-C.2).
+// optimizer recognize the value-index rewrite (paper §VI-C.2). An
+// absolute path goes to ε: ξ and β evaluate their paths from the
+// context node, and only ε's evaluator anchors a path at the root.
 func (b *builder) predicate(e xpath.Expr) (Op, error) {
 	switch t := e.(type) {
 	case *xpath.LocationPath:
+		if t.Absolute {
+			return &ExprPred{Expr: e}, nil
+		}
 		sub, err := b.path(t)
 		if err != nil {
 			return nil, err
@@ -160,8 +165,8 @@ func (b *builder) predicate(e xpath.Expr) (Op, error) {
 }
 
 // compareSide builds an operand of a β comparison: a literal, a number or
-// a relative path. Other operand forms (functions, arithmetic) fall back
-// to ε via the caller.
+// a relative path. Other operand forms (functions, arithmetic, absolute
+// paths) fall back to ε via the caller.
 func (b *builder) compareSide(e xpath.Expr) (Op, bool) {
 	switch t := e.(type) {
 	case *xpath.Literal:
@@ -169,6 +174,9 @@ func (b *builder) compareSide(e xpath.Expr) (Op, bool) {
 	case *xpath.Number:
 		return &Literal{Value: t.String(), Numeric: true, Num: t.Value}, true
 	case *xpath.LocationPath:
+		if t.Absolute {
+			return nil, false
+		}
 		sub, err := b.path(t)
 		if err != nil {
 			return nil, false

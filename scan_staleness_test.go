@@ -20,9 +20,9 @@ import (
 // oracle evaluated over the document as it now is. Every change is a
 // DB.Update commit, which publishes a new snapshot (new tree objects, so a
 // kept cursor would point into a retired version). It runs twice: in
-// memory, and file-backed with the node cache at the floor — only there
-// are decoded leaves evicted and re-read as new objects, which is what
-// makes a kept leaf pointer stale rather than merely out of date.
+// memory, and file-backed with a one-page cache — only there are page
+// frames evicted and re-read as new objects, which is what makes a kept
+// leaf pointer stale rather than merely out of date.
 func TestPooledScanStateAcrossVersions(t *testing.T) {
 	// The executor pool is a sync.Pool, which a garbage collection empties:
 	// with the collector running, the inserts below would hand every later

@@ -201,14 +201,9 @@ func (db *DB) Update(fn func(*Txn) error) error {
 	// Make sure direct reads have a committed snapshot to serve from
 	// while the transaction is open (see refreshShared).
 	db.refreshShared()
-	// The installed shared snapshot seeds the replacement's node caches
-	// when it is still the directly preceding committed state (checked
-	// under the writer lock at commit; a racing uninstall at worst costs
-	// the warm start, never correctness).
-	prev := db.shared.Load()
 	_, err := db.engine.Update(func(u *mass.Update) error {
 		return fn(&Txn{db: db, u: u})
-	}, prev, db.installShared)
+	}, db.installShared)
 	return err
 }
 

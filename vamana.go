@@ -56,12 +56,14 @@ type Options struct {
 	// whole store in memory. A file-backed store persists across Open
 	// calls.
 	Path string
-	// CachePages bounds the index pages a file-backed store keeps in
-	// memory (8 KiB each, read in place by the index nodes; the working
-	// set beyond it is read from disk on demand). 0 selects a default of
-	// ~6K pages. This is the knob that keeps memory flat however large
-	// the documents grow. An in-memory store holds every page once and
-	// ignores it.
+	// CachePages bounds the clean index pages a file-backed store keeps
+	// in memory: one cache of 8 KiB page images, each read in place by its
+	// index node and shared by the live store and every snapshot; the
+	// working set beyond it is read from disk on demand. 0 selects a
+	// default of 6,144 pages (about 50 MB). This is the knob that keeps
+	// read memory flat however large the documents grow; pages written
+	// but not yet durable stay in memory until they are. An in-memory
+	// store holds every page once and ignores it.
 	CachePages int
 	// Backend, when non-nil, overrides Path as the raw storage under the
 	// page layer. Production stores use Path; Backend exists for tests
@@ -139,8 +141,8 @@ func WithRequestTrace(ctx context.Context, rt *RequestTrace) context.Context {
 }
 
 // StorageMetrics snapshots a database's storage-level activity counters:
-// pager I/O, B+-tree node-cache traffic, records decoded, statistics
-// probes that reached storage.
+// pager I/O, B+-tree node loads and page-cache evictions, records
+// decoded, statistics probes that reached storage.
 type StorageMetrics = mass.StoreMetrics
 
 // DB is a VAMANA database: a MASS store holding any number of indexed XML
@@ -415,9 +417,10 @@ type CacheStats = core.CacheStats
 func (db *DB) CacheStats() CacheStats { return db.engine.CacheStats() }
 
 // StorageMetrics returns the database's storage counters: page reads and
-// writes, index node-cache hits/misses/evictions, node splits, cursor
-// seeks, counted-range probes, records decoded, and statistics probes
-// that reached storage (memo misses).
+// writes, index node loads (served by an already-decoded page or not),
+// page-cache evictions, node splits, cursor seeks, counted-range probes,
+// records decoded, and statistics probes that reached storage (memo
+// misses).
 func (db *DB) StorageMetrics() StorageMetrics { return db.engine.Store().Metrics() }
 
 // SlowQueries returns the ring's records at or above
