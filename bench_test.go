@@ -58,7 +58,7 @@ func fixtureMB(b *testing.B, mb int) *bench.Fixture {
 	if f, ok := fixtures[mb]; ok {
 		return f
 	}
-	f, err := bench.NewFixture(mb<<20, 71, false)
+	f, err := bench.NewFixtureExecBatch(mb<<20, 71, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func BenchmarkServing(b *testing.B) {
 	for _, q := range bench.Queries {
 		report.Queries = append(report.Queries, q.ID)
 	}
-	sf, err := bench.NewFixture(servingKB<<10, 71, false)
+	sf, err := bench.NewFixtureExecBatch(servingKB<<10, 71, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 		report.Queries = append(report.Queries, q.ID)
 	}
 
-	sf, err := bench.NewFixture(docKB<<10, 71, false)
+	sf, err := bench.NewFixtureExecBatch(docKB<<10, 71, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -96,15 +96,10 @@ type Fixture struct {
 	joinEng  *pathjoin.Engine
 }
 
-// NewFixture generates an XMark document of roughly target bytes and
-// indexes it in VAMANA. Baseline engines are built lazily on first use.
-func NewFixture(target int, seed int64, faithful bool) (*Fixture, error) {
-	return NewFixtureExecBatch(target, seed, faithful, 0)
-}
-
-// NewFixtureExecBatch is NewFixture with an explicit executor pull-batch
-// size for the VAMANA engine (0 = default) — the vbench -batch flag and
-// the batch-size sweep use it.
+// NewFixtureExecBatch generates an XMark document of roughly target bytes
+// and indexes it in VAMANA, whose executor pulls batches of execBatch
+// keys (0 = default; the vbench -batch flag and the batch-size sweep set
+// it). Baseline engines are built lazily on first use.
 func NewFixtureExecBatch(target int, seed int64, faithful bool, execBatch int) (*Fixture, error) {
 	f := &Fixture{SizeBytes: target, Seed: seed, Faithful: faithful}
 	f.src = xmark.GenerateString(xmark.Config{Factor: xmark.FactorForBytes(target), Seed: seed})
@@ -264,18 +259,6 @@ func (f *Fixture) exist() (*pathjoin.Engine, error) {
 		f.joinEng = e
 	}
 	return f.joinEng, nil
-}
-
-// Sweep runs every engine on one query across fixtures and returns the
-// results grouped per engine — one paper figure.
-func Sweep(fixtures []*Fixture, q Query, engines []Engine) []Result {
-	var out []Result
-	for _, f := range fixtures {
-		for _, e := range engines {
-			out = append(out, f.Run(e, q))
-		}
-	}
-	return out
 }
 
 // FormatFigure renders a figure's results as the paper-style series

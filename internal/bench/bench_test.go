@@ -8,7 +8,7 @@ import (
 
 func smallFixture(t *testing.T, faithful bool) *Fixture {
 	t.Helper()
-	f, err := NewFixture(200<<10, 61, faithful) // ~200 KB
+	f, err := NewFixtureExecBatch(200<<10, 61, faithful, 0) // ~200 KB
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestQ4AxisGaps(t *testing.T) {
 
 func TestFaithfulCapacityLimits(t *testing.T) {
 	// A fixture bigger than Jaxen's published 10 MB limit.
-	f, err := NewFixture(11<<20, 62, true)
+	f, err := NewFixtureExecBatch(11<<20, 62, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestOptimizedNeverSlowerByCount(t *testing.T) {
 func TestFormatFigure(t *testing.T) {
 	f := smallFixture(t, false)
 	q1, _ := QueryByID("Q1")
-	results := Sweep([]*Fixture{f}, q1, []Engine{EngineVQP, EngineVQPOpt})
+	results := sweep([]*Fixture{f}, q1, []Engine{EngineVQP, EngineVQPOpt})
 	out := FormatFigure(q1, results, []Engine{EngineVQP, EngineVQPOpt})
 	for _, want := range []string{"Fig12", "VQP", "VQP-OPT", "200KB"} {
 		if !strings.Contains(out, want) {
@@ -142,4 +142,16 @@ func TestMeasureEngineMemory(t *testing.T) {
 	if !strings.Contains(out, "Jaxen") || !strings.Contains(out, "VQP") {
 		t.Fatalf("table incomplete:\n%s", out)
 	}
+}
+
+// sweep runs every engine on one query across fixtures and returns the
+// results grouped per engine — one paper figure.
+func sweep(fixtures []*Fixture, q Query, engines []Engine) []Result {
+	var out []Result
+	for _, f := range fixtures {
+		for _, e := range engines {
+			out = append(out, f.Run(e, q))
+		}
+	}
+	return out
 }

@@ -44,7 +44,7 @@ func TestCompileExecutePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := it.Collect()
+	keys, err := collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestCompileExecutePipeline(t *testing.T) {
 		t.Fatal("CompileOptimized not marked optimized")
 	}
 	it2, _ := run(qo, d, "")
-	keys2, err := it2.Collect()
+	keys2, err := collect(it2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestQueryReusableAcrossExecutions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys, err := it.Collect()
+		keys, err := collect(it)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestExecuteFromContext(t *testing.T) {
 	}
 	q, _ := e.Compile("//b")
 	it, _ := run(q, d, "")
-	keys, _ := it.Collect()
+	keys, _ := collect(it)
 	if len(keys) != 1 {
 		t.Fatal("setup failed")
 	}
@@ -115,7 +115,7 @@ func TestExecuteFromContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := it2.Collect()
+	sub, err := collect(it2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCostFoldAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := it.Collect(); err != nil {
+		if _, err := collect(it); err != nil {
 			t.Fatal(err)
 		}
 		if op, _ := e.cost.fold(it, expr); op == nil {
@@ -236,7 +236,7 @@ func TestCostFoldSkipsFromRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := it.Collect(); err != nil {
+		if _, err := collect(it); err != nil {
 			t.Fatal(err)
 		}
 		it.Close()
@@ -248,4 +248,13 @@ func TestCostFoldSkipsFromRuns(t *testing.T) {
 	if n := folded("a.b.b"); n != 0 {
 		t.Fatalf("a run From a.b.b folded %d observations", n)
 	}
+}
+
+// collect drains the iterator into a key slice.
+func collect(it *exec.Iterator) ([]flex.Key, error) {
+	var out []flex.Key
+	for it.Next() {
+		out = append(out, it.Key())
+	}
+	return out, it.Err()
 }

@@ -36,12 +36,11 @@ func TestMemoProbesCachesWithinEpoch(t *testing.T) {
 
 	// An update bumps the epoch; the memo must re-probe and see the new
 	// count.
-	persons := s.AxisScan(d, "", mass.AxisDescendant, test)
-	n, ok := persons.Next()
-	if !ok {
-		t.Fatalf("no person node to delete: %v", persons.Err())
+	first := make([]flex.Key, 1)
+	if n, err := s.AxisScan(d, "", mass.AxisDescendant, test).NextKeys(first); n != 1 {
+		t.Fatalf("no person node to delete: %v", err)
 	}
-	if err := deleteSubtree(s, d, n.Key); err != nil {
+	if err := deleteSubtree(s, d, first[0]); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.TestCount(d, test, "")
@@ -68,9 +67,9 @@ func TestMemoProbesSecondDocIndependent(t *testing.T) {
 	}
 	// Mutate d1 only.
 	person := mass.NodeTest{Type: mass.TestName, Name: "person"}
-	sc := s.AxisScan(d1, "", mass.AxisDescendant, person)
-	if n, ok := sc.Next(); ok {
-		if err := deleteSubtree(s, d1, n.Key); err != nil {
+	first := make([]flex.Key, 1)
+	if n, _ := s.AxisScan(d1, "", mass.AxisDescendant, person).NextKeys(first); n == 1 {
+		if err := deleteSubtree(s, d1, first[0]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -33,7 +33,7 @@ func runPlan(t *testing.T, s *mass.Store, d mass.DocID, expr string, optimized b
 	if err != nil {
 		t.Fatalf("run %q: %v", expr, err)
 	}
-	keys, err := it.Collect()
+	keys, err := collect(it)
 	if err != nil {
 		t.Fatalf("collect %q: %v", expr, err)
 	}

@@ -229,11 +229,7 @@ func (e *env) evalBinary(b *xpath.Binary, c evalCtx) (value, error) {
 // compare implements XPath 1.0 §3.4 comparison semantics, including the
 // existential rules for node-sets.
 func (e *env) compare(op xpath.BinaryOp, l, r value) (bool, error) {
-	cond := map[xpath.BinaryOp]plan.PredCond{
-		xpath.OpEq: plan.CondEQ, xpath.OpNeq: plan.CondNE,
-		xpath.OpLt: plan.CondLT, xpath.OpLte: plan.CondLE,
-		xpath.OpGt: plan.CondGT, xpath.OpGte: plan.CondGE,
-	}[op]
+	cond := plan.CondOf(op)
 	relational := op != xpath.OpEq && op != xpath.OpNeq
 
 	lns, lIsNS := l.([]flex.Key)

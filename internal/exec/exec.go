@@ -552,15 +552,6 @@ func (it *Iterator) Node() (xmldoc.Node, error) {
 // Err reports the first error encountered.
 func (it *Iterator) Err() error { return it.err }
 
-// Collect drains the iterator into a key slice.
-func (it *Iterator) Collect() ([]flex.Key, error) {
-	var out []flex.Key
-	for it.Next() {
-		out = append(out, it.Key())
-	}
-	return out, it.Err()
-}
-
 // env carries shared execution state.
 type env struct {
 	store *mass.Store
@@ -973,7 +964,7 @@ type stepExec struct {
 
 	state   State
 	leafCtx flex.Key
-	scan    *mass.Scan
+	scan    *mass.Scanner
 	// scanner is the reusable axis-scan state (cursor, range-key buffers)
 	// rebound to each context tuple, so binding a context allocates
 	// nothing after the first.
@@ -1164,11 +1155,11 @@ func (s *stepExec) bindContext(ctx flex.Key) {
 	s.nIn++
 	s.env.axisBinds[s.op.Axis]++
 	s.state = Fetching
+	s.scanner.SetLimiter(s.env.lim)
 	if s.op.Axis == mass.AxisNumRange {
-		s.scan = s.env.store.NumericRangeScanLim(s.env.doc, ctx,
-			s.op.NumLo, s.op.NumLoIncl, s.op.NumHi, s.op.NumHiIncl, s.env.lim)
+		s.scan = s.env.store.BindNumRange(&s.scanner, s.env.doc, ctx,
+			s.op.NumLo, s.op.NumLoIncl, s.op.NumHi, s.op.NumHiIncl)
 	} else {
-		s.scanner.SetLimiter(s.env.lim)
 		s.scan = s.env.store.BindScan(&s.scanner, s.env.doc, ctx, s.op.Axis, s.op.Test)
 	}
 	// Reuse the proximity-position buffer across context bindings;
@@ -1203,16 +1194,17 @@ func (s *stepExec) applyPreds(k flex.Key) (bool, error) {
 // needs last().
 func (s *stepExec) fillBatch() error {
 	var cand []flex.Key
+	var buf [16]flex.Key
 	for {
-		n, ok := s.scan.Next()
-		if !ok {
+		n, err := s.scan.NextKeys(buf[:])
+		cand = append(cand, buf[:n]...)
+		s.nScanned += uint64(n)
+		if err != nil {
+			return err
+		}
+		if n < len(buf) {
 			break
 		}
-		s.nScanned++
-		cand = append(cand, n.Key)
-	}
-	if err := s.scan.Err(); err != nil {
-		return err
 	}
 	for j, p := range s.preds {
 		var kept []flex.Key

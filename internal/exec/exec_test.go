@@ -78,7 +78,7 @@ func runVamana(t testing.TB, s *mass.Store, d mass.DocID, expr string) []string 
 	if err != nil {
 		t.Fatalf("run %q: %v", expr, err)
 	}
-	keys, err := it.Collect()
+	keys, err := collect(it)
 	if err != nil {
 		t.Fatalf("collect %q: %v", expr, err)
 	}
@@ -306,7 +306,7 @@ func TestStartContextBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := it.Collect()
+	res, err := collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestVariableBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := it.Collect()
+	res, err := collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestUnknownFunctionError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := it.Collect(); err == nil {
+	if _, err := collect(it); err == nil {
 		t.Fatal("unknown function did not error")
 	}
 }
@@ -407,4 +407,13 @@ func TestNamespaceAxis(t *testing.T) {
 	if len(got) != 3 {
 		t.Errorf("c in-scope namespaces = %d, want 3", len(got))
 	}
+}
+
+// collect drains the iterator into a key slice.
+func collect(it *Iterator) ([]flex.Key, error) {
+	var out []flex.Key
+	for it.Next() {
+		out = append(out, it.Key())
+	}
+	return out, it.Err()
 }

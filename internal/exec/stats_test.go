@@ -65,7 +65,7 @@ func TestEstimatesBoundActuals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := it.Collect(); err != nil {
+			if _, err := collect(it); err != nil {
 				t.Fatal(err)
 			}
 			for _, st := range it.Stats() {
@@ -103,7 +103,7 @@ func TestStatsReflectExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, _ := it.Collect()
+	keys, _ := collect(it)
 	if len(keys) != 3 {
 		t.Fatalf("results = %d", len(keys))
 	}
@@ -152,7 +152,7 @@ func TestOrderedExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := it.Collect()
+	keys, err := collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestOrderedExecution(t *testing.T) {
 	}
 	// Same set as the unordered run.
 	it2, _ := Run(p, Context{Store: s, Doc: d})
-	keys2, _ := it2.Collect()
+	keys2, _ := collect(it2)
 	if len(keys2) != len(keys) {
 		t.Fatalf("ordered %d vs unordered %d", len(keys), len(keys2))
 	}

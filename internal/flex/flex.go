@@ -47,9 +47,6 @@ const SubtreeSentinel byte = subtreeSentinel
 // byte-level range builders can form DescLower bounds in place.
 const Sep byte = sep
 
-// IsRoot reports whether k is the document root key.
-func (k Key) IsRoot() bool { return k == Root }
-
 // Valid reports whether k is a well-formed FLEX key: one or more valid
 // components joined by '.'.
 func (k Key) Valid() bool {
@@ -139,9 +136,6 @@ func (k Key) IsAncestorOf(d Key) bool {
 	return len(d) > len(k)+1 && d[len(k)] == sep && d[:len(k)] == k
 }
 
-// IsDescendantOf reports whether k is a strict descendant of a.
-func (k Key) IsDescendantOf(a Key) bool { return a.IsAncestorOf(k) }
-
 // DepthOf is Depth for a key still in raw index-entry bytes, letting scan
 // filters reject entries without materializing a Key.
 func DepthOf(b []byte) int {
@@ -170,52 +164,24 @@ func (k Key) DescLower() Key { return k + Key(rune(sep)) }
 // half-open range [k, k.SubtreeUpper()) covers k and its descendants.
 func (k Key) SubtreeUpper() Key { return k + Key(rune(subtreeSentinel)) }
 
-// Ancestors returns the keys of k's strict ancestors, nearest first
-// (parent, grandparent, ..., root). The root itself has no ancestors.
-func (k Key) Ancestors() []Key {
-	var out []Key
-	for p := k.Parent(); len(p) != 0; p = p.Parent() {
-		out = append(out, p)
-	}
-	return out
-}
-
-// AncestorAtDepth returns the ancestor-or-self of k at the given depth
-// (1 = root), or "" if depth exceeds k's depth or is < 1.
-func (k Key) AncestorAtDepth(depth int) Key {
+// BytesAncestorAtDepth returns the ancestor-or-self at the given depth
+// (1 = root) of the key in raw index-entry bytes b, as a prefix of b, or
+// nil if depth exceeds b's depth or is < 1.
+func BytesAncestorAtDepth(b []byte, depth int) []byte {
 	if depth < 1 {
-		return ""
+		return nil
 	}
-	s := string(k)
 	n := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == sep {
+	for i, c := range b {
+		if c == sep {
 			n++
 			if n == depth {
-				return Key(s[:i])
+				return b[:i]
 			}
 		}
 	}
 	if n+1 == depth {
-		return k
+		return b
 	}
-	return ""
-}
-
-// CommonAncestor returns the deepest key that is an ancestor-or-self of
-// both a and b, or "" if they share none (which cannot happen for two valid
-// keys of the same document, as both descend from the root).
-func CommonAncestor(a, b Key) Key {
-	da, db := a.Depth(), b.Depth()
-	d := da
-	if db < d {
-		d = db
-	}
-	for ; d >= 1; d-- {
-		pa, pb := a.AncestorAtDepth(d), b.AncestorAtDepth(d)
-		if pa == pb {
-			return pa
-		}
-	}
-	return ""
+	return nil
 }

@@ -70,13 +70,6 @@ func AttrOrdinal(i int) Component {
 	return Component(string(rune(minDigit))) + Ordinal(i)
 }
 
-// IsAttr reports whether c lies in the attribute component range (starts
-// with 'a'). Generated non-attribute components never start with 'a';
-// components produced by Between between an attribute and an element
-// component are steered out of the attribute range by the caller supplying
-// bounds (see mass).
-func (c Component) IsAttr() bool { return len(c) > 0 && c[0] == minDigit }
-
 // ErrNoRoom is returned by Between when no component exists strictly
 // between the given bounds (only possible when a >= b).
 var ErrNoRoom = errors.New("flex: no component strictly between bounds")

@@ -3,7 +3,6 @@ package mass
 import (
 	"fmt"
 
-	"vamana/internal/flex"
 	"vamana/internal/xmldoc"
 )
 
@@ -38,9 +37,9 @@ const (
 	AxisAttrValue
 	// AxisNumRange is the numeric-range pseudo axis: it scans the numeric
 	// value index for text nodes whose number() lies in a range. The range
-	// bounds live on the plan step (plan.Step.Num*), not in the node test;
-	// the execution engine dispatches this axis to
-	// Store.NumericRangeScan directly.
+	// bounds live on the plan step (plan.Step.Num*), not in the node test,
+	// so the execution engine binds this axis with Store.BindNumRange
+	// rather than BindScan.
 	AxisNumRange
 )
 
@@ -162,17 +161,31 @@ func (t NodeTest) String() string {
 // Matches reports whether node n satisfies the test on an axis whose
 // principal node kind is principal.
 func (t NodeTest) Matches(n xmldoc.Node, principal xmldoc.Kind) bool {
+	return t.matchesKind(n.Kind, principal) && (!t.named() || n.Name == t.Name)
+}
+
+// matchesRecord is Matches on a record parsed in place.
+func (t NodeTest) matchesRecord(r record, principal xmldoc.Kind) bool {
+	return t.matchesKind(r.kind, principal) && (!t.named() || string(r.name) == t.Name)
+}
+
+// named reports whether the test compares the node's name as well as its
+// kind.
+func (t NodeTest) named() bool {
+	return t.Type == TestName || t.Type == TestPI && t.Name != ""
+}
+
+// matchesKind is the kind half of Matches.
+func (t NodeTest) matchesKind(kind, principal xmldoc.Kind) bool {
 	switch t.Type {
-	case TestName:
-		return n.Kind == principal && n.Name == t.Name
-	case TestWildcard:
-		return n.Kind == principal
+	case TestName, TestWildcard:
+		return kind == principal
 	case TestText:
-		return n.Kind == xmldoc.KindText
+		return kind == xmldoc.KindText
 	case TestComment:
-		return n.Kind == xmldoc.KindComment
+		return kind == xmldoc.KindComment
 	case TestPI:
-		return n.Kind == xmldoc.KindPI && (t.Name == "" || n.Name == t.Name)
+		return kind == xmldoc.KindPI
 	case TestNode:
 		// node() matches everything reachable on the axis. Attribute and
 		// namespace nodes are reachable only on their own axes, which is
@@ -181,116 +194,4 @@ func (t NodeTest) Matches(n xmldoc.Node, principal xmldoc.Kind) bool {
 	default:
 		return false
 	}
-}
-
-// Scan iterates the nodes selected by an axis step, lazily, in axis order
-// (document order for forward axes, reverse document order for reverse
-// axes). It is the unit of MASS's pipelined, index-based access.
-type Scan struct {
-	next func() (xmldoc.Node, bool, error)
-	// sc, when set, replaces next: the scan dispatches straight to the
-	// owning Scanner's shape state, avoiding the method-value allocation a
-	// func field would cost on every Scanner.
-	sc   *Scanner
-	err  error
-	done bool
-}
-
-// Next returns the next node, or ok == false when the scan is exhausted or
-// failed (check Err).
-func (s *Scan) Next() (xmldoc.Node, bool) {
-	if s.done {
-		return xmldoc.Node{}, false
-	}
-	var (
-		n   xmldoc.Node
-		ok  bool
-		err error
-	)
-	if s.sc != nil {
-		n, ok, err = s.sc.nextNode()
-	} else {
-		n, ok, err = s.next()
-	}
-	if err != nil {
-		s.err = err
-		s.done = true
-		return xmldoc.Node{}, false
-	}
-	if !ok {
-		s.done = true
-		return xmldoc.Node{}, false
-	}
-	return n, true
-}
-
-// NextKeys fills dst with the FLEX keys of the scan's next nodes and
-// returns how many it produced: len(dst), unless the scan is exhausted
-// or failed first (a short count means exhausted-or-error; once drained,
-// further calls return 0). It is the batched pull the execution engine
-// uses when only keys matter: forward range shapes advance the
-// underlying B+-tree cursor in bulk under a single store-lock
-// acquisition per call instead of one per entry. The keys preceding a
-// failure are valid and are delivered along with the error.
-//
-// NextKeys and Next must not be mixed on one binding — their cursor
-// protocols differ.
-func (s *Scan) NextKeys(dst []flex.Key) (int, error) {
-	if s.done {
-		return 0, s.err
-	}
-	var (
-		n   int
-		err error
-	)
-	if s.sc != nil {
-		n, err = s.sc.nextKeys(dst)
-	} else {
-		for n < len(dst) {
-			node, ok, nerr := s.next()
-			if nerr != nil {
-				err = nerr
-				break
-			}
-			if !ok {
-				break
-			}
-			dst[n] = node.Key
-			n++
-		}
-	}
-	if err != nil {
-		s.err, s.done = err, true
-		return n, err
-	}
-	if n < len(dst) {
-		s.done = true
-	}
-	return n, nil
-}
-
-// Err returns the first error the scan encountered.
-func (s *Scan) Err() error { return s.err }
-
-// emptyScan yields nothing.
-func emptyScan() *Scan {
-	return &Scan{next: func() (xmldoc.Node, bool, error) { return xmldoc.Node{}, false, nil }}
-}
-
-// errScan yields an immediate error.
-func errScan(err error) *Scan {
-	return &Scan{next: func() (xmldoc.Node, bool, error) { return xmldoc.Node{}, false, err }}
-}
-
-// sliceScan yields a fixed slice (used by the small reverse axes).
-func sliceScan(nodes []xmldoc.Node) *Scan {
-	i := 0
-	return &Scan{next: func() (xmldoc.Node, bool, error) {
-		if i >= len(nodes) {
-			return xmldoc.Node{}, false, nil
-		}
-		n := nodes[i]
-		i++
-		return n, true, nil
-	}}
 }

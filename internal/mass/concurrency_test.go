@@ -30,19 +30,12 @@ func TestConcurrentReads(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					sc := s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestName, Name: "person"})
-					n := 0
-					for {
-						if _, ok := sc.Next(); !ok {
-							break
-						}
-						n++
-					}
-					if sc.Err() != nil {
-						errs <- sc.Err()
+					keys, err := drainAll(s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestName, Name: "person"}))
+					if err != nil {
+						errs <- err
 						return
 					}
-					if uint64(n) != wantPersons {
+					if n := len(keys); uint64(n) != wantPersons {
 						errs <- fmt.Errorf("goroutine %d: scan saw %d persons, want %d", g, n, wantPersons)
 						return
 					}

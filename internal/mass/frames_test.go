@@ -8,6 +8,7 @@ import (
 
 	"vamana/internal/flex"
 	"vamana/internal/xmark"
+	"vamana/internal/xmldoc"
 )
 
 // reopenFileStore loads src into a file store at a fresh path, closes it
@@ -163,10 +164,10 @@ func TestSnapshotReadersShareFrames(t *testing.T) {
 						}
 						st, k := sn.Store(), int(sn.Gen()-gen0)
 						all, extra := 0, 0
-						sc := st.AxisScan(d, flex.Root, AxisDescendant, wildcard)
-						for {
-							n, ok := sc.Next()
-							if !ok {
+						keys, err := drainAll(st.AxisScan(d, flex.Root, AxisDescendant, wildcard))
+						for _, key := range keys {
+							var n xmldoc.Node
+							if n, _, err = st.Node(d, key); err != nil {
 								break
 							}
 							all++
@@ -174,7 +175,6 @@ func TestSnapshotReadersShareFrames(t *testing.T) {
 								extra++
 							}
 						}
-						err = sc.Err()
 						sn.Close()
 						if err == nil && (all != base+k || extra != k) {
 							err = fmt.Errorf("snapshot %d commits in: %d elements, %d extra; want %d and %d", k, all, extra, base+k, k)

@@ -101,15 +101,10 @@ func nameRange(name string, d DocID, klo, khi flex.Key) (lo, hi []byte) {
 	return nameKey(name, d, klo), nameKey(name, d, khi)
 }
 
-func splitNameKey(b []byte) (name string, d DocID, k flex.Key) {
-	nb, kb, d := splitNameKeyView(b)
-	return string(nb), d, flex.Key(kb)
-}
-
-// splitNameKeyView is splitNameKey without materializing strings: the
-// returned slices alias b and are only valid while the source cursor is
-// positioned on the entry. Scan filters use it to reject entries with
-// zero allocations.
+// splitNameKeyView splits a names-index key into its name, FLEX key and
+// document without materializing strings: the returned slices alias b
+// and are only valid while the source cursor is positioned on the entry.
+// Scan filters use it to reject entries with zero allocations.
 func splitNameKeyView(b []byte) (name, k []byte, d DocID) {
 	for i := 0; i < len(b); i++ {
 		if b[i] == 0 {
@@ -178,16 +173,9 @@ func valueRange(tag byte, v string, d DocID, klo, khi flex.Key) (lo, hi []byte) 
 	return valueKey(tag, v, d, klo), valueKey(tag, v, d, khi)
 }
 
-func splitValueKey(b []byte) (tag byte, v string, d DocID, k flex.Key) {
-	vb, kb, d := splitValueKeyView(b)
-	if len(b) > 0 {
-		tag = b[0]
-	}
-	return tag, string(vb), d, flex.Key(kb)
-}
-
-// splitValueKeyView is splitValueKey without materializing strings; the
-// returned slices alias b (see splitNameKeyView).
+// splitValueKeyView splits a values-index key into its value, FLEX key
+// and document without materializing strings; the returned slices alias
+// b (see splitNameKeyView).
 func splitValueKeyView(b []byte) (v, k []byte, d DocID) {
 	for i := 1; i < len(b); i++ {
 		if b[i] == 0 {

@@ -78,18 +78,17 @@ func loadDoc(t testing.TB, s *Store, name, src string) DocID {
 	return d
 }
 
-func collect(t *testing.T, sc *Scan) []xmldoc.Node {
+// collect drains a scan and fetches the node behind every key it
+// yielded with Store.Node.
+func collect(t *testing.T, sc *Scanner) []xmldoc.Node {
 	t.Helper()
 	var out []xmldoc.Node
-	for {
-		n, ok := sc.Next()
-		if !ok {
-			break
+	for _, k := range drainKeys(t, sc) {
+		n, ok, err := sc.store.Node(sc.d, k)
+		if err != nil || !ok {
+			t.Fatalf("scan yielded %q, which has no node (%v)", k, err)
 		}
 		out = append(out, n)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	return out
 }
@@ -219,9 +218,9 @@ func TestDatabaseWideCounts(t *testing.T) {
 func TestValueScan(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "person", personXML)
-	got := collect(t, s.ValueScan(d, "", "Yung Flach"))
+	got := collect(t, s.AxisScan(d, "", AxisValue, NodeTest{Name: "Yung Flach"}))
 	if len(got) != 1 {
-		t.Fatalf("ValueScan hits = %d, want 1", len(got))
+		t.Fatalf("value::'Yung Flach' hits = %d, want 1", len(got))
 	}
 	if got[0].Kind != xmldoc.KindText || got[0].Value != "Yung Flach" {
 		t.Fatalf("hit = %+v", got[0])
@@ -231,10 +230,10 @@ func TestValueScan(t *testing.T) {
 	if !ok || n.Name != "name" {
 		t.Fatalf("value hit parent = %+v", n)
 	}
-	if hits := collect(t, s.ValueScan(d, "", "Vermont")); len(hits) != 1 {
+	if hits := collect(t, s.AxisScan(d, "", AxisValue, NodeTest{Name: "Vermont"})); len(hits) != 1 {
 		t.Fatalf("Vermont hits = %d", len(hits))
 	}
-	if hits := collect(t, s.ValueScan(d, "", "absent")); len(hits) != 0 {
+	if hits := collect(t, s.AxisScan(d, "", AxisValue, NodeTest{Name: "absent"})); len(hits) != 0 {
 		t.Fatalf("absent hits = %d", len(hits))
 	}
 }
@@ -242,7 +241,7 @@ func TestValueScan(t *testing.T) {
 func TestAttrValueScan(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "person", personXML)
-	hits := collect(t, s.AttrValueScan(d, "", "open_auction108"))
+	hits := collect(t, s.AxisScan(d, "", AxisAttrValue, NodeTest{Name: "open_auction108"}))
 	if len(hits) != 1 || hits[0].Name != "open_auction" {
 		t.Fatalf("attr value hits = %+v", hits)
 	}
@@ -260,7 +259,7 @@ func TestLongValueTruncation(t *testing.T) {
 		t.Fatalf("truncated TC = %d, want 2 (upper bound)", tc)
 	}
 	// ...but the scan verifies and returns exactly one.
-	hits := collect(t, s.ValueScan(d, "", long1))
+	hits := collect(t, s.AxisScan(d, "", AxisValue, NodeTest{Name: long1}))
 	if len(hits) != 1 || hits[0].Value != long1 {
 		t.Fatalf("verified hits = %d", len(hits))
 	}
@@ -473,7 +472,7 @@ func TestAllAxesAgainstOracle(t *testing.T) {
 		for _, ax := range axes {
 			for _, nt := range tests {
 				want := keysOf(ref.axis(ctx, ax, nt))
-				got := keysOf(collect(t, s.AxisScan(d, ctx, ax, nt)))
+				got := drainKeys(t, s.AxisScan(d, ctx, ax, nt))
 				if !equalKeys(got, want) {
 					t.Fatalf("axis %s::%s from %q (%s %s):\n got  %v\n want %v",
 						ax, nt, ctx, ctxNode.Kind, ctxNode.Name, got, want)
@@ -614,18 +613,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	// Spot-check an axis against the oracle after reopen.
 	nt := NodeTest{Type: TestName, Name: "beta"}
 	want := keysOf(ref.axis(flex.Root, AxisDescendant, nt))
-	var got []flex.Key
-	sc := s2.AxisScan(d, flex.Root, AxisDescendant, nt)
-	for {
-		n, ok := sc.Next()
-		if !ok {
-			break
-		}
-		got = append(got, n.Key)
-	}
-	if sc.Err() != nil {
-		t.Fatal(sc.Err())
-	}
+	got := drainKeys(t, s2.AxisScan(d, flex.Root, AxisDescendant, nt))
 	if !equalKeys(got, want) {
 		t.Fatalf("descendant::beta after reopen mismatch: %d vs %d", len(got), len(want))
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"vamana/internal/flex"
-	"vamana/internal/govern"
 	"vamana/internal/xmldoc"
 )
 
@@ -61,50 +60,35 @@ func numericValue(s string) (float64, bool) {
 	return f, true
 }
 
-func numKey(tag byte, f float64, d DocID, k flex.Key) []byte {
+// appendNumKey appends the numeric-index key prefix tag ++ enc(f) ++ d.
+func appendNumKey(dst []byte, tag byte, f float64, d DocID) []byte {
 	enc := encodeFloat(f)
-	out := make([]byte, 0, 1+8+4+len(k))
-	out = append(out, tag)
-	out = append(out, enc[:]...)
-	var db [4]byte
-	binary.BigEndian.PutUint32(db[:], uint32(d))
-	out = append(out, db[:]...)
-	out = append(out, k...)
-	return out
+	dst = append(append(dst, tag), enc[:]...)
+	return binary.BigEndian.AppendUint32(dst, uint32(d))
 }
 
-// numRange bounds the numeric index to values in [lo, hi] / (lo, hi)
-// depending on inclusivity, within doc d; ±Inf make a bound unbounded.
+func numKey(tag byte, f float64, d DocID, k flex.Key) []byte {
+	return append(appendNumKey(make([]byte, 0, 1+8+4+len(k)), tag, f, d), k...)
+}
+
+// numRange appends to lob and hib the bounds of the numeric index over
+// values in [lo, hi] / (lo, hi) depending on inclusivity, within doc d;
+// ±Inf make a bound unbounded.
 //
 // Bounds exploit the key layout: within one (value, doc) group, every
 // entry's key is tag ++ enc ++ doc ++ flexKey. "Just past all entries of
 // (f, d)" is tag ++ enc(f) ++ (d+1), because no flex key sorts at or above
-// the next doc id prefix.
-func numRange(tag byte, d DocID, lo float64, loIncl bool, hi float64, hiIncl bool) (lob, hib []byte) {
-	build := func(f float64, pastAll bool) []byte {
-		enc := encodeFloat(f)
-		out := make([]byte, 0, 1+8+4)
-		out = append(out, tag)
-		out = append(out, enc[:]...)
-		var db [4]byte
-		if pastAll {
-			binary.BigEndian.PutUint32(db[:], uint32(d)+1)
-		} else {
-			binary.BigEndian.PutUint32(db[:], uint32(d))
-		}
-		return append(out, db[:]...)
-	}
-	if loIncl {
-		lob = build(lo, false)
-	} else {
-		lob = build(lo, true)
+// the next doc id prefix. Entries of other documents whose values lie
+// strictly between the bounds fall inside them too.
+func numRange(lob, hib []byte, tag byte, d DocID, lo float64, loIncl bool, hi float64, hiIncl bool) ([]byte, []byte) {
+	lod, hid := d, d
+	if !loIncl {
+		lod++
 	}
 	if hiIncl {
-		hib = build(hi, true)
-	} else {
-		hib = build(hi, false)
+		hid++
 	}
-	return lob, hib
+	return appendNumKey(lob, tag, lo, lod), appendNumKey(hib, tag, hi, hid)
 }
 
 // putNumericEntries indexes a value's numeric interpretation, if any.
@@ -139,26 +123,6 @@ func (s *Store) deleteNumericEntries(kind xmldoc.Kind, d DocID, k flex.Key, v st
 func (s *Store) NumericRangeCount(d DocID, lo float64, loIncl bool, hi float64, hiIncl bool) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lob, hib := numRange(numTagText, d, lo, loIncl, hi, hiIncl)
+	lob, hib := numRange(nil, nil, numTagText, d, lo, loIncl, hi, hiIncl)
 	return s.values.Count(lob, hib)
-}
-
-// NumericRangeScanLim streams the text nodes of d whose numeric value
-// lies in the range, restricted to ctx's subtree, ordered by numeric
-// value. This backs the optimizer's range-predicate rewrite. lim (nil =
-// ungoverned) is ticked per index entry and charged for every page read
-// and record decode the scan causes.
-func (s *Store) NumericRangeScanLim(d DocID, ctx flex.Key, lo float64, loIncl bool, hi float64, hiIncl bool, lim *govern.Limiter) *Scan {
-	if ctx == "" {
-		ctx = flex.Root
-	}
-	lob, hib := numRange(numTagText, d, lo, loIncl, hi, hiIncl)
-	inner := s.indexScan(s.values, lob, hib, false, lim, func(k []byte) (xmldoc.Node, bool) {
-		fk := flex.Key(k[1+8+4:])
-		if !(fk == ctx || ctx.IsAncestorOf(fk)) {
-			return xmldoc.Node{}, false
-		}
-		return xmldoc.Node{Key: fk, Kind: xmldoc.KindText}, true
-	})
-	return s.materializeValues(d, inner, lim)
 }

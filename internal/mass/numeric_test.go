@@ -76,18 +76,10 @@ func TestNumericRangeCountAndScan(t *testing.T) {
 				c.lo, c.loIncl, c.hi, c.hiIncl, got, c.want)
 		}
 	}
-	// Scan returns the text nodes with their values materialized.
-	sc := s.NumericRangeScanLim(d, "", 10, false, math.Inf(1), true, nil)
+	// The scan yields the text nodes in range; their values come from Store.Node.
 	var got []string
-	for {
-		n, ok := sc.Next()
-		if !ok {
-			break
-		}
+	for _, n := range collect(t, s.BindNumRange(new(Scanner), d, "", 10, false, math.Inf(1), true)) {
 		got = append(got, n.Value)
-	}
-	if sc.Err() != nil {
-		t.Fatal(sc.Err())
 	}
 	sort.Strings(got)
 	want := []string{"10.5", "100", "42"}

@@ -27,19 +27,37 @@ func encodeRecord(n xmldoc.Node) []byte {
 // record that does not decode.
 var ErrCorruptRecord = errors.New("mass: corrupt record")
 
-// decodeRecord parses a clustered-index record.
-func decodeRecord(b []byte) (xmldoc.Node, error) {
+// record is a clustered-index record parsed in place: name and value
+// alias the record bytes.
+type record struct {
+	kind        xmldoc.Kind
+	name, value []byte
+}
+
+// attrLike reports whether the record is an attribute or namespace node:
+// reachable only on their own axes, and never a child or sibling.
+func (r record) attrLike() bool {
+	return r.kind == xmldoc.KindAttribute || r.kind == xmldoc.KindNamespace
+}
+
+// parseRecord splits a clustered-index record without copying it.
+func parseRecord(b []byte) (record, error) {
 	if len(b) < 2 {
-		return xmldoc.Node{}, fmt.Errorf("%w: too short (%d bytes)", ErrCorruptRecord, len(b))
+		return record{}, fmt.Errorf("%w: too short (%d bytes)", ErrCorruptRecord, len(b))
 	}
-	var n xmldoc.Node
-	n.Kind = xmldoc.Kind(b[0])
 	nameLen, w := binary.Uvarint(b[1:])
 	if w <= 0 || 1+w+int(nameLen) > len(b) {
-		return xmldoc.Node{}, fmt.Errorf("%w: name length %d overruns %d bytes", ErrCorruptRecord, nameLen, len(b))
+		return record{}, fmt.Errorf("%w: name length %d overruns %d bytes", ErrCorruptRecord, nameLen, len(b))
 	}
-	off := 1 + w
-	n.Name = string(b[off : off+int(nameLen)])
-	n.Value = string(b[off+int(nameLen):])
-	return n, nil
+	off := 1 + w + int(nameLen)
+	return record{kind: xmldoc.Kind(b[0]), name: b[1+w : off], value: b[off:]}, nil
+}
+
+// decodeRecord parses a clustered-index record into a node.
+func decodeRecord(b []byte) (xmldoc.Node, error) {
+	r, err := parseRecord(b)
+	if err != nil {
+		return xmldoc.Node{}, err
+	}
+	return xmldoc.Node{Kind: r.kind, Name: string(r.name), Value: string(r.value)}, nil
 }

@@ -2,7 +2,9 @@ package mass
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"vamana/internal/btree"
 	"vamana/internal/flex"
@@ -10,42 +12,60 @@ import (
 	"vamana/internal/xmldoc"
 )
 
-// Scanner holds the reusable state behind an axis scan: the B+-tree cursor,
-// the encoded range-key buffers, and the Scan object handed to the caller.
+// Scanner is an axis scan: the nodes reached from one context node by
+// axis::test within one document, delivered as FLEX keys in axis order
+// (document order for forward axes, reverse document order for reverse
+// axes) through NextKeys. It is the unit of MASS's pipelined, index-based
+// access, and it yields keys only: a consumer that wants a node's content
+// fetches it with Store.Node.
+//
+// Every axis is evaluated against the indexes; no in-memory tree is ever
+// built. Name and wildcard tests stream keys out of the names or elems
+// index, text() out of the texts index, and the value and numeric pseudo
+// axes out of the values index, without touching a clustered record.
+// Records are read only where the node test needs them — node(),
+// comment(), processing-instruction(), truncated values, attribute-value
+// names and the sibling axes' kind probes — and every such read is
+// counted and charged to the query's decoded-records budget.
+//
 // The execution engine keeps one Scanner per step operator and rebinds it
 // to each context tuple, so the per-binding cost of a step is pure index
 // work with no allocations (the dominant cost of pipelined evaluation,
 // where a non-leaf step opens one scan per context tuple).
 //
 // Rebinding keeps the cursor where the previous binding left it
-// (btree.Cursor.Reset on the same tree): a step's bindings all walk the same index, and
-// context tuples mostly arrive in document order, so the next binding's
-// first seek usually lands on the leaf the cursor already holds and the
-// step as a whole is one forward walk of its index stream — a structural
-// merge. Contexts that arrive out of order (a reverse axis upstream) simply
-// miss the held leaf and descend from the root; nothing selects between the
-// two but the seek itself. Name and wildcard tests on the self, parent and
-// ancestor axes are answered from the names/elems indexes and FLEX-key
-// arithmetic through that same cursor, never from clustered records.
+// (btree.Cursor.Reset on the same tree): a step's bindings all walk the
+// same index, and context tuples mostly arrive in document order, so the
+// next binding's first seek usually lands on the leaf the cursor already
+// holds and the step as a whole is one forward walk of its index stream —
+// a structural merge. Contexts that arrive out of order (a reverse axis
+// upstream) simply miss the held leaf and descend from the root; nothing
+// selects between the two but the seek itself. Name and wildcard tests on
+// the self, parent and ancestor axes are answered from the names/elems
+// indexes and FLEX-key arithmetic through that same cursor.
 //
-// A Scanner serves one binding at a time: BindScan invalidates the Scan
-// returned by the previous call. Scanners are not safe for concurrent use;
-// the Store's internal locking protects the underlying trees, not the
-// Scanner's own state. A Scanner that outlives a run must be Released:
-// it retains tree and node references that are only meaningful — and only
-// safe to keep alive — for the store version the run read.
+// A binding replaces the previous one. Scanners are not safe for
+// concurrent use; the Store's internal locking protects the underlying
+// trees, not the Scanner's own state. A Scanner that outlives a run must
+// be Released: it retains tree and node references that are only
+// meaningful — and only safe to keep alive — for the store version the
+// run read.
 type Scanner struct {
 	store *Store
 	d     DocID
 	test  NodeTest
 	ctx   flex.Key
 	shape scanShape
+	// err is the scan's first error, from the bind or a pull; done is set
+	// once the scan is exhausted or failed.
+	err  error
+	done bool
 
-	// Range state (shapeRange, shapeSelfThenRange): a [lo, hi) walk of
-	// tree, mapping entries through the accept filter selected by kind.
-	// shapeSkip and shapeAttribute reuse lo as seek buffer and hi as the
-	// range bound; shapePrevSibWalk reuses lo as the bound and hi as the
-	// per-step seek buffer.
+	// Range state (shapeRange): a [lo, hi) walk of tree, forward or
+	// reverse, filtering entries through accept. shapeSkip and
+	// shapeAttribute reuse lo as seek buffer and hi as the range bound;
+	// shapePrevSibWalk reuses lo as the bound and hi as the clustered key
+	// of the sibling last visited.
 	tree       *btree.Tree
 	lo, hi     []byte
 	reverse    bool
@@ -57,15 +77,22 @@ type Scanner struct {
 	cur        btree.Cursor
 	started    bool
 
-	// Walk state (self, parent, ancestor, preceding-sibling).
+	// Walk state (shapeWalk, and the self half of descendant-or-self): the
+	// next key of an upward walk, its FLEX depth, and the depth the walk
+	// stops at. self:: and parent:: are one-step walks.
 	walkKey   flex.Key
-	walkDepth int // FLEX depth of walkKey (index-only ancestor walks)
-	orSelf    bool
-	selfDone  bool
-	done      bool
+	walkDepth int
+	walkStop  int
+	// selfFirst makes a range walk ctx itself first (descendant-or-self).
+	selfFirst bool
 
-	// probe is the seek buffer of the index-only node tests: the names or
-	// elems key of the node being tested.
+	// keys/keyPos are the key-slice shape's result (the namespace axis),
+	// computed at bind time.
+	keys   []flex.Key
+	keyPos int
+
+	// probe is the seek buffer of the index-only node tests (the names or
+	// elems key of the node being tested) and of record reads by key.
 	probe []byte
 	// ancKeys/ancHit are the structural-join stack of name-tested parent
 	// and ancestor walks, indexed by FLEX depth: the last key tested at
@@ -73,7 +100,7 @@ type Scanner struct {
 	// share all but their nearest ancestors, so a walk re-probes only the
 	// depths where its chain departs from the previous one. Entries are
 	// valid for one (store, its mutation generation ancGen, document,
-	// test) — BindScan drops them when any of these changes.
+	// test) — a bind drops them when any of these changes.
 	ancKeys []flex.Key
 	ancHit  []bool
 	ancGen  uint64
@@ -84,32 +111,28 @@ type Scanner struct {
 	ctxKind      xmldoc.Kind
 	ctxKindKnown bool
 
-	bindErr error
-
 	// lim is the owning query's governance limiter (nil = ungoverned):
-	// hot loops tick it for amortized cancellation, record decodes charge
-	// it, and BindScan installs it on the cursor for page accounting.
+	// hot loops tick it for amortized cancellation, record reads charge
+	// it, and a bind installs it on the cursor for page accounting.
 	lim *govern.Limiter
 
-	// keyBuf/keyLens are batched-pull scratch: one pull's accepted key
-	// bytes accumulate in keyBuf so a single string conversion backs the
-	// whole batch (each emitted key is a substring view), instead of one
-	// allocation per key.
+	// keyBuf/keyLens batch one pull's keys that come from index entries:
+	// their bytes accumulate in keyBuf under the store lock, and one
+	// string conversion per pull backs every such key as a substring,
+	// instead of one allocation per key.
 	keyBuf  []byte
 	keyLens []int
-
-	scan Scan
 }
 
 // SetLimiter attaches a query-governance limiter to the scanner. It
-// applies from the next BindScan on; the executor sets it once per run
+// applies from the next bind on; the executor sets it once per run
 // (scanners are pooled across runs, so every run must set it, including
 // setting nil for ungoverned runs).
 func (sc *Scanner) SetLimiter(l *govern.Limiter) { sc.lim = l }
 
 // SetContextKind tells the scanner what kind of node its contexts are,
 // when the caller knows (known = false withdraws the hint). Like the
-// limiter it applies from the next BindScan on and must be set by every
+// limiter it applies from the next bind on and must be set by every
 // owner of a pooled Scanner.
 func (sc *Scanner) SetContextKind(k xmldoc.Kind, known bool) {
 	sc.ctxKind, sc.ctxKindKnown = k, known
@@ -117,8 +140,8 @@ func (sc *Scanner) SetContextKind(k xmldoc.Kind, known bool) {
 
 // Release drops everything the scanner retains from its bindings that
 // refers to a store version: the cursor's tree and leaf, the store, the
-// ancestor stack and the limiter. Buffers are kept. The next BindScan
-// starts from a root descent.
+// ancestor stack and the limiter. Buffers are kept. The next bind starts
+// from a root descent.
 func (sc *Scanner) Release() {
 	sc.cur.Reset(nil)
 	sc.store, sc.tree, sc.lim = nil, nil, nil
@@ -131,55 +154,47 @@ func (sc *Scanner) Release() {
 type scanShape uint8
 
 const (
-	shapeEmpty scanShape = iota
-	shapeErr
-	shapeSelf
-	shapeParent
-	shapeAncestor
-	shapeRange
-	shapeSelfThenRange // descendant-or-self: self candidate, then subtree
-	shapeSkip          // clustered skip-scan (child/sibling non-name tests)
-	shapeAttribute
-	shapePrevSibWalk // preceding-sibling without a name test
+	shapeWalk        scanShape = iota // self, parent, ancestor(-or-self)
+	shapeRange                        // an index range through accept
+	shapeSkip                         // clustered skip-scan (child/sibling non-name tests)
+	shapeAttribute                    // the attribute prefix of ctx's subtree
+	shapePrevSibWalk                  // preceding-sibling without a name test
+	shapeKeys                         // precomputed keys (namespace axis)
 )
 
-// acceptKind selects the per-entry filter of a range shape.
+// acceptKind selects the per-entry filter of a range shape. The kinds up
+// to acceptKey are decided by the entry's key alone; the rest also
+// verify it (Scanner.verify).
 type acceptKind uint8
 
 const (
-	acceptName acceptKind = iota
-	acceptWildcard
-	acceptText
-	acceptNode
-	acceptValue
-	acceptAttrValue
+	acceptName  acceptKind = iota // names index: the key decides
+	acceptKey                     // elems or texts index: the key decides
+	acceptNode                    // clustered index: the record decides
+	acceptValue                   // values index, verified where truncated or attribute-named
+	acceptNum                     // numeric entries of the values index, within ctx
 )
 
-// BindScan points sc at axis::test from context node ctx within document d
-// and returns its scan. The returned Scan is owned by sc and is invalidated
-// by the next BindScan on the same Scanner. Binding reuses sc's cursor and
-// key buffers, so repeated bindings (one per context tuple) allocate
-// nothing after the first.
-func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test NodeTest) *Scan {
-	if ctx == "" {
-		ctx = flex.Root
-	}
-	sc.scan.sc = sc
-	if len(sc.ancKeys) > 0 && (sc.store != s || sc.d != d || sc.test != test || sc.ancGen != s.gen.Load()) {
-		sc.ancKeys, sc.ancHit = sc.ancKeys[:0], sc.ancHit[:0]
-	}
-	sc.store, sc.d, sc.test, sc.ctx = s, d, test, ctx
-	sc.scan.err, sc.scan.done = nil, false
-	sc.started, sc.done, sc.selfDone = false, false, false
-	sc.reverse, sc.depth, sc.skipAnc = false, 0, ""
-	sc.bindErr = nil
+// AxisScan binds a fresh Scanner to axis::test from context node ctx
+// within document d. Callers that open many scans of the same step (one
+// per context tuple) should hold a Scanner and rebind it with BindScan
+// instead.
+func (s *Store) AxisScan(d DocID, ctx flex.Key, axis Axis, test NodeTest) *Scanner {
+	return s.BindScan(new(Scanner), d, ctx, axis, test)
+}
 
+// BindScan points sc at axis::test from context node ctx within document
+// d and returns it. Binding reuses sc's cursor and key buffers, so
+// repeated bindings (one per context tuple) allocate nothing after the
+// first.
+func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test NodeTest) *Scanner {
+	sc.bind(s, d, ctx, test)
+	ctx = sc.ctx
 	switch axis {
 	case AxisSelf:
-		sc.shape = shapeSelf
-		sc.bindProbe()
+		sc.bindWalk(ctx, 1)
 	case AxisChild:
-		if test.Type == TestName || test.Type == TestWildcard {
+		if sc.indexOnly() {
 			sc.setRange(ctx, flex.Sep, ctx, flex.SubtreeSentinel)
 			sc.depth = ctx.Depth() + 1
 		} else {
@@ -188,46 +203,69 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 	case AxisDescendant:
 		sc.setRange(ctx, flex.Sep, ctx, flex.SubtreeSentinel)
 	case AxisDescendantOrSelf:
+		sc.bindWalk(ctx, 1)
 		sc.setRange(ctx, flex.Sep, ctx, flex.SubtreeSentinel)
-		sc.shape = shapeSelfThenRange
+		sc.selfFirst = true
 	case AxisParent:
-		sc.shape = shapeParent
-		sc.bindProbe()
+		sc.bindWalk(ctx.Parent(), 1)
 	case AxisAncestor:
-		sc.bindAncestor(ctx.Parent(), false)
+		sc.bindWalk(ctx.Parent(), allSteps)
 	case AxisAncestorOrSelf:
-		sc.bindAncestor(ctx, true)
+		sc.bindWalk(ctx, allSteps)
 	case AxisFollowing:
 		sc.setRange(ctx, flex.SubtreeSentinel, flex.Root, flex.SubtreeSentinel)
 	case AxisFollowingSibling:
-		sc.bindFollowingSibling(ctx, test)
+		sc.bindFollowingSibling(ctx)
 	case AxisPreceding:
 		// Everything before ctx in document order, minus ancestors.
 		sc.setRange(flex.Root, 0, ctx, 0)
 		sc.reverse, sc.skipAnc = true, ctx
 	case AxisPrecedingSibling:
-		sc.bindPrecedingSibling(ctx, test)
+		sc.bindPrecedingSibling(ctx)
 	case AxisAttribute:
 		sc.shape = shapeAttribute
 		sc.lo = append(appendClusteredKey(sc.lo[:0], d, ctx), flex.Sep)
 		sc.hi = append(appendClusteredKey(sc.hi[:0], d, ctx), flex.SubtreeSentinel)
 		sc.cur.Reset(s.clustered)
 	case AxisNamespace:
-		// In-scope namespaces need an ancestor walk with prefix shadowing;
-		// rare enough to keep on the allocating slow path.
-		return s.namespaceScan(d, ctx, test)
+		sc.bindNamespaces()
 	case AxisValue:
-		sc.setValueRange(valueTagText, acceptValue, ctx)
+		sc.setValueRange(valueTagText)
 	case AxisAttrValue:
-		sc.setValueRange(valueTagAttr, acceptAttrValue, ctx)
+		sc.setValueRange(valueTagAttr)
 	default:
-		sc.shape = shapeErr
-		sc.bindErr = fmt.Errorf("mass: unknown axis %d", axis)
+		sc.err, sc.done = fmt.Errorf("mass: unknown axis %d", axis), true
 	}
 	// Re-targeting the cursor clears its limiter, so the query's limiter is
 	// re-installed here, after the shape is chosen.
 	sc.cur.SetLimiter(sc.lim)
-	return &sc.scan
+	return sc
+}
+
+// BindNumRange points sc at the num-range pseudo axis: the text nodes of
+// d within ctx's subtree whose number() lies in the range (bounds per
+// loIncl/hiIncl; ±Inf for open ends), ordered by numeric value. This
+// backs the optimizer's range-predicate rewrite.
+func (s *Store) BindNumRange(sc *Scanner, d DocID, ctx flex.Key, lo float64, loIncl bool, hi float64, hiIncl bool) *Scanner {
+	sc.bind(s, d, ctx, NodeTest{Type: TestText})
+	sc.lo, sc.hi = numRange(sc.lo[:0], sc.hi[:0], numTagText, d, lo, loIncl, hi, hiIncl)
+	sc.shape, sc.tree, sc.kind, sc.needsValue = shapeRange, s.values, acceptNum, false
+	sc.cur.Reset(s.values)
+	sc.cur.SetLimiter(sc.lim)
+	return sc
+}
+
+// bind resets the per-binding state every shape starts from.
+func (sc *Scanner) bind(s *Store, d DocID, ctx flex.Key, test NodeTest) {
+	if ctx == "" {
+		ctx = flex.Root
+	}
+	if len(sc.ancKeys) > 0 && (sc.store != s || sc.d != d || sc.test != test || sc.ancGen != s.gen.Load()) {
+		sc.ancKeys, sc.ancHit = sc.ancKeys[:0], sc.ancHit[:0]
+	}
+	sc.store, sc.d, sc.test, sc.ctx = s, d, test, ctx
+	sc.err, sc.done, sc.started, sc.selfFirst = nil, false, false, false
+	sc.reverse, sc.depth, sc.skipAnc = false, 0, ""
 }
 
 // indexOnly reports whether the bound node test is decided by the names
@@ -236,27 +274,28 @@ func (sc *Scanner) indexOnly() bool {
 	return sc.test.Type == TestName || sc.test.Type == TestWildcard
 }
 
-// bindProbe points the cursor at the index that answers the walk shapes'
-// (self, parent, ancestor) node test: names for a name test, elems for a
-// wildcard. Other tests read clustered records and leave the cursor alone.
-func (sc *Scanner) bindProbe() {
+// allSteps is the length of an upward walk that ends at the root.
+const allSteps = math.MaxInt
+
+// bindWalk prepares an upward walk of at most steps nodes starting at
+// start. An index-only walk points the cursor at the index that answers
+// its node test: names for a name test, elems for a wildcard. Other tests
+// read clustered records by key and leave the cursor alone.
+func (sc *Scanner) bindWalk(start flex.Key, steps int) {
+	sc.shape = shapeWalk
+	sc.walkKey, sc.walkDepth = start, start.Depth()
+	sc.walkStop = max(sc.walkDepth-steps, 0)
 	switch sc.test.Type {
 	case TestName:
 		sc.cur.Reset(sc.store.names)
 	case TestWildcard:
 		sc.cur.Reset(sc.store.elems)
+	default:
+		return
 	}
-}
-
-// bindAncestor prepares the upward walk starting at start (the context
-// itself for ancestor-or-self, else its parent).
-func (sc *Scanner) bindAncestor(start flex.Key, orSelf bool) {
-	sc.shape = shapeAncestor
-	sc.walkKey, sc.orSelf = start, orSelf
-	if sc.indexOnly() {
-		sc.walkDepth = start.Depth()
-		sc.bindProbe()
-	}
+	// The document node (depth 1) passes neither a name nor a wildcard
+	// test.
+	sc.walkStop = max(sc.walkStop, 1)
 }
 
 // setRange prepares a range walk over FLEX keys [klo·loExt, khi·hiExt)
@@ -269,16 +308,15 @@ func (sc *Scanner) setRange(klo flex.Key, loExt byte, khi flex.Key, hiExt byte) 
 		sc.tree, sc.kind = s.names, acceptName
 		sc.lo = appendNameKey(sc.lo[:0], sc.test.Name, sc.d, klo)
 		sc.hi = appendNameKey(sc.hi[:0], sc.test.Name, sc.d, khi)
-	case TestWildcard:
-		sc.tree, sc.kind = s.elems, acceptWildcard
-		sc.lo = appendClusteredKey(sc.lo[:0], sc.d, klo)
-		sc.hi = appendClusteredKey(sc.hi[:0], sc.d, khi)
-	case TestText:
-		sc.tree, sc.kind = s.texts, acceptText
-		sc.lo = appendClusteredKey(sc.lo[:0], sc.d, klo)
-		sc.hi = appendClusteredKey(sc.hi[:0], sc.d, khi)
+	case TestWildcard, TestText:
+		sc.tree, sc.kind = s.elems, acceptKey
+		if sc.test.Type == TestText {
+			sc.tree = s.texts
+		}
 	default: // node(), comment(), processing-instruction()
 		sc.tree, sc.kind = s.clustered, acceptNode
+	}
+	if sc.kind != acceptName {
 		sc.lo = appendClusteredKey(sc.lo[:0], sc.d, klo)
 		sc.hi = appendClusteredKey(sc.hi[:0], sc.d, khi)
 	}
@@ -288,18 +326,18 @@ func (sc *Scanner) setRange(klo flex.Key, loExt byte, khi flex.Key, hiExt byte) 
 	if hiExt != 0 {
 		sc.hi = append(sc.hi, hiExt)
 	}
-	sc.needsValue = sc.tree == s.elems || sc.tree == s.clustered || sc.tree == s.values
+	sc.needsValue = sc.kind == acceptNode
 	sc.cur.Reset(sc.tree)
 	sc.shape = shapeRange
 }
 
 // setValueRange prepares a value-index walk for entries whose (possibly
 // truncated) value equals the probe literal, within ctx's subtree.
-func (sc *Scanner) setValueRange(tag byte, kind acceptKind, ctx flex.Key) {
+func (sc *Scanner) setValueRange(tag byte) {
 	_, sc.truncated = indexedValue(sc.test.Name)
-	sc.lo = appendValueKey(sc.lo[:0], tag, sc.test.Name, sc.d, ctx)
-	sc.hi = append(appendValueKey(sc.hi[:0], tag, sc.test.Name, sc.d, ctx), flex.SubtreeSentinel)
-	sc.tree, sc.kind, sc.needsValue = sc.store.values, kind, true
+	sc.lo = appendValueKey(sc.lo[:0], tag, sc.test.Name, sc.d, sc.ctx)
+	sc.hi = append(appendValueKey(sc.hi[:0], tag, sc.test.Name, sc.d, sc.ctx), flex.SubtreeSentinel)
+	sc.tree, sc.kind, sc.needsValue = sc.store.values, acceptValue, true
 	sc.cur.Reset(sc.tree)
 	sc.shape = shapeRange
 }
@@ -321,16 +359,12 @@ func (sc *Scanner) setSkip(klo flex.Key, loExt byte, khi flex.Key, hiExt byte) {
 	sc.shape = shapeSkip
 }
 
-func (sc *Scanner) bindFollowingSibling(ctx flex.Key, test NodeTest) {
+func (sc *Scanner) bindFollowingSibling(ctx flex.Key) {
 	parent := ctx.Parent()
-	if parent == "" {
-		sc.shape = shapeEmpty // the root has no siblings
+	if !sc.ctxHasSiblings(ctx, parent) {
 		return
 	}
-	if !sc.ctxHasSiblings(ctx) {
-		return
-	}
-	if test.Type == TestName || test.Type == TestWildcard {
+	if sc.indexOnly() {
 		sc.setRange(ctx, flex.SubtreeSentinel, parent, flex.SubtreeSentinel)
 		sc.depth = ctx.Depth()
 		return
@@ -338,36 +372,12 @@ func (sc *Scanner) bindFollowingSibling(ctx flex.Key, test NodeTest) {
 	sc.setSkip(ctx, flex.SubtreeSentinel, parent, flex.SubtreeSentinel)
 }
 
-// ctxHasSiblings reports whether ctx can have siblings at all — attribute
-// and namespace nodes have none — and otherwise leaves the scanner in the
-// empty (or failed) shape. The kind comes from the executor's hint when the
-// plan fixes it; the residual case reads the record's kind byte.
-func (sc *Scanner) ctxHasSiblings(ctx flex.Key) bool {
-	kind := sc.ctxKind
-	if !sc.ctxKindKnown {
-		var err error
-		if kind, err = sc.store.kindOf(sc.d, ctx, sc.lim); err != nil {
-			sc.shape, sc.bindErr = shapeErr, err
-			return false
-		}
-	}
-	if kind == xmldoc.KindAttribute || kind == xmldoc.KindNamespace {
-		sc.shape = shapeEmpty
-		return false
-	}
-	return true
-}
-
-func (sc *Scanner) bindPrecedingSibling(ctx flex.Key, test NodeTest) {
+func (sc *Scanner) bindPrecedingSibling(ctx flex.Key) {
 	parent := ctx.Parent()
-	if parent == "" {
-		sc.shape = shapeEmpty
+	if !sc.ctxHasSiblings(ctx, parent) {
 		return
 	}
-	if !sc.ctxHasSiblings(ctx) {
-		return
-	}
-	if test.Type == TestName || test.Type == TestWildcard {
+	if sc.indexOnly() {
 		sc.setRange(parent, flex.Sep, ctx, 0)
 		sc.reverse, sc.depth = true, ctx.Depth()
 		return
@@ -375,198 +385,252 @@ func (sc *Scanner) bindPrecedingSibling(ctx flex.Key, test NodeTest) {
 	// Clustered walk, one sibling at a time, backwards: the entry just
 	// before the current sibling's key is the deepest node of the preceding
 	// sibling's subtree (or an attribute of the parent, which terminates
-	// the walk). lo bounds the walk; hi doubles as the seek buffer.
+	// the walk). lo bounds the walk; hi holds the current sibling's key.
 	sc.shape = shapePrevSibWalk
-	sc.walkKey, sc.depth = ctx, ctx.Depth()
+	sc.depth = ctx.Depth()
 	sc.lo = append(appendClusteredKey(sc.lo[:0], sc.d, parent), flex.Sep)
+	sc.hi = appendClusteredKey(sc.hi[:0], sc.d, ctx)
 	sc.cur.Reset(sc.store.clustered)
 }
 
-// nextNode dispatches to the bound shape (invoked directly by Scan.Next);
-// rebinding swaps the shape state underneath it.
-func (sc *Scanner) nextNode() (xmldoc.Node, bool, error) {
-	switch sc.shape {
-	case shapeEmpty:
-		return xmldoc.Node{}, false, nil
-	case shapeErr:
-		return xmldoc.Node{}, false, sc.bindErr
-	case shapeSelf:
-		if sc.done {
-			return xmldoc.Node{}, false, nil
-		}
+// ctxHasSiblings reports whether ctx can have siblings at all — the root
+// and attribute and namespace nodes have none — and otherwise leaves the
+// scanner exhausted (or failed). The kind comes from the executor's hint
+// when the plan fixes it; the residual case reads the context's record.
+func (sc *Scanner) ctxHasSiblings(ctx, parent flex.Key) bool {
+	if parent == "" {
 		sc.done = true
-		return sc.evalSelf()
-	case shapeSelfThenRange:
-		if !sc.selfDone {
-			sc.selfDone = true
-			n, ok, err := sc.evalSelf()
-			if err != nil || ok {
-				return n, ok, err
-			}
-		}
-		return sc.nextRange()
-	case shapeParent:
-		return sc.nextParent()
-	case shapeAncestor:
-		return sc.nextAncestor()
-	case shapeRange:
-		return sc.nextRange()
-	case shapeSkip:
-		return sc.nextSkip()
-	case shapeAttribute:
-		return sc.nextAttribute()
-	case shapePrevSibWalk:
-		return sc.nextPrevSib()
-	default:
-		return xmldoc.Node{}, false, fmt.Errorf("mass: scanner in unknown shape %d", sc.shape)
+		return false
 	}
+	kind := sc.ctxKind
+	if !sc.ctxKindKnown {
+		s := sc.store
+		s.mu.Lock()
+		sc.probe = appendClusteredKey(sc.probe[:0], sc.d, ctx)
+		r, ok, err := sc.recordAt(sc.probe)
+		s.mu.Unlock()
+		if err == nil && !ok {
+			err = fmt.Errorf("mass: no node at %q", ctx)
+		}
+		if err != nil {
+			sc.err, sc.done = err, true
+			return false
+		}
+		kind = r.kind
+	}
+	if kind == xmldoc.KindAttribute || kind == xmldoc.KindNamespace {
+		sc.done = true
+		return false
+	}
+	return true
 }
 
-// nextKeys is the batched pull behind Scan.NextKeys: forward range
-// shapes walk the cursor in bulk (one lock acquisition and one bulk
-// cursor advance per batch, a tight per-leaf loop underneath); every
-// other shape falls back to the per-entry walk, which still amortizes
-// the executor's virtual-dispatch cost across the batch.
-func (sc *Scanner) nextKeys(dst []flex.Key) (int, error) {
-	if (sc.shape == shapeRange || sc.shape == shapeSelfThenRange) && !sc.reverse {
-		return sc.nextKeysRange(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		node, ok, err := sc.nextNode()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		dst[n] = node.Key
-		n++
-	}
-	return n, nil
-}
-
-// nextKeysRange bulk-walks a forward [lo, hi) range, filling dst with
-// accepted keys. Governance semantics are identical to the per-entry
-// walk: the limiter ticks once per index entry examined (preserving the
-// 256-tick cancellation cadence), record decodes charge AddRecords
-// exactly where accept would, and page reads charge through the cursor's
-// limiter at leaf crossings.
-func (sc *Scanner) nextKeysRange(dst []flex.Key) (int, error) {
-	n := 0
-	if sc.shape == shapeSelfThenRange && !sc.selfDone {
-		sc.selfDone = true
-		node, ok, err := sc.evalSelf()
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			dst[0] = node.Key
-			n = 1
-			if n == len(dst) {
-				return n, nil
-			}
-		}
-	}
-	if sc.done {
-		return n, nil
-	}
+// bindNamespaces computes the in-scope namespace nodes of ctx —
+// declarations on ctx or the nearest ancestor, one per prefix,
+// nearest-first — into the key-slice shape. Namespace declarations sort
+// with the attributes, first under their element.
+func (sc *Scanner) bindNamespaces() {
+	sc.shape, sc.keys, sc.keyPos = shapeKeys, sc.keys[:0], 0
 	s := sc.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !sc.started {
-		sc.started = true
-		if !sc.cur.Seek(sc.lo) {
-			sc.done = true
-			return n, sc.cur.Err()
-		}
-	}
-	// The wildcard filter needs no value (the key suffix alone identifies
-	// the element); skipping the fetch avoids touching value cells at all
-	// on '*' scans.
-	needVal := sc.needsValue && sc.kind != acceptWildcard
-	var entryErr error
-	var more bool
-	if sc.kind == acceptName || sc.kind == acceptWildcard {
-		// Filtering runs on byte views and accepted key bytes accumulate
-		// in keyBuf; one string conversion per pull then backs every
-		// emitted key as a substring — the scan-heavy common case makes
-		// one allocation per batch instead of one per key.
-		base := n
-		sc.keyBuf, sc.keyLens = sc.keyBuf[:0], sc.keyLens[:0]
-		more = sc.cur.ScanBatch(sc.hi, needVal, func(k, _ []byte) bool {
-			if err := sc.lim.Tick(); err != nil {
-				entryErr = err
-				return false
+	sc.cur.Reset(s.clustered)
+	sc.cur.SetLimiter(sc.lim)
+	var seen map[string]bool
+	for k := sc.ctx; k != ""; k = k.Parent() {
+		sc.lo = append(appendClusteredKey(sc.lo[:0], sc.d, k), flex.Sep, 'a')
+		sc.hi = append(appendClusteredKey(sc.hi[:0], sc.d, k), flex.Sep, 'b')
+		for ok := sc.cur.Seek(sc.lo); ok && sc.cur.InRange(sc.hi); ok = sc.cur.Next() {
+			v, err := sc.cur.ValueView()
+			var r record
+			if err == nil {
+				r, err = sc.readRecord(v)
 			}
-			if kb, keep := sc.acceptKeyView(k); keep {
-				sc.keyBuf = append(sc.keyBuf, kb...)
-				sc.keyLens = append(sc.keyLens, len(kb))
-				n++
-			}
-			return n < len(dst)
-		})
-		if n > base {
-			batch := string(sc.keyBuf)
-			off := 0
-			for i, l := range sc.keyLens {
-				dst[base+i] = flex.Key(batch[off : off+l])
-				off += l
-			}
-		}
-	} else {
-		// Text, node() and value entries keep the materializing accept
-		// path so record decoding (and its governance charging) stays
-		// byte-for-byte identical to the per-entry walk.
-		more = sc.cur.ScanBatch(sc.hi, needVal, func(k, v []byte) bool {
-			if err := sc.lim.Tick(); err != nil {
-				entryErr = err
-				return false
-			}
-			node, keep, err := sc.accept(k, v)
 			if err != nil {
-				entryErr = err
-				return false
+				sc.err, sc.done = err, true
+				return
 			}
-			if keep {
-				dst[n] = node.Key
-				n++
+			if r.kind != xmldoc.KindNamespace || seen[string(r.name)] {
+				continue
 			}
-			return n < len(dst)
-		})
-	}
-	if entryErr != nil {
-		sc.done = true
-		return n, entryErr
-	}
-	if !more {
-		sc.done = true
+			if seen == nil {
+				seen = map[string]bool{}
+			}
+			seen[string(r.name)] = true
+			if sc.test.matchesRecord(r, xmldoc.KindNamespace) {
+				sc.keys = append(sc.keys, flex.Key(clusteredKeySuffix(sc.cur.Key())))
+			}
+		}
 		if err := sc.cur.Err(); err != nil {
+			sc.err, sc.done = err, true
+			return
+		}
+	}
+}
+
+// NextKeys fills dst with the FLEX keys of the scan's next nodes and
+// returns how many it produced: len(dst), unless the scan is exhausted or
+// failed first (a short count means exhausted-or-error; once drained,
+// further calls return 0). One call holds the store lock once, however
+// many index entries and records it visits; forward ranges advance the
+// B+-tree cursor in bulk. The keys preceding a failure are valid and are
+// delivered along with the error.
+func (sc *Scanner) NextKeys(dst []flex.Key) (int, error) {
+	if sc.done || len(dst) == 0 {
+		return 0, sc.err
+	}
+	s := sc.store
+	s.mu.Lock()
+	sc.keyBuf, sc.keyLens = sc.keyBuf[:0], sc.keyLens[:0]
+	n, err := sc.fill(dst)
+	s.mu.Unlock()
+	if len(sc.keyLens) > 0 {
+		// Keys copied out of index entries always follow the keys a walk
+		// stored directly, so they are the last len(keyLens) of the pull.
+		batch := string(sc.keyBuf)
+		at, off := n-len(sc.keyLens), 0
+		for i, l := range sc.keyLens {
+			dst[at+i] = flex.Key(batch[off : off+l])
+			off += l
+		}
+	}
+	if err != nil || n < len(dst) {
+		sc.err, sc.done = err, true
+	}
+	return n, err
+}
+
+// fill dispatches one pull to the bound shape, with the store lock held.
+// Every shape fills dst until it is full or the shape is exhausted, so a
+// short count ends the scan.
+func (sc *Scanner) fill(dst []flex.Key) (int, error) {
+	switch sc.shape {
+	case shapeWalk:
+		return sc.walk(dst)
+	case shapeRange:
+		n := 0
+		if sc.selfFirst {
+			sc.selfFirst = false
+			var err error
+			if n, err = sc.walk(dst[:1]); err != nil || n == len(dst) {
+				return n, err
+			}
+		}
+		var m int
+		var err error
+		if sc.reverse {
+			m, err = sc.scanReverse(dst[n:])
+		} else {
+			m, err = sc.scanForward(dst[n:])
+		}
+		return n + m, err
+	case shapeSkip:
+		return sc.skipChildren(dst)
+	case shapeAttribute:
+		return sc.attributes(dst)
+	case shapePrevSibWalk:
+		return sc.prevSiblings(dst)
+	default: // shapeKeys
+		n := copy(dst, sc.keys[sc.keyPos:])
+		sc.keyPos += n
+		return n, nil
+	}
+}
+
+// emit adds the key bytes of an accepted index entry to the pull's batch
+// (see NextKeys). kb may be tree-owned: it is copied here.
+func (sc *Scanner) emit(kb []byte) {
+	sc.keyBuf = append(sc.keyBuf, kb...)
+	sc.keyLens = append(sc.keyLens, len(kb))
+}
+
+// charge counts one record read and charges it to the query's budget.
+func (sc *Scanner) charge() error {
+	if err := sc.lim.AddRecords(1); err != nil {
+		return err
+	}
+	sc.store.recordsDecoded++
+	return nil
+}
+
+// readRecord parses the record v a cursor is positioned on, charged.
+func (sc *Scanner) readRecord(v []byte) (record, error) {
+	if err := sc.charge(); err != nil {
+		return record{}, err
+	}
+	return parseRecord(v)
+}
+
+// recordAt reads the record stored under clustered key ck, charged. The
+// record's name and value are tree-owned views, valid under the store
+// lock.
+func (sc *Scanner) recordAt(ck []byte) (record, bool, error) {
+	if err := sc.charge(); err != nil {
+		return record{}, false, err
+	}
+	var r record
+	var perr error
+	ok, err := sc.store.clustered.View(ck, func(v []byte) { r, perr = parseRecord(v) })
+	if err == nil {
+		err = perr
+	}
+	if err != nil || !ok {
+		return record{}, false, err
+	}
+	return r, true, nil
+}
+
+// walk fills dst from the upward walk: the nodes from walkKey up to (not
+// including) depth walkStop, nearest first, that pass the node test. Its
+// keys are prefixes of the context key, stored directly.
+func (sc *Scanner) walk(dst []flex.Key) (int, error) {
+	n := 0
+	for n < len(dst) && sc.walkDepth > sc.walkStop {
+		if err := sc.lim.Tick(); err != nil {
 			return n, err
+		}
+		k, depth := sc.walkKey, sc.walkDepth
+		sc.walkKey, sc.walkDepth = k.Parent(), depth-1
+		hit, err := sc.walkMatches(k, depth)
+		if err != nil {
+			return n, err
+		}
+		if hit {
+			dst[n] = k
+			n++
 		}
 	}
 	return n, nil
 }
 
-// acceptKeyView is accept for batched name/wildcard pulls: identical
-// filtering, returning the FLEX-key byte view instead of a materialized
-// node — the caller batches the string allocation. Runs with the store
-// lock held; the returned view is tree-owned and must be copied before
-// the lock is released.
-func (sc *Scanner) acceptKeyView(k []byte) ([]byte, bool) {
-	var kb []byte
-	if sc.kind == acceptName {
-		_, kb, _ = splitNameKeyView(k)
-	} else {
-		kb = clusteredKeySuffix(k)
+// walkMatches decides the node test on one node of an upward walk.
+// Strict ancestors of a stored node are elements up to the document node
+// at depth 1: under a wildcard each is a hit on the key alone, under a
+// name test the structural-join stack or one names-index probe decides.
+// The context itself (self::, the or-self candidate) may be of any kind.
+func (sc *Scanner) walkMatches(k flex.Key, depth int) (bool, error) {
+	self := len(k) == len(sc.ctx)
+	if sc.indexOnly() {
+		switch {
+		case self:
+			return sc.selfMatches()
+		case sc.test.Type == TestName:
+			return sc.nameAt(k, depth)
+		default:
+			return true, nil
+		}
 	}
-	if sc.depth > 0 && flex.DepthOf(kb) != sc.depth {
-		return nil, false
+	sc.probe = appendClusteredKey(sc.probe[:0], sc.d, k)
+	r, ok, err := sc.recordAt(sc.probe)
+	if err != nil || !ok {
+		return false, err
 	}
-	if sc.skipAnc != "" && flex.BytesIsAncestorOf(kb, sc.skipAnc) {
-		return nil, false
+	if r.attrLike() {
+		// Attribute and namespace nodes are on a walk only as its context,
+		// and visible there only to node().
+		return self && sc.test.Type == TestNode, nil
 	}
-	return kb, true
+	return sc.test.matchesRecord(r, xmldoc.KindElement), nil
 }
 
 // elementAt reports whether the node at k is an element that passes the
@@ -607,7 +671,9 @@ func (sc *Scanner) nameAt(k flex.Key, depth int) (bool, error) {
 }
 
 // selfMatches decides a name or wildcard test on the context node itself,
-// which — unlike a parent or ancestor — may be of any kind.
+// which — unlike a parent or ancestor — may be of any kind. Attribute and
+// namespace contexts are in neither index, which is also what XPath
+// wants: a name test with the element principal does not match them.
 func (sc *Scanner) selfMatches() (bool, error) {
 	if sc.ctxKindKnown && (sc.ctxKind != xmldoc.KindElement || sc.test.Type == TestWildcard) {
 		return sc.ctxKind == xmldoc.KindElement, nil
@@ -615,364 +681,199 @@ func (sc *Scanner) selfMatches() (bool, error) {
 	return sc.elementAt(sc.ctx)
 }
 
-// elementNode is the node an index-only test emits for key k. A name test
-// knows the name; a wildcard answered by key arithmetic does not, and
-// leaves Name empty (consumers that want it fetch the record).
-func (sc *Scanner) elementNode(k flex.Key) xmldoc.Node {
-	n := xmldoc.Node{Key: k, Kind: xmldoc.KindElement}
-	if sc.test.Type == TestName {
-		n.Name = sc.test.Name
-	}
-	return n
-}
-
-// evalSelf tests the context node itself (self:: and the self half of
-// descendant-or-self::).
-func (sc *Scanner) evalSelf() (xmldoc.Node, bool, error) {
-	s := sc.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sc.indexOnly() {
-		// Attribute and namespace contexts are in neither index, which is
-		// also what XPath wants: a name test with the element principal
-		// does not match them.
-		ok, err := sc.selfMatches()
-		if err != nil || !ok {
-			return xmldoc.Node{}, false, err
+// scanForward bulk-walks the forward [lo, hi) range, filling dst with
+// accepted keys. The limiter ticks once per index entry examined, record
+// reads charge where accept makes them, and page reads charge through
+// the cursor's limiter at leaf crossings.
+func (sc *Scanner) scanForward(dst []flex.Key) (int, error) {
+	if !sc.started {
+		sc.started = true
+		if !sc.cur.Seek(sc.lo) {
+			return 0, sc.cur.Err()
 		}
-		return sc.elementNode(sc.ctx), true, nil
 	}
-	n, ok, err := s.nodeLockedFor(sc.d, sc.ctx, sc.lim)
-	if err != nil || !ok {
-		return xmldoc.Node{}, false, err
-	}
-	// Attribute and namespace nodes are visible to self:: only via node().
-	if sc.test.Matches(n, xmldoc.KindElement) && n.Kind != xmldoc.KindAttribute && n.Kind != xmldoc.KindNamespace ||
-		(sc.test.Type == TestNode && (n.Kind == xmldoc.KindAttribute || n.Kind == xmldoc.KindNamespace)) {
-		return n, true, nil
-	}
-	return xmldoc.Node{}, false, nil
-}
-
-func (sc *Scanner) nextParent() (xmldoc.Node, bool, error) {
-	if sc.done {
-		return xmldoc.Node{}, false, nil
-	}
-	sc.done = true
-	p := sc.ctx.Parent()
-	if p == "" {
-		return xmldoc.Node{}, false, nil
-	}
-	s := sc.store
-	if sc.indexOnly() {
-		// A stored node's parent is an element or the document node, and
-		// the document node passes neither test: a wildcard is decided by
-		// the key alone, a name by one names-index probe.
-		if p == flex.Root {
-			return xmldoc.Node{}, false, nil
+	// Names, elems and texts entries under no depth or ancestor filter —
+	// the scan-heavy drains — are decided by their key alone and skip the
+	// call to accept.
+	keyOnly := sc.kind <= acceptKey && sc.depth == 0 && sc.skipAnc == ""
+	n := 0
+	var entryErr error
+	sc.cur.ScanBatch(sc.hi, sc.needsValue, func(k, v []byte) bool {
+		if err := sc.lim.Tick(); err != nil {
+			entryErr = err
+			return false
 		}
-		if sc.test.Type == TestName {
-			s.mu.Lock()
-			hit, err := sc.nameAt(p, p.Depth())
-			s.mu.Unlock()
-			if err != nil || !hit {
-				return xmldoc.Node{}, false, err
+		var kb []byte
+		if keyOnly {
+			kb = sc.indexKey(k)
+		} else {
+			var err error
+			if kb, err = sc.accept(k, v); err != nil {
+				entryErr = err
+				return false
 			}
 		}
-		return sc.elementNode(p), true, nil
+		if kb != nil {
+			sc.emit(kb)
+			n++
+		}
+		return n < len(dst)
+	})
+	if entryErr != nil {
+		return n, entryErr
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok, err := s.nodeLockedFor(sc.d, p, sc.lim)
-	if err != nil || !ok {
-		return xmldoc.Node{}, false, err
-	}
-	if sc.test.Matches(n, xmldoc.KindElement) {
-		return n, true, nil
-	}
-	return xmldoc.Node{}, false, nil
+	return n, sc.cur.Err()
 }
 
-// nextAncestor yields matching ancestors nearest-first (reverse document
-// order, as XPath requires for this reverse axis).
-func (sc *Scanner) nextAncestor() (xmldoc.Node, bool, error) {
-	s := sc.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sc.indexOnly() {
-		return sc.nextAncestorIndexOnly()
-	}
-	for sc.walkKey != "" {
+// scanReverse walks the [lo, hi) range backwards, entry by entry.
+func (sc *Scanner) scanReverse(dst []flex.Key) (int, error) {
+	n := 0
+	for n < len(dst) {
 		if err := sc.lim.Tick(); err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		n, ok, err := s.nodeLockedFor(sc.d, sc.walkKey, sc.lim)
-		if err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		cur := sc.walkKey
-		sc.walkKey = sc.walkKey.Parent()
-		if !ok || !sc.test.Matches(n, xmldoc.KindElement) {
-			continue
-		}
-		// An attribute context node is reachable only as "self" (and only
-		// via node()); attributes never appear as ancestors.
-		if n.Kind == xmldoc.KindAttribute || n.Kind == xmldoc.KindNamespace {
-			if sc.orSelf && cur == sc.ctx && sc.test.Type == TestNode {
-				return n, true, nil
-			}
-			continue
-		}
-		return n, true, nil
-	}
-	return xmldoc.Node{}, false, nil
-}
-
-// nextAncestorIndexOnly is the ancestor walk under a name or wildcard
-// test. Strict ancestors of a stored node are elements up to the document
-// node at depth 1, which matches neither test and ends the walk: a
-// wildcard takes every one of them on the key alone, a name asks the
-// structural-join stack and probes the names index only where the chain
-// left the previous context's. The or-self candidate may be any kind of
-// node and is decided like self::.
-func (sc *Scanner) nextAncestorIndexOnly() (xmldoc.Node, bool, error) {
-	for sc.walkDepth > 1 {
-		if err := sc.lim.Tick(); err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		cur, depth := sc.walkKey, sc.walkDepth
-		sc.walkKey, sc.walkDepth = cur.Parent(), depth-1
-		var hit bool
-		var err error
-		switch {
-		case len(cur) == len(sc.ctx):
-			hit, err = sc.selfMatches()
-		case sc.test.Type == TestName:
-			hit, err = sc.nameAt(cur, depth)
-		default:
-			hit = true
-		}
-		if err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		if hit {
-			return sc.elementNode(cur), true, nil
-		}
-	}
-	return xmldoc.Node{}, false, nil
-}
-
-// nextRange walks tree entries in [lo, hi), mapping each through the
-// accept filter. Only trees that store values are ever read for values,
-// and values are passed as tree-owned views.
-func (sc *Scanner) nextRange() (xmldoc.Node, bool, error) {
-	s := sc.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if err := sc.lim.Tick(); err != nil {
-			return xmldoc.Node{}, false, err
+			return n, err
 		}
 		var ok bool
 		if !sc.started {
 			sc.started = true
-			if sc.reverse {
-				ok = sc.cur.SeekBefore(sc.hi)
-			} else {
-				ok = sc.cur.Seek(sc.lo)
-			}
+			ok = sc.cur.SeekBefore(sc.hi)
 		} else {
-			if sc.reverse {
-				ok = sc.cur.Prev()
-			} else {
-				ok = sc.cur.Next()
-			}
+			ok = sc.cur.Prev()
 		}
-		if !ok {
-			return xmldoc.Node{}, false, sc.cur.Err()
-		}
-		if sc.reverse {
-			if string(sc.cur.Key()) < string(sc.lo) {
-				return xmldoc.Node{}, false, nil
-			}
-		} else if !sc.cur.InRange(sc.hi) {
-			return xmldoc.Node{}, false, nil
+		if !ok || bytes.Compare(sc.cur.Key(), sc.lo) < 0 {
+			return n, sc.cur.Err()
 		}
 		var v []byte
 		if sc.needsValue {
 			var err error
 			if v, err = sc.cur.ValueView(); err != nil {
-				return xmldoc.Node{}, false, err
+				return n, err
 			}
 		}
-		n, keep, err := sc.accept(sc.cur.Key(), v)
+		kb, err := sc.accept(sc.cur.Key(), v)
 		if err != nil {
-			return xmldoc.Node{}, false, err
+			return n, err
 		}
-		if keep {
-			return n, true, nil
+		if kb != nil {
+			sc.emit(kb)
+			n++
 		}
 	}
+	return n, nil
 }
 
-// accept maps one index entry to a node, or rejects it. It runs with the
-// store lock held; key and value slices are tree-owned views.
-func (sc *Scanner) accept(k, v []byte) (xmldoc.Node, bool, error) {
+// numKeyDoc is the offset of the document id in a numeric-index key
+// (tag ++ enc(float64) ++ docID ++ flexKey).
+const numKeyDoc = 1 + 8
+
+// accept filters one range entry, returning the FLEX-key bytes of the
+// node it stands for, or nil when the entry is rejected. It runs with the
+// store lock held; k, v and the returned view are tree-owned.
+func (sc *Scanner) accept(k, v []byte) ([]byte, error) {
+	var kb []byte
 	switch sc.kind {
-	case acceptName:
-		// Every entry in the name range carries exactly test.Name, so the
-		// emitted node reuses that string; filters run on byte views and
-		// the only per-entry allocation is the emitted key itself.
-		_, kb, _ := splitNameKeyView(k)
-		if sc.depth > 0 && flex.DepthOf(kb) != sc.depth {
-			return xmldoc.Node{}, false, nil
-		}
-		if sc.skipAnc != "" && flex.BytesIsAncestorOf(kb, sc.skipAnc) {
-			return xmldoc.Node{}, false, nil
-		}
-		return xmldoc.Node{Key: flex.Key(kb), Kind: xmldoc.KindElement, Name: sc.test.Name}, true, nil
-	case acceptWildcard:
-		kb := clusteredKeySuffix(k)
-		if sc.depth > 0 && flex.DepthOf(kb) != sc.depth {
-			return xmldoc.Node{}, false, nil
-		}
-		if sc.skipAnc != "" && flex.BytesIsAncestorOf(kb, sc.skipAnc) {
-			return xmldoc.Node{}, false, nil
-		}
-		return xmldoc.Node{Key: flex.Key(kb), Kind: xmldoc.KindElement, Name: string(v)}, true, nil
-	case acceptText:
-		kb := clusteredKeySuffix(k)
-		if sc.depth > 0 && flex.DepthOf(kb) != sc.depth {
-			return xmldoc.Node{}, false, nil
-		}
-		// The texts index stores no content: materialize the value from the
-		// clustered record (text nodes cannot be ancestors, so the
-		// preceding-axis ancestor filter never applies here).
-		fk := flex.Key(kb)
-		full, ok, err := sc.store.nodeLockedFor(sc.d, fk, sc.lim)
-		if err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		if ok {
-			return full, true, nil
-		}
-		return xmldoc.Node{Key: fk, Kind: xmldoc.KindText}, true, nil
-	case acceptNode:
-		_, fk := splitClusteredKey(k)
-		if err := sc.lim.AddRecords(1); err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		sc.store.recordsDecoded++
-		n, err := decodeRecord(v)
-		if err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		n.Key = fk
-		if n.Kind == xmldoc.KindAttribute || n.Kind == xmldoc.KindNamespace {
-			return xmldoc.Node{}, false, nil
-		}
-		if sc.depth > 0 && fk.Depth() != sc.depth {
-			return xmldoc.Node{}, false, nil
-		}
-		if sc.skipAnc != "" && fk.IsAncestorOf(sc.skipAnc) {
-			return xmldoc.Node{}, false, nil
-		}
-		if !sc.test.Matches(n, xmldoc.KindElement) {
-			return xmldoc.Node{}, false, nil
-		}
-		return n, true, nil
 	case acceptValue:
-		_, kb, _ := splitValueKeyView(k)
-		fk := flex.Key(kb)
-		n := xmldoc.Node{Key: fk, Kind: xmldoc.KindText, Value: sc.test.Name}
-		if sc.truncated || (len(v) > 0 && v[0]&valueFlagTruncated != 0) {
-			// The key holds only a prefix; verify against the record.
-			full, ok, err := sc.store.nodeLockedFor(sc.d, fk, sc.lim)
-			if err != nil {
-				return xmldoc.Node{}, false, err
-			}
-			if !ok || full.Value != sc.test.Name {
-				return xmldoc.Node{}, false, nil
-			}
-			n = full
-		}
-		return n, true, nil
-	case acceptAttrValue:
-		_, kb, _ := splitValueKeyView(k)
-		fk := flex.Key(kb)
-		full, ok, err := sc.store.nodeLockedFor(sc.d, fk, sc.lim)
-		if err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		if !ok {
-			return xmldoc.Node{}, false, nil
-		}
-		if (sc.truncated || (len(v) > 0 && v[0]&valueFlagTruncated != 0)) && full.Value != sc.test.Name {
-			return xmldoc.Node{}, false, nil
-		}
-		if sc.test.Attr != "" && full.Name != sc.test.Attr {
-			return xmldoc.Node{}, false, nil
-		}
-		return full, true, nil
+		_, kb, _ = splitValueKeyView(k)
+	case acceptNum:
+		kb = k[numKeyDoc+4:]
 	default:
-		return xmldoc.Node{}, false, fmt.Errorf("mass: unknown accept kind %d", sc.kind)
+		kb = sc.indexKey(k)
+	}
+	if sc.depth > 0 && flex.DepthOf(kb) != sc.depth || sc.skipAnc != "" && flex.BytesIsAncestorOf(kb, sc.skipAnc) {
+		return nil, nil
+	}
+	if sc.kind >= acceptNode {
+		if ok, err := sc.verify(k, kb, v); !ok || err != nil {
+			return nil, err
+		}
+	}
+	return kb, nil
+}
+
+// indexKey returns the FLEX-key bytes of a names, elems, texts or
+// clustered entry.
+func (sc *Scanner) indexKey(k []byte) []byte {
+	if sc.kind == acceptName {
+		_, kb, _ := splitNameKeyView(k)
+		return kb
+	}
+	return clusteredKeySuffix(k)
+}
+
+// verify decides the entries whose index key alone does not: node()
+// and the other record tests read the record, value hits are checked
+// where the entry cannot decide them (valueMatches), and numeric entries
+// are kept for d within ctx's subtree — the numeric bounds enclose every
+// document's entries between them.
+func (sc *Scanner) verify(k, kb, v []byte) (bool, error) {
+	switch sc.kind {
+	case acceptNode:
+		r, err := sc.readRecord(v)
+		return err == nil && !r.attrLike() && sc.test.matchesRecord(r, xmldoc.KindElement), err
+	case acceptValue:
+		return sc.valueMatches(kb, v)
+	default: // acceptNum
+		c := sc.ctx
+		return DocID(binary.BigEndian.Uint32(k[numKeyDoc:])) == sc.d && len(kb) >= len(c) &&
+			string(kb[:len(c)]) == string(c) && (len(kb) == len(c) || kb[len(c)] == flex.Sep), nil
 	}
 }
 
-// nextSkip advances the clustered skip-scan: after yielding (or rejecting)
-// a node it seeks past the node's whole subtree. lo is the reused seek
-// buffer; hi the range bound.
-func (sc *Scanner) nextSkip() (xmldoc.Node, bool, error) {
-	s := sc.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
+// valueMatches verifies a value-index hit against its record where the
+// entry alone cannot decide it: the value was truncated in the key, or
+// the attr-value axis names the attribute.
+func (sc *Scanner) valueMatches(kb, v []byte) (bool, error) {
+	truncated := sc.truncated || len(v) > 0 && v[0]&valueFlagTruncated != 0
+	if !truncated && sc.test.Attr == "" {
+		return true, nil
+	}
+	sc.probe = append(appendClusteredKey(sc.probe[:0], sc.d, ""), kb...)
+	r, ok, err := sc.recordAt(sc.probe)
+	if err != nil || !ok {
+		return false, err
+	}
+	return (!truncated || string(r.value) == sc.test.Name) && (sc.test.Attr == "" || string(r.name) == sc.test.Attr), nil
+}
+
+// skipChildren advances the clustered skip-scan: after taking (or
+// rejecting) a node it seeks past the node's whole subtree. lo is the
+// reused seek buffer; hi the range bound.
+func (sc *Scanner) skipChildren(dst []flex.Key) (int, error) {
+	n := 0
+	for n < len(dst) {
 		if err := sc.lim.Tick(); err != nil {
-			return xmldoc.Node{}, false, err
+			return n, err
 		}
 		if !sc.cur.Seek(sc.lo) || !sc.cur.InRange(sc.hi) {
-			return xmldoc.Node{}, false, sc.cur.Err()
+			return n, sc.cur.Err()
 		}
 		v, err := sc.cur.ValueView()
 		if err != nil {
-			return xmldoc.Node{}, false, err
+			return n, err
 		}
-		if err := sc.lim.AddRecords(1); err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		s.recordsDecoded++
-		n, err := decodeRecord(v)
+		r, err := sc.readRecord(v)
 		if err != nil {
-			return xmldoc.Node{}, false, err
+			return n, err
 		}
-		// Reuse the seek buffer: next time, resume past this node's whole
-		// subtree (key ++ sentinel).
+		// Next time, resume past this node's whole subtree (key ++ sentinel).
 		sc.lo = append(append(sc.lo[:0], sc.cur.Key()...), flex.SubtreeSentinel)
-		if n.Kind == xmldoc.KindAttribute || n.Kind == xmldoc.KindNamespace {
-			continue // not children
-		}
-		if sc.test.Matches(n, xmldoc.KindElement) {
-			n.Key = flex.Key(clusteredKeySuffix(sc.lo[:len(sc.lo)-1]))
-			return n, true, nil
+		if !r.attrLike() && sc.test.matchesRecord(r, xmldoc.KindElement) {
+			sc.emit(clusteredKeySuffix(sc.lo[:len(sc.lo)-1]))
+			n++
 		}
 	}
+	return n, nil
 }
 
-// nextAttribute yields ctx's attribute nodes. Attribute and namespace
-// nodes precede all other child content in document order (an XPath data
-// model invariant the loader and the update API maintain), so they form a
+// attributes walks ctx's attribute nodes. Attribute and namespace nodes
+// precede all other child content in document order (an XPath data model
+// invariant the loader and the update API maintain), so they form a
 // contiguous clustered prefix directly under ctx: scan forward from the
 // subtree start and stop at the first non-attribute node.
-func (sc *Scanner) nextAttribute() (xmldoc.Node, bool, error) {
-	s := sc.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sc.done {
-		return xmldoc.Node{}, false, nil
-	}
-	for {
+func (sc *Scanner) attributes(dst []flex.Key) (int, error) {
+	n := 0
+	for n < len(dst) {
 		if err := sc.lim.Tick(); err != nil {
-			return xmldoc.Node{}, false, err
+			return n, err
 		}
 		var ok bool
 		if !sc.started {
@@ -982,68 +883,55 @@ func (sc *Scanner) nextAttribute() (xmldoc.Node, bool, error) {
 			ok = sc.cur.Next()
 		}
 		if !ok || !sc.cur.InRange(sc.hi) {
-			sc.done = true
-			return xmldoc.Node{}, false, sc.cur.Err()
+			return n, sc.cur.Err()
 		}
 		v, err := sc.cur.ValueView()
 		if err != nil {
-			return xmldoc.Node{}, false, err
+			return n, err
 		}
-		if err := sc.lim.AddRecords(1); err != nil {
-			return xmldoc.Node{}, false, err
-		}
-		s.recordsDecoded++
-		n, err := decodeRecord(v)
+		r, err := sc.readRecord(v)
 		if err != nil {
-			return xmldoc.Node{}, false, err
+			return n, err
 		}
-		if n.Kind != xmldoc.KindAttribute && n.Kind != xmldoc.KindNamespace {
-			// First content child: no attributes follow it in document
-			// order, so the scan is complete.
-			sc.done = true
-			return xmldoc.Node{}, false, nil
+		if !r.attrLike() {
+			return n, nil // the first content child: no attributes follow
 		}
-		_, fk := splitClusteredKey(sc.cur.Key())
-		n.Key = fk
-		if n.Kind == xmldoc.KindAttribute && sc.test.Matches(n, xmldoc.KindAttribute) {
-			return n, true, nil
+		if r.kind == xmldoc.KindAttribute && sc.test.matchesRecord(r, xmldoc.KindAttribute) {
+			sc.emit(clusteredKeySuffix(sc.cur.Key()))
+			n++
 		}
 	}
+	return n, nil
 }
 
-// nextPrevSib walks preceding siblings one at a time, backwards: the
+// prevSiblings walks preceding siblings one at a time, backwards: the
 // clustered entry just before the current sibling's key is the deepest
-// node of the preceding sibling's subtree.
-func (sc *Scanner) nextPrevSib() (xmldoc.Node, bool, error) {
-	s := sc.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
+// node of the preceding sibling's subtree, and that sibling's key is its
+// prefix at the context's depth.
+func (sc *Scanner) prevSiblings(dst []flex.Key) (int, error) {
+	n := 0
+	for n < len(dst) {
 		if err := sc.lim.Tick(); err != nil {
-			return xmldoc.Node{}, false, err
+			return n, err
 		}
-		sc.hi = appendClusteredKey(sc.hi[:0], sc.d, sc.walkKey)
-		if !sc.cur.SeekBefore(sc.hi) {
-			return xmldoc.Node{}, false, sc.cur.Err()
+		if !sc.cur.SeekBefore(sc.hi) || bytes.Compare(sc.cur.Key(), sc.lo) < 0 {
+			return n, sc.cur.Err()
 		}
-		if string(sc.cur.Key()) < string(sc.lo) {
-			return xmldoc.Node{}, false, nil
+		k := sc.cur.Key()
+		fk := clusteredKeySuffix(k)
+		sib := flex.BytesAncestorAtDepth(fk, sc.depth)
+		if sib == nil {
+			return n, nil
 		}
-		_, fk := splitClusteredKey(sc.cur.Key())
-		sib := fk.AncestorAtDepth(sc.depth)
-		if sib == "" {
-			return xmldoc.Node{}, false, nil
+		sc.hi = append(sc.hi[:0], k[:len(k)-len(fk)+len(sib)]...)
+		r, ok, err := sc.recordAt(sc.hi)
+		if err != nil || !ok || r.attrLike() {
+			return n, err // attrLike: reached the parent's attributes
 		}
-		n, ok, err := s.nodeLockedFor(sc.d, sib, sc.lim)
-		if err != nil || !ok {
-			return xmldoc.Node{}, false, err
-		}
-		sc.walkKey = sib
-		if n.Kind == xmldoc.KindAttribute || n.Kind == xmldoc.KindNamespace {
-			return xmldoc.Node{}, false, nil // reached the parent's attributes
-		}
-		if sc.test.Matches(n, xmldoc.KindElement) {
-			return n, true, nil
+		if sc.test.matchesRecord(r, xmldoc.KindElement) {
+			sc.emit(clusteredKeySuffix(sc.hi))
+			n++
 		}
 	}
+	return n, nil
 }

@@ -101,7 +101,7 @@ func (s *Store) snapshotLocked(gen uint64) (*Snapshot, error) {
 	sn := &Snapshot{parent: s, view: view, st: ro, gen: gen, epoch: view.Epoch()}
 	sn.refs.Store(1)
 	ro.snapOwner = sn
-	s.snapCount++
+	s.snaps[sn] = struct{}{}
 	return sn, nil
 }
 
@@ -138,15 +138,20 @@ func (sn *Snapshot) TryRef() bool {
 }
 
 // Unref releases one reference; the last release unpins the pager view
-// (reclaiming retired page versions) and unregisters from the parent.
+// (reclaiming retired page versions) and unregisters from the parent,
+// handing it the counters the snapshot's reads accrued.
 func (sn *Snapshot) Unref() {
 	if sn.refs.Add(-1) != 0 {
 		return
 	}
 	sn.view.Close()
-	sn.parent.mu.Lock()
-	sn.parent.snapCount--
-	sn.parent.mu.Unlock()
+	p := sn.parent
+	p.mu.Lock()
+	sn.st.mu.Lock()
+	p.retired.add(sn.st.ownMetricsLocked())
+	sn.st.mu.Unlock()
+	delete(p.snaps, sn)
+	p.mu.Unlock()
 }
 
 // Close releases the creating reference. Idempotent. If iterators are

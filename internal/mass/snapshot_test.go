@@ -161,7 +161,7 @@ func TestSnapshotRefsDeferRelease(t *testing.T) {
 
 	sn.Store().BeginRead(d) // iterator in flight
 	sn.Close()              // user handle closed first
-	if got := s.snapCount; got != 1 {
+	if got := len(s.snaps); got != 1 {
 		t.Fatalf("snapshot released with reader in flight: open=%d", got)
 	}
 	// The reader can still stream the frozen state.
@@ -172,7 +172,7 @@ func TestSnapshotRefsDeferRelease(t *testing.T) {
 		t.Fatalf("frozen state drifted after close+mutation")
 	}
 	sn.Store().EndRead(d)
-	if got := s.snapCount; got != 0 {
+	if got := len(s.snaps); got != 0 {
 		t.Fatalf("snapshot not released after last reader: open=%d", got)
 	}
 }

@@ -77,7 +77,7 @@ func (s *Store) CountAttrName(d DocID, name string) (uint64, error) {
 // TextCount returns TC(v): the number of text nodes whose value is v, in
 // document d (0 = all documents), optionally restricted to ctx's subtree.
 // For values longer than the indexed prefix the count is an upper bound
-// (the exact set is produced by ValueScan's verification step), which is
+// (the exact set is produced by the value:: scan's verification step), which is
 // the safe direction for the cost model's output estimates.
 func (s *Store) TextCount(d DocID, v string, ctx flex.Key) (uint64, error) {
 	s.mu.Lock()

@@ -27,7 +27,6 @@ import (
 
 	"vamana/internal/btree"
 	"vamana/internal/flex"
-	"vamana/internal/govern"
 	"vamana/internal/pager"
 	"vamana/internal/xmldoc"
 )
@@ -102,10 +101,12 @@ type Store struct {
 	snapOwner *Snapshot
 
 	// readers counts in-flight iterators per document on a live store;
-	// snapCount counts open snapshots. Both make DropDocument refuse
-	// with ErrDocumentBusy instead of deleting pages under a reader.
-	readers   map[DocID]int
-	snapCount int
+	// snaps holds its open snapshots. Both make DropDocument refuse with
+	// ErrDocumentBusy instead of deleting pages under a reader. retired
+	// sums the counters the stores of released snapshots accrued.
+	readers map[DocID]int
+	snaps   map[*Snapshot]struct{}
+	retired StoreMetrics
 
 	// syncMu serializes durable group commits; syncedEpoch is the newest
 	// pager version epoch known durable (both file-backed stores only).
@@ -124,21 +125,39 @@ type StoreMetrics struct {
 	StatProbes     uint64
 }
 
-// Metrics returns a snapshot of the store's storage counters.
+// Metrics returns a snapshot of the store's storage counters. Reads
+// served by its snapshots count too: an open snapshot's so far, a
+// released one's in full.
 func (s *Store) Metrics() StoreMetrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := StoreMetrics{
-		Pager:          s.pg.Metrics(),
-		RecordsDecoded: s.recordsDecoded,
-		StatProbes:     s.statProbes,
+	m := s.ownMetricsLocked()
+	m.add(s.retired)
+	for sn := range s.snaps {
+		sn.st.mu.Lock()
+		m.add(sn.st.ownMetricsLocked())
+		sn.st.mu.Unlock()
 	}
+	m.Pager = s.pg.Metrics()
+	m.Index.CacheEvictions = m.Pager.Evictions
+	return m
+}
+
+// ownMetricsLocked returns the counters s's own trees and record reads
+// accrued, without the pager's. Callers hold s.mu.
+func (s *Store) ownMetricsLocked() StoreMetrics {
+	m := StoreMetrics{RecordsDecoded: s.recordsDecoded, StatProbes: s.statProbes}
 	m.Index.Add(s.catalog.Metrics())
 	for _, slot := range s.treeNames() {
 		m.Index.Add((*slot).Metrics())
 	}
-	m.Index.CacheEvictions = m.Pager.Evictions
 	return m
+}
+
+func (m *StoreMetrics) add(o StoreMetrics) {
+	m.Index.Add(o.Index)
+	m.RecordsDecoded += o.RecordsDecoded
+	m.StatProbes += o.StatProbes
 }
 
 // Options configures a Store.
@@ -183,6 +202,7 @@ func Open(opts Options) (*Store, error) {
 		docs:    make(map[string]DocID),
 		epochs:  make(map[DocID]uint64),
 		readers: make(map[DocID]int),
+		snaps:   make(map[*Snapshot]struct{}),
 		nextDoc: 1,
 	}
 	meta := pg.UserMeta()
@@ -602,8 +622,8 @@ func (s *Store) DropDocument(name string) error {
 	if !ok {
 		return ErrNoDoc
 	}
-	if s.snapCount > 0 {
-		return fmt.Errorf("%w: %q has %d open snapshot(s)", ErrDocumentBusy, name, s.snapCount)
+	if n := len(s.snaps); n > 0 {
+		return fmt.Errorf("%w: %q has %d open snapshot(s)", ErrDocumentBusy, name, n)
 	}
 	if n := s.readers[d]; n > 0 {
 		return fmt.Errorf("%w: %q has %d in-flight reader(s)", ErrDocumentBusy, name, n)
@@ -620,15 +640,6 @@ func (s *Store) DropDocument(name string) error {
 func (s *Store) Node(d DocID, k flex.Key) (xmldoc.Node, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.nodeLocked(d, k)
-}
-
-// nodeLockedFor is nodeLocked with per-query governance: the record decode
-// is charged against lim's decoded-records budget before the probe runs.
-func (s *Store) nodeLockedFor(d DocID, k flex.Key, lim *govern.Limiter) (xmldoc.Node, bool, error) {
-	if err := lim.AddRecords(1); err != nil {
-		return xmldoc.Node{}, false, err
-	}
 	return s.nodeLocked(d, k)
 }
 

@@ -11,31 +11,22 @@ import (
 
 func firstNamed(t *testing.T, s *Store, d DocID, name string) flex.Key {
 	t.Helper()
-	sc := s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestName, Name: name})
-	n, ok := sc.Next()
-	if !ok {
+	keys := drainKeys(t, s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestName, Name: name}))
+	if len(keys) == 0 {
 		t.Fatalf("no %s element", name)
 	}
-	return n.Key
+	return keys[0]
 }
 
 func childNames(t *testing.T, s *Store, d DocID, parent flex.Key) []string {
 	t.Helper()
 	var out []string
-	sc := s.AxisScan(d, parent, AxisChild, NodeTest{Type: TestNode})
-	for {
-		n, ok := sc.Next()
-		if !ok {
-			break
-		}
+	for _, n := range collect(t, s.AxisScan(d, parent, AxisChild, NodeTest{Type: TestNode})) {
 		if n.Kind == xmldoc.KindElement {
 			out = append(out, n.Name)
 		} else {
 			out = append(out, "#"+n.Kind.String())
 		}
-	}
-	if sc.Err() != nil {
-		t.Fatal(sc.Err())
 	}
 	return out
 }
@@ -95,14 +86,9 @@ func TestDenseInsertion(t *testing.T) {
 		}
 	}
 	// All keys remain valid FLEX keys.
-	sc := s.AxisScan(d, r, AxisChild, NodeTest{Type: TestWildcard})
-	for {
-		n, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if !n.Key.Valid() {
-			t.Fatalf("invalid key generated: %q", n.Key)
+	for _, k := range drainKeys(t, s.AxisScan(d, r, AxisChild, NodeTest{Type: TestWildcard})) {
+		if !k.Valid() {
+			t.Fatalf("invalid key generated: %q", k)
 		}
 	}
 }
@@ -117,7 +103,7 @@ func TestInsertTextAndTC(t *testing.T) {
 	if tc, _ := s.TextCount(d, "fresh value", ""); tc != 1 {
 		t.Fatalf("TC(fresh value) = %d", tc)
 	}
-	hits := collect(t, s.ValueScan(d, "", "fresh value"))
+	hits := collect(t, s.AxisScan(d, "", AxisValue, NodeTest{Name: "fresh value"}))
 	if len(hits) != 1 {
 		t.Fatalf("value scan hits = %d", len(hits))
 	}
@@ -130,7 +116,7 @@ func TestInsertTextAndTC(t *testing.T) {
 func TestUpdateText(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "doc", `<r><a>before</a></r>`)
-	hits := collect(t, s.ValueScan(d, "", "before"))
+	hits := collect(t, s.AxisScan(d, "", AxisValue, NodeTest{Name: "before"}))
 	if len(hits) != 1 {
 		t.Fatal("setup failed")
 	}
@@ -160,10 +146,10 @@ func TestUpdateAttributeValue(t *testing.T) {
 	if err := update(s, func(u *Update) error { return u.UpdateText(d, attrs[0].Key, "y") }); err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, s.AttrValueScan(d, "", "y")); len(got) != 1 {
+	if got := collect(t, s.AxisScan(d, "", AxisAttrValue, NodeTest{Name: "y"})); len(got) != 1 {
 		t.Fatalf("attr value scan after update = %d", len(got))
 	}
-	if got := collect(t, s.AttrValueScan(d, "", "x")); len(got) != 0 {
+	if got := collect(t, s.AxisScan(d, "", AxisAttrValue, NodeTest{Name: "x"})); len(got) != 0 {
 		t.Fatalf("stale attr value remains: %d", len(got))
 	}
 }
@@ -214,13 +200,8 @@ func TestRenameElement(t *testing.T) {
 		t.Errorf("CountName(new) = %d", n)
 	}
 	// Wildcard scans (elems index) must see the new name too.
-	sc := s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestWildcard})
 	found := false
-	for {
-		n, ok := sc.Next()
-		if !ok {
-			break
-		}
+	for _, n := range collect(t, s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestWildcard})) {
 		if n.Name == "new" {
 			found = true
 		}

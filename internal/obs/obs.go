@@ -185,14 +185,6 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(uint64(1)<<uint(histBuckets) - 1)
 }
 
-// Mean returns the mean observed duration, zero when empty.
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNS / s.Count)
-}
-
 // Snapshot returns every registered metric's current value keyed by
 // exposition name. Histograms contribute <name>_count and <name>_sum_ns.
 // Intended for tests (monotonicity assertions) and expvar-style dumps.

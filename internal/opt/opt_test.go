@@ -8,6 +8,7 @@ import (
 	"vamana/internal/baseline/dom"
 	"vamana/internal/cost"
 	"vamana/internal/exec"
+	"vamana/internal/flex"
 	"vamana/internal/mass"
 	"vamana/internal/plan"
 	"vamana/internal/xmark"
@@ -275,7 +276,7 @@ func runPlan(t testing.TB, s *mass.Store, d mass.DocID, p *plan.Plan) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := it.Collect()
+	keys, err := collect(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,4 +474,13 @@ func TestNumericRangeEquivalence(t *testing.T) {
 			t.Errorf("%s: optimized diverges (%d vs %d)\n%s", qstr, len(gotOpt), len(want), optp)
 		}
 	}
+}
+
+// collect drains the iterator into a key slice.
+func collect(it *exec.Iterator) ([]flex.Key, error) {
+	var out []flex.Key
+	for it.Next() {
+		out = append(out, it.Key())
+	}
+	return out, it.Err()
 }

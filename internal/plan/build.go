@@ -155,7 +155,7 @@ func (b *builder) predicate(e xpath.Expr) (Op, error) {
 			l, lok := b.compareSide(t.Left)
 			r, rok := b.compareSide(t.Right)
 			if lok && rok {
-				return &BinaryPred{Cond: condOf(t.Op), Left: l, Right: r}, nil
+				return &BinaryPred{Cond: CondOf(t.Op), Left: l, Right: r}, nil
 			}
 		}
 		return &ExprPred{Expr: e}, nil
@@ -200,7 +200,8 @@ func predsOrderFree(preds []Op) bool {
 	return true
 }
 
-func condOf(op xpath.BinaryOp) PredCond {
+// CondOf maps a comparison operator to its predicate condition.
+func CondOf(op xpath.BinaryOp) PredCond {
 	switch op {
 	case xpath.OpEq:
 		return CondEQ

@@ -63,16 +63,6 @@ func (op BinaryOp) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// Comparison reports whether the operator is a general comparison
-// (candidates for VAMANA's value-index rewrite).
-func (op BinaryOp) Comparison() bool {
-	switch op {
-	case OpEq, OpNeq, OpLt, OpLte, OpGt, OpGte:
-		return true
-	}
-	return false
-}
-
 // Binary is a binary expression.
 type Binary struct {
 	Op          BinaryOp

@@ -24,20 +24,6 @@ func Parse(expr string) (Expr, error) {
 	return e, nil
 }
 
-// ParsePath compiles an expression that must be a location path (the form
-// the VAMANA engine executes at top level).
-func ParsePath(expr string) (*LocationPath, error) {
-	e, err := Parse(expr)
-	if err != nil {
-		return nil, err
-	}
-	lp, ok := e.(*LocationPath)
-	if !ok {
-		return nil, &SyntaxError{Expr: expr, Pos: 0, Msg: "expression is not a location path"}
-	}
-	return lp, nil
-}
-
 type parser struct {
 	expr string
 	toks []token

@@ -286,12 +286,3 @@ func TestStringRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestParsePath(t *testing.T) {
-	if _, err := ParsePath("//person"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParsePath("1 + 2"); err == nil {
-		t.Fatal("ParsePath accepted a non-path")
-	}
-}

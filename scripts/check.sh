@@ -98,8 +98,13 @@ echo "== snapshot/transaction tests under the race detector"
 # point, no dirty reads inside an open transaction, and the
 # mixed-workload battery (readers on pinned snapshots racing a
 # committing writer, streams byte-identical to committed states) — see
-# snapshot_test.go.
-go test -race -run 'TestSnapshotIsolation|TestSnapshotReadOnlyPublic|TestSnapshotExplainAnalyze|TestUpdateTxnPublic|TestDropBusyPublic|TestPrepareRunEquivalence|TestMixedReadWriteRace|TestQueryOptionsEveryEntryPoint|TestPreparedRunObserved|TestNoDirtyReadsDuringTransaction' -count 1 .
+# snapshot_test.go. Reads served from snapshots count in the store's
+# metrics (TestSnapshotReadsReachStorageMetrics); in ./internal/mass,
+# snapshot readers share page frames with a committing writer and
+# rebound scanners, each holding the store lock once per pulled batch,
+# equal the brute-force oracle.
+go test -race -run 'TestSnapshotIsolation|TestSnapshotReadOnlyPublic|TestSnapshotExplainAnalyze|TestUpdateTxnPublic|TestDropBusyPublic|TestPrepareRunEquivalence|TestMixedReadWriteRace|TestQueryOptionsEveryEntryPoint|TestPreparedRunObserved|TestNoDirtyReadsDuringTransaction|TestSnapshotReadsReachStorageMetrics' -count 1 .
+go test -race -run '^TestSnapshotReadersShareFrames$|^TestReboundScannerAgainstOracle$|^TestReboundValueShapesAgainstBruteForce$' -count 1 ./internal/mass
 
 echo "== server battery under the race detector"
 # Admission state machine on the wire, concurrent tenants vs a

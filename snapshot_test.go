@@ -580,3 +580,81 @@ func TestMixedReadWriteRace(t *testing.T) {
 		t.Fatalf("drop after battery: %v", err)
 	}
 }
+
+// TestSnapshotReadsReachStorageMetrics: a query served from a snapshot —
+// one taken with DB.Snapshot, or the shared one every read uses while an
+// Update is open — counts in DB.StorageMetrics, and releasing the
+// snapshot neither loses nor repeats its counts. StorageMetrics calls
+// racing snapshot readers are race-clean.
+func TestSnapshotReadsReachStorageMetrics(t *testing.T) {
+	db := openDB(t)
+	doc, err := db.LoadXMLString("lib", snapXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const expr = "//book/node()" // node() reads records
+	loads := func(m StorageMetrics) uint64 { return m.Index.CacheHits + m.Index.CacheMisses }
+	grew := func(what string, before StorageMetrics) StorageMetrics {
+		t.Helper()
+		after := db.StorageMetrics()
+		if after.RecordsDecoded <= before.RecordsDecoded || loads(after) <= loads(before) {
+			t.Errorf("%s: records decoded %d -> %d, node loads %d -> %d; want both to grow",
+				what, before.RecordsDecoded, after.RecordsDecoded, loads(before), loads(after))
+		}
+		return after
+	}
+
+	sn, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdoc, err := sn.Document("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.StorageMetrics()
+	if _, err := queryKeys(db, sdoc, expr); err != nil {
+		t.Fatal(err)
+	}
+	open := grew("query through DB.Snapshot", before)
+	sn.Close()
+	if after := db.StorageMetrics(); after.RecordsDecoded != open.RecordsDecoded || loads(after) != loads(open) {
+		t.Errorf("releasing the snapshot moved its counts: records %d -> %d, node loads %d -> %d",
+			open.RecordsDecoded, after.RecordsDecoded, loads(open), loads(after))
+	}
+
+	before = db.StorageMetrics()
+	if err := db.Update(func(*Txn) error {
+		_, err := queryKeys(db, doc, expr)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	grew("query while an Update is open", before)
+
+	sn, err = db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	if sdoc, err = sn.Document("lib"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := queryKeys(db, sdoc, expr); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		db.StorageMetrics()
+	}
+	wg.Wait()
+}

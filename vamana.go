@@ -420,7 +420,8 @@ func (db *DB) CacheStats() CacheStats { return db.engine.CacheStats() }
 // writes, index node loads (served by an already-decoded page or not),
 // page-cache evictions, node splits, cursor seeks, counted-range probes,
 // records decoded, and statistics probes that reached storage (memo
-// misses).
+// misses). Reads served from snapshots — every read while an Update is
+// open — count too.
 func (db *DB) StorageMetrics() StorageMetrics { return db.engine.Store().Metrics() }
 
 // SlowQueries returns the ring's records at or above
