@@ -567,14 +567,15 @@ func BenchmarkServingBatch(b *testing.B) {
 func BenchmarkCostEstimation(b *testing.B) {
 	f := fixtureMB(b, benchSizesMB()[0])
 	eng, doc := f.VamanaEngine()
-	store := eng.Store()
+	view, _ := eng.Store().Pin()
+	defer view.Unpin()
 	for _, q := range bench.Queries {
 		b.Run(q.ID, func(b *testing.B) {
 			p := mustPlan(b, q.XPath)
 			opt.Cleanup(p)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				est := &cost.Estimator{Store: store, Doc: doc}
+				est := &cost.Estimator{Store: view, Doc: doc}
 				if err := est.Estimate(p); err != nil {
 					b.Fatal(err)
 				}
@@ -588,7 +589,8 @@ func BenchmarkCostEstimation(b *testing.B) {
 func BenchmarkStatisticsProbes(b *testing.B) {
 	f := fixtureMB(b, benchSizesMB()[0])
 	eng, doc := f.VamanaEngine()
-	store := eng.Store()
+	store, _ := eng.Store().Pin()
+	defer store.Unpin()
 	b.Run("CountName", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -128,12 +128,11 @@ func From(startKey string, vars map[string][]string) QueryOption {
 // streamed results remain valid, and its resources (executor state,
 // index cursors) are released.
 func (db *DB) QueryContext(ctx context.Context, doc *Document, expr string, opts ...QueryOption) (*Results, error) {
-	v, err := doc.read()
+	sn, err := doc.sn()
 	if err != nil {
 		return nil, err
 	}
-	it, err := db.engine.Query(ctx, v.sn, doc.id, expr, db.config(opts))
-	v.release()
+	it, err := db.engine.Query(ctx, sn, doc.id, expr, db.config(opts))
 	return newResults(doc, it, err)
 }
 

@@ -41,40 +41,60 @@ type Document struct {
 // bounds DOM engines ("the maximum document size is bounded by the amount
 // of physical main memory", §I).
 func Parse(r io.Reader) (*Document, error) {
-	d := &Document{}
-	stack := []*Node{}
-	err := xmldoc.Parse(r, func(n xmldoc.Node) error {
-		node := &Node{Kind: n.Kind, Name: n.Name, Value: n.Value, Key: n.Key, Pos: len(d.Nodes)}
-		d.Nodes = append(d.Nodes, node)
-		if n.Kind == xmldoc.KindDocument {
-			d.Root = node
-			stack = append(stack[:0], node)
-			return nil
-		}
-		// Pop to the node's parent (keys encode ancestry).
-		for len(stack) > 0 && stack[len(stack)-1].Key != n.Key.Parent() {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 {
-			return fmt.Errorf("dom: orphan node %q", n.Key)
-		}
-		parent := stack[len(stack)-1]
-		node.Parent = parent
-		switch n.Kind {
-		case xmldoc.KindAttribute, xmldoc.KindNamespace:
-			parent.Attrs = append(parent.Attrs, node)
-		default:
-			parent.Children = append(parent.Children, node)
-			if n.Kind == xmldoc.KindElement {
-				stack = append(stack, node)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	b := &builder{d: &Document{}}
+	if err := xmldoc.Parse(r, b.add); err != nil {
 		return nil, err
 	}
-	return d, nil
+	return b.d, nil
+}
+
+// Build builds the DOM from a document's nodes in document order, as
+// xmldoc.Parse emits them — or as a test keeps them while it applies
+// updates to a model of a stored document.
+func Build(nodes []xmldoc.Node) (*Document, error) {
+	b := &builder{d: &Document{}}
+	for _, n := range nodes {
+		if err := b.add(n); err != nil {
+			return nil, err
+		}
+	}
+	return b.d, nil
+}
+
+// builder links nodes arriving in document order into a Document.
+type builder struct {
+	d     *Document
+	stack []*Node
+}
+
+func (b *builder) add(n xmldoc.Node) error {
+	d := b.d
+	node := &Node{Kind: n.Kind, Name: n.Name, Value: n.Value, Key: n.Key, Pos: len(d.Nodes)}
+	d.Nodes = append(d.Nodes, node)
+	if n.Kind == xmldoc.KindDocument {
+		d.Root = node
+		b.stack = append(b.stack[:0], node)
+		return nil
+	}
+	// Pop to the node's parent (keys encode ancestry).
+	for len(b.stack) > 0 && b.stack[len(b.stack)-1].Key != n.Key.Parent() {
+		b.stack = b.stack[:len(b.stack)-1]
+	}
+	if len(b.stack) == 0 {
+		return fmt.Errorf("dom: orphan node %q", n.Key)
+	}
+	parent := b.stack[len(b.stack)-1]
+	node.Parent = parent
+	switch n.Kind {
+	case xmldoc.KindAttribute, xmldoc.KindNamespace:
+		parent.Attrs = append(parent.Attrs, node)
+	default:
+		parent.Children = append(parent.Children, node)
+		if n.Kind == xmldoc.KindElement {
+			b.stack = append(b.stack, node)
+		}
+	}
+	return nil
 }
 
 // StringValue computes the XPath string-value of n.

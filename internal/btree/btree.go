@@ -12,7 +12,10 @@
 //
 // Keys and values are arbitrary byte strings; iteration order is raw byte
 // order. Values longer than a threshold are spilled to overflow page
-// chains. Trees are not safe for concurrent use; callers serialize access.
+// chains. A tree has one writer at a time. A tree opened over a read-only
+// pager.View is never written: any number of goroutines read it at once,
+// each through a Cursor of its own that carries the read's position,
+// limiter and counters.
 package btree
 
 import (
@@ -60,18 +63,21 @@ type Tree struct {
 	root  pager.PageID
 	dirty map[pager.PageID]*node
 
-	m    Metrics // plain counters; callers serialize tree access
-	ent  []byte  // entry encoding buffer reused by Put
-	wide []byte  // two-page buffer an overfull node is split from
+	// m counts the writer's work: splits, and the node loads, seeks and
+	// counted probes of the tree's own methods. A read through a Cursor
+	// counts in the cursor.
+	m    Metrics
+	ent  []byte // entry encoding buffer reused by Put
+	wide []byte // two-page buffer an overfull node is split from
 	// mods counts Put and Delete calls. Cursors stamp it when they reach
 	// a leaf and trust that leaf on a later Seek only while it is
 	// unchanged (see Cursor.Seek).
 	mods uint64
 }
 
-// Metrics counts the tree's node loads and structural activity since it
-// was created or loaded. Trees are externally serialized (see package
-// doc), so plain fields are race-clean under the caller's lock.
+// Metrics counts node loads and structural activity: a tree's own (see
+// Tree.m) or one cursor's (see Cursor.TakeMetrics). Plain fields: each
+// Metrics has one writer.
 type Metrics struct {
 	CacheHits      uint64 // node loads served by an already-decoded frame (or the tree's own edits)
 	CacheMisses    uint64 // node loads that read a page and built its slot table
@@ -81,9 +87,17 @@ type Metrics struct {
 	Counts         uint64 // counted-range probes (Count/Rank)
 }
 
-// Metrics returns a snapshot of the tree's counters. Like every other
-// tree method it must be called under the owner's serialization.
+// Metrics returns a snapshot of the tree's own counters. Like every other
+// tree method it must be called under the writer's serialization.
 func (t *Tree) Metrics() Metrics { return t.m }
+
+// TakeMetrics returns the tree's own counters and zeroes them, for an
+// owner that folds them into totals of its own.
+func (t *Tree) TakeMetrics() Metrics {
+	m := t.m
+	t.m = Metrics{}
+	return m
+}
 
 // Add accumulates o into m, for aggregating across a store's trees.
 func (m *Metrics) Add(o Metrics) {
@@ -122,12 +136,14 @@ func (t *Tree) Root() pager.PageID { return t.root }
 
 // Len returns the total number of entries.
 func (t *Tree) Len() (uint64, error) {
-	r, err := t.load(t.root)
-	if err != nil {
-		return 0, err
-	}
-	return r.subtreeCount(), nil
+	c := Cursor{t: t}
+	defer t.count(&c)
+	return c.Len()
 }
+
+// count adds what c, a cursor of the tree's own methods, counted to the
+// tree's Metrics.
+func (t *Tree) count(c *Cursor) { t.m.Add(c.m) }
 
 func (t *Tree) newNode(leaf bool) *node {
 	id, err := t.pg.Allocate()
@@ -156,14 +172,14 @@ func (t *Tree) keep(n *node) *node {
 	return n
 }
 
-func (t *Tree) load(id pager.PageID) (*node, error) { return t.loadFor(id, nil) }
+func (t *Tree) load(id pager.PageID) (*node, error) { return t.loadFor(id, nil, &t.m) }
 
-// loadFor is load with per-query governance: a load its page's frame
-// cannot serve already decoded charges one page read against lim before
-// any I/O happens, so a tripped MaxPagesRead budget stops the query
-// without issuing the read. Decoded frames are free — the budget bounds
-// a query's pressure on the pager, not its key visits.
-func (t *Tree) loadFor(id pager.PageID, lim *govern.Limiter) (*node, error) {
+// loadFor is load with per-query governance, counting into m: a load
+// its page's frame cannot serve already decoded charges one page read
+// against lim before any I/O happens, so a tripped MaxPagesRead budget
+// stops the query without issuing the read. Decoded frames are free —
+// the budget bounds a query's pressure on the pager, not its key visits.
+func (t *Tree) loadFor(id pager.PageID, lim *govern.Limiter, m *Metrics) (*node, error) {
 	n, ok := t.dirty[id]
 	var f *pager.Frame
 	if !ok {
@@ -176,14 +192,14 @@ func (t *Tree) loadFor(id pager.PageID, lim *govern.Limiter) (*node, error) {
 		}
 	}
 	if ok {
-		t.m.CacheHits++
+		m.CacheHits++
 		lim.AddCacheHits(1)
 		return n, nil
 	}
 	if err := lim.AddPages(1); err != nil {
 		return nil, err
 	}
-	t.m.CacheMisses++
+	m.CacheMisses++
 	if f == nil {
 		var err error
 		if f, err = t.pg.ReadFrame(id); err != nil {
@@ -286,38 +302,11 @@ func childIndex(n *node, key []byte) int {
 	return lo
 }
 
-// find descends to the leaf covering key and returns it with key's
-// position there.
-func (t *Tree) find(key []byte) (*node, int, bool, error) {
-	n, err := t.load(t.root)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	for !n.leaf() {
-		if n, err = t.load(n.child(childIndex(n, key))); err != nil {
-			return nil, 0, false, err
-		}
-	}
-	i, ok := leafIndex(n, key)
-	return n, i, ok, nil
-}
-
-// Get returns the value stored under key.
+// Get returns a copy of the value stored under key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	n, i, ok, err := t.find(key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	v, ovf, total := n.value(i)
-	if ovf != pager.InvalidPage {
-		v, err = t.readOverflow(ovf, total)
-		if err != nil {
-			return nil, false, err
-		}
-	} else {
-		v = append([]byte(nil), v...)
-	}
-	return v, true, nil
+	var out []byte
+	ok, err := t.View(key, func(v []byte) { out = append([]byte(nil), v...) })
+	return out, ok, err
 }
 
 // View invokes fn with the value stored under key, without copying it for
@@ -325,18 +314,9 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 // be retained or modified; fn runs before View returns. Reports whether
 // the key was found.
 func (t *Tree) View(key []byte, fn func(v []byte)) (bool, error) {
-	n, i, ok, err := t.find(key)
-	if err != nil || !ok {
-		return false, err
-	}
-	v, ovf, total := n.value(i)
-	if ovf != pager.InvalidPage {
-		if v, err = t.readOverflow(ovf, total); err != nil {
-			return false, err
-		}
-	}
-	fn(v)
-	return true, nil
+	c := Cursor{t: t}
+	defer t.count(&c)
+	return c.Lookup(key, fn)
 }
 
 // splitResult describes a child split to be applied in the parent.

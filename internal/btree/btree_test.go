@@ -501,7 +501,7 @@ func TestRankBoundaries(t *testing.T) {
 		{"k0000", 0}, {"k0001", 1}, {"k0500", 500}, {"k0999", 999}, {"k9999", 1000}, {"a", 0},
 	}
 	for _, c := range cases {
-		got, err := tr.Rank([]byte(c.key))
+		got, err := tr.NewCursor().Rank([]byte(c.key))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,11 +7,14 @@ import (
 	"vamana/internal/pager"
 )
 
-// Cursor iterates leaf entries in key order. A cursor is positioned either
-// on an entry or past either end. Cursors observe a snapshot of the leaf
-// objects they traverse: a Put or Delete on the tree invalidates the
-// entry-at-a-time position (Next/Prev/Key/Value are undefined until the
-// next Seek*), but Seek itself is always safe — see Seek.
+// Cursor is one read of a tree: it iterates leaf entries in key order,
+// answers point look-ups and counted ranges, and carries the read's
+// state — position, limiter and counters — so that the tree itself is
+// never written by a read. A cursor is positioned either on an entry or
+// past either end. Cursors observe a snapshot of the leaf objects they
+// traverse: a Put or Delete on the tree invalidates the entry-at-a-time
+// position (Next/Prev/Key/Value are undefined until the next Seek*), but
+// Seek itself is always safe — see Seek.
 type Cursor struct {
 	t     *Tree
 	leaf  *node
@@ -19,6 +22,7 @@ type Cursor struct {
 	valid bool
 	err   error
 	lim   *govern.Limiter
+	m     Metrics // the read's node loads, seeks and counted probes
 	// mods is the tree's modification count when leaf was reached. Seek
 	// resumes from leaf only while it still equals t.mods: any Put or
 	// Delete since may have split or emptied the leaf, or edited a copy of
@@ -36,9 +40,47 @@ type Cursor struct {
 // taxed bind-heavy plans.
 func (c *Cursor) SetLimiter(l *govern.Limiter) { c.lim = l }
 
+// TakeMetrics returns what the cursor counted since the last call — node
+// loads, seeks, counted probes — and zeroes it. The counts are the
+// cursor's own, so that a read of a shared tree writes nothing shared;
+// its owner adds them to totals of its own. Reset keeps them.
+func (c *Cursor) TakeMetrics() Metrics {
+	m := c.m
+	c.m = Metrics{}
+	return m
+}
+
 // load reads a node on behalf of this cursor, charging the governance
 // limiter for any page I/O it causes.
-func (c *Cursor) load(id pager.PageID) (*node, error) { return c.t.loadFor(id, c.lim) }
+func (c *Cursor) load(id pager.PageID) (*node, error) { return c.t.loadFor(id, c.lim, &c.m) }
+
+// Lookup invokes fn with the value stored under key, without copying it
+// for inline values, and reports whether the key was found. It descends
+// from the root and leaves the cursor's position alone. The slice passed
+// to fn is owned by the tree and must not be retained or modified.
+func (c *Cursor) Lookup(key []byte, fn func(v []byte)) (bool, error) {
+	n, err := c.load(c.t.root)
+	if err != nil {
+		return false, err
+	}
+	for !n.leaf() {
+		if n, err = c.load(n.child(childIndex(n, key))); err != nil {
+			return false, err
+		}
+	}
+	i, ok := leafIndex(n, key)
+	if !ok {
+		return false, nil
+	}
+	v, ovf, total := n.value(i)
+	if ovf != pager.InvalidPage {
+		if v, err = c.t.readOverflow(ovf, total); err != nil {
+			return false, err
+		}
+	}
+	fn(v)
+	return true, nil
+}
 
 // Seek positions the cursor on the first entry with key >= target and
 // reports whether such an entry exists.
@@ -54,7 +96,7 @@ func (c *Cursor) load(id pager.PageID) (*node, error) { return c.t.loadFor(id, c
 // Delete on the tree since the leaf was reached voids the held position
 // (the next Seek descends); Reset(nil) drops it explicitly.
 func (c *Cursor) Seek(target []byte) bool {
-	c.t.m.Seeks++
+	c.m.Seeks++
 	c.valid, c.err = false, nil
 	if n := c.leaf; n != nil && c.mods == c.t.mods {
 		if nk := n.entries(); nk > 0 &&
@@ -126,7 +168,7 @@ func gallop(n *node, hint int, target []byte) int {
 
 // SeekFirst positions the cursor on the smallest entry.
 func (c *Cursor) SeekFirst() bool {
-	c.t.m.Seeks++
+	c.m.Seeks++
 	c.valid, c.err = false, nil
 	n, err := c.load(c.t.root)
 	if err != nil {
@@ -145,7 +187,7 @@ func (c *Cursor) SeekFirst() bool {
 
 // SeekLast positions the cursor on the largest entry.
 func (c *Cursor) SeekLast() bool {
-	c.t.m.Seeks++
+	c.m.Seeks++
 	c.valid, c.err = false, nil
 	n, err := c.load(c.t.root)
 	if err != nil {
@@ -351,13 +393,14 @@ func (t *Tree) NewCursor() *Cursor { return &Cursor{t: t} }
 // error and limiter, so one cursor allocation can be reused across many
 // scans. Callers that govern the new scan must SetLimiter again after
 // Reset — clearing here keeps a pooled cursor from charging a previous
-// query's budget. When c already walks t (one axis scan per context tuple
-// over the same index) the leaf it rests on is kept, so the next Seek can
-// resume from it; any other tree starts from a root descent. Reset(nil)
-// parks the cursor: it references no tree or node until the next Reset.
+// query's budget. The cursor's counts stay. When c already
+// walks t (one axis scan per context tuple over the same index) the leaf
+// it rests on is kept, so the next Seek can resume from it; any other
+// tree starts from a root descent. Reset(nil) parks the cursor: it
+// references no tree or node until the next Reset.
 func (c *Cursor) Reset(t *Tree) {
 	if c.t != t {
-		*c = Cursor{t: t}
+		*c = Cursor{t: t, m: c.m}
 		return
 	}
 	c.valid, c.err, c.lim = false, nil, nil

@@ -210,8 +210,9 @@ func TestPositionedSeekStaysOnLeaf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loads := func() uint64 { m := tr.Metrics(); return m.CacheHits + m.CacheMisses }
 	c := tr.NewCursor()
+	var m Metrics // what c counted
+	loads := func() uint64 { m.Add(c.TakeMetrics()); return m.CacheHits + m.CacheMisses }
 	c.Seek([]byte("k00010"))
 	base := loads()
 	for n := 11; n < 60; n++ {
@@ -235,7 +236,7 @@ func TestPositionedSeekStaysOnLeaf(t *testing.T) {
 	if d := loads() - base; d == 0 {
 		t.Error("a seek after Put reused the held leaf")
 	}
-	if m := tr.Metrics(); m.Seeks != 53 {
+	if m.Add(c.TakeMetrics()); m.Seeks != 53 {
 		t.Errorf("Metrics.Seeks = %d, want 53: every Seek call counts, positioned or not", m.Seeks)
 	}
 }

@@ -20,20 +20,17 @@ type Analysis struct {
 	Stats   []exec.OpStats
 }
 
-// Analyze estimates the plan for doc in store st (nil: the live store),
-// executes it there to completion, and returns the estimates and the
-// actual per-operator counters side by side — the machinery behind
-// ExplainAnalyze, exposed structurally so tests and tools can assert on
-// the numbers instead of parsing text.
-func (q *Query) Analyze(st *mass.Store, doc mass.DocID) (*Analysis, error) {
-	p, err := q.Estimate(st, doc)
+// Analyze estimates the plan for doc over sn's pinned version (nil: the
+// live store), executes it there to completion, and returns the
+// estimates and the actual per-operator counters side by side — the
+// machinery behind ExplainAnalyze, exposed structurally so tests and
+// tools can assert on the numbers instead of parsing text.
+func (q *Query) Analyze(sn *Snapshot, doc mass.DocID) (*Analysis, error) {
+	p, err := q.Estimate(sn, doc)
 	if err != nil {
 		return nil, err
 	}
-	if st == nil {
-		st = q.engine.live.store
-	}
-	it, err := exec.Run(p, exec.Context{Store: st, Doc: doc})
+	it, err := exec.Run(p, exec.Context{Store: q.engine.viewOf(sn).src, Doc: doc})
 	if err != nil {
 		return nil, err
 	}

@@ -65,8 +65,9 @@ type Options struct {
 
 // Engine is a VAMANA instance: one MASS store plus the query pipeline.
 type Engine struct {
-	// live is the engine's own read view: the live store with the shared,
-	// epoch-validated plan cache and statistics memo.
+	store *mass.Store
+	// live is the engine's own read view: the store's current view with
+	// the shared, epoch-validated plan cache and statistics memo.
 	live view
 
 	// ring holds the engine's records: slow, traced, and the serving
@@ -90,12 +91,13 @@ type Engine struct {
 	cost *CostObservatory
 }
 
-// view is one read view the query path runs over: the store it reads,
-// the plan cache and statistics memo its compiles go through, and — for
+// view is one read view the query path runs over: where each query pins
+// the mass.View it reads (the store's current one, or a snapshot's), the
+// plan cache and statistics memo its compiles go through, and — for
 // Engine.Snapshot handles only — usage counters. The engine owns its
 // live view; every Snapshot carries its own.
 type view struct {
-	store  *mass.Store
+	src    mass.Source
 	plans  *planCache
 	probes *cost.MemoProbes
 	usage  *usageCounters
@@ -120,7 +122,8 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		live:      view{store: s, plans: newPlanCache(planCapacity), probes: cost.NewMemoProbes(s)},
+		store:     s,
+		live:      view{src: s, plans: newPlanCache(planCapacity), probes: cost.NewMemoProbes(s)},
 		execBatch: opts.ExecBatch,
 		cost:      newCostObservatory(),
 	}
@@ -143,20 +146,20 @@ func Open(opts Options) (*Engine, error) {
 
 // Store exposes the underlying MASS store (used by the benchmark harness
 // and the CLI for statistics).
-func (e *Engine) Store() *mass.Store { return e.live.store }
+func (e *Engine) Store() *mass.Store { return e.store }
 
 // Close flushes and releases the engine.
-func (e *Engine) Close() error { return e.live.store.Close() }
+func (e *Engine) Close() error { return e.store.Close() }
 
 // VerifyPages checksums every durable page of the backing store. See
 // mass.Store.VerifyPages.
 func (e *Engine) VerifyPages() (checked int, corrupt []pager.PageID, err error) {
-	return e.live.store.VerifyPages()
+	return e.store.VerifyPages()
 }
 
 // Load shreds and indexes an XML document under a unique name.
 func (e *Engine) Load(name string, r io.Reader) (mass.DocID, error) {
-	return e.live.store.LoadDocument(name, r)
+	return e.store.LoadDocument(name, r)
 }
 
 // LoadString is Load from a string.
@@ -195,15 +198,15 @@ func (e *Engine) CompileOptimized(doc mass.DocID, expr string) (*Query, error) {
 	return e.compileOptimizedOn(&e.live, doc, expr)
 }
 
-// compileOptimizedOn is CompileOptimized against the store and
-// statistics memo of v — the engine's live view or a snapshot's.
+// compileOptimizedOn is CompileOptimized against the statistics memo of
+// v — the engine's live view or a snapshot's.
 func (e *Engine) compileOptimizedOn(v *view, doc mass.DocID, expr string) (*Query, error) {
 	q, err := e.Compile(expr)
 	if err != nil {
 		return nil, err
 	}
 	o := &opt.Optimizer{
-		Store:  v.store,
+		Store:  v.src,
 		Doc:    doc,
 		Probes: v.probes,
 		Trace: func(format string, args ...any) {
@@ -247,7 +250,7 @@ func (e *Engine) compileCachedOn(v *view, doc mass.DocID, expr string, optimized
 		// Capture the epoch before compiling: if an update lands while the
 		// optimizer is probing, the entry records the pre-update epoch and
 		// the next lookup recompiles — conservative but always correct.
-		epoch = v.store.Epoch(doc)
+		epoch = v.src.Epoch(doc)
 	}
 	if q, ok := v.plans.get(k, epoch); ok {
 		return q, true, nil
@@ -331,7 +334,8 @@ func (e *Engine) query(cctx context.Context, v *view, doc mass.DocID, expr strin
 // global metrics, runs over Options.SlowQueryThreshold land in the ring
 // and the slow-query log, and traced runs record spans. On the common
 // path (cache hit, unsampled) the instrumentation adds two time.Now
-// calls and a handful of counter updates — no allocations.
+// calls and a handful of counter updates — no allocations. The run pins
+// the view it reads, from v's source, when it starts.
 func (e *Engine) run(cctx context.Context, v *view, q *Query, doc mass.DocID, a RunArgs, start time.Time, hit bool) (*exec.Iterator, error) {
 	if hit {
 		obs.QueriesServedCached.Inc()
@@ -339,7 +343,7 @@ func (e *Engine) run(cctx context.Context, v *view, q *Query, doc mass.DocID, a 
 		obs.QueriesCompiled.Inc()
 	}
 	ctx := exec.Context{
-		Store:       v.store,
+		Store:       v.src,
 		Doc:         doc,
 		Start:       a.Start,
 		Vars:        a.Vars,
@@ -444,7 +448,7 @@ func (e *Engine) queryFinished(v *view, it *exec.Iterator) {
 		tc = &traceContext{QueryTrace: obs.QueryTrace{ID: e.traceSeq.Add(1), Expr: expr, Start: it.StartTime(), CacheHit: hit}}
 	}
 	t := &tc.QueryTrace
-	t.Doc = v.store.DocName(it.Doc())
+	t.Doc = it.View().DocName(it.Doc())
 	t.Total = total
 	t.Results = it.Results()
 	if err := it.Err(); err != nil {
@@ -502,7 +506,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	if err := obs.WriteText(w); err != nil {
 		return err
 	}
-	m := e.live.store.Metrics()
+	m := e.store.Metrics()
 	st := e.CacheStats()
 	for _, c := range []struct {
 		name, help string
@@ -555,29 +559,25 @@ func (q *Query) Plan() *plan.Plan { return q.plan }
 func (q *Query) Trace() []string { return q.trace }
 
 // Estimate annotates a copy of the plan with cost information for doc
-// in store st (nil selects the engine's live store, whose statistics
-// memo it shares) without executing it, and returns the annotated copy.
+// over sn's pinned version (nil: the live store), through that view's
+// statistics memo, without executing it, and returns the annotated copy.
 // The query's own plan is never written after compilation — a Query is
 // immutable and safe for concurrent use by any number of goroutines
 // (which is what lets the engine's plan cache share one Query across a
 // serving fleet).
-func (q *Query) Estimate(st *mass.Store, doc mass.DocID) (*plan.Plan, error) {
-	var probes cost.Probes = q.engine.live.probes
-	if st != nil && st != q.engine.live.store {
-		probes = st
-	}
+func (q *Query) Estimate(sn *Snapshot, doc mass.DocID) (*plan.Plan, error) {
 	p := q.plan.Clone()
-	est := &cost.Estimator{Store: probes, Doc: doc}
+	est := &cost.Estimator{Store: q.engine.viewOf(sn).probes, Doc: doc}
 	if err := est.Estimate(p); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Explain renders the cost-annotated plan and ordered list for doc in
-// store st (nil: the live store).
-func (q *Query) Explain(st *mass.Store, doc mass.DocID) (string, error) {
-	p, err := q.Estimate(st, doc)
+// Explain renders the cost-annotated plan and ordered list for doc over
+// sn's pinned version (nil: the live store).
+func (q *Query) Explain(sn *Snapshot, doc mass.DocID) (string, error) {
+	p, err := q.Estimate(sn, doc)
 	if err != nil {
 		return "", err
 	}
@@ -595,8 +595,8 @@ func (q *Query) Explain(st *mass.Store, doc mass.DocID) (string, error) {
 // are upper bounds. The annotated clone is what executes, so the
 // per-operator stats refer to operators carrying fresh estimates while
 // the shared plan stays untouched. Use Analyze for the structured form.
-func (q *Query) ExplainAnalyze(st *mass.Store, doc mass.DocID) (string, error) {
-	a, err := q.Analyze(st, doc)
+func (q *Query) ExplainAnalyze(sn *Snapshot, doc mass.DocID) (string, error) {
+	a, err := q.Analyze(sn, doc)
 	if err != nil {
 		return "", err
 	}

@@ -25,17 +25,20 @@ import (
 	"vamana/internal/plan"
 )
 
-// Probes is the statistics interface the estimator consumes: the exact
-// counted-index probes of §VI-B. *mass.Store implements it directly;
-// MemoProbes wraps a store with an epoch-validated cache so repeated
-// estimations of the same document between updates reuse results.
+// Probes is the statistics interface the estimator consumes: the
+// counted-index probes of §VI-B. *mass.View implements it directly;
+// MemoProbes wraps a store or a view with an epoch-validated cache so
+// repeated estimations of the same document between updates reuse
+// results. The probes are exact but for truncated values and numeric
+// ranges (NumericRangeBound), where they are upper bounds — the
+// direction output estimates need.
 type Probes interface {
 	TestCount(d mass.DocID, test mass.NodeTest, ctx flex.Key) (uint64, error)
 	TextCount(d mass.DocID, v string, ctx flex.Key) (uint64, error)
 	AttrValueCount(d mass.DocID, v string, ctx flex.Key) (uint64, error)
 	CountAttrName(d mass.DocID, name string) (uint64, error)
 	CountNodes(d mass.DocID) (uint64, error)
-	NumericRangeCount(d mass.DocID, lo float64, loIncl bool, hi float64, hiIncl bool) (uint64, error)
+	NumericRangeBound(d mass.DocID, lo float64, loIncl bool, hi float64, hiIncl bool) (uint64, error)
 }
 
 // Estimator annotates plans with cost information for one document.
@@ -135,7 +138,7 @@ func (e *Estimator) stepCount(s *plan.Step) (uint64, error) {
 		// attribute names; the name filter only shrinks the set.
 		return e.Store.AttrValueCount(e.Doc, s.Test.Name, "")
 	case mass.AxisNumRange:
-		return e.Store.NumericRangeCount(e.Doc, s.NumLo, s.NumLoIncl, s.NumHi, s.NumHiIncl)
+		return e.Store.NumericRangeBound(e.Doc, s.NumLo, s.NumLoIncl, s.NumHi, s.NumHiIncl)
 	case mass.AxisAttribute:
 		// Attribute steps count attribute names, not element names.
 		if s.Test.Type == mass.TestName {

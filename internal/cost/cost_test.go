@@ -25,6 +25,16 @@ func loadXMark(t testing.TB, factor float64) (*mass.Store, mass.DocID) {
 	return s, d
 }
 
+// pinned pins s's current view until the test ends.
+func pinned(t testing.TB, s *mass.Store) *mass.View {
+	v, err := s.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Unpin)
+	return v
+}
+
 func buildPlan(t testing.TB, expr string) *plan.Plan {
 	t.Helper()
 	ast, err := xpath.Parse(expr)
@@ -84,7 +94,7 @@ func TestPaperExampleQ1Costs(t *testing.T) {
 	}
 
 	p := buildPlan(t, "/descendant::name/parent::person/address")
-	est := &Estimator{Store: s, Doc: d}
+	est := &Estimator{Store: pinned(t, s), Doc: d}
 	if err := est.Estimate(p); err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +141,13 @@ func TestPaperExampleQ1Costs(t *testing.T) {
 func TestPaperExampleQ2Costs(t *testing.T) {
 	s, d := loadXMark(t, 0.01)
 	nName, _ := s.CountName(d, "name")
-	tc, _ := s.TextCount(d, "Yung Flach", "")
+	tc, _ := pinned(t, s).TextCount(d, "Yung Flach", "")
 	if tc != 1 {
 		t.Fatalf("TC(Yung Flach) = %d, want 1", tc)
 	}
 
 	p := buildPlan(t, "//name[ text() = 'Yung Flach' ]/following-sibling::emailaddress")
-	est := &Estimator{Store: s, Doc: d}
+	est := &Estimator{Store: pinned(t, s), Doc: d}
 	if err := est.Estimate(p); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +189,7 @@ func TestPaperExampleQ2Costs(t *testing.T) {
 func TestExistPredicateCosts(t *testing.T) {
 	s, d := loadXMark(t, 0.01)
 	p := buildPlan(t, "//person[address]")
-	est := &Estimator{Store: s, Doc: d}
+	est := &Estimator{Store: pinned(t, s), Doc: d}
 	if err := est.Estimate(p); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +223,7 @@ func TestEstimatesAreUpperBounds(t *testing.T) {
 	}
 	for _, q := range queries {
 		p := buildPlan(t, q)
-		est := &Estimator{Store: s, Doc: d}
+		est := &Estimator{Store: pinned(t, s), Doc: d}
 		if err := est.Estimate(p); err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +237,7 @@ func TestEstimatesAreUpperBounds(t *testing.T) {
 func TestProbesAreCheap(t *testing.T) {
 	s, d := loadXMark(t, 0.01)
 	p := buildPlan(t, "//province[text()='Vermont']/ancestor::person")
-	est := &Estimator{Store: s, Doc: d}
+	est := &Estimator{Store: pinned(t, s), Doc: d}
 	if err := est.Estimate(p); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +249,7 @@ func TestProbesAreCheap(t *testing.T) {
 func TestWork(t *testing.T) {
 	s, d := loadXMark(t, 0.005)
 	p := buildPlan(t, "//person/address")
-	est := &Estimator{Store: s, Doc: d}
+	est := &Estimator{Store: pinned(t, s), Doc: d}
 	if err := est.Estimate(p); err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@ import (
 const maxMemoEntries = 4096
 
 // MemoProbes caches statistics probes per document, validated against the
-// store's per-document statistics epoch: any update to a document bumps
-// its epoch, which atomically invalidates every memoized count for it.
+// per-document statistics epoch of the view each probe pins from its
+// source: any update to a document bumps its epoch, which invalidates
+// every memoized count for it.
 // Between updates the cache is exact — VAMANA's statistics are live index
 // counts, so two probes with the same arguments within one epoch must
 // agree.
@@ -25,7 +26,7 @@ const maxMemoEntries = 4096
 // itself epoch-based, so steady-state serving touches the counted indexes
 // not at all. MemoProbes is safe for concurrent use.
 type MemoProbes struct {
-	store *mass.Store
+	src mass.Source
 
 	mu   sync.Mutex
 	docs map[mass.DocID]*docMemo
@@ -62,9 +63,10 @@ const (
 	probeNumRange
 )
 
-// NewMemoProbes returns a memoizing statistics source over store.
-func NewMemoProbes(store *mass.Store) *MemoProbes {
-	return &MemoProbes{store: store, docs: make(map[mass.DocID]*docMemo)}
+// NewMemoProbes returns a memoizing statistics source over src: a store,
+// whose current view each probe reads, or one view.
+func NewMemoProbes(src mass.Source) *MemoProbes {
+	return &MemoProbes{src: src, docs: make(map[mass.DocID]*docMemo)}
 }
 
 // Stats reports cache hits and misses since creation.
@@ -78,14 +80,15 @@ func (m *MemoProbes) Counters() (hits, misses, resets uint64) {
 	return m.hits.Load(), m.misses.Load(), m.resets.Load()
 }
 
-// get serves key from d's current-epoch memo or computes it via probe.
-func (m *MemoProbes) get(d mass.DocID, key probeKey, probe func() (uint64, error)) (uint64, error) {
+// get serves key from d's current-epoch memo, or computes it via probe
+// on a view pinned from the source.
+func (m *MemoProbes) get(d mass.DocID, key probeKey, probe func(*mass.View) (uint64, error)) (uint64, error) {
 	if d == 0 {
 		// Whole-database statistics span every document's epoch; not worth
 		// the bookkeeping to invalidate, so always probe.
-		return probe()
+		return m.probe(probe)
 	}
-	epoch := m.store.Epoch(d)
+	epoch := m.src.Epoch(d)
 	m.mu.Lock()
 	dm := m.docs[d]
 	if dm == nil || dm.epoch != epoch {
@@ -95,59 +98,75 @@ func (m *MemoProbes) get(d mass.DocID, key probeKey, probe func() (uint64, error
 		dm = &docMemo{epoch: epoch, counts: make(map[probeKey]uint64)}
 		m.docs[d] = dm
 	}
-	if v, ok := dm.counts[key]; ok {
+	if n, ok := dm.counts[key]; ok {
 		m.hits.Add(1)
 		m.mu.Unlock()
-		return v, nil
+		return n, nil
 	}
 	m.misses.Add(1)
 	m.mu.Unlock()
 
-	v, err := probe()
+	v, err := m.src.Pin()
+	if err != nil {
+		return 0, err
+	}
+	defer v.Unpin()
+	n, err := probe(v)
 	if err != nil {
 		return 0, err
 	}
 
 	m.mu.Lock()
-	// Re-check: an update may have advanced the epoch while probing, in
-	// which case the result belongs to a dead generation and is dropped.
-	if dm := m.docs[d]; dm != nil && dm.epoch == epoch && m.store.Epoch(d) == epoch {
+	// Re-check: an update may have advanced the epoch before the probe
+	// pinned its view, in which case the result belongs to a dead
+	// generation and is dropped.
+	if dm := m.docs[d]; dm != nil && dm.epoch == epoch && v.Epoch(d) == epoch {
 		if len(dm.counts) >= maxMemoEntries {
 			m.resets.Add(1)
 			dm.counts = make(map[probeKey]uint64)
 		}
-		dm.counts[key] = v
+		dm.counts[key] = n
 	}
 	m.mu.Unlock()
-	return v, nil
+	return n, nil
+}
+
+// probe runs probe on a view pinned from the source.
+func (m *MemoProbes) probe(probe func(*mass.View) (uint64, error)) (uint64, error) {
+	v, err := m.src.Pin()
+	if err != nil {
+		return 0, err
+	}
+	defer v.Unpin()
+	return probe(v)
 }
 
 func (m *MemoProbes) TestCount(d mass.DocID, test mass.NodeTest, ctx flex.Key) (uint64, error) {
 	key := probeKey{kind: probeTest, testType: test.Type, name: test.Name, attr: test.Attr, ctx: ctx}
-	return m.get(d, key, func() (uint64, error) { return m.store.TestCount(d, test, ctx) })
+	return m.get(d, key, func(v *mass.View) (uint64, error) { return v.TestCount(d, test, ctx) })
 }
 
-func (m *MemoProbes) TextCount(d mass.DocID, v string, ctx flex.Key) (uint64, error) {
-	key := probeKey{kind: probeText, name: v, ctx: ctx}
-	return m.get(d, key, func() (uint64, error) { return m.store.TextCount(d, v, ctx) })
+func (m *MemoProbes) TextCount(d mass.DocID, val string, ctx flex.Key) (uint64, error) {
+	key := probeKey{kind: probeText, name: val, ctx: ctx}
+	return m.get(d, key, func(v *mass.View) (uint64, error) { return v.TextCount(d, val, ctx) })
 }
 
-func (m *MemoProbes) AttrValueCount(d mass.DocID, v string, ctx flex.Key) (uint64, error) {
-	key := probeKey{kind: probeAttrValue, name: v, ctx: ctx}
-	return m.get(d, key, func() (uint64, error) { return m.store.AttrValueCount(d, v, ctx) })
+func (m *MemoProbes) AttrValueCount(d mass.DocID, val string, ctx flex.Key) (uint64, error) {
+	key := probeKey{kind: probeAttrValue, name: val, ctx: ctx}
+	return m.get(d, key, func(v *mass.View) (uint64, error) { return v.AttrValueCount(d, val, ctx) })
 }
 
 func (m *MemoProbes) CountAttrName(d mass.DocID, name string) (uint64, error) {
 	key := probeKey{kind: probeAttrName, name: name}
-	return m.get(d, key, func() (uint64, error) { return m.store.CountAttrName(d, name) })
+	return m.get(d, key, func(v *mass.View) (uint64, error) { return v.CountAttrName(d, name) })
 }
 
 func (m *MemoProbes) CountNodes(d mass.DocID) (uint64, error) {
 	key := probeKey{kind: probeNodes}
-	return m.get(d, key, func() (uint64, error) { return m.store.CountNodes(d) })
+	return m.get(d, key, func(v *mass.View) (uint64, error) { return v.CountNodes(d) })
 }
 
-func (m *MemoProbes) NumericRangeCount(d mass.DocID, lo float64, loIncl bool, hi float64, hiIncl bool) (uint64, error) {
+func (m *MemoProbes) NumericRangeBound(d mass.DocID, lo float64, loIncl bool, hi float64, hiIncl bool) (uint64, error) {
 	key := probeKey{kind: probeNumRange, lo: lo, hi: hi, loIncl: loIncl, hiIncl: hiIncl}
-	return m.get(d, key, func() (uint64, error) { return m.store.NumericRangeCount(d, lo, loIncl, hi, hiIncl) })
+	return m.get(d, key, func(v *mass.View) (uint64, error) { return v.NumericRangeBound(d, lo, loIncl, hi, hiIncl) })
 }

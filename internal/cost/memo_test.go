@@ -16,7 +16,7 @@ func TestMemoProbesCachesWithinEpoch(t *testing.T) {
 	m := NewMemoProbes(s)
 
 	test := mass.NodeTest{Type: mass.TestName, Name: "person"}
-	want, err := s.TestCount(d, test, "")
+	want, err := pinned(t, s).TestCount(d, test, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -505,7 +505,7 @@ func (e *env) evalFunc(f *xpath.FuncCall, c evalCtx) (value, error) {
 			}
 			k = ns[0]
 		}
-		n, ok, err := e.store.Node(e.doc, k)
+		n, ok, err := e.view.Node(e.doc, k)
 		if err != nil || !ok {
 			return "", err
 		}
@@ -572,7 +572,7 @@ func round(x float64) float64 {
 
 // stringValue returns the XPath string-value of the node at k.
 func (e *env) stringValue(k flex.Key) (string, error) {
-	return e.store.StringValue(e.doc, k)
+	return e.view.StringValue(e.doc, k)
 }
 
 // Coercions (XPath 1.0 §4).

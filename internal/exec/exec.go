@@ -31,7 +31,10 @@ type Limiter = govern.Limiter
 
 // Context is the execution environment of one query run.
 type Context struct {
-	Store *mass.Store
+	// Store is where the run pins the view it reads: a store's current
+	// view, or a view the caller holds. The run holds the pin until it
+	// finishes.
+	Store mass.Source
 	Doc   mass.DocID
 	// Ctx and Limits govern the run: Run arms a limiter from them (into
 	// the pooled run state, so a governed query costs no extra
@@ -134,7 +137,7 @@ type Iterator struct {
 	err      error
 	done     bool
 	finished bool // finishRun already fired
-	pinned   bool // holds a store read registration (BeginRead) until finishRun
+	pinned   bool // holds a pin on env.view until finishRun
 
 	// Delivery buffer: Next serves tuples out of the last batch pulled
 	// from the pipeline root. out is carved from the run-state key slab;
@@ -187,12 +190,17 @@ func Run(p *plan.Plan, ctx Context) (*Iterator, error) {
 	if ctx.Store == nil {
 		return nil, fmt.Errorf("exec: nil store")
 	}
+	view, err := ctx.Store.Pin()
+	if err != nil {
+		return nil, err
+	}
 	start := ctx.Start
 	if start == "" {
 		start = flex.Root
 	}
 	it := &Iterator{
-		env:         env{store: ctx.Store, doc: ctx.Doc, start: start, vars: ctx.Vars, building: true},
+		env:         env{view: view, doc: ctx.Doc, start: start, vars: ctx.Vars, building: true},
+		pinned:      true,
 		onFinish:    ctx.OnFinish,
 		finishStart: ctx.FinishStart,
 		finishObj:   ctx.FinishObj,
@@ -253,6 +261,8 @@ func Run(p *plan.Plan, ctx Context) (*Iterator, error) {
 	root, err := e.build(p.Root)
 	e.building = false
 	if err != nil {
+		it.pinned = false
+		view.Unpin()
 		it.release()
 		return nil, err
 	}
@@ -261,12 +271,6 @@ func Run(p *plan.Plan, ctx Context) (*Iterator, error) {
 	}
 	root.reset(start)
 	it.root = root
-	// Register as an in-flight reader: on a live store this blocks
-	// DropDocument for the document being streamed; on a snapshot store
-	// it refs the owning snapshot so the pinned view outlives a
-	// concurrent Snapshot.Close. Released exactly once, in finishRun.
-	e.store.BeginRead(e.doc)
-	it.pinned = true
 	it.out = e.scratch(batch)
 	// The first refill pulls a single tuple — identical laziness to
 	// tuple-at-a-time for first-match consumers — and doubles from there,
@@ -280,10 +284,10 @@ func Run(p *plan.Plan, ctx Context) (*Iterator, error) {
 // the governance limiter. The iterator's env stops referencing both, so
 // Stats after release see an empty registry. Pooled step slots keep only
 // their buffers: each scanner is Released (cursor position, tree and
-// store references, ancestor stack, limiter) and the slot's pointers into
-// this run are dropped, so a pooled slot neither pins a retired
-// snapshot's trees nor carries a leaf position into a run that reads a
-// later version of the store.
+// view references, ancestor stack, limiter, tally) and the slot's
+// pointers into this run are dropped, so a pooled slot neither keeps a
+// retired view's trees alive nor carries a leaf position into a run that
+// reads a later view.
 func (it *Iterator) release() {
 	rs := it.rs
 	if rs == nil {
@@ -454,8 +458,12 @@ func (it *Iterator) finishRun() {
 	}
 	it.finished = true
 	if it.pinned {
+		// The run's counters reach the store's totals once, here, and the
+		// pin goes: a view the store has replaced is released with its
+		// last reader.
 		it.pinned = false
-		it.env.store.EndRead(it.env.doc)
+		it.env.view.Add(&it.env.tally)
+		it.env.view.Unpin()
 	}
 	if it.env.traced {
 		// Close any span still open (early termination, error, or an
@@ -509,6 +517,10 @@ func (it *Iterator) Limiter() *Limiter { return it.env.lim }
 // Doc returns the document the iterator runs against.
 func (it *Iterator) Doc() mass.DocID { return it.env.doc }
 
+// View returns the view the iterator reads, pinned until the run
+// finishes.
+func (it *Iterator) View() *mass.View { return it.env.view }
+
 // Start returns the run's initial context node (flex.Root unless
 // Context.Start set another).
 func (it *Iterator) Start() flex.Key { return it.env.start }
@@ -539,7 +551,7 @@ func (it *Iterator) Key() flex.Key { return it.cur }
 
 // Node materializes the current tuple's node from storage.
 func (it *Iterator) Node() (xmldoc.Node, error) {
-	n, ok, err := it.env.store.Node(it.env.doc, it.cur)
+	n, ok, err := it.env.view.Node(it.env.doc, it.cur)
 	if err != nil {
 		return xmldoc.Node{}, err
 	}
@@ -554,7 +566,11 @@ func (it *Iterator) Err() error { return it.err }
 
 // env carries shared execution state.
 type env struct {
-	store *mass.Store
+	// view is the version the run reads, pinned until the run finishes;
+	// tally counts the storage work of every scan of the run, transient
+	// predicate subplans included.
+	view  *mass.View
+	tally mass.Tally
 	doc   mass.DocID
 	start flex.Key
 	vars  map[string][]flex.Key
@@ -1156,11 +1172,12 @@ func (s *stepExec) bindContext(ctx flex.Key) {
 	s.env.axisBinds[s.op.Axis]++
 	s.state = Fetching
 	s.scanner.SetLimiter(s.env.lim)
+	s.scanner.SetTally(&s.env.tally)
 	if s.op.Axis == mass.AxisNumRange {
-		s.scan = s.env.store.BindNumRange(&s.scanner, s.env.doc, ctx,
+		s.scan = s.env.view.BindNumRange(&s.scanner, s.env.doc, ctx,
 			s.op.NumLo, s.op.NumLoIncl, s.op.NumHi, s.op.NumHiIncl)
 	} else {
-		s.scan = s.env.store.BindScan(&s.scanner, s.env.doc, ctx, s.op.Axis, s.op.Test)
+		s.scan = s.env.view.BindScan(&s.scanner, s.env.doc, ctx, s.op.Axis, s.op.Test)
 	}
 	// Reuse the proximity-position buffer across context bindings;
 	// a non-leaf step binds one context per input tuple, so this

@@ -313,7 +313,7 @@ func TestStartContextBinding(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("cities from person145 = %d", len(res))
 	}
-	sv, _ := s.StringValue(d, res[0])
+	sv, _ := it.View().StringValue(d, res[0])
 	if sv != "Ottawa" {
 		t.Fatalf("city = %q", sv)
 	}

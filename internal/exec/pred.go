@@ -132,7 +132,7 @@ func (s *pathSide) values(candidate flex.Key) ([]string, bool, error) {
 	for {
 		n, err := s.sub.nextBatch(s.buf[:])
 		for _, k := range s.buf[:n] {
-			sv, serr := s.env.store.StringValue(s.env.doc, k)
+			sv, serr := s.env.view.StringValue(s.env.doc, k)
 			if serr != nil {
 				return nil, false, serr
 			}

@@ -57,7 +57,7 @@ func TestEstimatesBoundActuals(t *testing.T) {
 			} else {
 				opt.Cleanup(p)
 			}
-			est := &cost.Estimator{Store: s, Doc: d}
+			est := &cost.Estimator{Store: cost.NewMemoProbes(s), Doc: d}
 			if err := est.Estimate(p); err != nil {
 				t.Fatal(err)
 			}

@@ -260,20 +260,6 @@ func (l *Limiter) Err() error {
 	return l.err
 }
 
-// Check polls cancellation and the deadline immediately (not amortized).
-// Used at run boundaries; per-unit-of-work sites (tuple pulls, index
-// entries) use the amortized Tick instead, and the serving path's one
-// immediate poll per query is CheckContext, before the limiter exists.
-func (l *Limiter) Check() error {
-	if l == nil {
-		return nil
-	}
-	if l.err != nil {
-		return l.err
-	}
-	return l.checkNow()
-}
-
 func (l *Limiter) checkNow() error {
 	// ctx.Err() is an atomic load on the stdlib context kinds — much
 	// cheaper than a non-blocking receive on the Done channel, and this

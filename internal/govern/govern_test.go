@@ -13,9 +13,6 @@ func TestNilLimiterIsUngoverned(t *testing.T) {
 		t.Fatalf("New(Background, no limits) = %v, want nil", l)
 	}
 	// Every method must be a safe no-op on nil.
-	if err := l.Check(); err != nil {
-		t.Fatalf("nil.Check() = %v", err)
-	}
 	if err := l.Tick(); err != nil {
 		t.Fatalf("nil.Tick() = %v", err)
 	}
@@ -36,6 +33,17 @@ func TestNilLimiterIsUngoverned(t *testing.T) {
 	}
 }
 
+// poll ticks l through one check interval, in which Tick polls
+// cancellation and the deadline once, and returns the first error.
+func poll(l *Limiter) error {
+	for i := 0; i < checkInterval; i++ {
+		if err := l.Tick(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestNilContextTreatedAsBackground(t *testing.T) {
 	if l := New(nil, Limits{}); l != nil {
 		t.Fatalf("New(nil ctx, no limits) = %v, want nil", l)
@@ -44,8 +52,8 @@ func TestNilContextTreatedAsBackground(t *testing.T) {
 	if l == nil {
 		t.Fatal("New(nil ctx, budget) = nil, want limiter")
 	}
-	if err := l.Check(); err != nil {
-		t.Fatalf("Check() = %v", err)
+	if err := poll(l); err != nil {
+		t.Fatalf("poll() = %v", err)
 	}
 }
 
@@ -55,13 +63,13 @@ func TestCancellation(t *testing.T) {
 	if l == nil {
 		t.Fatal("cancelable ctx should produce a limiter")
 	}
-	if err := l.Check(); err != nil {
-		t.Fatalf("Check() before cancel = %v", err)
+	if err := poll(l); err != nil {
+		t.Fatalf("poll() before cancel = %v", err)
 	}
 	cancel()
-	err := l.Check()
+	err := poll(l)
 	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Check() after cancel = %v, want ErrCanceled", err)
+		t.Fatalf("poll() after cancel = %v, want ErrCanceled", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ErrCanceled should satisfy errors.Is(err, context.Canceled)")
@@ -71,7 +79,7 @@ func TestCancellation(t *testing.T) {
 		t.Fatalf("Err() = %v, want sticky ErrCanceled", err)
 	}
 	if err := l.AddResults(1); !errors.Is(err, ErrCanceled) {
-		// AddResults does not consult err first; but Tick/Check must.
+		// AddResults does not consult err first; but Tick must.
 		_ = err
 	}
 	// Tick's sticky-error check rides the amortized poll, so the recorded
@@ -108,9 +116,9 @@ func TestContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	l := New(ctx, Limits{})
-	err := l.Check()
+	err := poll(l)
 	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Check() past deadline = %v, want ErrDeadlineExceeded", err)
+		t.Fatalf("poll() past deadline = %v, want ErrDeadlineExceeded", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal("ErrDeadlineExceeded should satisfy errors.Is(err, context.DeadlineExceeded)")
@@ -124,8 +132,8 @@ func TestTimeoutBudget(t *testing.T) {
 		t.Fatal("Timeout budget should produce a limiter")
 	}
 	time.Sleep(time.Millisecond)
-	if err := l.Check(); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Check() past Timeout = %v, want ErrDeadlineExceeded", err)
+	if err := poll(l); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("poll() past Timeout = %v, want ErrDeadlineExceeded", err)
 	}
 }
 
@@ -134,14 +142,14 @@ func TestTimeoutTightensContextDeadline(t *testing.T) {
 	defer cancel()
 	l := New(ctx, Limits{Timeout: time.Nanosecond})
 	time.Sleep(time.Millisecond)
-	if err := l.Check(); !errors.Is(err, ErrDeadlineExceeded) {
+	if err := poll(l); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("tighter Timeout not honored: %v", err)
 	}
 	// And the looser Timeout must not loosen the context deadline.
 	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
 	l2 := New(ctx2, Limits{Timeout: time.Hour})
-	if err := l2.Check(); !errors.Is(err, ErrDeadlineExceeded) {
+	if err := poll(l2); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired ctx deadline not honored with loose Timeout: %v", err)
 	}
 }

@@ -45,7 +45,7 @@ func TestConcurrentReads(t *testing.T) {
 						return
 					}
 				default:
-					if _, err := s.TextCount(d, "Yung Flach", ""); err != nil {
+					if _, err := cur(s).TextCount(d, "Yung Flach", ""); err != nil {
 						errs <- err
 						return
 					}

@@ -61,39 +61,34 @@ func TestFileStoreResidencyBounded(t *testing.T) {
 	}
 }
 
-// TestCommitSnapshotReparsesOnlyChangedPages: after a commit, the
-// snapshot it installs decodes no more pages than the commit wrote —
-// every other page is the frame the previous snapshot already decoded.
+// TestCommitSnapshotReparsesOnlyChangedPages: after a commit, the view it
+// publishes decodes no more pages than the commit wrote — every other
+// page is the frame the previous view already decoded.
 func TestCommitSnapshotReparsesOnlyChangedPages(t *testing.T) {
 	s, d := reopenFileStore(t, xmark.GenerateString(xmark.Config{Factor: 0.01, Seed: 5}), 0)
-	drain := func(st *Store) (n int, misses uint64) {
-		before := st.Metrics().Index.CacheMisses
-		n = len(collect(t, st.AxisScan(d, flex.Root, AxisDescendant, wildcard)))
-		return n, st.Metrics().Index.CacheMisses - before
+	drain := func() (n int, misses uint64) {
+		v, err := s.Pin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Unpin()
+		var tl Tally
+		sc := v.AxisScan(d, flex.Root, AxisDescendant, wildcard)
+		sc.SetTally(&tl)
+		return len(collect(t, sc)), tl.Index.CacheMisses
 	}
-	sn1, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n1, cold := drain(sn1.Store())
-	sn1.Close()
+	n1, cold := drain()
 
 	writes := s.Metrics().Pager.Writes
-	u, err := s.BeginUpdate()
-	if err != nil {
+	if err := update(s, func(u *Update) error {
+		_, err := u.InsertElement(d, flex.Root.Child(flex.Ordinal(0)), -1, "extra")
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.InsertElement(d, flex.Root.Child(flex.Ordinal(0)), -1, "extra"); err != nil {
-		t.Fatal(err)
-	}
-	var sn2 *Snapshot
-	if _, err := u.CommitWith(func(sn *Snapshot) { sn2 = sn }); err != nil {
-		t.Fatal(err)
-	}
-	defer sn2.Close()
 	changed := s.Metrics().Pager.Writes - writes
-	n2, warm := drain(sn2.Store())
-	t.Logf("cold drain decoded %d pages; the commit wrote %d; the next snapshot's drain decoded %d", cold, changed, warm)
+	n2, warm := drain()
+	t.Logf("cold drain decoded %d pages; the commit wrote %d; the next view's drain decoded %d", cold, changed, warm)
 	if n2 != n1+1 {
 		t.Fatalf("second drain saw %d elements, want %d", n2, n1+1)
 	}
@@ -101,16 +96,17 @@ func TestCommitSnapshotReparsesOnlyChangedPages(t *testing.T) {
 		t.Fatalf("cold drain decoded %d pages, the commit wrote %d: too few to tell", cold, changed)
 	}
 	if warm > changed {
-		t.Errorf("the commit's snapshot decoded %d pages, more than the %d the commit changed", warm, changed)
+		t.Errorf("the commit's view decoded %d pages, more than the %d the commit changed", warm, changed)
 	}
 }
 
-// TestSnapshotReadersShareFrames runs snapshot readers against a
+// TestSnapshotReadersShareFrames runs readers of pinned views against a
 // committing writer — on a file store with a 16-page cache, whose
 // frames are evicted and reloaded under them, and in memory. Every
-// reader decodes into frames the writer's trees and the other snapshots
-// share, and each must still see exactly its own version: the snapshot
-// taken k commits after the load holds k extra elements. Run with -race.
+// reader decodes into frames the writer's trees and the other views
+// share, and each must still see exactly its own version: the view
+// published k commits after the load holds k extra elements. Run with
+// -race.
 func TestSnapshotReadersShareFrames(t *testing.T) {
 	src := xmark.GenerateString(xmark.Config{Factor: 0.002, Seed: 9})
 	for _, mode := range []string{"memory", "file"} {
@@ -124,7 +120,7 @@ func TestSnapshotReadersShareFrames(t *testing.T) {
 				s, d = reopenFileStore(t, src, 16)
 			}
 			base := len(collect(t, s.AxisScan(d, flex.Root, AxisDescendant, wildcard)))
-			gen0 := s.CommitGen()
+			version0 := cur(s).Version()
 			const commits, readers = 30, 3
 			var wg sync.WaitGroup
 			errs := make(chan error, readers+1)
@@ -157,12 +153,12 @@ func TestSnapshotReadersShareFrames(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 2*commits; i++ {
-						sn, err := s.Snapshot()
+						st, err := s.Pin()
 						if err != nil {
 							errs <- err
 							return
 						}
-						st, k := sn.Store(), int(sn.Gen()-gen0)
+						k := int(st.Version() - version0)
 						all, extra := 0, 0
 						keys, err := drainAll(st.AxisScan(d, flex.Root, AxisDescendant, wildcard))
 						for _, key := range keys {
@@ -175,7 +171,7 @@ func TestSnapshotReadersShareFrames(t *testing.T) {
 								extra++
 							}
 						}
-						sn.Close()
+						st.Unpin()
 						if err == nil && (all != base+k || extra != k) {
 							err = fmt.Errorf("snapshot %d commits in: %d elements, %d extra; want %d and %d", k, all, extra, base+k, k)
 						}

@@ -53,6 +53,10 @@ func openMem(t testing.TB) *Store {
 	return s
 }
 
+// cur is s's current view, unpinned: valid while s publishes nothing
+// new, which holds for a test's reads between its writes.
+func cur(s *Store) *View { return s.cur.Load() }
+
 // update runs fn in one Update transaction on s — the store's only
 // mutation path: committed when fn returns nil, rolled back (with fn's
 // error returned) otherwise.
@@ -79,12 +83,12 @@ func loadDoc(t testing.TB, s *Store, name, src string) DocID {
 }
 
 // collect drains a scan and fetches the node behind every key it
-// yielded with Store.Node.
+// yielded with View.Node.
 func collect(t *testing.T, sc *Scanner) []xmldoc.Node {
 	t.Helper()
 	var out []xmldoc.Node
 	for _, k := range drainKeys(t, sc) {
-		n, ok, err := sc.store.Node(sc.d, k)
+		n, ok, err := sc.view.Node(sc.d, k)
 		if err != nil || !ok {
 			t.Fatalf("scan yielded %q, which has no node (%v)", k, err)
 		}
@@ -129,7 +133,7 @@ func TestFailedLoadLeavesNoResidue(t *testing.T) {
 	if _, err := s.LoadDocument("bad", strings.NewReader("<a><b></a>")); err == nil {
 		t.Fatal("malformed load succeeded")
 	}
-	st, err := s.Stats()
+	st, err := cur(s).Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,16 +165,16 @@ func TestBasicCounts(t *testing.T) {
 			t.Errorf("CountName(%q) = %d, want %d", c.name, got, c.want)
 		}
 	}
-	if got, _ := s.CountAttrName(d, "open_auction"); got != 3 {
+	if got, _ := cur(s).CountAttrName(d, "open_auction"); got != 3 {
 		t.Errorf("CountAttrName(open_auction) = %d, want 3", got)
 	}
-	if got, _ := s.CountAttrName(d, "id"); got != 2 {
+	if got, _ := cur(s).CountAttrName(d, "id"); got != 2 {
 		t.Errorf("CountAttrName(id) = %d, want 2", got)
 	}
-	if got, _ := s.TextCount(d, "Yung Flach", ""); got != 1 {
+	if got, _ := cur(s).TextCount(d, "Yung Flach", ""); got != 1 {
 		t.Errorf("TextCount(Yung Flach) = %d, want 1", got)
 	}
-	if got, _ := s.TextCount(d, "nothing here", ""); got != 0 {
+	if got, _ := cur(s).TextCount(d, "nothing here", ""); got != 0 {
 		t.Errorf("TextCount(miss) = %d, want 0", got)
 	}
 }
@@ -185,20 +189,20 @@ func TestSubtreeCounts(t *testing.T) {
 		t.Fatalf("persons = %d", len(persons))
 	}
 	p1 := persons[0].Key
-	if got, _ := s.CountNameWithin(d, "street", p1); got != 1 {
+	if got, _ := cur(s).CountNameWithin(d, "street", p1); got != 1 {
 		t.Errorf("street within person1 = %d, want 1", got)
 	}
-	if got, _ := s.CountNameWithin(d, "watch", p1); got != 3 {
+	if got, _ := cur(s).CountNameWithin(d, "watch", p1); got != 3 {
 		t.Errorf("watch within person1 = %d, want 3", got)
 	}
 	p2 := persons[1].Key
-	if got, _ := s.CountNameWithin(d, "watch", p2); got != 0 {
+	if got, _ := cur(s).CountNameWithin(d, "watch", p2); got != 0 {
 		t.Errorf("watch within person2 = %d, want 0", got)
 	}
-	if got, _ := s.TextCount(d, "Ottawa", p2); got != 1 {
+	if got, _ := cur(s).TextCount(d, "Ottawa", p2); got != 1 {
 		t.Errorf("TextCount(Ottawa, person2) = %d, want 1", got)
 	}
-	if got, _ := s.TextCount(d, "Ottawa", p1); got != 0 {
+	if got, _ := cur(s).TextCount(d, "Ottawa", p1); got != 0 {
 		t.Errorf("TextCount(Ottawa, person1) = %d, want 0", got)
 	}
 }
@@ -210,7 +214,7 @@ func TestDatabaseWideCounts(t *testing.T) {
 	if got, _ := s.CountName(0, "person"); got != 4 {
 		t.Errorf("db-wide person count = %d, want 4", got)
 	}
-	if got, _ := s.TextCount(0, "Yung Flach", ""); got != 2 {
+	if got, _ := cur(s).TextCount(0, "Yung Flach", ""); got != 2 {
 		t.Errorf("db-wide TC = %d, want 2", got)
 	}
 }
@@ -254,7 +258,7 @@ func TestLongValueTruncation(t *testing.T) {
 	src := fmt.Sprintf("<a><b>%s</b><c>%s</c></a>", long1, long2)
 	d := loadDoc(t, s, "long", src)
 	// Both share the first 256 bytes, so TC is an upper bound...
-	tc, _ := s.TextCount(d, long1, "")
+	tc, _ := cur(s).TextCount(d, long1, "")
 	if tc != 2 {
 		t.Fatalf("truncated TC = %d, want 2 (upper bound)", tc)
 	}
@@ -269,7 +273,7 @@ func TestStringValue(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "person", personXML)
 	persons := collect(t, s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestName, Name: "name"}))
-	sv, err := s.StringValue(d, persons[0].Key)
+	sv, err := cur(s).StringValue(d, persons[0].Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +282,7 @@ func TestStringValue(t *testing.T) {
 	}
 	// Element with nested text.
 	addr := collect(t, s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestName, Name: "address"}))
-	sv, _ = s.StringValue(d, addr[1].Key)
+	sv, _ = cur(s).StringValue(d, addr[1].Key)
 	want := "1 Curie PlaceOttawaCanada99"
 	if sv != want {
 		t.Fatalf("StringValue(address2) = %q, want %q", sv, want)
@@ -528,7 +532,7 @@ func TestCountsMatchScans(t *testing.T) {
 		if ctxNode.Name == "alpha" {
 			scanned++ // CountNameWithin covers descendant-or-self
 		}
-		got, err := s.CountNameWithin(d, "alpha", ctxNode.Key)
+		got, err := cur(s).CountNameWithin(d, "alpha", ctxNode.Key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,7 +547,7 @@ func TestCountsMatchScans(t *testing.T) {
 			wantElems++
 		}
 	}
-	if got, _ := s.CountElements(d, ""); int(got) != wantElems {
+	if got, _ := cur(s).CountElements(d, ""); int(got) != wantElems {
 		t.Errorf("CountElements = %d, want %d", got, wantElems)
 	}
 }
@@ -551,15 +555,15 @@ func TestCountsMatchScans(t *testing.T) {
 func TestTestCountDispatch(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "person", personXML)
-	if got, _ := s.TestCount(d, NodeTest{Type: TestName, Name: "watch"}, ""); got != 3 {
+	if got, _ := cur(s).TestCount(d, NodeTest{Type: TestName, Name: "watch"}, ""); got != 3 {
 		t.Errorf("TestCount(watch) = %d", got)
 	}
-	elems, _ := s.CountElements(d, "")
-	if got, _ := s.TestCount(d, NodeTest{Type: TestWildcard}, ""); got != elems {
+	elems, _ := cur(s).CountElements(d, "")
+	if got, _ := cur(s).TestCount(d, NodeTest{Type: TestWildcard}, ""); got != elems {
 		t.Errorf("TestCount(*) = %d, want %d", got, elems)
 	}
-	texts, _ := s.CountTexts(d, "")
-	if got, _ := s.TestCount(d, NodeTest{Type: TestText}, ""); got != texts {
+	texts, _ := cur(s).CountTexts(d, "")
+	if got, _ := cur(s).TestCount(d, NodeTest{Type: TestText}, ""); got != texts {
 		t.Errorf("TestCount(text()) = %d, want %d", got, texts)
 	}
 }
@@ -623,7 +627,7 @@ func TestDocumentsSorted(t *testing.T) {
 	s := openMem(t)
 	loadDoc(t, s, "b", "<x/>")
 	loadDoc(t, s, "a", "<x/>")
-	docs := s.Documents()
+	docs := cur(s).Documents()
 	sort.Strings(docs)
 	if len(docs) != 2 || docs[0] != "a" || docs[1] != "b" {
 		t.Fatalf("Documents = %v", docs)

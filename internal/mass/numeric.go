@@ -119,10 +119,31 @@ func (s *Store) deleteNumericEntries(kind xmldoc.Kind, d DocID, k flex.Key, v st
 
 // NumericRangeCount returns the number of text nodes in d whose numeric
 // value lies in the given range (bounds per loIncl/hiIncl; use -Inf/+Inf
-// for open ends). One counted-index probe.
-func (s *Store) NumericRangeCount(d DocID, lo float64, loIncl bool, hi float64, hiIncl bool) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// for open ends). It is exact: it walks the range's entries, whose
+// bounds enclose other documents' values, and keeps d's.
+func (v *View) NumericRangeCount(d DocID, lo float64, loIncl bool, hi float64, hiIncl bool) (uint64, error) {
 	lob, hib := numRange(nil, nil, numTagText, d, lo, loIncl, hi, hiIncl)
-	return s.values.Count(lob, hib)
+	c := cursorOn(v.values)
+	var n uint64
+	if c.Seek(lob) {
+		c.ScanBatch(hib, false, func(k, _ []byte) bool {
+			if DocID(binary.BigEndian.Uint32(k[numKeyDoc:])) == d {
+				n++
+			}
+			return true
+		})
+	}
+	v.addCursor(&c)
+	return n, c.Err()
+}
+
+// NumericRangeBound is the cost model's form of NumericRangeCount: one
+// counted-index probe, O(log n). It is an upper bound — it also counts
+// other documents' values strictly inside the bounds — which is the
+// direction the cost model's output estimates need.
+func (v *View) NumericRangeBound(d DocID, lo float64, loIncl bool, hi float64, hiIncl bool) (uint64, error) {
+	lob, hib := numRange(nil, nil, numTagText, d, lo, loIncl, hi, hiIncl)
+	c := cursorOn(v.values)
+	defer v.addCursor(&c)
+	return c.Count(lob, hib)
 }

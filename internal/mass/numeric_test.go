@@ -67,7 +67,7 @@ func TestNumericRangeCountAndScan(t *testing.T) {
 	// [0,10): 5 and 7 only — fix expectation.
 	cases[3].want = 2
 	for _, c := range cases {
-		got, err := s.NumericRangeCount(d, c.lo, c.loIncl, c.hi, c.hiIncl)
+		got, err := cur(s).NumericRangeCount(d, c.lo, c.loIncl, c.hi, c.hiIncl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestNumericRangeCountAndScan(t *testing.T) {
 	}
 	// The scan yields the text nodes in range; their values come from Store.Node.
 	var got []string
-	for _, n := range collect(t, s.BindNumRange(new(Scanner), d, "", 10, false, math.Inf(1), true)) {
+	for _, n := range collect(t, cur(s).BindNumRange(new(Scanner), d, "", 10, false, math.Inf(1), true)) {
 		got = append(got, n.Value)
 	}
 	sort.Strings(got)
@@ -91,7 +91,7 @@ func TestNumericRangeCountAndScan(t *testing.T) {
 func TestNumericIndexMaintainedUnderUpdates(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "doc", `<r><x>50</x></r>`)
-	if n, _ := s.NumericRangeCount(d, 0, true, 100, true); n != 1 {
+	if n, _ := cur(s).NumericRangeCount(d, 0, true, 100, true); n != 1 {
 		t.Fatal("setup failed")
 	}
 	texts := collect(t, s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestText}))
@@ -99,17 +99,17 @@ func TestNumericIndexMaintainedUnderUpdates(t *testing.T) {
 	if err := update(s, func(u *Update) error { return u.UpdateText(d, texts[0].Key, "500") }); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.NumericRangeCount(d, 0, true, 100, true); n != 0 {
+	if n, _ := cur(s).NumericRangeCount(d, 0, true, 100, true); n != 0 {
 		t.Error("old numeric entry survived update")
 	}
-	if n, _ := s.NumericRangeCount(d, 400, true, 600, true); n != 1 {
+	if n, _ := cur(s).NumericRangeCount(d, 400, true, 600, true); n != 1 {
 		t.Error("new numeric entry missing")
 	}
 	// Numeric -> non-numeric.
 	if err := update(s, func(u *Update) error { return u.UpdateText(d, texts[0].Key, "n/a") }); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.NumericRangeCount(d, math.Inf(-1), true, math.Inf(1), true); n != 0 {
+	if n, _ := cur(s).NumericRangeCount(d, math.Inf(-1), true, math.Inf(1), true); n != 0 {
 		t.Error("numeric entry survived non-numeric update")
 	}
 	// Insert + delete.
@@ -118,13 +118,13 @@ func TestNumericIndexMaintainedUnderUpdates(t *testing.T) {
 	if err := update(s, func(u *Update) (err error) { k, err = u.InsertText(d, r, -1, "77"); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.NumericRangeCount(d, 77, true, 77, true); n != 1 {
+	if n, _ := cur(s).NumericRangeCount(d, 77, true, 77, true); n != 1 {
 		t.Error("inserted numeric text not indexed")
 	}
 	if err := update(s, func(u *Update) error { return u.DeleteSubtree(d, k) }); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.NumericRangeCount(d, 77, true, 77, true); n != 0 {
+	if n, _ := cur(s).NumericRangeCount(d, 77, true, 77, true); n != 0 {
 		t.Error("deleted numeric text still indexed")
 	}
 }
@@ -159,13 +159,42 @@ func TestNumericRangeAgainstBruteForce(t *testing.T) {
 				want++
 			}
 		}
-		got, err := s.NumericRangeCount(d, lo, loIncl, hi, hiIncl)
+		got, err := cur(s).NumericRangeCount(d, lo, loIncl, hi, hiIncl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("trial %d: count(%g..%g, %v/%v) = %d, want %d",
 				trial, lo, hi, loIncl, hiIncl, got, want)
+		}
+	}
+}
+
+// TestNumericRangeCountOtherDocument: the numeric key is tag ++ value ++
+// doc ++ key, so a range's bounds enclose every document's values
+// between them. The public count is exact per document; the cost
+// model's counted probe is the documented upper bound.
+func TestNumericRangeCountOtherDocument(t *testing.T) {
+	s := openMem(t)
+	a := loadDoc(t, s, "a", `<r><v>1</v><v>9</v></r>`)
+	b := loadDoc(t, s, "b", `<r><v>5</v><v>6</v><v>7</v></r>`)
+	for _, c := range []struct {
+		d           DocID
+		lo, hi      float64
+		want, bound uint64
+	}{
+		{a, 0, 10, 2, 5},
+		{b, 0, 10, 3, 5},
+		{a, 2, 8, 0, 3},
+		{b, math.Inf(-1), math.Inf(1), 3, 5},
+	} {
+		got, err := cur(s).NumericRangeCount(c.d, c.lo, true, c.hi, true)
+		if err != nil || got != c.want {
+			t.Errorf("doc %d [%g, %g]: NumericRangeCount = %d, %v; want %d", c.d, c.lo, c.hi, got, err, c.want)
+		}
+		bound, err := cur(s).NumericRangeBound(c.d, c.lo, true, c.hi, true)
+		if err != nil || bound < got || bound != c.bound {
+			t.Errorf("doc %d [%g, %g]: NumericRangeBound = %d, %v; want %d, at least the count", c.d, c.lo, c.hi, bound, err, c.bound)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // (document order for forward axes, reverse document order for reverse
 // axes) through NextKeys. It is the unit of MASS's pipelined, index-based
 // access, and it yields keys only: a consumer that wants a node's content
-// fetches it with Store.Node.
+// fetches it with View.Node.
 //
 // Every axis is evaluated against the indexes; no in-memory tree is ever
 // built. Name and wildcard tests stream keys out of the names or elems
@@ -44,14 +44,14 @@ import (
 // the self, parent and ancestor axes are answered from the names/elems
 // indexes and FLEX-key arithmetic through that same cursor.
 //
-// A binding replaces the previous one. Scanners are not safe for
-// concurrent use; the Store's internal locking protects the underlying
-// trees, not the Scanner's own state. A Scanner that outlives a run must
-// be Released: it retains tree and node references that are only
-// meaningful — and only safe to keep alive — for the store version the
-// run read.
+// A Scanner is one reader's state on an immutable View: cursor, key
+// scratch and counters. A pull takes no lock. A binding replaces the
+// previous one, and Scanners are not safe for concurrent use. A Scanner
+// that outlives a run must be Released: it retains tree and node
+// references that are only meaningful — and only safe to keep alive —
+// for the view the run read.
 type Scanner struct {
-	store *Store
+	view  *View
 	d     DocID
 	test  NodeTest
 	ctx   flex.Key
@@ -99,11 +99,10 @@ type Scanner struct {
 	// that depth and whether the names index held it. Consecutive contexts
 	// share all but their nearest ancestors, so a walk re-probes only the
 	// depths where its chain departs from the previous one. Entries are
-	// valid for one (store, its mutation generation ancGen, document,
-	// test) — a bind drops them when any of these changes.
+	// valid for one (view, document, test) — a bind drops them when any of
+	// these changes.
 	ancKeys []flex.Key
 	ancHit  []bool
-	ancGen  uint64
 	// ctxKind is the node kind every context bound to this scanner is
 	// known to have (ctxKindKnown), told by the executor from the
 	// producing step's axis and node test. It spares the sibling axes and
@@ -115,11 +114,14 @@ type Scanner struct {
 	// hot loops tick it for amortized cancellation, record reads charge
 	// it, and a bind installs it on the cursor for page accounting.
 	lim *govern.Limiter
+	// tally is where the scan counts its work (nil: not counted): its
+	// owner's, which adds it to the store's totals once, when it finishes.
+	tally *Tally
 
 	// keyBuf/keyLens batch one pull's keys that come from index entries:
-	// their bytes accumulate in keyBuf under the store lock, and one
-	// string conversion per pull backs every such key as a substring,
-	// instead of one allocation per key.
+	// their bytes accumulate in keyBuf, and one string conversion per pull
+	// backs every such key as a substring, instead of one allocation per
+	// key.
 	keyBuf  []byte
 	keyLens []int
 }
@@ -130,6 +132,10 @@ type Scanner struct {
 // setting nil for ungoverned runs).
 func (sc *Scanner) SetLimiter(l *govern.Limiter) { sc.lim = l }
 
+// SetTally points the scanner's counters at t (nil: not counted). Like
+// the limiter, every owner of a pooled Scanner sets it for each run.
+func (sc *Scanner) SetTally(t *Tally) { sc.tally = t }
+
 // SetContextKind tells the scanner what kind of node its contexts are,
 // when the caller knows (known = false withdraws the hint). Like the
 // limiter it applies from the next bind on and must be set by every
@@ -139,12 +145,13 @@ func (sc *Scanner) SetContextKind(k xmldoc.Kind, known bool) {
 }
 
 // Release drops everything the scanner retains from its bindings that
-// refers to a store version: the cursor's tree and leaf, the store, the
-// ancestor stack and the limiter. Buffers are kept. The next bind starts
-// from a root descent.
+// refers to a view or a run: the cursor's tree and leaf, the view, the
+// ancestor stack, the limiter and the tally. Buffers are kept. The next
+// bind starts from a root descent.
 func (sc *Scanner) Release() {
 	sc.cur.Reset(nil)
-	sc.store, sc.tree, sc.lim = nil, nil, nil
+	sc.SetTally(nil)
+	sc.view, sc.tree, sc.lim = nil, nil, nil
 	sc.ctx, sc.walkKey, sc.skipAnc = "", "", ""
 	clear(sc.ancKeys)
 	sc.ancKeys, sc.ancHit = sc.ancKeys[:0], sc.ancHit[:0]
@@ -179,16 +186,16 @@ const (
 // within document d. Callers that open many scans of the same step (one
 // per context tuple) should hold a Scanner and rebind it with BindScan
 // instead.
-func (s *Store) AxisScan(d DocID, ctx flex.Key, axis Axis, test NodeTest) *Scanner {
-	return s.BindScan(new(Scanner), d, ctx, axis, test)
+func (v *View) AxisScan(d DocID, ctx flex.Key, axis Axis, test NodeTest) *Scanner {
+	return v.BindScan(new(Scanner), d, ctx, axis, test)
 }
 
 // BindScan points sc at axis::test from context node ctx within document
 // d and returns it. Binding reuses sc's cursor and key buffers, so
 // repeated bindings (one per context tuple) allocate nothing after the
 // first.
-func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test NodeTest) *Scanner {
-	sc.bind(s, d, ctx, test)
+func (v *View) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test NodeTest) *Scanner {
+	sc.bind(v, d, ctx, test)
 	ctx = sc.ctx
 	switch axis {
 	case AxisSelf:
@@ -226,7 +233,7 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 		sc.shape = shapeAttribute
 		sc.lo = append(appendClusteredKey(sc.lo[:0], d, ctx), flex.Sep)
 		sc.hi = append(appendClusteredKey(sc.hi[:0], d, ctx), flex.SubtreeSentinel)
-		sc.cur.Reset(s.clustered)
+		sc.cur.Reset(v.clustered)
 	case AxisNamespace:
 		sc.bindNamespaces()
 	case AxisValue:
@@ -239,6 +246,7 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 	// Re-targeting the cursor clears its limiter, so the query's limiter is
 	// re-installed here, after the shape is chosen.
 	sc.cur.SetLimiter(sc.lim)
+	sc.tally.fold(&sc.cur)
 	return sc
 }
 
@@ -246,24 +254,24 @@ func (s *Store) BindScan(sc *Scanner, d DocID, ctx flex.Key, axis Axis, test Nod
 // d within ctx's subtree whose number() lies in the range (bounds per
 // loIncl/hiIncl; ±Inf for open ends), ordered by numeric value. This
 // backs the optimizer's range-predicate rewrite.
-func (s *Store) BindNumRange(sc *Scanner, d DocID, ctx flex.Key, lo float64, loIncl bool, hi float64, hiIncl bool) *Scanner {
-	sc.bind(s, d, ctx, NodeTest{Type: TestText})
+func (v *View) BindNumRange(sc *Scanner, d DocID, ctx flex.Key, lo float64, loIncl bool, hi float64, hiIncl bool) *Scanner {
+	sc.bind(v, d, ctx, NodeTest{Type: TestText})
 	sc.lo, sc.hi = numRange(sc.lo[:0], sc.hi[:0], numTagText, d, lo, loIncl, hi, hiIncl)
-	sc.shape, sc.tree, sc.kind, sc.needsValue = shapeRange, s.values, acceptNum, false
-	sc.cur.Reset(s.values)
+	sc.shape, sc.tree, sc.kind, sc.needsValue = shapeRange, v.values, acceptNum, false
+	sc.cur.Reset(v.values)
 	sc.cur.SetLimiter(sc.lim)
 	return sc
 }
 
 // bind resets the per-binding state every shape starts from.
-func (sc *Scanner) bind(s *Store, d DocID, ctx flex.Key, test NodeTest) {
+func (sc *Scanner) bind(v *View, d DocID, ctx flex.Key, test NodeTest) {
 	if ctx == "" {
 		ctx = flex.Root
 	}
-	if len(sc.ancKeys) > 0 && (sc.store != s || sc.d != d || sc.test != test || sc.ancGen != s.gen.Load()) {
+	if len(sc.ancKeys) > 0 && (sc.view != v || sc.d != d || sc.test != test) {
 		sc.ancKeys, sc.ancHit = sc.ancKeys[:0], sc.ancHit[:0]
 	}
-	sc.store, sc.d, sc.test, sc.ctx = s, d, test, ctx
+	sc.view, sc.d, sc.test, sc.ctx = v, d, test, ctx
 	sc.err, sc.done, sc.started, sc.selfFirst = nil, false, false, false
 	sc.reverse, sc.depth, sc.skipAnc = false, 0, ""
 }
@@ -287,9 +295,9 @@ func (sc *Scanner) bindWalk(start flex.Key, steps int) {
 	sc.walkStop = max(sc.walkDepth-steps, 0)
 	switch sc.test.Type {
 	case TestName:
-		sc.cur.Reset(sc.store.names)
+		sc.cur.Reset(sc.view.names)
 	case TestWildcard:
-		sc.cur.Reset(sc.store.elems)
+		sc.cur.Reset(sc.view.elems)
 	default:
 		return
 	}
@@ -302,19 +310,19 @@ func (sc *Scanner) bindWalk(start flex.Key, steps int) {
 // (a 0 extension byte appends nothing), picking the narrowest index for
 // the node test.
 func (sc *Scanner) setRange(klo flex.Key, loExt byte, khi flex.Key, hiExt byte) {
-	s := sc.store
+	v := sc.view
 	switch sc.test.Type {
 	case TestName:
-		sc.tree, sc.kind = s.names, acceptName
+		sc.tree, sc.kind = v.names, acceptName
 		sc.lo = appendNameKey(sc.lo[:0], sc.test.Name, sc.d, klo)
 		sc.hi = appendNameKey(sc.hi[:0], sc.test.Name, sc.d, khi)
 	case TestWildcard, TestText:
-		sc.tree, sc.kind = s.elems, acceptKey
+		sc.tree, sc.kind = v.elems, acceptKey
 		if sc.test.Type == TestText {
-			sc.tree = s.texts
+			sc.tree = v.texts
 		}
 	default: // node(), comment(), processing-instruction()
-		sc.tree, sc.kind = s.clustered, acceptNode
+		sc.tree, sc.kind = v.clustered, acceptNode
 	}
 	if sc.kind != acceptName {
 		sc.lo = appendClusteredKey(sc.lo[:0], sc.d, klo)
@@ -337,7 +345,7 @@ func (sc *Scanner) setValueRange(tag byte) {
 	_, sc.truncated = indexedValue(sc.test.Name)
 	sc.lo = appendValueKey(sc.lo[:0], tag, sc.test.Name, sc.d, sc.ctx)
 	sc.hi = append(appendValueKey(sc.hi[:0], tag, sc.test.Name, sc.d, sc.ctx), flex.SubtreeSentinel)
-	sc.tree, sc.kind, sc.needsValue = sc.store.values, acceptValue, true
+	sc.tree, sc.kind, sc.needsValue = sc.view.values, acceptValue, true
 	sc.cur.Reset(sc.tree)
 	sc.shape = shapeRange
 }
@@ -355,7 +363,7 @@ func (sc *Scanner) setSkip(klo flex.Key, loExt byte, khi flex.Key, hiExt byte) {
 	if hiExt != 0 {
 		sc.hi = append(sc.hi, hiExt)
 	}
-	sc.cur.Reset(sc.store.clustered)
+	sc.cur.Reset(sc.view.clustered)
 	sc.shape = shapeSkip
 }
 
@@ -390,7 +398,7 @@ func (sc *Scanner) bindPrecedingSibling(ctx flex.Key) {
 	sc.depth = ctx.Depth()
 	sc.lo = append(appendClusteredKey(sc.lo[:0], sc.d, parent), flex.Sep)
 	sc.hi = appendClusteredKey(sc.hi[:0], sc.d, ctx)
-	sc.cur.Reset(sc.store.clustered)
+	sc.cur.Reset(sc.view.clustered)
 }
 
 // ctxHasSiblings reports whether ctx can have siblings at all — the root
@@ -404,11 +412,8 @@ func (sc *Scanner) ctxHasSiblings(ctx, parent flex.Key) bool {
 	}
 	kind := sc.ctxKind
 	if !sc.ctxKindKnown {
-		s := sc.store
-		s.mu.Lock()
 		sc.probe = appendClusteredKey(sc.probe[:0], sc.d, ctx)
 		r, ok, err := sc.recordAt(sc.probe)
-		s.mu.Unlock()
 		if err == nil && !ok {
 			err = fmt.Errorf("mass: no node at %q", ctx)
 		}
@@ -431,10 +436,7 @@ func (sc *Scanner) ctxHasSiblings(ctx, parent flex.Key) bool {
 // with the attributes, first under their element.
 func (sc *Scanner) bindNamespaces() {
 	sc.shape, sc.keys, sc.keyPos = shapeKeys, sc.keys[:0], 0
-	s := sc.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sc.cur.Reset(s.clustered)
+	sc.cur.Reset(sc.view.clustered)
 	sc.cur.SetLimiter(sc.lim)
 	var seen map[string]bool
 	for k := sc.ctx; k != ""; k = k.Parent() {
@@ -471,19 +473,16 @@ func (sc *Scanner) bindNamespaces() {
 // NextKeys fills dst with the FLEX keys of the scan's next nodes and
 // returns how many it produced: len(dst), unless the scan is exhausted or
 // failed first (a short count means exhausted-or-error; once drained,
-// further calls return 0). One call holds the store lock once, however
-// many index entries and records it visits; forward ranges advance the
-// B+-tree cursor in bulk. The keys preceding a failure are valid and are
-// delivered along with the error.
+// further calls return 0). A pull takes no lock: it reads an immutable
+// view, and forward ranges advance the B+-tree cursor in bulk. The keys
+// preceding a failure are valid and are delivered along with the error.
 func (sc *Scanner) NextKeys(dst []flex.Key) (int, error) {
 	if sc.done || len(dst) == 0 {
 		return 0, sc.err
 	}
-	s := sc.store
-	s.mu.Lock()
 	sc.keyBuf, sc.keyLens = sc.keyBuf[:0], sc.keyLens[:0]
 	n, err := sc.fill(dst)
-	s.mu.Unlock()
+	sc.tally.fold(&sc.cur)
 	if len(sc.keyLens) > 0 {
 		// Keys copied out of index entries always follow the keys a walk
 		// stored directly, so they are the last len(keyLens) of the pull.
@@ -500,7 +499,7 @@ func (sc *Scanner) NextKeys(dst []flex.Key) (int, error) {
 	return n, err
 }
 
-// fill dispatches one pull to the bound shape, with the store lock held.
+// fill dispatches one pull to the bound shape.
 // Every shape fills dst until it is full or the shape is exhausted, so a
 // short count ends the scan.
 func (sc *Scanner) fill(dst []flex.Key) (int, error) {
@@ -549,7 +548,9 @@ func (sc *Scanner) charge() error {
 	if err := sc.lim.AddRecords(1); err != nil {
 		return err
 	}
-	sc.store.recordsDecoded++
+	if sc.tally != nil {
+		sc.tally.RecordsDecoded++
+	}
 	return nil
 }
 
@@ -562,15 +563,17 @@ func (sc *Scanner) readRecord(v []byte) (record, error) {
 }
 
 // recordAt reads the record stored under clustered key ck, charged. The
-// record's name and value are tree-owned views, valid under the store
-// lock.
+// record's name and value are views of the page image, which never
+// changes.
 func (sc *Scanner) recordAt(ck []byte) (record, bool, error) {
 	if err := sc.charge(); err != nil {
 		return record{}, false, err
 	}
 	var r record
 	var perr error
-	ok, err := sc.store.clustered.View(ck, func(v []byte) { r, perr = parseRecord(v) })
+	c := cursorOn(sc.view.clustered)
+	ok, err := c.Lookup(ck, func(v []byte) { r, perr = parseRecord(v) })
+	sc.tally.fold(&c)
 	if err == nil {
 		err = perr
 	}
@@ -635,8 +638,7 @@ func (sc *Scanner) walkMatches(k flex.Key, depth int) (bool, error) {
 
 // elementAt reports whether the node at k is an element that passes the
 // bound name or wildcard test, by probing the names (or elems) index for
-// exactly k through the positioned cursor. No record is read. Runs with
-// the store lock held.
+// exactly k through the positioned cursor. No record is read.
 func (sc *Scanner) elementAt(k flex.Key) (bool, error) {
 	if sc.test.Type == TestName {
 		sc.probe = appendNameKey(sc.probe[:0], sc.test.Name, sc.d, k)
@@ -659,9 +661,6 @@ func (sc *Scanner) nameAt(k flex.Key, depth int) (bool, error) {
 	hit, err := sc.elementAt(k)
 	if err != nil {
 		return false, err
-	}
-	if len(sc.ancKeys) == 0 {
-		sc.ancGen = sc.store.gen.Load()
 	}
 	for len(sc.ancKeys) <= depth {
 		sc.ancKeys, sc.ancHit = append(sc.ancKeys, ""), append(sc.ancHit, false)
@@ -766,8 +765,8 @@ func (sc *Scanner) scanReverse(dst []flex.Key) (int, error) {
 const numKeyDoc = 1 + 8
 
 // accept filters one range entry, returning the FLEX-key bytes of the
-// node it stands for, or nil when the entry is rejected. It runs with the
-// store lock held; k, v and the returned view are tree-owned.
+// node it stands for, or nil when the entry is rejected. k, v and the
+// returned view are tree-owned.
 func (sc *Scanner) accept(k, v []byte) ([]byte, error) {
 	var kb []byte
 	switch sc.kind {

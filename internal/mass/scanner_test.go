@@ -85,7 +85,7 @@ func TestReboundScannerAgainstOracle(t *testing.T) {
 					var sc Scanner
 					for _, cn := range ctxs {
 						sc.SetContextKind(cn.Kind, hinted)
-						got := drainKeys(t, s.BindScan(&sc, d, cn.Key, ax, nt))
+						got := drainKeys(t, cur(s).BindScan(&sc, d, cn.Key, ax, nt))
 						want := keysOf(ref.axis(cn.Key, ax, nt))
 						if !equalKeys(got, want) {
 							t.Fatalf("%s order, hinted=%v: axis %s::%s from %q (%s %s):\n got  %v\n want %v",
@@ -111,13 +111,14 @@ func TestIndexOnlyAxesDecodeNothing(t *testing.T) {
 	d := loadDoc(t, s, "rand", src)
 
 	run := func(ax Axis, nt NodeTest, hinted bool) uint64 {
-		before := s.Metrics().RecordsDecoded
+		var tl Tally
 		var sc Scanner
+		sc.SetTally(&tl)
 		for _, cn := range ref.nodes {
 			sc.SetContextKind(cn.Kind, hinted)
-			drainKeys(t, s.BindScan(&sc, d, cn.Key, ax, nt))
+			drainKeys(t, cur(s).BindScan(&sc, d, cn.Key, ax, nt))
 		}
-		return s.Metrics().RecordsDecoded - before
+		return tl.RecordsDecoded
 	}
 	name, star := NodeTest{Type: TestName, Name: "alpha"}, NodeTest{Type: TestWildcard}
 	for _, ax := range []Axis{AxisSelf, AxisParent, AxisAncestor, AxisAncestorOrSelf} {
@@ -149,7 +150,7 @@ func TestIndexOnlyAxesDecodeNothing(t *testing.T) {
 
 // TestKindProbeIsCharged is the governance half of the sibling-axis kind
 // probe: it is a record fetch, so the query's limiter must see exactly what
-// the store's records-decoded counter sees, and its budget must be able to
+// the scan's records-decoded tally sees, and its budget must be able to
 // stop the scan.
 func TestKindProbeIsCharged(t *testing.T) {
 	s := openMem(t)
@@ -160,23 +161,24 @@ func TestKindProbeIsCharged(t *testing.T) {
 	}
 	lim := govern.NewAccounting(context.Background(), govern.Limits{})
 	defer govern.Release(lim)
-	before := s.Metrics().RecordsDecoded
+	var tl Tally
 	var sc Scanner
 	sc.SetLimiter(lim)
+	sc.SetTally(&tl)
 	for _, st := range streets {
-		drainKeys(t, s.BindScan(&sc, d, st.Key, AxisFollowingSibling, NodeTest{Type: TestNode}))
+		drainKeys(t, cur(s).BindScan(&sc, d, st.Key, AxisFollowingSibling, NodeTest{Type: TestNode}))
 	}
-	stored := s.Metrics().RecordsDecoded - before
+	stored := tl.RecordsDecoded
 	if stored == 0 || lim.DecodedRecords() != stored {
-		t.Errorf("limiter saw %d decoded records, the store counted %d: they must agree and be non-zero",
+		t.Errorf("limiter saw %d decoded records, the tally counted %d: they must agree and be non-zero",
 			lim.DecodedRecords(), stored)
 	}
 
 	tight := govern.New(context.Background(), govern.Limits{MaxDecodedRecords: 1})
 	defer govern.Release(tight)
 	sc.SetLimiter(tight)
-	s.BindScan(&sc, d, streets[0].Key, AxisFollowingSibling, NodeTest{Type: TestName, Name: "city"}) // kind probe: 1 record
-	scan := s.BindScan(&sc, d, streets[1].Key, AxisFollowingSibling, NodeTest{Type: TestName, Name: "city"})
+	cur(s).BindScan(&sc, d, streets[0].Key, AxisFollowingSibling, NodeTest{Type: TestName, Name: "city"}) // kind probe: 1 record
+	scan := cur(s).BindScan(&sc, d, streets[1].Key, AxisFollowingSibling, NodeTest{Type: TestName, Name: "city"})
 	_, err := scan.NextKeys(make([]flex.Key, 4))
 	var be *govern.BudgetError
 	if !errors.As(err, &be) || be.Budget != "decoded-records" || be.Used != 2 {
@@ -199,6 +201,10 @@ func TestCorruptRecordSurfaces(t *testing.T) {
 	if _, err := s.clustered.Put(clusteredKey(d, victim), []byte{byte(xmldoc.KindElement), 0x7f, 'x'}); err != nil {
 		t.Fatal(err)
 	}
+	s.changed = true
+	if err := s.publishLocked(); err != nil {
+		t.Fatal(err)
+	}
 	address := victim.Parent()
 	for name, sc := range map[string]*Scanner{
 		"descendant::node() (range filter)": s.AxisScan(d, flex.Root, AxisDescendant, NodeTest{Type: TestNode}),
@@ -217,9 +223,8 @@ func TestCorruptRecordSurfaces(t *testing.T) {
 }
 
 // TestScannerReleaseDropsPosition checks Release leaves nothing a pooled
-// scanner could carry into another store version: a released scanner
-// rebinds against a different store (here: a snapshot taken after an
-// insert) and answers from it.
+// scanner could carry into another view: a released scanner rebinds
+// against the view a rename published and answers from it.
 func TestScannerReleaseDropsPosition(t *testing.T) {
 	s := openMem(t)
 	d := loadDoc(t, s, "p", personXML)
@@ -228,13 +233,13 @@ func TestScannerReleaseDropsPosition(t *testing.T) {
 
 	var sc Scanner
 	for _, w := range watches {
-		if got := drainKeys(t, s.BindScan(&sc, d, w.Key, AxisAncestor, name)); len(got) != 1 {
+		if got := drainKeys(t, cur(s).BindScan(&sc, d, w.Key, AxisAncestor, name)); len(got) != 1 {
 			t.Fatalf("watch %q has %d person ancestors, want 1", w.Key, len(got))
 		}
 	}
 	sc.Release()
-	if sc.store != nil || sc.tree != nil || sc.lim != nil || len(sc.ancKeys) != 0 {
-		t.Errorf("Release left store=%v tree=%v lim=%v stack=%d", sc.store, sc.tree, sc.lim, len(sc.ancKeys))
+	if sc.view != nil || sc.tree != nil || sc.lim != nil || sc.tally != nil || len(sc.ancKeys) != 0 {
+		t.Errorf("Release left view=%v tree=%v lim=%v tally=%v stack=%d", sc.view, sc.tree, sc.lim, sc.tally, len(sc.ancKeys))
 	}
 
 	// Rename the person: the stack's remembered "is a person" for that
@@ -243,15 +248,15 @@ func TestScannerReleaseDropsPosition(t *testing.T) {
 	if err := update(s, func(u *Update) error { return u.RenameElement(d, person, "member") }); err != nil {
 		t.Fatal(err)
 	}
-	if got := drainKeys(t, s.BindScan(&sc, d, watches[0].Key, AxisAncestor, name)); len(got) != 0 {
+	if got := drainKeys(t, cur(s).BindScan(&sc, d, watches[0].Key, AxisAncestor, name)); len(got) != 0 {
 		t.Errorf("after the rename a released scanner still found person ancestors: %v", got)
 	}
-	// And without Release: the store generation moved, which BindScan
-	// observes by itself.
+	// And without Release: the commit published another view, which
+	// BindScan observes by itself.
 	if err := update(s, func(u *Update) error { return u.RenameElement(d, person, "person") }); err != nil {
 		t.Fatal(err)
 	}
-	if got := drainKeys(t, s.BindScan(&sc, d, watches[0].Key, AxisAncestor, name)); len(got) != 1 {
+	if got := drainKeys(t, cur(s).BindScan(&sc, d, watches[0].Key, AxisAncestor, name)); len(got) != 1 {
 		t.Errorf("after renaming back an unreleased scanner found %d person ancestors, want 1", len(got))
 	}
 }
@@ -349,7 +354,7 @@ func TestReboundValueShapesAgainstBruteForce(t *testing.T) {
 		shapes = append(shapes, shape{
 			name: "value::" + lit.label,
 			bind: func(sc *Scanner, ctx flex.Key) *Scanner {
-				return s.BindScan(sc, d, ctx, AxisValue, NodeTest{Name: lit.value})
+				return cur(s).BindScan(sc, d, ctx, AxisValue, NodeTest{Name: lit.value})
 			},
 			want: func(ctx flex.Key) []flex.Key {
 				return brute(ctx, func(n xmldoc.Node) bool { return n.Kind == xmldoc.KindText && n.Value == lit.value })
@@ -359,7 +364,7 @@ func TestReboundValueShapesAgainstBruteForce(t *testing.T) {
 			shapes = append(shapes, shape{
 				name: fmt.Sprintf("attr-value::%s (attribute %q)", lit.label, attr),
 				bind: func(sc *Scanner, ctx flex.Key) *Scanner {
-					return s.BindScan(sc, d, ctx, AxisAttrValue, NodeTest{Name: lit.value, Attr: attr})
+					return cur(s).BindScan(sc, d, ctx, AxisAttrValue, NodeTest{Name: lit.value, Attr: attr})
 				},
 				want: func(ctx flex.Key) []flex.Key {
 					return brute(ctx, func(n xmldoc.Node) bool {
@@ -381,7 +386,7 @@ func TestReboundValueShapesAgainstBruteForce(t *testing.T) {
 		shapes = append(shapes, shape{
 			name: fmt.Sprintf("num-range %v", r),
 			bind: func(sc *Scanner, ctx flex.Key) *Scanner {
-				return s.BindNumRange(sc, d, ctx, r.lo, r.loIncl, r.hi, r.hiIncl)
+				return cur(s).BindNumRange(sc, d, ctx, r.lo, r.loIncl, r.hi, r.hiIncl)
 			},
 			want: func(ctx flex.Key) []flex.Key {
 				// Numeric order, then document order among equal values.
@@ -406,7 +411,7 @@ func TestReboundValueShapesAgainstBruteForce(t *testing.T) {
 		shapes = append(shapes, shape{
 			name: "namespace::" + nt.String(),
 			bind: func(sc *Scanner, ctx flex.Key) *Scanner {
-				return s.BindScan(sc, d, ctx, AxisNamespace, nt)
+				return cur(s).BindScan(sc, d, ctx, AxisNamespace, nt)
 			},
 			want: func(ctx flex.Key) []flex.Key {
 				// Declarations on ctx or its nearest ancestor, one per

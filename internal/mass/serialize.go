@@ -14,24 +14,23 @@ import (
 // processing instructions round-trip; namespace declarations are emitted
 // as xmlns attributes. Serializing the document node emits the whole
 // document.
-func (s *Store) SerializeSubtree(d DocID, key flex.Key, w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	root, ok, err := s.nodeLocked(d, key)
+func (v *View) SerializeSubtree(d DocID, key flex.Key, w io.Writer) error {
+	ser := &serializer{v: v, d: d, w: w}
+	defer v.Add(&ser.t)
+	root, ok, err := nodeAt(v.clustered, &ser.t, d, key)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoNode, key)
 	}
-	ser := &serializer{s: s, d: d, w: w}
 	ser.node(root)
 	return ser.err
 }
 
 type serializer struct {
-	s   *Store
+	v   *View
+	t   Tally
 	d   DocID
 	w   io.Writer
 	err error
@@ -114,7 +113,8 @@ func (z *serializer) eachChild(key flex.Key, visit func(xmldoc.Node) bool) {
 	if z.err != nil {
 		return
 	}
-	c := z.s.clustered.NewCursor()
+	c := cursorOn(z.v.clustered)
+	defer z.t.fold(&c)
 	hi := clusteredKey(z.d, key.SubtreeUpper())
 	seek := clusteredKey(z.d, key.DescLower())
 	for {

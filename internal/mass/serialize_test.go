@@ -10,8 +10,13 @@ import (
 
 func serialize(t *testing.T, s *Store, d DocID, key flex.Key) string {
 	t.Helper()
+	return serializeView(t, cur(s), d, key)
+}
+
+func serializeView(t *testing.T, v *View, d DocID, key flex.Key) string {
+	t.Helper()
 	var b strings.Builder
-	if err := s.SerializeSubtree(d, key, &b); err != nil {
+	if err := v.SerializeSubtree(d, key, &b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

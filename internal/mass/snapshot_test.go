@@ -32,8 +32,8 @@ func loadSnapDoc(t *testing.T, s *Store, name string) DocID {
 	return d
 }
 
-// TestStoreSnapshotIsolation: a snapshot taken before a mutation keeps
-// serving the pre-mutation bytes; one taken after sees the mutation.
+// TestStoreSnapshotIsolation: a view pinned before a mutation keeps
+// serving the pre-mutation bytes; one pinned after sees the mutation.
 func TestStoreSnapshotIsolation(t *testing.T) {
 	for _, mode := range []string{"memory", "file"} {
 		t.Run(mode, func(t *testing.T) {
@@ -48,11 +48,11 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 			d := loadSnapDoc(t, s, "lib")
 			before := serialize(t, s, d, flex.Root)
 
-			sn1, err := s.Snapshot()
+			sn1, err := s.Pin()
 			if err != nil {
 				t.Fatalf("snapshot 1: %v", err)
 			}
-			defer sn1.Close()
+			defer sn1.Unpin()
 
 			// Mutate through the live store.
 			err = update(s, func(u *Update) error {
@@ -71,109 +71,87 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 				t.Fatal("mutation did not change the serialization")
 			}
 
-			sn2, err := s.Snapshot()
+			sn2, err := s.Pin()
 			if err != nil {
 				t.Fatalf("snapshot 2: %v", err)
 			}
-			defer sn2.Close()
+			defer sn2.Unpin()
 
-			if got := serialize(t, sn1.Store(), d, flex.Root); got != before {
+			if got := serializeView(t, sn1, d, flex.Root); got != before {
 				t.Fatalf("snapshot 1 drifted:\n got %q\nwant %q", got, before)
 			}
-			if got := serialize(t, sn2.Store(), d, flex.Root); got != after {
+			if got := serializeView(t, sn2, d, flex.Root); got != after {
 				t.Fatalf("snapshot 2 wrong:\n got %q\nwant %q", got, after)
 			}
 			// Re-reads are stable.
-			if got := serialize(t, sn1.Store(), d, flex.Root); got != before {
+			if got := serializeView(t, sn1, d, flex.Root); got != before {
 				t.Fatalf("snapshot 1 unstable on re-read")
 			}
 		})
 	}
 }
 
-// TestSnapshotReadOnly: every writer entry point on a snapshot store
-// fails typed.
-func TestSnapshotReadOnly(t *testing.T) {
-	s := openSnapStore(t, "")
-	d := loadSnapDoc(t, s, "lib")
-	sn, err := s.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	defer sn.Close()
-	ro := sn.Store()
-	if err := update(ro, func(u *Update) error { _, err := u.InsertElement(d, flex.Root, -1, "x"); return err }); !errors.Is(err, ErrReadOnlySnapshot) {
-		t.Fatalf("InsertElement: %v", err)
-	}
-	if err := update(ro, func(u *Update) error { return u.DeleteSubtree(d, flex.Root.Child(flex.Ordinal(0))) }); !errors.Is(err, ErrReadOnlySnapshot) {
-		t.Fatalf("DeleteSubtree: %v", err)
-	}
-	if _, err := ro.LoadDocument("other", strings.NewReader("<a/>")); !errors.Is(err, ErrReadOnlySnapshot) {
-		t.Fatalf("LoadDocument: %v", err)
-	}
-	if err := ro.DropDocument("lib"); !errors.Is(err, ErrReadOnlySnapshot) {
-		t.Fatalf("DropDocument: %v", err)
-	}
-	if err := ro.Flush(); !errors.Is(err, ErrReadOnlySnapshot) {
-		t.Fatalf("Flush: %v", err)
-	}
-	if _, err := ro.Snapshot(); err == nil {
-		t.Fatal("snapshot of a snapshot must fail")
-	}
-}
-
-// TestDropDocumentBusy: open snapshots and registered readers block
-// DropDocument with the typed error; after release it succeeds.
+// TestDropDocumentBusy: a pin on a view that holds the document — a
+// snapshot's or a stream's — blocks DropDocument with the typed error;
+// the store's own pin on its current view does not, and after release
+// the drop succeeds.
 func TestDropDocumentBusy(t *testing.T) {
 	s := openSnapStore(t, "")
-	d := loadSnapDoc(t, s, "lib")
+	loadSnapDoc(t, s, "lib")
+	other := loadSnapDoc(t, s, "other")
 
-	sn, err := s.Snapshot()
+	v, err := s.Pin()
 	if err != nil {
-		t.Fatalf("snapshot: %v", err)
+		t.Fatalf("pin: %v", err)
 	}
 	if err := s.DropDocument("lib"); !errors.Is(err, ErrDocumentBusy) {
-		t.Fatalf("drop with open snapshot: %v, want ErrDocumentBusy", err)
+		t.Fatalf("drop with a pinned view: %v, want ErrDocumentBusy", err)
 	}
-	sn.Close()
-
-	s.BeginRead(d)
-	if err := s.DropDocument("lib"); !errors.Is(err, ErrDocumentBusy) {
-		t.Fatalf("drop with reader: %v, want ErrDocumentBusy", err)
-	}
-	s.EndRead(d)
-
+	v.Unpin()
 	if err := s.DropDocument("lib"); err != nil {
 		t.Fatalf("drop after release: %v", err)
 	}
+	// A view pinned before a publication still holds the document.
+	old, _ := s.Pin()
+	if err := update(s, func(u *Update) error { return u.DeleteSubtree(other, flex.Root.Child(flex.Ordinal(0))) }); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	if err := s.DropDocument("other"); !errors.Is(err, ErrDocumentBusy) {
+		t.Fatalf("drop with a retired view pinned: %v, want ErrDocumentBusy", err)
+	}
+	old.Unpin()
+	if err := s.DropDocument("other"); err != nil {
+		t.Fatalf("drop after the retired view's release: %v", err)
+	}
 }
 
-// TestSnapshotRefsDeferRelease: closing a snapshot with a reader still
-// registered keeps the view pinned until EndRead.
+// TestSnapshotRefsDeferRelease: a view the store replaced stays readable
+// while any pin remains — a snapshot closed with a reader still in
+// flight keeps serving that reader its frozen state — and after the last
+// unpin it can no longer be pinned.
 func TestSnapshotRefsDeferRelease(t *testing.T) {
 	s := openSnapStore(t, "")
 	d := loadSnapDoc(t, s, "lib")
-	sn, err := s.Snapshot()
+	sn, err := s.Pin()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	before := serialize(t, sn.Store(), d, flex.Root)
+	before := serializeView(t, sn, d, flex.Root)
 
-	sn.Store().BeginRead(d) // iterator in flight
-	sn.Close()              // user handle closed first
-	if got := len(s.snaps); got != 1 {
-		t.Fatalf("snapshot released with reader in flight: open=%d", got)
+	reader, err := sn.Pin() // iterator in flight
+	if err != nil {
+		t.Fatalf("reader pin: %v", err)
 	}
-	// The reader can still stream the frozen state.
+	sn.Unpin() // user handle closed first
 	if err := update(s, func(u *Update) error { return u.DeleteSubtree(d, flex.Root.Child(flex.Ordinal(0))) }); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if got := serialize(t, sn.Store(), d, flex.Root); got != before {
+	if got := serializeView(t, reader, d, flex.Root); got != before {
 		t.Fatalf("frozen state drifted after close+mutation")
 	}
-	sn.Store().EndRead(d)
-	if got := len(s.snaps); got != 0 {
-		t.Fatalf("snapshot not released after last reader: open=%d", got)
+	reader.Unpin()
+	if _, err := reader.Pin(); !errors.Is(err, ErrReleased) {
+		t.Fatalf("pin after the last unpin: %v, want ErrReleased", err)
 	}
 }
 
@@ -277,7 +255,7 @@ func TestDocumentsSortedOrder(t *testing.T) {
 			t.Fatalf("load %s: %v", n, err)
 		}
 	}
-	got := s.Documents()
+	got := cur(s).Documents()
 	want := []string{"alpha", "beta", "mid", "zeta"}
 	if len(got) != len(want) {
 		t.Fatalf("Documents() = %v", got)

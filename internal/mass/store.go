@@ -9,10 +9,11 @@
 //   - O(log n) counting of axis- and value-based node sets without
 //     fetching any data — the statistics feed for VAMANA's cost model.
 //
-// A Store is safe for concurrent use; operations are serialized
-// internally. Scans hold cursor state and must not span mutations of the
-// store (load/update/delete); interleaving scans of the same store with
-// each other is fine.
+// A Store has one writer and any number of readers. Reads run on
+// immutable Views (view.go) and take no lock of this package; writers —
+// an Update transaction, a document load or drop, a flush — take the
+// store's writer lock in turn, and each publishes its result as the next
+// View.
 package mass
 
 import (
@@ -21,7 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,82 +33,42 @@ import (
 	"vamana/internal/xmldoc"
 )
 
-// Store is a MASS database: a set of indexed XML documents.
+// Store is a MASS database: a set of indexed XML documents. It is the
+// writer, plus the current View it last published.
 type Store struct {
-	// writer serializes writers — an Update holds it from Begin to
-	// Commit/Rollback; document loads, drops, flushes and snapshot
-	// creation hold it for their span — and is ordered strictly before
-	// mu: a goroutine may take mu while holding writer, never the
-	// reverse. Readers never touch it, so queries keep flowing while a
-	// writer works — they contend only on the short mu critical sections.
+	// writer serializes writers: an Update holds it from Begin to
+	// Commit/Rollback; document loads, drops and flushes hold it for
+	// their span. Readers never touch it. Everything below up to cur is
+	// the writer's, guarded by writer.
 	writer sync.Mutex
-	mu     sync.Mutex
 	pg     *pager.Pager
 
-	catalog   *btree.Tree // persistent metadata: tree roots, document registry
-	clustered *btree.Tree // docID ++ flexKey -> node record
-	names     *btree.Tree // element name index
-	attrs     *btree.Tree // attribute name index
-	elems     *btree.Tree // docID ++ flexKey -> element name (wildcard scans/counts)
-	texts     *btree.Tree // docID ++ flexKey -> nil (text() scans/counts)
-	values    *btree.Tree // value index over text nodes and attribute values
+	// The writer's trees: the last published version plus an open
+	// transaction's edits, which no reader sees until Commit publishes
+	// them.
+	catalog *btree.Tree // persistent metadata: tree roots, document registry
+	trees
 
 	docs    map[string]DocID
 	nextDoc DocID
-
 	// epochs tracks a per-document statistics epoch, bumped by every
-	// mutation of that document (load, insert, update, delete, drop).
-	// Consumers that cache document-derived state — compiled plans,
-	// memoized statistics probes — key their entries by epoch and treat a
-	// mismatch as an invalidation. Epochs are in-memory only: a reopened
-	// store starts at epoch 0 with empty caches, which is trivially
-	// consistent.
+	// mutation of that document (load, insert, update, delete, drop). A
+	// View carries the epochs of its version (View.Epoch).
 	epochs map[DocID]uint64
+	// changed records a mutation since the last publication.
+	changed bool
+	// wt is the writer's own read work, added to ctr at publication.
+	wt Tally
+	// views lists the published views that may still be pinned, the
+	// current one last; each publication drops the released ones.
+	// DropDocument counts their pins.
+	views []*View
 
-	// keyBuf is a scratch buffer for transient clustered-key lookups.
-	// Only valid under mu and only for keys not retained by the callee.
-	keyBuf []byte
-
-	// recordsDecoded and statProbes are plain counters guarded by mu:
-	// node records decoded from the clustered index, and statistics
-	// probes (COUNT/TC) executed against storage. Probes answered by the
-	// optimizer's memo never reach the store, so this is the memo-miss
-	// side of the probe split.
-	recordsDecoded uint64
-	statProbes     uint64
-
-	// Snapshot/transaction state — see snapshot.go and txn.go.
-	//
-	// gen counts mutations — every one, including those buffered inside
-	// an open transaction — and drives the publish short-circuit.
-	// commitGen counts changes to the *committed* state only:
-	// transaction commits advance it, and so do the changes made outside
-	// a transaction — document loads and drops; buffered transaction
-	// writes do not (inTxn, guarded by mu, tells the two apart).
-	// Lock-free reads of commitGen let DB.Query test whether a shared
-	// snapshot still equals the latest committed version — during an
-	// open transaction it does, however many writes the transaction has
-	// buffered. publishedGen/pubValid record the generation whose
-	// state was last published to the pager's committed layer.
-	gen          atomic.Uint64
-	commitGen    atomic.Uint64
-	inTxn        bool
-	publishedGen uint64
-	pubValid     bool
-
-	// ro marks a snapshot store: a frozen read-only clone whose trees
-	// read through an epoch-pinned pager view. snapOwner points back at
-	// the owning Snapshot so iterator pinning refcounts it.
-	ro        bool
-	snapOwner *Snapshot
-
-	// readers counts in-flight iterators per document on a live store;
-	// snaps holds its open snapshots. Both make DropDocument refuse with
-	// ErrDocumentBusy instead of deleting pages under a reader. retired
-	// sums the counters the stores of released snapshots accrued.
-	readers map[DocID]int
-	snaps   map[*Snapshot]struct{}
-	retired StoreMetrics
+	// cur is the current view: the latest committed version, holding one
+	// pin of the store's own. Readers load and pin it.
+	cur atomic.Pointer[View]
+	// ctr sums the work of finished reads and of the writer.
+	ctr counters
 
 	// syncMu serializes durable group commits; syncedEpoch is the newest
 	// pager version epoch known durable (both file-backed stores only).
@@ -125,39 +87,22 @@ type StoreMetrics struct {
 	StatProbes     uint64
 }
 
-// Metrics returns a snapshot of the store's storage counters. Reads
-// served by its snapshots count too: an open snapshot's so far, a
-// released one's in full.
+// Metrics returns a snapshot of the store's storage counters: the work
+// of every finished read, whatever view it ran on, and of every
+// publication's writer.
 func (s *Store) Metrics() StoreMetrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.ownMetricsLocked()
-	m.add(s.retired)
-	for sn := range s.snaps {
-		sn.st.mu.Lock()
-		m.add(sn.st.ownMetricsLocked())
-		sn.st.mu.Unlock()
+	c := &s.ctr
+	m := StoreMetrics{
+		Index: btree.Metrics{
+			CacheHits: c.hits.Value(), CacheMisses: c.misses.Value(), Seeks: c.seeks.Value(),
+			Counts: c.counts.Value(), Splits: c.splits.Value(),
+		},
+		RecordsDecoded: c.records.Value(),
+		StatProbes:     c.probes.Value(),
 	}
 	m.Pager = s.pg.Metrics()
 	m.Index.CacheEvictions = m.Pager.Evictions
 	return m
-}
-
-// ownMetricsLocked returns the counters s's own trees and record reads
-// accrued, without the pager's. Callers hold s.mu.
-func (s *Store) ownMetricsLocked() StoreMetrics {
-	m := StoreMetrics{RecordsDecoded: s.recordsDecoded, StatProbes: s.statProbes}
-	m.Index.Add(s.catalog.Metrics())
-	for _, slot := range s.treeNames() {
-		m.Index.Add((*slot).Metrics())
-	}
-	return m
-}
-
-func (m *StoreMetrics) add(o StoreMetrics) {
-	m.Index.Add(o.Index)
-	m.RecordsDecoded += o.RecordsDecoded
-	m.StatProbes += o.StatProbes
 }
 
 // Options configures a Store.
@@ -201,16 +146,18 @@ func Open(opts Options) (*Store, error) {
 		pg:      pg,
 		docs:    make(map[string]DocID),
 		epochs:  make(map[DocID]uint64),
-		readers: make(map[DocID]int),
-		snaps:   make(map[*Snapshot]struct{}),
 		nextDoc: 1,
 	}
 	meta := pg.UserMeta()
 	catalogRoot := pager.PageID(binary.LittleEndian.Uint32(meta[:4]))
 	if catalogRoot == pager.InvalidPage {
-		err = s.initTrees()
-	} else {
-		err = s.loadCatalog(catalogRoot)
+		if err = s.initTrees(); err == nil {
+			s.changed = true
+			err = s.publishLocked()
+		}
+	} else if err = s.loadCatalog(catalogRoot); err == nil {
+		// The catalog is the committed version: publish it as it is.
+		err = s.installLocked()
 	}
 	if err != nil {
 		pg.Close()
@@ -246,24 +193,13 @@ const (
 	catSeq  = "S" // next document id (u32)
 )
 
-func (s *Store) treeNames() map[string]**btree.Tree {
-	return map[string]**btree.Tree{
-		"clustered": &s.clustered,
-		"names":     &s.names,
-		"attrs":     &s.attrs,
-		"elems":     &s.elems,
-		"texts":     &s.texts,
-		"values":    &s.values,
-	}
-}
-
 func (s *Store) loadCatalog(root pager.PageID) error {
 	var err error
 	s.catalog, err = btree.Load(s.pg, root)
 	if err != nil {
 		return fmt.Errorf("mass: load catalog: %w", err)
 	}
-	for name, slot := range s.treeNames() {
+	for name, slot := range s.slots() {
 		v, ok, err := s.catalog.Get([]byte(catTree + name))
 		if err != nil {
 			return err
@@ -298,26 +234,21 @@ func (s *Store) loadCatalog(root pager.PageID) error {
 
 // Flush persists all index pages and the catalog.
 func (s *Store) Flush() error {
-	if s.ro {
-		return ErrReadOnlySnapshot
-	}
 	s.writer.Lock()
 	defer s.writer.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.flushLocked()
 }
 
 // publishLocked flushes every tree's dirty nodes to the pager, records
-// the tree roots in the catalog, and commits the batch as the next pager
-// version — the point at which the current state becomes visible to new
-// snapshots. Publication is cheap when nothing changed since the last
-// one, and durability is separate (flushLocked, SyncCommitted).
+// the tree roots in the catalog, commits the batch as the next pager
+// version, and publishes that version as the current View — the point
+// at which new readers see it. A no-op when nothing changed since the
+// last publication; durability is separate (flushLocked, SyncCommitted).
 func (s *Store) publishLocked() error {
-	if s.pubValid && s.gen.Load() == s.publishedGen {
+	if !s.changed {
 		return nil
 	}
-	for name, slot := range s.treeNames() {
+	for name, slot := range s.slots() {
 		t := *slot
 		if err := t.Flush(); err != nil {
 			return err
@@ -344,8 +275,31 @@ func (s *Store) publishLocked() error {
 	if err := s.pg.CommitVersion(); err != nil {
 		return err
 	}
-	s.publishedGen = s.gen.Load()
-	s.pubValid = true
+	return s.installLocked()
+}
+
+// installLocked publishes the pager's committed version, which the
+// writer's trees hold unedited, as the current View.
+func (s *Store) installLocked() error {
+	v := &View{st: s, pg: s.pg.PinView(), docs: maps.Clone(s.docs), epochs: maps.Clone(s.epochs)}
+	vs := v.slots()
+	for name, slot := range s.slots() {
+		t, err := btree.Load(v.pg, (*slot).Root())
+		if err != nil {
+			v.pg.Close()
+			return err
+		}
+		*vs[name] = t
+		s.wt.Index.Add((*slot).TakeMetrics())
+	}
+	s.wt.Index.Add(s.catalog.TakeMetrics())
+	s.ctr.add(&s.wt)
+	v.refs.Store(1) // the store's own pin, dropped when v is replaced
+	s.views = append(slices.DeleteFunc(s.views, func(o *View) bool { return o.refs.Load() <= 0 }), v)
+	if old := s.cur.Swap(v); old != nil {
+		old.Unpin()
+	}
+	s.changed = false
 	return nil
 }
 
@@ -372,17 +326,12 @@ func (s *Store) catalogPutIfChanged(k, v []byte) error {
 	return err
 }
 
-// Close flushes and releases the store.
+// Close flushes and releases the store. Reads still running fail with
+// the pager's ErrClosed.
 func (s *Store) Close() error {
-	if s.ro {
-		return ErrReadOnlySnapshot
-	}
 	s.writer.Lock()
 	defer s.writer.Unlock()
-	s.mu.Lock()
-	err := s.flushLocked()
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.flushLocked(); err != nil {
 		return err
 	}
 	return s.pg.Close()
@@ -392,13 +341,8 @@ func (s *Store) Close() error {
 // any buffered state, returning the number of pages checked and the ids
 // that failed verification. In-memory stores report zero pages checked.
 func (s *Store) VerifyPages() (checked int, corrupt []pager.PageID, err error) {
-	if s.ro {
-		return 0, nil, ErrReadOnlySnapshot
-	}
 	s.writer.Lock()
 	defer s.writer.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.pg.InMemory() {
 		if err := s.flushLocked(); err != nil {
 			return 0, nil, err
@@ -413,11 +357,6 @@ func (s *Store) VerifyPages() (checked int, corrupt []pager.PageID, err error) {
 func (s *Store) LoadDocument(name string, r io.Reader) (DocID, error) {
 	s.writer.Lock()
 	defer s.writer.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ro {
-		return 0, ErrReadOnlySnapshot
-	}
 	if _, exists := s.docs[name]; exists {
 		return 0, fmt.Errorf("mass: document %q already loaded", name)
 	}
@@ -437,7 +376,7 @@ func (s *Store) LoadDocument(name string, r io.Reader) (DocID, error) {
 	if _, err := s.catalog.Put([]byte(catDoc+name), v[:]); err != nil {
 		return 0, err
 	}
-	return d, nil
+	return d, s.publishLocked()
 }
 
 // indexNode inserts one shredded node into every applicable index.
@@ -536,170 +475,86 @@ func (s *Store) deleteNodeIndexEntries(d DocID, n xmldoc.Node) {
 	}
 }
 
-// Epoch returns the document's current statistics epoch. Any mutation of
-// the document bumps it, so an epoch captured alongside cached
-// document-derived state (an optimized plan, a memoized COUNT probe)
-// detects staleness with one comparison.
-func (s *Store) Epoch(d DocID) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epochs[d]
-}
-
 // bumpEpochLocked invalidates cached document-derived state after a
-// mutation. Called with mu held, including on failed partial mutations —
-// a spurious bump only costs one redundant recomputation. It also
-// advances the store generation, and — outside a transaction (a document
-// load or drop), where the change reaches committed state immediately —
-// the commit generation, which marks any shared auto-snapshot stale. Buffered transaction writes leave
-// commitGen alone: the latest committed version is unchanged until
-// Commit, which advances it once for the whole batch.
+// mutation, including a failed partial one — a spurious bump only costs
+// one redundant recomputation — and marks the store changed for the
+// next publication.
 func (s *Store) bumpEpochLocked(d DocID) {
 	s.epochs[d]++
-	s.gen.Add(1)
-	if !s.inTxn {
-		s.commitGen.Add(1)
-	}
+	s.changed = true
 }
 
-// Gen returns the store's mutation generation: it advances on every
-// mutation of any document, including writes buffered inside an open
-// transaction.
-func (s *Store) Gen() uint64 { return s.gen.Load() }
-
-// CommitGen returns the store's commit generation: it advances exactly
-// when the committed state changes (transaction commits, document loads
-// and drops). Lock-free, so the serving path can
-// test a shared snapshot's freshness with one atomic load.
-func (s *Store) CommitGen() uint64 { return s.commitGen.Load() }
-
-// DocID resolves a document name.
-func (s *Store) DocID(name string) (DocID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.docs[name]
-	return d, ok
-}
-
-// DocName resolves a document id back to its name, empty when unknown.
-// Documents are few (one catalog entry each), so a linear sweep beats
-// maintaining a reverse map; callers are trace/log paths, not hot ones.
-func (s *Store) DocName(d DocID) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for n, id := range s.docs {
-		if id == d {
-			return n
+// Pin pins the current view: the latest committed version.
+func (s *Store) Pin() (*View, error) {
+	for {
+		// The current view holds the store's pin until it is replaced, so
+		// a failed pin means a newer view is current already.
+		if v, err := s.cur.Load().Pin(); err == nil {
+			return v, nil
 		}
 	}
-	return ""
 }
 
-// Documents returns the loaded document names, sorted.
-func (s *Store) Documents() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.docs))
-	for n := range s.docs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+// The Store's own reads — DocID, Node, CountName and AxisScan — read the
+// current view. They serve tools and tests; a reader that needs one
+// version across calls pins a View and reads that.
+
+// DocID resolves a document name in the current view.
+func (s *Store) DocID(name string) (DocID, bool) { return s.cur.Load().DocID(name) }
+
+// Epoch is the document's statistics epoch in the current view.
+func (s *Store) Epoch(d DocID) uint64 { return s.cur.Load().Epoch(d) }
+
+// Node is View.Node on the current view.
+func (s *Store) Node(d DocID, k flex.Key) (xmldoc.Node, bool, error) {
+	v, _ := s.Pin()
+	defer v.Unpin()
+	return v.Node(d, k)
+}
+
+// CountName is View.CountName on the current view.
+func (s *Store) CountName(d DocID, name string) (uint64, error) {
+	v, _ := s.Pin()
+	defer v.Unpin()
+	return v.CountName(d, name)
+}
+
+// AxisScan is View.AxisScan on the current view. The scan does not pin
+// the view: it must not outlive the next publication.
+func (s *Store) AxisScan(d DocID, ctx flex.Key, axis Axis, test NodeTest) *Scanner {
+	return s.cur.Load().AxisScan(d, ctx, axis, test)
 }
 
 // DropDocument removes a document and all its index entries. It refuses
-// with ErrDocumentBusy while any snapshot is open or any iterator is
-// streaming the document: dropping would delete pages mid-read.
+// with ErrDocumentBusy while a stream or a snapshot pins a view that
+// holds the document; the store's own pin on its current view does not
+// count.
 func (s *Store) DropDocument(name string) error {
 	s.writer.Lock()
 	defer s.writer.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ro {
-		return ErrReadOnlySnapshot
-	}
 	d, ok := s.docs[name]
 	if !ok {
 		return ErrNoDoc
 	}
-	if n := len(s.snaps); n > 0 {
-		return fmt.Errorf("%w: %q has %d open snapshot(s)", ErrDocumentBusy, name, n)
+	cur := s.cur.Load()
+	pins := int64(0)
+	for _, v := range s.views {
+		if _, holds := v.docs[name]; holds {
+			n := v.refs.Load()
+			if v == cur {
+				n--
+			}
+			pins += max(n, 0)
+		}
 	}
-	if n := s.readers[d]; n > 0 {
-		return fmt.Errorf("%w: %q has %d in-flight reader(s)", ErrDocumentBusy, name, n)
+	if pins > 0 {
+		return fmt.Errorf("%w: %q is pinned by %d reader(s)", ErrDocumentBusy, name, pins)
 	}
 	s.removeDocNodesLocked(d)
 	s.bumpEpochLocked(d)
 	delete(s.docs, name)
-	delete(s.readers, d)
-	_, err := s.catalog.Delete([]byte(catDoc + name))
-	return err
-}
-
-// Node fetches the node stored under (d, k).
-func (s *Store) Node(d DocID, k flex.Key) (xmldoc.Node, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nodeLocked(d, k)
-}
-
-func (s *Store) nodeLocked(d DocID, k flex.Key) (xmldoc.Node, bool, error) {
-	// Hot path: executed once per parent/self probe during pipelined
-	// execution. The scratch key and the zero-copy View avoid two
-	// allocations per probe.
-	s.keyBuf = s.keyBuf[:0]
-	var db [4]byte
-	binary.BigEndian.PutUint32(db[:], uint32(d))
-	s.keyBuf = append(append(s.keyBuf, db[:]...), k...)
-	var n xmldoc.Node
-	var decodeErr error
-	s.recordsDecoded++
-	ok, err := s.clustered.View(s.keyBuf, func(v []byte) {
-		n, decodeErr = decodeRecord(v)
-	})
-	if err != nil || !ok {
-		return xmldoc.Node{}, ok, err
+	if _, err := s.catalog.Delete([]byte(catDoc + name)); err != nil {
+		return err
 	}
-	if decodeErr != nil {
-		return xmldoc.Node{}, false, decodeErr
-	}
-	n.Key = k
-	return n, true, nil
-}
-
-// StringValue computes the XPath string-value of the node at (d, k): for
-// text/attribute/comment/PI nodes their content; for element and document
-// nodes the concatenation of all descendant text nodes in document order.
-func (s *Store) StringValue(d DocID, k flex.Key) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok, err := s.nodeLocked(d, k)
-	if err != nil {
-		return "", err
-	}
-	if !ok {
-		return "", fmt.Errorf("mass: no node at %q", k)
-	}
-	switch n.Kind {
-	case xmldoc.KindElement, xmldoc.KindDocument:
-		var out []byte
-		lo, hi := docKeyRange(d, k.DescLower(), k.SubtreeUpper())
-		c := s.texts.NewCursor()
-		for ok := c.Seek(lo); ok && c.InRange(hi); ok = c.Next() {
-			_, fk := splitClusteredKey(c.Key())
-			tn, ok2, err := s.nodeLocked(d, fk)
-			if err != nil {
-				return "", err
-			}
-			if ok2 {
-				out = append(out, tn.Value...)
-			}
-		}
-		if err := c.Err(); err != nil {
-			return "", err
-		}
-		return string(out), nil
-	default:
-		return n.Value, nil
-	}
+	return s.publishLocked()
 }

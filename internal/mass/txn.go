@@ -10,13 +10,13 @@ import (
 )
 
 // Write transactions. An Update batches any number of mutations into one
-// atomic publication: BeginUpdate publishes the current state (so the
-// rollback baseline is exactly the last committed version), opens a
-// pager-level bracket that buffers every page write, and holds the
-// store's writer lock for the transaction's whole span — one writer at a
-// time, readers unaffected. Commit publishes the batch as a single new
-// pager version; Rollback discards the buffered pages and reloads the
-// index trees at their pre-transaction roots, as if nothing happened.
+// atomic publication: BeginUpdate opens a pager-level bracket that
+// buffers every page write, and holds the store's writer lock for the
+// transaction's whole span — one writer at a time. Readers never see the
+// open transaction: they read published Views. Commit publishes the
+// batch as the next View; Rollback discards the buffered pages and
+// reloads the index trees at their pre-transaction roots, as if nothing
+// happened.
 //
 // Durability is group-committed: Commit returns the published version
 // epoch, and SyncCommitted(epoch) makes it durable with one journal
@@ -40,80 +40,38 @@ type Update struct {
 // transaction, a document load or a drop holds the writer lock. The
 // returned Update must be finished with Commit or Rollback.
 func (s *Store) BeginUpdate() (*Update, error) {
-	if s.ro {
-		return nil, ErrReadOnlySnapshot
-	}
 	s.writer.Lock()
-	s.mu.Lock()
-	// Publish pending state first: the transaction's rollback baseline
-	// must be exactly the committed version readers can already see.
+	// Publish what a failed load left unpublished: the rollback baseline
+	// must be exactly the current view.
 	if err := s.publishLocked(); err != nil {
-		s.mu.Unlock()
 		s.writer.Unlock()
 		return nil, err
 	}
 	u := &Update{s: s, roots: make(map[string]pager.PageID, 6), catRoot: s.catalog.Root()}
-	for name, slot := range s.treeNames() {
+	for name, slot := range s.slots() {
 		u.roots[name] = (*slot).Root()
 	}
 	s.pg.BeginUpdate()
-	s.inTxn = true // buffered writes leave commitGen alone until Commit
-	s.mu.Unlock()
 	return u, nil
 }
 
-// Commit publishes the transaction's mutations as one new pager version
-// and releases the writer lock. It returns the published version epoch —
-// pass it to SyncCommitted for group-committed durability. On error the
-// transaction is rolled back.
+// Commit publishes the transaction's mutations as the next View and
+// releases the writer lock. It returns the published pager version
+// epoch — pass it to SyncCommitted for group-committed durability. On
+// error the transaction is rolled back.
 func (u *Update) Commit() (epoch uint64, err error) {
-	return u.commit(nil)
-}
-
-// CommitWith is Commit plus an atomically-installed snapshot: after the
-// new version publishes — but before the new commit generation becomes
-// visible through CommitGen — it freezes the just-committed state and
-// hands the snapshot to install. A reader that validates a shared
-// snapshot against CommitGen therefore never observes a stale window
-// around a transaction commit: until the handoff it sees the old commit
-// generation (matching the snapshot it already holds, still the latest
-// committed state), and by the time the generation advances the new
-// snapshot is installed. install runs with the writer lock held and must
-// not call back into mutating store operations; swapping a pointer and
-// releasing the previous snapshot is fine. If freezing fails the commit
-// still succeeds and install is skipped.
-func (u *Update) CommitWith(install func(*Snapshot)) (epoch uint64, err error) {
-	return u.commit(install)
-}
-
-func (u *Update) commit(install func(*Snapshot)) (epoch uint64, err error) {
 	if u.done {
 		return 0, ErrTxnDone
 	}
 	u.done = true
 	s := u.s
-	s.mu.Lock()
+	defer s.writer.Unlock()
 	if err := s.publishLocked(); err != nil {
 		s.rollbackLocked(u)
-		s.mu.Unlock()
-		s.writer.Unlock()
 		return 0, err
 	}
 	s.pg.CommitUpdate()
-	epoch = s.pg.VersionEpoch()
-	s.inTxn = false
-	next := s.commitGen.Load() + 1 // commitGen only moves under writer, held here
-	var sn *Snapshot
-	if install != nil {
-		sn, _ = s.snapshotLocked(next) // on error: commit stands, no install
-	}
-	s.mu.Unlock()
-	if sn != nil {
-		install(sn)
-	}
-	s.commitGen.Store(next)
-	s.writer.Unlock()
-	return epoch, nil
+	return s.pg.VersionEpoch(), nil
 }
 
 // Rollback discards every mutation made through the transaction and
@@ -124,24 +82,20 @@ func (u *Update) Rollback() error {
 		return ErrTxnDone
 	}
 	u.done = true
-	s := u.s
-	s.mu.Lock()
-	err := s.rollbackLocked(u)
-	s.mu.Unlock()
-	s.writer.Unlock()
-	return err
+	defer u.s.writer.Unlock()
+	return u.s.rollbackLocked(u)
 }
 
 // rollbackLocked discards the pager bracket and reloads the index trees
 // at their pre-transaction roots, dropping the nodes the transaction
-// edited; every committed page keeps its decoded frame. Statistics
-// epochs bumped by the aborted mutations stay bumped — they are
-// monotonic staleness markers, and a spurious bump only costs cache
-// refills.
+// edited; every committed page keeps its decoded frame. The store is
+// then the current view again. Statistics epochs bumped by the aborted
+// mutations stay bumped in the writer — they are monotonic staleness
+// markers, and a spurious bump only costs cache refills.
 func (s *Store) rollbackLocked(u *Update) error {
-	s.inTxn = false
+	s.changed = false
 	s.pg.RollbackUpdate()
-	for name, slot := range s.treeNames() {
+	for name, slot := range s.slots() {
 		t, err := btree.Load(s.pg, u.roots[name])
 		if err != nil {
 			return err

@@ -11,11 +11,12 @@ import (
 // Document update support. The paper's cost model works because MASS
 // statistics are "always up to date and accurate ... not affected by
 // updates, inserts and deletes" (§I): every mutation below maintains all
-// secondary indexes and the counted B+-trees within the store lock, so
-// the very next COUNT/TC probe reflects it exactly. The mutators are
-// reachable only through an Update transaction (txn.go). FLEX
-// keys make sibling insertion renumbering-free: a fresh component is
-// generated strictly between the neighbors' components (flex.Between).
+// secondary indexes and the counted B+-trees in the same transaction, so
+// the first COUNT/TC probe on the view it publishes reflects it exactly.
+// The mutators are reachable only through an Update transaction
+// (txn.go). FLEX keys make sibling insertion renumbering-free: a fresh
+// component is generated strictly between the neighbors' components
+// (flex.Between).
 
 // ErrNoNode is returned when an update references a missing node.
 var ErrNoNode = errors.New("mass: no such node")
@@ -27,13 +28,10 @@ var ErrBadTarget = errors.New("mass: node kind incompatible with this update")
 // insertContent inserts node n as a content child of parent at position
 // pos (0-based among existing content children; pos < 0 or past the end
 // appends) and returns its key. Like every mutator below it runs inside
-// an Update transaction, which holds the writer lock for its whole span
-// and is never open on a read-only snapshot store (BeginUpdate refuses).
+// an Update transaction, which holds the writer lock for its whole span.
 func (s *Store) insertContent(d DocID, parent flex.Key, pos int, n xmldoc.Node) (flex.Key, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	defer s.bumpEpochLocked(d)
-	pn, ok, err := s.nodeLocked(d, parent)
+	pn, ok, err := nodeAt(s.clustered, &s.wt, d, parent)
 	if err != nil {
 		return "", err
 	}
@@ -116,10 +114,8 @@ func (s *Store) childComponents(d DocID, parent flex.Key) (attrs, contents []fle
 // placed after any existing attributes and before all content children,
 // preserving document-order invariants.
 func (s *Store) insertAttribute(d DocID, owner flex.Key, name, value string) (flex.Key, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	defer s.bumpEpochLocked(d)
-	on, ok, err := s.nodeLocked(d, owner)
+	on, ok, err := nodeAt(s.clustered, &s.wt, d, owner)
 	if err != nil {
 		return "", err
 	}
@@ -157,10 +153,8 @@ func (s *Store) insertAttribute(d DocID, owner flex.Key, name, value string) (fl
 // updateText replaces the value of a text or attribute node, keeping the
 // value index (and therefore TC statistics) exact.
 func (s *Store) updateText(d DocID, key flex.Key, newValue string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	defer s.bumpEpochLocked(d)
-	n, ok, err := s.nodeLocked(d, key)
+	n, ok, err := nodeAt(s.clustered, &s.wt, d, key)
 	if err != nil {
 		return err
 	}
@@ -195,10 +189,8 @@ func (s *Store) updateText(d DocID, key flex.Key, newValue string) error {
 
 // renameElement changes an element's name, maintaining the name index.
 func (s *Store) renameElement(d DocID, key flex.Key, newName string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	defer s.bumpEpochLocked(d)
-	n, ok, err := s.nodeLocked(d, key)
+	n, ok, err := nodeAt(s.clustered, &s.wt, d, key)
 	if err != nil {
 		return err
 	}
@@ -229,13 +221,11 @@ func (s *Store) renameElement(d DocID, key flex.Key, newName string) error {
 // (descendants, attributes, text), cleaning every index. Deleting the
 // document node is rejected; use DropDocument.
 func (s *Store) deleteSubtree(d DocID, key flex.Key) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	defer s.bumpEpochLocked(d)
 	if key == flex.Root {
 		return fmt.Errorf("%w: cannot delete the document node", ErrBadTarget)
 	}
-	n, ok, err := s.nodeLocked(d, key)
+	n, ok, err := nodeAt(s.clustered, &s.wt, d, key)
 	if err != nil {
 		return err
 	}

@@ -100,14 +100,14 @@ func TestInsertTextAndTC(t *testing.T) {
 	if err := update(s, func(u *Update) error { _, err := u.InsertText(d, a, -1, "fresh value"); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if tc, _ := s.TextCount(d, "fresh value", ""); tc != 1 {
+	if tc, _ := cur(s).TextCount(d, "fresh value", ""); tc != 1 {
 		t.Fatalf("TC(fresh value) = %d", tc)
 	}
 	hits := collect(t, s.AxisScan(d, "", AxisValue, NodeTest{Name: "fresh value"}))
 	if len(hits) != 1 {
 		t.Fatalf("value scan hits = %d", len(hits))
 	}
-	sv, _ := s.StringValue(d, a)
+	sv, _ := cur(s).StringValue(d, a)
 	if sv != "oldfresh value" {
 		t.Fatalf("string value = %q", sv)
 	}
@@ -123,10 +123,10 @@ func TestUpdateText(t *testing.T) {
 	if err := update(s, func(u *Update) error { return u.UpdateText(d, hits[0].Key, "after") }); err != nil {
 		t.Fatal(err)
 	}
-	if tc, _ := s.TextCount(d, "before", ""); tc != 0 {
+	if tc, _ := cur(s).TextCount(d, "before", ""); tc != 0 {
 		t.Errorf("TC(before) = %d after update", tc)
 	}
-	if tc, _ := s.TextCount(d, "after", ""); tc != 1 {
+	if tc, _ := cur(s).TextCount(d, "after", ""); tc != 1 {
 		t.Errorf("TC(after) = %d", tc)
 	}
 	n, _, _ := s.Node(d, hits[0].Key)
@@ -173,7 +173,7 @@ func TestInsertAttribute(t *testing.T) {
 			t.Fatalf("attribute %q not before content %q", a.Key, kids[0].Key)
 		}
 	}
-	if n, _ := s.CountAttrName(d, "lang"); n != 1 {
+	if n, _ := cur(s).CountAttrName(d, "lang"); n != 1 {
 		t.Errorf("CountAttrName(lang) = %d", n)
 	}
 	// Attribute insertion into an element that has no children yet.
@@ -218,7 +218,7 @@ func TestDeleteSubtree(t *testing.T) {
 	if len(persons) != 2 {
 		t.Fatal("setup failed")
 	}
-	before, _ := s.CountNodes(d)
+	before, _ := cur(s).CountNodes(d)
 	if err := update(s, func(u *Update) error { return u.DeleteSubtree(d, persons[0].Key) }); err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +228,10 @@ func TestDeleteSubtree(t *testing.T) {
 	if n, _ := s.CountName(d, "watch"); n != 0 {
 		t.Errorf("watches after delete = %d (descendants must go too)", n)
 	}
-	if tc, _ := s.TextCount(d, "Yung Flach", ""); tc != 0 {
+	if tc, _ := cur(s).TextCount(d, "Yung Flach", ""); tc != 0 {
 		t.Errorf("TC(Yung Flach) = %d after deleting its person", tc)
 	}
-	after, _ := s.CountNodes(d)
+	after, _ := cur(s).CountNodes(d)
 	if after >= before {
 		t.Errorf("node count %d -> %d", before, after)
 	}
@@ -291,7 +291,7 @@ func TestStatisticsCurrencyAfterUpdates(t *testing.T) {
 		t.Fatalf("CountName(item) = %d", n)
 	}
 	// v0 appears for i = 0, 7, 14, ... -> ceil(500/7) = 72.
-	if tc, _ := s.TextCount(d, "v0", ""); tc != 72 {
+	if tc, _ := cur(s).TextCount(d, "v0", ""); tc != 72 {
 		t.Fatalf("TC(v0) = %d, want 72", tc)
 	}
 	// Delete half the items and re-check.
@@ -310,7 +310,7 @@ func TestStatisticsCurrencyAfterUpdates(t *testing.T) {
 			wantTC++
 		}
 	}
-	if tc, _ := s.TextCount(d, "v0", ""); tc != wantTC {
+	if tc, _ := cur(s).TextCount(d, "v0", ""); tc != wantTC {
 		t.Fatalf("TC(v0) after deletes = %d, want %d", tc, wantTC)
 	}
 }

@@ -6,9 +6,10 @@
 // scans, query latencies — without a debugger or a recompile.
 //
 // Counters here are process-global (they aggregate over every open DB in
-// the process); per-store counters (pager I/O, B+-tree node loads)
-// live as plain fields under their owners' existing locks and
-// are merged into the exposition by core.Engine.WriteMetrics.
+// the process); per-store counters (pager I/O under the pager's lock,
+// and unregistered striped Counters that every finished read adds its
+// B+-tree and record counts to) are merged into the exposition by
+// core.Engine.WriteMetrics.
 //
 // Collection is always on: the serving fast path stays allocation-free
 // because per-run counts are batched in the executor and flushed once
@@ -59,8 +60,9 @@ func stripeIdx() uint64 {
 }
 
 // Counter is a monotonically increasing striped atomic counter,
-// registered under a unique exposition name. Increments are safe from
-// any goroutine.
+// registered under a unique exposition name by NewCounter. Increments
+// are safe from any goroutine. The zero value is an unregistered
+// counter, for totals an owner exposes itself.
 type Counter struct {
 	name    string
 	help    string

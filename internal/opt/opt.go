@@ -25,11 +25,12 @@ import (
 
 // Optimizer rewrites plans for one document using its live statistics.
 type Optimizer struct {
-	Store *mass.Store
+	Store mass.Source
 	Doc   mass.DocID
 	// Probes overrides the statistics source used for costing; nil means
-	// probing Store directly. The engine passes a shared cost.MemoProbes
-	// here so repeated optimizations between updates reuse probe results.
+	// a memo over Store private to this optimization. The engine passes a
+	// shared cost.MemoProbes here so repeated optimizations between
+	// updates reuse probe results.
 	Probes cost.Probes
 	// MaxIterations bounds the rewrite loop; 0 means the default (16).
 	MaxIterations int
@@ -56,7 +57,7 @@ func (o *Optimizer) Optimize(p *plan.Plan) (*plan.Plan, error) {
 	}
 	probes := o.Probes
 	if probes == nil {
-		probes = o.Store
+		probes = cost.NewMemoProbes(o.Store)
 	}
 	est := &cost.Estimator{Store: probes, Doc: o.Doc}
 

@@ -118,7 +118,7 @@ func optimize(t testing.TB, s *mass.Store, d mass.DocID, expr string) (*plan.Pla
 		t.Fatalf("optimize %q: %v", expr, err)
 	}
 	// Annotate the default plan too, for cost comparisons.
-	est := &cost.Estimator{Store: s, Doc: d}
+	est := &cost.Estimator{Store: cost.NewMemoProbes(s), Doc: d}
 	Cleanup(p)
 	if err := est.Estimate(p); err != nil {
 		t.Fatal(err)

@@ -219,8 +219,8 @@ func (p *Pager) writeCommit(st *metaState, ids []PageID, frames []*Frame) error 
 }
 
 // writeAt and sync are the commit's backend calls. ioMu keeps them apart
-// from disk reads, which run under mu meanwhile, so that the backend
-// still sees one call at a time.
+// from disk reads, which run meanwhile, so that the backend still sees
+// one call at a time.
 func (p *Pager) writeAt(b []byte, off int64) error {
 	p.ioMu.Lock()
 	defer p.ioMu.Unlock()
@@ -400,6 +400,7 @@ func (p *Pager) recoverLocked(size int64) error {
 	}
 	p.epoch = st.epoch
 	p.npages = st.npages
+	p.vPages = st.npages
 	p.userMeta = st.userMeta
 	p.free = st.free
 	if st.jcount > 0 {

@@ -89,7 +89,9 @@ func (p *Pager) commitVersionLocked() error {
 	}
 	stash := len(p.pins) > 0
 	for id, f := range p.dirty {
-		if stash {
+		if stash && id < p.vPages {
+			// Pages allocated fresh since the last version commit belong
+			// to no pinned version: nothing to retire.
 			p.stashLocked(id)
 		}
 		if p.backend == nil {
@@ -107,6 +109,7 @@ func (p *Pager) commitVersionLocked() error {
 		delete(p.dirty, id)
 	}
 	p.vEpoch++
+	p.vPages = p.npages
 	p.m.VersionCommits++
 	return nil
 }
@@ -133,8 +136,11 @@ func (p *Pager) stashLocked(id PageID) {
 			// (first write of a fresh page) or is damaged; a nil version
 			// makes a snapshot read of it fail loudly instead of seeing
 			// the newer image.
-			if img, err := p.readDisk(id, make([]byte, DiskPageSize)); err == nil {
+			img, err := p.readDisk(id, make([]byte, DiskPageSize))
+			if err == nil {
 				old = NewFrame(img)
+			} else if errors.Is(err, ErrChecksum) {
+				p.m.ChecksumFails++
 			}
 		}
 	}

@@ -94,6 +94,7 @@ type Pager struct {
 	// retired committed images still visible to pinned epochs.
 	dirty    map[PageID]*Frame
 	vEpoch   uint64
+	vPages   PageID // npages at the last version commit
 	pins     map[uint64]int
 	versions map[PageID][]pageVersion
 	inTxn    bool
@@ -319,27 +320,46 @@ func (p *Pager) Resident(id PageID) (*Frame, error) { return p.frame(id, 0, true
 
 // frame serves ReadFrame (read) and Resident (!read) for the live pager
 // (live) and for views pinned at epoch.
+//
+// A miss reads the disk without mu, so that a read waiting for the
+// backend — which a commit's Sync holds — stalls no other reader. Back
+// under mu it looks again: a frame installed or stashed meanwhile wins,
+// and a commit that finished meanwhile (it may have moved the page on
+// disk) sends the read round once more.
 func (p *Pager) frame(id PageID, epoch uint64, live, read bool) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.checkLocked(id); err != nil {
-		return nil, err
+	var img []byte
+	for {
+		if err := p.checkLocked(id); err != nil {
+			return nil, err
+		}
+		f, err := p.residentLocked(id, epoch, live)
+		if !read || err != nil {
+			return f, err
+		}
+		if f == nil && img != nil {
+			f = NewFrame(img)
+			p.m.Evictions += p.clean.put(id, f)
+		}
+		if f != nil {
+			p.m.Reads++
+			return f, nil
+		}
+		commits := p.m.Commits
+		p.mu.Unlock()
+		img, err = p.readDisk(id, make([]byte, DiskPageSize))
+		p.mu.Lock()
+		if errors.Is(err, ErrChecksum) {
+			p.m.ChecksumFails++
+		}
+		if err != nil {
+			return nil, err
+		}
+		if p.m.Commits != commits {
+			img = nil
+		}
 	}
-	f, err := p.residentLocked(id, epoch, live)
-	if !read || err != nil {
-		return f, err
-	}
-	p.m.Reads++
-	if f != nil {
-		return f, nil
-	}
-	img, err := p.readDisk(id, make([]byte, DiskPageSize))
-	if err != nil {
-		return nil, err
-	}
-	f = NewFrame(img)
-	p.m.Evictions += p.clean.put(id, f)
-	return f, nil
 }
 
 func (p *Pager) checkLocked(id PageID) error {
@@ -390,9 +410,9 @@ func (p *Pager) residentLocked(id PageID, epoch uint64, live bool) (*Frame, erro
 }
 
 // readDisk reads and verifies page id from the backend into disk
-// (DiskPageSize bytes) and returns its payload, disk[:PageSize]. Called
-// with mu held. Short reads (a page past the durable end of file) fail
-// verification like any other torn page.
+// (DiskPageSize bytes) and returns its payload, disk[:PageSize]. Short
+// reads (a page past the durable end of file) fail verification like any
+// other torn page; the caller counts the failure.
 func (p *Pager) readDisk(id PageID, disk []byte) ([]byte, error) {
 	p.ioMu.Lock()
 	n, err := p.backend.ReadAt(disk, int64(id)*DiskPageSize)
@@ -406,7 +426,6 @@ func (p *Pager) readDisk(id PageID, disk []byte) ([]byte, error) {
 		}
 	}
 	if !verifyPage(disk, id) {
-		p.m.ChecksumFails++
 		return nil, fmt.Errorf("%w: page %d", ErrChecksum, id)
 	}
 	return disk[:PageSize:PageSize], nil
@@ -442,6 +461,7 @@ func (p *Pager) WriteFrame(id PageID, f *Frame) error {
 	// it, because a reader may still hold the old one.
 	if p.backend == nil && !p.inTxn && len(p.pins) == 0 && len(p.dirty) == 0 {
 		p.mem[id] = f
+		p.vPages = p.npages
 		return nil
 	}
 	p.dirty[id] = f
@@ -535,6 +555,7 @@ func (p *Pager) Verify() (checked int, corrupt []PageID, err error) {
 		checked++
 		if _, err := p.readDisk(id, disk); err != nil {
 			if errors.Is(err, ErrChecksum) {
+				p.m.ChecksumFails++
 				corrupt = append(corrupt, id)
 				continue
 			}

@@ -342,10 +342,12 @@ func TestFreedPagesSkippedByVerify(t *testing.T) {
 // TestReadsAndWritesDuringFlush parks a Flush inside its first backend
 // Sync and checks that the commit holds nothing readers and writers
 // need meanwhile: a clean cached page and a page awaiting the commit
-// read back, and a new write and version commit go through. After the
-// Flush finishes, a reopened copy holds what it made durable. (A page
-// that must come from disk would wait for the Sync: the backend sees
-// one call at a time.)
+// read back, and a new write and version commit go through. A page that
+// must come from disk waits for the Sync — the backend sees one call at
+// a time — but only its own reader waits: a read of a resident page
+// started after the miss still finishes. After the Flush finishes, the
+// miss returns the durable image, and a reopened copy holds what the
+// Flush made durable.
 func TestReadsAndWritesDuringFlush(t *testing.T) {
 	b := faultfs.New()
 	p, err := OpenBackend(b)
@@ -355,11 +357,16 @@ func TestReadsAndWritesDuringFlush(t *testing.T) {
 	defer p.Close()
 	a := mustAlloc(t, p)
 	mustWrite(t, p, a, fill('a'))
+	d := mustAlloc(t, p) // durable, never read: not resident
+	mustWrite(t, p, d, fill('d'))
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.ReadFrame(a); err != nil { // cached from now on
 		t.Fatal(err)
+	}
+	if f, err := p.Resident(d); err != nil || f != nil {
+		t.Fatalf("page %d is resident before the test: %v", d, err)
 	}
 	c := mustAlloc(t, p)
 	mustWrite(t, p, c, fill('c'))
@@ -378,6 +385,15 @@ func TestReadsAndWritesDuringFlush(t *testing.T) {
 	go func() { flushed <- p.Flush() }()
 	<-entered
 
+	missed := make(chan error, 1)
+	go func() {
+		f, err := p.ReadFrame(d)
+		if err == nil && !bytes.Equal(f.Data(), fill('d')) {
+			err = fmt.Errorf("page %d read %q, want the durable image", d, f.Data()[:1])
+		}
+		missed <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the miss reach the backend
 	meanwhile := make(chan error, 1)
 	go func() {
 		for _, want := range []struct {
@@ -406,6 +422,9 @@ func TestReadsAndWritesDuringFlush(t *testing.T) {
 	}
 	close(release)
 	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-missed; err != nil {
 		t.Fatal(err)
 	}
 	if f, err := p.ReadFrame(a); err != nil || !bytes.Equal(f.Data(), fill('A')) {

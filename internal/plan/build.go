@@ -34,7 +34,6 @@ func Build(expr xpath.Expr) (*Plan, error) {
 	}
 	p := &Plan{Root: &Root{Context: ctxOp, Distinct: true}}
 	p.AssignIDs()
-	p.nextID = len(p.Operators())
 	return p, nil
 }
 

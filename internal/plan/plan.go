@@ -224,8 +224,7 @@ func (j *Join) Label() string { return fmt.Sprintf("J%d %s", j.ID, j.Cond) }
 
 // Plan is a complete query plan.
 type Plan struct {
-	Root   *Root
-	nextID int
+	Root *Root
 }
 
 // Operators returns every operator in the plan, preorder.
@@ -250,12 +249,6 @@ func (p *Plan) AssignIDs() {
 		op.base().ID = id
 		id++
 	}
-}
-
-// NewID mints an operator id beyond those assigned (used mid-rewrite).
-func (p *Plan) NewID() int {
-	p.nextID++
-	return p.nextID
 }
 
 // String renders the plan as an indented tree, costs included when
@@ -313,7 +306,7 @@ func (p *Plan) ContextPath() []Op {
 // Clone deep-copies the plan (used by the optimizer to test rewrites
 // without destroying the original).
 func (p *Plan) Clone() *Plan {
-	return &Plan{Root: cloneOp(p.Root).(*Root), nextID: p.nextID}
+	return &Plan{Root: cloneOp(p.Root).(*Root)}
 }
 
 // CloneOp deep-copies an operator subtree.

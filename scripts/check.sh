@@ -100,11 +100,14 @@ echo "== snapshot/transaction tests under the race detector"
 # committing writer, streams byte-identical to committed states) — see
 # snapshot_test.go. Reads served from snapshots count in the store's
 # metrics (TestSnapshotReadsReachStorageMetrics); in ./internal/mass,
-# snapshot readers share page frames with a committing writer and
-# rebound scanners, each holding the store lock once per pulled batch,
-# equal the brute-force oracle.
+# readers of pinned views share page frames with a committing writer
+# and rebound scanners equal the brute-force oracle.
 go test -race -run 'TestSnapshotIsolation|TestSnapshotReadOnlyPublic|TestSnapshotExplainAnalyze|TestUpdateTxnPublic|TestDropBusyPublic|TestPrepareRunEquivalence|TestMixedReadWriteRace|TestQueryOptionsEveryEntryPoint|TestPreparedRunObserved|TestNoDirtyReadsDuringTransaction|TestSnapshotReadsReachStorageMetrics' -count 1 .
 go test -race -run '^TestSnapshotReadersShareFrames$|^TestReboundScannerAgainstOracle$|^TestReboundValueShapesAgainstBruteForce$' -count 1 ./internal/mass
+# Two lock-free readers on one live DB against a committing writer, each
+# read equal to the DOM oracle of the generation it pinned: probabilistic,
+# so it runs many times.
+go test -race -run '^TestConcurrentReadersMatchOracle$' -count=20 .
 
 echo "== server battery under the race detector"
 # Admission state machine on the wire, concurrent tenants vs a

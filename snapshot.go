@@ -10,21 +10,17 @@ import (
 
 // Snapshots and transactions.
 //
-// A Snapshot is a cheap, refcounted handle on the database's latest
-// committed state: every read through it — queries, node fetches, XML
+// Every read runs on one committed version of the database, pinned for
+// the read's span: a query and its whole result stream, or one direct
+// Document read. A live handle's read pins the latest committed version
+// when it starts, so a long result stream never observes a concurrent
+// writer mid-flight and no read observes an open transaction's buffered
+// writes. A Snapshot is a cheap handle that holds one version pinned
+// across reads: every read through it — queries, node fetches, XML
 // export — observes exactly that state, however many writers commit
 // underneath. DB.Update runs a function inside a write transaction whose
 // mutations become visible atomically on commit, made durable with one
 // group-committed journal flush shared by concurrent committers.
-//
-// A snapshot is queried like the database: DB.Query, Query.Run and the
-// Document reads on a handle from Snapshot.Document read its pinned
-// version. On a live handle the same reads are auto-snapshot reads: when
-// a recent commit installed a shared snapshot they serve from it (so a
-// long result stream never observes a concurrent writer mid-flight), and
-// otherwise they read the live store directly, which is equivalent
-// because each individual read path is internally consistent.
-// Document.read picks the version for all of them.
 
 var (
 	// ErrDocumentBusy reports a Drop refused because open snapshots or
@@ -32,7 +28,7 @@ var (
 	ErrDocumentBusy = mass.ErrDocumentBusy
 	// ErrReadOnlySnapshot reports a Txn mutation given a snapshot-bound
 	// document handle.
-	ErrReadOnlySnapshot = mass.ErrReadOnlySnapshot
+	ErrReadOnlySnapshot = errors.New("vamana: snapshot is read-only")
 	// ErrTxnDone reports a use of a transaction that already committed or
 	// rolled back.
 	ErrTxnDone = mass.ErrTxnDone
@@ -48,8 +44,8 @@ type SnapshotUsage = core.SnapshotUsage
 // Snapshot is a consistent read-only view of the database at one
 // committed version. It is safe for concurrent use; reads through it
 // cost the same as reads on the DB. Close releases it — result streams
-// still draining keep the underlying version pinned until they finish,
-// so Close never invalidates an in-flight iterator.
+// still draining keep the version pinned until they finish, so Close
+// never invalidates an in-flight iterator.
 type Snapshot struct {
 	db     *DB
 	cs     *core.Snapshot
@@ -70,13 +66,13 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 
 // Epoch reports the committed version the snapshot pinned. Epochs
 // increase with every commit, so two snapshots compare by recency.
-func (sn *Snapshot) Epoch() uint64 { return sn.cs.Epoch() }
+func (sn *Snapshot) Epoch() uint64 { return sn.cs.View().Version() }
 
 // Usage reports the cumulative work served from this snapshot.
 func (sn *Snapshot) Usage() SnapshotUsage { return sn.cs.Usage() }
 
 // Documents lists the document names in the snapshot, sorted.
-func (sn *Snapshot) Documents() []string { return sn.cs.Store().Documents() }
+func (sn *Snapshot) Documents() []string { return sn.cs.View().Documents() }
 
 // Document returns a handle for name bound to this snapshot: all reads
 // through it — DB.Query, Query.Run, Explain and the Document methods —
@@ -88,7 +84,7 @@ func (sn *Snapshot) Document(name string) (*Document, error) {
 	if sn.closed.Load() {
 		return nil, ErrSnapshotClosed
 	}
-	id, ok := sn.cs.Store().DocID(name)
+	id, ok := sn.cs.View().DocID(name)
 	if !ok {
 		return nil, wrapNoDoc(mass.ErrNoDoc, name)
 	}
@@ -103,73 +99,6 @@ func (sn *Snapshot) Close() error {
 		return sn.cs.Close()
 	}
 	return nil
-}
-
-// acquireShared returns the installed shared snapshot with a reference
-// held, or nil when there is none, it is stale, or it lost a race with
-// release. Callers must Unref after starting their query (the iterator
-// holds its own pin from then on).
-func (db *DB) acquireShared() *core.Snapshot {
-	sn := db.shared.Load()
-	if sn == nil {
-		return nil
-	}
-	if sn.Gen() < db.engine.Store().CommitGen() {
-		// Stale — a document load or drop changed committed state
-		// outside a transaction. (Writes buffered inside an open Update
-		// do not advance CommitGen, so the snapshot keeps serving the
-		// latest committed state throughout a transaction, and commits
-		// install their replacement before the generation moves.)
-		// Uninstall so its pinned pages reclaim; queries fall back to
-		// direct reads until the next Update installs a fresh one.
-		if db.shared.CompareAndSwap(sn, nil) {
-			sn.Close()
-		}
-		return nil
-	}
-	if !sn.TryRef() {
-		return nil
-	}
-	return sn
-}
-
-// installShared is the commit hook that publishes a fresh shared
-// snapshot for the auto-snapshot read path, releasing the previous one.
-// It runs inside Update's commit with the store's writer lock held, so
-// it only swaps pointers and drops a reference.
-func (db *DB) installShared(sn *core.Snapshot) {
-	if old := db.shared.Swap(sn); old != nil {
-		old.Close()
-	}
-}
-
-// dropShared uninstalls the shared snapshot (before Drop and Close, so
-// its pins do not hold pages or block the operation indefinitely).
-func (db *DB) dropShared() {
-	if old := db.shared.Swap(nil); old != nil {
-		old.Close()
-	}
-}
-
-// refreshShared ensures a fresh shared snapshot is installed, so every
-// auto-snapshot read path — queries and direct Document reads alike —
-// has a committed version to serve from. Update calls it before running
-// its function: otherwise reads during the first-ever transaction (no
-// commit has installed a snapshot yet) would fall back to the live
-// trees and observe the transaction's buffered writes.
-func (db *DB) refreshShared() {
-	if sn := db.acquireShared(); sn != nil {
-		sn.Unref()
-		return
-	}
-	sn, err := db.engine.Snapshot()
-	if err != nil {
-		return
-	}
-	if !db.shared.CompareAndSwap(nil, sn) {
-		// Lost an install race; the winner is at least as fresh.
-		sn.Close()
-	}
 }
 
 // Txn is an open write transaction, passed to the function run by
@@ -193,17 +122,13 @@ type Txn struct {
 // exactly as before.
 //
 // Transactions serialize: one writer runs at a time, while readers —
-// queries, snapshots, result streams — proceed unblocked throughout.
-// The commit installs a fresh shared read snapshot atomically, so
-// DB.Query observes the new version immediately and never falls back to
-// contended live-store reads in between.
+// queries, snapshots, result streams — proceed unblocked throughout,
+// on the versions committed before. The commit publishes the new
+// version atomically: every read that starts after it sees it.
 func (db *DB) Update(fn func(*Txn) error) error {
-	// Make sure direct reads have a committed snapshot to serve from
-	// while the transaction is open (see refreshShared).
-	db.refreshShared()
 	_, err := db.engine.Update(func(u *mass.Update) error {
 		return fn(&Txn{db: db, u: u})
-	}, db.installShared)
+	})
 	return err
 }
 

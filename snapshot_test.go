@@ -303,8 +303,6 @@ func TestDropBusyPublic(t *testing.T) {
 	if err := db.Drop("lib"); !errors.Is(err, ErrDocumentBusy) {
 		t.Fatalf("drop with open snapshot: %v", err)
 	}
-	sn.Close()
-
 	res, err := db.Query(doc, "//book")
 	if err != nil {
 		t.Fatal(err)
@@ -312,18 +310,25 @@ func TestDropBusyPublic(t *testing.T) {
 	if !res.Next() {
 		t.Fatal("no results")
 	}
+	sn.Close()
 	if err := db.Drop("lib"); !errors.Is(err, ErrDocumentBusy) {
 		t.Fatalf("drop with open stream: %v", err)
 	}
-	res.Close()
-
-	// The auto-snapshot installed by Update must not wedge Drop.
+	// A commit retires the version the stream pinned; the pin still
+	// holds the document.
 	if err := db.Update(func(tx *Txn) error {
 		_, err := tx.InsertElement(doc, "a", -1, "extra")
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := db.Drop("lib"); !errors.Is(err, ErrDocumentBusy) {
+		t.Fatalf("drop with a stream on a retired version: %v", err)
+	}
+	res.Close()
+
+	// Only the database's own hold on its current version remains: it
+	// does not count as a reader.
 	if err := db.Drop("lib"); err != nil {
 		t.Fatalf("drop after release: %v", err)
 	}

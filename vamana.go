@@ -39,7 +39,6 @@ import (
 	"io"
 	"iter"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"vamana/internal/core"
@@ -150,13 +149,6 @@ type StorageMetrics = mass.StoreMetrics
 type DB struct {
 	engine   *core.Engine
 	defaults Limits
-	// shared is the auto-snapshot read path's current snapshot: installed
-	// by DB.Update, served (refcounted, see Document.read) to every read
-	// on a live handle while fresh, and dropped when a document load or
-	// drop makes it stale. Nil until the first Update — reads then use
-	// the live store directly, which is equivalent while nothing is being
-	// batched.
-	shared atomic.Pointer[core.Snapshot]
 }
 
 // Open creates or reopens a database.
@@ -179,10 +171,7 @@ func Open(opts Options) (*DB, error) {
 }
 
 // Close flushes indexes and releases the store.
-func (db *DB) Close() error {
-	db.dropShared()
-	return db.engine.Close()
-}
+func (db *DB) Close() error { return db.engine.Close() }
 
 // Document is a handle to one loaded document. A handle obtained from
 // DB reads the latest committed state; one obtained from
@@ -197,42 +186,34 @@ type Document struct {
 	snap *Snapshot
 }
 
-// readView is the version one read observes: its snapshot (nil: the
-// live store), its store, and whether the read holds a shared reference.
-type readView struct {
-	sn  *core.Snapshot
-	st  *mass.Store
-	ref bool
+// read pins the version every direct read through d observes: a
+// snapshot handle's pinned version (ErrSnapshotClosed once it is
+// closed), otherwise the latest committed one — never an open
+// transaction's buffered writes. The caller unpins it.
+func (d *Document) read() (*mass.View, error) {
+	if d.snap == nil {
+		return d.db.engine.Store().Pin()
+	}
+	if d.snap.closed.Load() {
+		return nil, ErrSnapshotClosed
+	}
+	v, err := d.snap.cs.View().Pin()
+	if err != nil {
+		return nil, ErrSnapshotClosed
+	}
+	return v, nil
 }
 
-// read returns the version every read through d observes — queries,
-// prepared runs, Explain and the direct Document reads alike: a
-// snapshot handle reads its snapshot's pinned version (ErrSnapshotClosed
-// once it is closed); a live handle reads the shared committed snapshot
-// when a fresh one is installed, so no read observes an open
-// transaction's buffered writes; otherwise it reads the live store, which
-// is then the latest committed state (DB.Update installs a shared
-// snapshot before its function starts).
-func (d *Document) read() (readView, error) {
-	if d.snap != nil {
-		if d.snap.closed.Load() {
-			return readView{}, ErrSnapshotClosed
-		}
-		return readView{sn: d.snap.cs, st: d.snap.cs.Store()}, nil
+// sn is the engine snapshot reads through d run on: nil for a live
+// handle.
+func (d *Document) sn() (*core.Snapshot, error) {
+	if d.snap == nil {
+		return nil, nil
 	}
-	if sn := d.db.acquireShared(); sn != nil {
-		return readView{sn: sn, st: sn.Store(), ref: true}, nil
+	if d.snap.closed.Load() {
+		return nil, ErrSnapshotClosed
 	}
-	return readView{st: d.db.engine.Store()}, nil
-}
-
-// release drops the read's shared-snapshot reference, if it holds one:
-// when a direct read finishes, or once a query has started (its
-// iterator pins the version itself until it finishes).
-func (v readView) release() {
-	if v.ref {
-		v.sn.Unref()
-	}
+	return d.snap.cs, nil
 }
 
 // LoadXML shreds and indexes the XML document from r under a unique name.
@@ -265,7 +246,11 @@ func (db *DB) Document(name string) (*Document, error) {
 }
 
 // Documents lists the loaded document names.
-func (db *DB) Documents() []string { return db.engine.Store().Documents() }
+func (db *DB) Documents() []string {
+	v, _ := db.engine.Store().Pin()
+	defer v.Unpin()
+	return v.Documents()
+}
 
 // Drop removes a document and all its index entries. Dropping an unknown
 // name fails with an error satisfying errors.Is(err, ErrNoSuchDocument);
@@ -273,10 +258,6 @@ func (db *DB) Documents() []string { return db.engine.Store().Documents() }
 // could still read fails with one satisfying errors.Is(err,
 // ErrDocumentBusy) — close them and retry.
 func (db *DB) Drop(name string) error {
-	// Release the auto-snapshot first: it pins every document and would
-	// otherwise make the drop spuriously busy. It reinstalls on the next
-	// transactional commit.
-	db.dropShared()
 	if err := db.engine.Store().DropDocument(name); err != nil {
 		if errors.Is(err, mass.ErrNoDoc) {
 			return wrapNoDoc(err, name)
@@ -420,8 +401,7 @@ func (db *DB) CacheStats() CacheStats { return db.engine.CacheStats() }
 // writes, index node loads (served by an already-decoded page or not),
 // page-cache evictions, node splits, cursor seeks, counted-range probes,
 // records decoded, and statistics probes that reached storage (memo
-// misses). Reads served from snapshots — every read while an Update is
-// open — count too.
+// misses). Reads served from snapshots count too.
 func (db *DB) StorageMetrics() StorageMetrics { return db.engine.Store().Metrics() }
 
 // SlowQueries returns the ring's records at or above
@@ -479,12 +459,11 @@ func (q *Query) Optimized() bool { return q.q.Optimized() }
 // Estimates come from the version the handle doc reads: a snapshot
 // handle's pinned version, otherwise the last committed one.
 func (q *Query) Explain(doc *Document) (string, error) {
-	v, err := doc.read()
+	sn, err := doc.sn()
 	if err != nil {
 		return "", err
 	}
-	defer v.release()
-	return q.q.Explain(v.st, doc.id)
+	return q.q.Explain(sn, doc.id)
 }
 
 // ExplainAnalyze estimates, executes, and renders the plan with estimated
@@ -492,12 +471,11 @@ func (q *Query) Explain(doc *Document) (string, error) {
 // execution. It estimates and executes against the version Explain
 // reads.
 func (q *Query) ExplainAnalyze(doc *Document) (string, error) {
-	v, err := doc.read()
+	sn, err := doc.sn()
 	if err != nil {
 		return "", err
 	}
-	defer v.release()
-	return q.q.ExplainAnalyze(v.st, doc.id)
+	return q.q.ExplainAnalyze(sn, doc.id)
 }
 
 // Run executes the query against doc. By default results stream from
@@ -510,12 +488,11 @@ func (q *Query) ExplainAnalyze(doc *Document) (string, error) {
 // observed like any query (latency, slow-query log, traces, snapshot
 // usage); only the compilation already happened, at Prepare.
 func (q *Query) Run(ctx context.Context, doc *Document, opts ...QueryOption) (*Results, error) {
-	v, err := doc.read()
+	sn, err := doc.sn()
 	if err != nil {
 		return nil, err
 	}
-	it, err := q.q.Run(ctx, v.sn, doc.id, doc.db.config(opts))
-	v.release()
+	it, err := q.q.Run(ctx, sn, doc.id, doc.db.config(opts))
 	return newResults(doc, it, err)
 }
 
@@ -549,8 +526,13 @@ type Results struct {
 	closed bool
 }
 
-// newResults wraps a started run's iterator, passing a start error on.
+// newResults wraps a started run's iterator, passing a start error on. A
+// snapshot closed between the handle's check and the run's pin reports
+// as closed.
 func newResults(doc *Document, it *exec.Iterator, err error) (*Results, error) {
+	if errors.Is(err, mass.ErrReleased) {
+		err = ErrSnapshotClosed
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -668,14 +650,14 @@ func (d *Document) Stats() (Stats, error) {
 	if err != nil {
 		return st, err
 	}
-	defer v.release()
-	if st.Nodes, err = v.st.CountNodes(d.id); err != nil {
+	defer v.Unpin()
+	if st.Nodes, err = v.CountNodes(d.id); err != nil {
 		return st, err
 	}
-	if st.Elements, err = v.st.CountElements(d.id, ""); err != nil {
+	if st.Elements, err = v.CountElements(d.id, ""); err != nil {
 		return st, err
 	}
-	st.Texts, err = v.st.CountTexts(d.id, "")
+	st.Texts, err = v.CountTexts(d.id, "")
 	return st, err
 }
 
@@ -686,8 +668,8 @@ func (d *Document) CountName(name string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer v.release()
-	return v.st.CountName(d.id, name)
+	defer v.Unpin()
+	return v.CountName(d.id, name)
 }
 
 // TextCount returns the number of text nodes whose value equals v — TC in
@@ -697,8 +679,8 @@ func (d *Document) TextCount(v string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer rv.release()
-	return rv.st.TextCount(d.id, v, "")
+	defer rv.Unpin()
+	return rv.TextCount(d.id, v, "")
 }
 
 // StringValue computes the XPath string-value of the node with the given
@@ -708,8 +690,8 @@ func (d *Document) StringValue(key string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	defer v.release()
-	return v.st.StringValue(d.id, flex.Key(key))
+	defer v.Unpin()
+	return v.StringValue(d.id, flex.Key(key))
 }
 
 // WriteXML serializes the node at key (and its subtree) as XML to w.
@@ -720,20 +702,20 @@ func (d *Document) WriteXML(key string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer v.release()
-	return v.st.SerializeSubtree(d.id, flex.Key(key), w)
+	defer v.Unpin()
+	return v.SerializeSubtree(d.id, flex.Key(key), w)
 }
 
 // NumericRangeCount returns the number of text nodes whose numeric value
-// lies in [lo, hi] (use math.Inf for open ends) — an O(log n) probe of
-// the numeric value index backing range predicates.
+// lies in [lo, hi] (use math.Inf for open ends), exactly: it walks the
+// numeric value index entries in the range that belong to the document.
 func (d *Document) NumericRangeCount(lo, hi float64) (uint64, error) {
 	v, err := d.read()
 	if err != nil {
 		return 0, err
 	}
-	defer v.release()
-	return v.st.NumericRangeCount(d.id, lo, true, hi, true)
+	defer v.Unpin()
+	return v.NumericRangeCount(d.id, lo, true, hi, true)
 }
 
 // Node fetches the node with the given FLEX key.
@@ -742,8 +724,8 @@ func (d *Document) Node(key string) (Node, bool, error) {
 	if err != nil {
 		return Node{}, false, err
 	}
-	defer v.release()
-	n, ok, err := v.st.Node(d.id, flex.Key(key))
+	defer v.Unpin()
+	n, ok, err := v.Node(d.id, flex.Key(key))
 	if err != nil || !ok {
 		return Node{}, ok, err
 	}

@@ -307,3 +307,24 @@ func TestWriteXMLAndNumericRange(t *testing.T) {
 		t.Fatalf("range query hits = %d", len(hits))
 	}
 }
+
+// TestNumericRangeCountPerDocument: a document's numeric range count
+// counts its own values only, however another document's values
+// interleave with them in the numeric index.
+func TestNumericRangeCountPerDocument(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	a, err := db.LoadXMLString("a", `<r><v>1</v><v>9</v></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.LoadXMLString("b", `<r><v>5</v><v>6</v><v>7</v></r>`); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.NumericRangeCount(0, 10); err != nil || n != 2 {
+		t.Fatalf("a.NumericRangeCount(0, 10) = %d, %v; want 2", n, err)
+	}
+}
