@@ -86,3 +86,43 @@ func queryAllocs(t *testing.T, run func() (*Results, error)) float64 {
 		}
 	})
 }
+
+// TestResultNodeAllocPin pins the result fetch path: a warm Q1 drain that
+// materializes every result with Results.Node allocates exactly what the
+// same drain through Next alone does. The run's fetcher reads element
+// results in place and reuses their names, so an element costs nothing.
+func TestResultNodeAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	db := openDB(t)
+	doc := loadAuction(t, db, 0.002)
+	const expr = "//person/address" // the paper's Q1
+	drain := func(nodes bool) func() {
+		return func() {
+			res, err := db.Query(doc, expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for res.Next() {
+				if nodes {
+					if _, err := res.Node(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				n++
+			}
+			if err := res.Err(); err != nil || n == 0 {
+				t.Fatalf("drain: %d results, err %v", n, err)
+			}
+		}
+	}
+	drain(true)()
+	keys := testing.AllocsPerRun(50, drain(false))
+	nodes := testing.AllocsPerRun(50, drain(true))
+	t.Logf("warm Q1 drain: %.1f allocs through Next, %.1f with Results.Node", keys, nodes)
+	if nodes != keys {
+		t.Errorf("a warm Q1 drain allocates %.1f with Results.Node on every result, %.1f through Next alone", nodes, keys)
+	}
+}

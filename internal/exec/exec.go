@@ -161,9 +161,9 @@ type Iterator struct {
 // stats registry, and the governance limiter. Pooling it makes warm
 // serving runs allocation-free in the pipeline setup and — because arena
 // slots keep their mass.Scanner buffers (cursor, range keys) across
-// runs — in the axis binds too. The limiter lives here (rather than
-// coming from govern's own pool) so arming a governed run costs no pool
-// round-trip on top of the one runState already makes.
+// runs — in the axis binds too. The limiter lives here so arming a
+// governed run costs no pool round-trip on top of the one runState
+// already makes.
 type runState struct {
 	arena []stepExec
 	steps []*stepExec
@@ -176,6 +176,9 @@ type runState struct {
 	// per-result append never regrows across warm runs.
 	emitted []flex.Key
 	lim     Limiter
+	// fetch reads the run's result nodes (Iterator.Node) through one
+	// positioned cursor on the clustered index of the run's view.
+	fetch mass.Fetcher
 }
 
 var runPool sync.Pool
@@ -221,42 +224,34 @@ func Run(p *plan.Plan, ctx Context) (*Iterator, error) {
 	}
 	e.batch = batch
 	account := ctx.Trace || ctx.Account
-	if n := countSteps(p.Root); n > 0 {
-		rs, _ := runPool.Get().(*runState)
-		if rs == nil {
-			rs = &runState{}
-		}
-		if cap(rs.arena) < n {
-			// Never grow an arena in place: operators hold pointers into it.
-			rs.arena = make([]stepExec, 0, n)
-		}
-		if cap(rs.steps) < n {
-			rs.steps = make([]*stepExec, 0, n)
-		}
-		// One batch buffer per step (only child-bearing steps carve one)
-		// plus the iterator's delivery buffer.
-		if need := (n + 1) * batch; cap(rs.keys) < need {
-			rs.keys = make([]flex.Key, need)
-		}
-		it.rs = rs
-		e.arena = rs.arena[:0]
-		e.steps = rs.steps[:0]
-		e.keys = rs.keys[:cap(rs.keys)]
-		e.keysOff = 0
-		e.emittedLog = rs.emitted[:0]
-		if account {
-			e.lim = govern.ArmAccounting(&rs.lim, ctx.Ctx, ctx.Limits)
-		} else {
-			e.lim = govern.Arm(&rs.lim, ctx.Ctx, ctx.Limits)
-		}
+	n := countSteps(p.Root)
+	rs, _ := runPool.Get().(*runState)
+	if rs == nil {
+		rs = &runState{}
+	}
+	if cap(rs.arena) < n {
+		// Never grow an arena in place: operators hold pointers into it.
+		rs.arena = make([]stepExec, 0, n)
+	}
+	if cap(rs.steps) < n {
+		rs.steps = make([]*stepExec, 0, n)
+	}
+	// One batch buffer per step (only child-bearing steps carve one)
+	// plus the iterator's delivery buffer.
+	if need := (n + 1) * batch; cap(rs.keys) < need {
+		rs.keys = make([]flex.Key, need)
+	}
+	rs.fetch.Reset(view)
+	it.rs = rs
+	e.arena = rs.arena[:0]
+	e.steps = rs.steps[:0]
+	e.keys = rs.keys[:cap(rs.keys)]
+	e.keysOff = 0
+	e.emittedLog = rs.emitted[:0]
+	if account {
+		e.lim = govern.ArmAccounting(&rs.lim, ctx.Ctx, ctx.Limits)
 	} else {
-		// Stepless plans have no pooled run state to embed the limiter
-		// in; fall back to govern's own pool.
-		if account {
-			e.lim = govern.NewAccounting(ctx.Ctx, ctx.Limits)
-		} else {
-			e.lim = govern.New(ctx.Ctx, ctx.Limits)
-		}
+		e.lim = govern.Arm(&rs.lim, ctx.Ctx, ctx.Limits)
 	}
 	root, err := e.build(p.Root)
 	e.building = false
@@ -280,19 +275,18 @@ func Run(p *plan.Plan, ctx Context) (*Iterator, error) {
 	return it, nil
 }
 
-// release returns the run's pooled state — the arena/steps backing and
-// the governance limiter. The iterator's env stops referencing both, so
-// Stats after release see an empty registry. Pooled step slots keep only
-// their buffers: each scanner is Released (cursor position, tree and
-// view references, ancestor stack, limiter, tally) and the slot's
-// pointers into this run are dropped, so a pooled slot neither keeps a
-// retired view's trees alive nor carries a leaf position into a run that
-// reads a later view.
+// release returns the run's pooled state — the arena/steps backing, the
+// governance limiter and the result fetcher. The iterator's env stops
+// referencing them, so Stats after release see an empty registry. Pooled
+// step slots keep only their buffers: each scanner is Released (cursor
+// position, tree and view references, ancestor stack, limiter, tally)
+// and the slot's pointers into this run are dropped, and the fetcher
+// drops its tree and leaf, so pooled state neither keeps a retired
+// view's trees alive nor carries a leaf position into a run that reads a
+// later view.
 func (it *Iterator) release() {
 	rs := it.rs
 	if rs == nil {
-		govern.Release(it.env.lim)
-		it.env.lim = nil
 		return
 	}
 	if it.env.lim != nil {
@@ -302,6 +296,7 @@ func (it *Iterator) release() {
 	}
 	it.env.lim = nil
 	it.rs = nil
+	rs.fetch.Reset(nil)
 	for i := range it.env.arena {
 		se := &it.env.arena[i]
 		se.scanner.Release()
@@ -549,9 +544,15 @@ var axisScanCounters = func() [mass.AxisCount]*obs.Counter {
 // Key returns the FLEX key of the current tuple.
 func (it *Iterator) Key() flex.Key { return it.cur }
 
-// Node materializes the current tuple's node from storage.
+// Node materializes the current tuple's node from storage, through the
+// run's fetcher: results arrive mostly in document order, so consecutive
+// fetches stay on the leaf the previous one read. It counts into the
+// run's tally, which reaches the store's totals when the run finishes.
 func (it *Iterator) Node() (xmldoc.Node, error) {
-	n, ok, err := it.env.view.Node(it.env.doc, it.cur)
+	if it.finished {
+		return xmldoc.Node{}, fmt.Errorf("exec: no current tuple: the run has finished")
+	}
+	n, ok, err := it.rs.fetch.Node(&it.env.tally, it.env.doc, it.cur)
 	if err != nil {
 		return xmldoc.Node{}, err
 	}
@@ -616,9 +617,9 @@ type env struct {
 func (e *env) nowNS() int64 { return int64(time.Since(e.traceBase)) }
 
 // scratch carves an n-key batch buffer from the run's pooled key slab,
-// falling back to a fresh allocation once the slab is exhausted (stepless
-// plans and transient subplans built during expression evaluation — both
-// already allocate elsewhere).
+// falling back to a fresh allocation once the slab is exhausted
+// (transient subplans built during expression evaluation, which already
+// allocate elsewhere).
 func (e *env) scratch(n int) []flex.Key {
 	if e.keysOff+n <= len(e.keys) {
 		b := e.keys[e.keysOff : e.keysOff+n : e.keysOff+n]

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -291,6 +292,84 @@ func TestResultNodeMaterialization(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("names = %d, want 3", count)
 	}
+}
+
+// TestReleasedRunStateHoldsNoView runs queries that fetch their results
+// and pull through reverse and predicate steps, then walks everything
+// the released run state can reach: no view, tree or B+-tree node of the
+// finished run may be among it.
+func TestReleasedRunStateHoldsNoView(t *testing.T) {
+	s, d, _ := setup(t, personXML)
+	for _, expr := range []string{"//person/name", "//watch/ancestor::person", "//person[address/province]/name"} {
+		ast, _ := xpath.Parse(expr)
+		p, _ := plan.Build(ast)
+		it, err := Run(p, Context{Store: s, Doc: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := it.rs
+		for it.Next() {
+			if _, err := it.Node(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		it.Close()
+		if path := retained(reflect.ValueOf(rs), "runState", map[uintptr]bool{}); path != "" {
+			t.Errorf("%s: released run state still reaches %s", expr, path)
+		}
+		if _, err := it.Node(); err == nil {
+			t.Errorf("%s: Node after Close read storage", expr)
+		}
+	}
+}
+
+// retained returns the path to the first view, tree or B+-tree node
+// reachable from v, or "" when there is none.
+func retained(v reflect.Value, path string, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return ""
+		}
+		switch v.Type().String() {
+		case "*mass.View", "*pager.View", "*btree.Tree", "*btree.node":
+			return path + " (" + v.Type().String() + ")"
+		}
+		if seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		return retained(v.Elem(), path, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return ""
+		}
+		return retained(v.Elem(), path, seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := retained(v.Field(i), path+"."+v.Type().Field(i).Name, seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice:
+		// Pooled slices are parked at length 0: what they retain is in
+		// their capacity.
+		v = v.Slice3(0, v.Cap(), v.Cap())
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p := retained(v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := retained(it.Value(), path+"[…]", seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }
 
 func TestStartContextBinding(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -133,34 +132,13 @@ type Limiter struct {
 	err  error
 }
 
-// pool recycles limiters across runs: a governed serving path would
-// otherwise pay one short-lived heap allocation per query.
-var pool = sync.Pool{New: func() any { return new(Limiter) }}
-
-// New builds the limiter for one query run, or returns nil when ctx can
-// never be canceled and limits sets no budget — the ungoverned fast path.
+// Arm initializes l (which must be zero — fresh or Disarmed) for one
+// run and returns it, or returns nil and leaves l untouched when the run
+// is ungoverned: ctx can never be canceled and limits sets no budget.
 // The limiter's clock starts now; limits.Timeout counts from this moment.
-// Pass the limiter to Release when the run is over.
-func New(ctx context.Context, limits Limits) *Limiter {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cancelable := ctx.Done() != nil
-	deadline, hasDeadline := ctx.Deadline()
-	if !cancelable && !hasDeadline && limits.Unlimited() {
-		return nil
-	}
-	l := pool.Get().(*Limiter)
-	l.arm(ctx, limits, cancelable, deadline, hasDeadline)
-	return l
-}
-
-// Arm is New into caller-owned memory: it initializes l (which must be
-// zero — fresh or Disarmed) for one run and returns it, or returns nil
-// and leaves l untouched when the run is ungoverned. Callers that pool
-// their own per-run state embed a Limiter there and Arm it, avoiding New
-// and Release's pool round-trip on every governed query; Disarm l before
-// reusing the memory.
+// Callers embed the Limiter in per-run state they pool themselves, so a
+// governed query allocates nothing for it; Disarm l before reusing the
+// memory.
 func Arm(l *Limiter, ctx context.Context, limits Limits) *Limiter {
 	if ctx == nil {
 		ctx = context.Background()
@@ -189,19 +167,6 @@ func ArmAccounting(l *Limiter, ctx context.Context, limits Limits) *Limiter {
 	return l
 }
 
-// NewAccounting is New with the ArmAccounting guarantee: the returned
-// limiter is never nil. Pass it to Release when the run is over.
-func NewAccounting(ctx context.Context, limits Limits) *Limiter {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cancelable := ctx.Done() != nil
-	deadline, hasDeadline := ctx.Deadline()
-	l := pool.Get().(*Limiter)
-	l.arm(ctx, limits, cancelable, deadline, hasDeadline)
-	return l
-}
-
 func (l *Limiter) arm(ctx context.Context, limits Limits, cancelable bool, deadline time.Time, hasDeadline bool) {
 	*l = Limiter{ctx: ctx, cancelable: cancelable, limits: limits}
 	if limits.Timeout > 0 {
@@ -221,17 +186,6 @@ func (l *Limiter) arm(ctx context.Context, limits Limits, cancelable bool, deadl
 // without pinning the run's context. Errors already returned remain
 // valid — they are plain values.
 func Disarm(l *Limiter) { *l = Limiter{} }
-
-// Release returns a New-built limiter to the pool for reuse by a future
-// run. The caller must drop every reference first; nil is a no-op. Errors
-// already returned by the limiter remain valid — they are plain values.
-func Release(l *Limiter) {
-	if l == nil {
-		return
-	}
-	*l = Limiter{}
-	pool.Put(l)
-}
 
 // CheckContext maps ctx's current state to the governance taxonomy
 // without building a limiter: ErrCanceled or ErrDeadlineExceeded when ctx

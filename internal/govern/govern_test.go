@@ -7,10 +7,15 @@ import (
 	"time"
 )
 
+// newLimiter arms a fresh limiter, as a run's pooled state arms its own.
+func newLimiter(ctx context.Context, limits Limits) *Limiter {
+	return Arm(new(Limiter), ctx, limits)
+}
+
 func TestNilLimiterIsUngoverned(t *testing.T) {
-	l := New(context.Background(), Limits{})
+	l := newLimiter(context.Background(), Limits{})
 	if l != nil {
-		t.Fatalf("New(Background, no limits) = %v, want nil", l)
+		t.Fatalf("newLimiter(Background, no limits) = %v, want nil", l)
 	}
 	// Every method must be a safe no-op on nil.
 	if err := l.Tick(); err != nil {
@@ -45,12 +50,12 @@ func poll(l *Limiter) error {
 }
 
 func TestNilContextTreatedAsBackground(t *testing.T) {
-	if l := New(nil, Limits{}); l != nil {
-		t.Fatalf("New(nil ctx, no limits) = %v, want nil", l)
+	if l := newLimiter(nil, Limits{}); l != nil {
+		t.Fatalf("newLimiter(nil ctx, no limits) = %v, want nil", l)
 	}
-	l := New(nil, Limits{MaxResults: 1})
+	l := newLimiter(nil, Limits{MaxResults: 1})
 	if l == nil {
-		t.Fatal("New(nil ctx, budget) = nil, want limiter")
+		t.Fatal("newLimiter(nil ctx, budget) = nil, want limiter")
 	}
 	if err := poll(l); err != nil {
 		t.Fatalf("poll() = %v", err)
@@ -59,7 +64,7 @@ func TestNilContextTreatedAsBackground(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	l := New(ctx, Limits{})
+	l := newLimiter(ctx, Limits{})
 	if l == nil {
 		t.Fatal("cancelable ctx should produce a limiter")
 	}
@@ -97,7 +102,7 @@ func TestCancellation(t *testing.T) {
 
 func TestTickAmortization(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	l := New(ctx, Limits{})
+	l := newLimiter(ctx, Limits{})
 	cancel()
 	// The first checkInterval-1 ticks may pass (amortized); by the
 	// checkInterval-th the cancellation must be seen.
@@ -115,7 +120,7 @@ func TestTickAmortization(t *testing.T) {
 func TestContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	l := New(ctx, Limits{})
+	l := newLimiter(ctx, Limits{})
 	err := poll(l)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("poll() past deadline = %v, want ErrDeadlineExceeded", err)
@@ -127,7 +132,7 @@ func TestContextDeadline(t *testing.T) {
 
 func TestTimeoutBudget(t *testing.T) {
 	// Timeout alone (no cancelable context) must still govern.
-	l := New(context.Background(), Limits{Timeout: time.Nanosecond})
+	l := newLimiter(context.Background(), Limits{Timeout: time.Nanosecond})
 	if l == nil {
 		t.Fatal("Timeout budget should produce a limiter")
 	}
@@ -140,7 +145,7 @@ func TestTimeoutBudget(t *testing.T) {
 func TestTimeoutTightensContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
 	defer cancel()
-	l := New(ctx, Limits{Timeout: time.Nanosecond})
+	l := newLimiter(ctx, Limits{Timeout: time.Nanosecond})
 	time.Sleep(time.Millisecond)
 	if err := poll(l); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("tighter Timeout not honored: %v", err)
@@ -148,14 +153,14 @@ func TestTimeoutTightensContextDeadline(t *testing.T) {
 	// And the looser Timeout must not loosen the context deadline.
 	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	l2 := New(ctx2, Limits{Timeout: time.Hour})
+	l2 := newLimiter(ctx2, Limits{Timeout: time.Hour})
 	if err := poll(l2); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired ctx deadline not honored with loose Timeout: %v", err)
 	}
 }
 
 func TestResultBudget(t *testing.T) {
-	l := New(context.Background(), Limits{MaxResults: 2})
+	l := newLimiter(context.Background(), Limits{MaxResults: 2})
 	if err := l.AddResults(1); err != nil {
 		t.Fatalf("AddResults(1) #1 = %v", err)
 	}
@@ -176,7 +181,7 @@ func TestResultBudget(t *testing.T) {
 }
 
 func TestPageAndRecordBudgets(t *testing.T) {
-	l := New(context.Background(), Limits{MaxPagesRead: 1, MaxDecodedRecords: 1})
+	l := newLimiter(context.Background(), Limits{MaxPagesRead: 1, MaxDecodedRecords: 1})
 	if err := l.AddPages(1); err != nil {
 		t.Fatalf("AddPages within budget = %v", err)
 	}
@@ -186,7 +191,7 @@ func TestPageAndRecordBudgets(t *testing.T) {
 		t.Fatalf("AddPages over budget = %v", err)
 	}
 
-	l2 := New(context.Background(), Limits{MaxDecodedRecords: 1})
+	l2 := newLimiter(context.Background(), Limits{MaxDecodedRecords: 1})
 	if err := l2.AddRecords(1); err != nil {
 		t.Fatalf("AddRecords within budget = %v", err)
 	}
@@ -200,7 +205,7 @@ func TestPageAndRecordBudgets(t *testing.T) {
 }
 
 func TestUsageSnapshot(t *testing.T) {
-	l := New(context.Background(), Limits{MaxResults: 100})
+	l := newLimiter(context.Background(), Limits{MaxResults: 100})
 	l.AddResults(3)
 	l.AddPages(5)
 	l.AddRecords(7)

@@ -17,7 +17,7 @@ import (
 // (document order for forward axes, reverse document order for reverse
 // axes) through NextKeys. It is the unit of MASS's pipelined, index-based
 // access, and it yields keys only: a consumer that wants a node's content
-// fetches it with View.Node.
+// fetches it with a Fetcher (View.Node for one key).
 //
 // Every axis is evaluated against the indexes; no in-memory tree is ever
 // built. Name and wildcard tests stream keys out of the names or elems

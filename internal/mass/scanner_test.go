@@ -159,8 +159,8 @@ func TestKindProbeIsCharged(t *testing.T) {
 	if len(streets) != 2 {
 		t.Fatalf("fixture has %d streets, want 2", len(streets))
 	}
-	lim := govern.NewAccounting(context.Background(), govern.Limits{})
-	defer govern.Release(lim)
+	var limMem, tightMem govern.Limiter
+	lim := govern.ArmAccounting(&limMem, context.Background(), govern.Limits{})
 	var tl Tally
 	var sc Scanner
 	sc.SetLimiter(lim)
@@ -174,8 +174,7 @@ func TestKindProbeIsCharged(t *testing.T) {
 			lim.DecodedRecords(), stored)
 	}
 
-	tight := govern.New(context.Background(), govern.Limits{MaxDecodedRecords: 1})
-	defer govern.Release(tight)
+	tight := govern.Arm(&tightMem, context.Background(), govern.Limits{MaxDecodedRecords: 1})
 	sc.SetLimiter(tight)
 	cur(s).BindScan(&sc, d, streets[0].Key, AxisFollowingSibling, NodeTest{Type: TestName, Name: "city"}) // kind probe: 1 record
 	scan := cur(s).BindScan(&sc, d, streets[1].Key, AxisFollowingSibling, NodeTest{Type: TestName, Name: "city"})

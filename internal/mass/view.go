@@ -1,6 +1,7 @@
 package mass
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -204,24 +205,60 @@ func (v *View) Node(d DocID, k flex.Key) (xmldoc.Node, bool, error) {
 }
 
 // nodeAt reads the node stored under (d, k) in clustered tree ct,
-// counting into t.
+// counting into t: a one-shot Fetcher.
 func nodeAt(ct *btree.Tree, t *Tally, d DocID, k flex.Key) (xmldoc.Node, bool, error) {
+	var f Fetcher
+	f.cur.Reset(ct)
 	var buf [64]byte
-	key := appendClusteredKey(buf[:0], d, k)
-	c := cursorOn(ct)
+	return f.read(t, appendClusteredKey(buf[:0], d, k), k)
+}
+
+// A Fetcher reads nodes of one view by key through one positioned cursor
+// on the clustered index. Keys that ascend, as a run's results in
+// document order do, walk the leaf level once: each Seek gallops inside
+// the leaf the cursor holds and descends from the root only for a key
+// outside it, which is also how keys out of order (a reverse axis) are
+// served. A result whose name is the previous result's reuses that
+// string, so a step's elements cost no allocation; a value is one string.
+//
+// A Fetcher reads the view it was last Reset to, which its owner keeps
+// pinned; Reset(nil) drops that view's tree and the held leaf. It is not
+// safe for concurrent use.
+type Fetcher struct {
+	cur  btree.Cursor
+	key  []byte
+	last string
+}
+
+// Reset points f at v's clustered index (nil: parks it, holding no tree
+// or leaf). A cursor already on v keeps its leaf.
+func (f *Fetcher) Reset(v *View) {
+	if v == nil {
+		f.cur.Reset(nil)
+		return
+	}
+	f.cur.Reset(v.clustered)
+}
+
+// Node reads the node stored under (d, k), counting the record and the
+// cursor's node loads into t.
+func (f *Fetcher) Node(t *Tally, d DocID, k flex.Key) (xmldoc.Node, bool, error) {
+	f.key = appendClusteredKey(f.key[:0], d, k)
+	return f.read(t, f.key, k)
+}
+
+// read reads the node of key k, stored under clustered key key.
+func (f *Fetcher) read(t *Tally, key []byte, k flex.Key) (xmldoc.Node, bool, error) {
 	t.RecordsDecoded++
-	var n xmldoc.Node
-	var decodeErr error
-	ok, err := c.Lookup(key, func(v []byte) { n, decodeErr = decodeRecord(v) })
-	t.fold(&c)
+	r, ok, err := seekRecord(&f.cur, key)
+	t.fold(&f.cur)
 	if err != nil || !ok {
-		return xmldoc.Node{}, ok, err
+		return xmldoc.Node{}, false, err
 	}
-	if decodeErr != nil {
-		return xmldoc.Node{}, false, decodeErr
+	if string(r.name) != f.last {
+		f.last = string(r.name)
 	}
-	n.Key = k
-	return n, true, nil
+	return xmldoc.Node{Kind: r.kind, Key: k, Name: f.last, Value: string(r.value)}, true, nil
 }
 
 // StringValue computes the XPath string-value of the node at (d, k): for
@@ -234,33 +271,58 @@ func (v *View) StringValue(d DocID, k flex.Key) (string, error) {
 	return s, err
 }
 
+// stringValue reads the node's record and, for an element or the
+// document, walks its subtree's clustered range forward with the same
+// cursor, appending the value of each text record: one descent, then a
+// leaf-level walk. The node and each text record count as decoded.
 func (v *View) stringValue(t *Tally, d DocID, k flex.Key) (string, error) {
-	n, ok, err := nodeAt(v.clustered, t, d, k)
+	c := cursorOn(v.clustered)
+	defer t.fold(&c)
+	var buf [64]byte
+	t.RecordsDecoded++
+	r, ok, err := seekRecord(&c, appendClusteredKey(buf[:0], d, k))
 	if err != nil {
 		return "", err
 	}
 	if !ok {
 		return "", fmt.Errorf("mass: no node at %q", k)
 	}
-	if n.Kind != xmldoc.KindElement && n.Kind != xmldoc.KindDocument {
-		return n.Value, nil
+	if r.kind != xmldoc.KindElement && r.kind != xmldoc.KindDocument {
+		return string(r.value), nil
 	}
+	hi := appendClusteredKey(nil, d, k.SubtreeUpper())
 	var out []byte
-	lo, hi := docKeyRange(d, k.DescLower(), k.SubtreeUpper())
-	c := cursorOn(v.texts)
-	defer t.fold(&c)
-	for ok := c.Seek(lo); ok && c.InRange(hi); ok = c.Next() {
-		_, fk := splitClusteredKey(c.Key())
-		tn, ok2, err := nodeAt(v.clustered, t, d, fk)
-		if err != nil {
+	for c.Next() && c.InRange(hi) {
+		if r, err = viewRecord(&c); err != nil {
 			return "", err
 		}
-		if ok2 {
-			out = append(out, tn.Value...)
+		if r.kind == xmldoc.KindText {
+			t.RecordsDecoded++
+			out = append(out, r.value...)
 		}
 	}
 	if err := c.Err(); err != nil {
 		return "", err
 	}
 	return string(out), nil
+}
+
+// seekRecord positions c on key and parses its record in place; false
+// when no record is stored under exactly key. c stays on the record, so a
+// caller can walk on from it.
+func seekRecord(c *btree.Cursor, key []byte) (record, bool, error) {
+	if !c.Seek(key) || !bytes.Equal(c.Key(), key) {
+		return record{}, false, c.Err()
+	}
+	r, err := viewRecord(c)
+	return r, err == nil, err
+}
+
+// viewRecord parses the record c is positioned on, in place.
+func viewRecord(c *btree.Cursor) (record, error) {
+	v, err := c.ValueView()
+	if err != nil {
+		return record{}, err
+	}
+	return parseRecord(v)
 }

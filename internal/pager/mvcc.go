@@ -106,8 +106,8 @@ func (p *Pager) commitVersionLocked() error {
 			p.pending[id] = f
 			p.clean.drop(id)
 		}
-		delete(p.dirty, id)
 	}
+	p.dirty = emptied(p.dirty)
 	p.vEpoch++
 	p.vPages = p.npages
 	p.m.VersionCommits++
@@ -178,7 +178,7 @@ func (p *Pager) unpin(epoch uint64) {
 // tagged >= E, so anything tagged < min(pins) is dead).
 func (p *Pager) reclaimLocked() {
 	if len(p.pins) == 0 {
-		clear(p.versions)
+		p.versions = emptied(p.versions)
 		return
 	}
 	min := uint64(1<<64 - 1)
@@ -198,6 +198,22 @@ func (p *Pager) reclaimLocked() {
 		}
 		p.versions[id] = vs[i:]
 	}
+}
+
+// smallMap is the size past which an emptied map is made anew: a Go map
+// keeps its grown bucket arrays through delete and clear, so a map that
+// one large load or commit grew would hold that memory for the pager's
+// life.
+const smallMap = 64
+
+// emptied returns m with no entries: cleared in place while small, a
+// fresh map once it has grown past smallMap.
+func emptied[K comparable, V any](m map[K]V) map[K]V {
+	if len(m) > smallMap {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
 }
 
 // View is a read-only handle onto the pager pinned at one version
@@ -298,7 +314,7 @@ func (p *Pager) RollbackUpdate() {
 	if !p.inTxn {
 		return
 	}
-	clear(p.dirty)
+	p.dirty = emptied(p.dirty)
 	if p.backend == nil && int(p.txnMark.npages) <= len(p.mem) {
 		p.mem = p.mem[:p.txnMark.npages]
 	}

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -59,6 +60,19 @@ func expectedStream(t *testing.T, db *vamana.DB, doc *vamana.Document, expr stri
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// encodeNode writes one result node as a single NDJSON line, as the
+// handler encodes it.
+func encodeNode(w io.Writer, n vamana.Node) error {
+	_, err := w.Write(appendNode(nil, n))
+	return err
+}
+
+// encodeDone writes the success terminal line, as the handler encodes it.
+func encodeDone(w io.Writer, count uint64) error {
+	_, err := w.Write(appendDone(nil, count))
+	return err
 }
 
 func TestServerBatteryConcurrentTenantsVsWriter(t *testing.T) {

@@ -183,18 +183,11 @@ func appendNode(dst []byte, n vamana.Node) []byte {
 	return append(dst, '}', '\n')
 }
 
-// encodeNode writes one result node as a single NDJSON line (the
-// allocation-reusing form is appendNode; this wrapper serves the
-// expected-bytes helpers).
-func encodeNode(w io.Writer, n vamana.Node) error {
-	_, err := w.Write(appendNode(nil, n))
-	return err
-}
-
-// encodeDone writes the success terminal line.
-func encodeDone(w io.Writer, count uint64) error {
-	_, err := fmt.Fprintf(w, `{"done":true,"count":%d}`+"\n", count)
-	return err
+// appendDone appends the success terminal line.
+func appendDone(dst []byte, count uint64) []byte {
+	dst = append(dst, `{"done":true,"count":`...)
+	dst = strconv.AppendUint(dst, count, 10)
+	return append(dst, '}', '\n')
 }
 
 // encodeStreamError writes the in-band terminal error line.

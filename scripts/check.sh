@@ -43,9 +43,11 @@ go test -race ./...
 
 echo "== allocation pins (without -race, whose sync.Pool drops make counts noisy)"
 # A feature on every warm query's path adds no allocations to it — see
-# TestFeatureAllocPins and TestCostFoldAllocFree. How much time a
-# feature costs is the benchmark's to report, paired against the parent.
-go test -run '^TestFeatureAllocPins$|^TestCostFoldAllocFree$' -count 1 . ./internal/core
+# TestFeatureAllocPins and TestCostFoldAllocFree; fetching every result
+# costs a warm drain nothing (TestResultNodeAllocPin), and a warm handler
+# request allocates under 16 KiB (TestHandlerRequestBytes). How much time
+# a feature costs is the benchmark's to report, paired against the parent.
+go test -run '^TestFeatureAllocPins$|^TestCostFoldAllocFree$|^TestResultNodeAllocPin$|^TestHandlerRequestBytes$' -count 1 . ./internal/core ./internal/serve
 
 echo "== benchmark module (all six workloads, oracle-checked, tiny document)"
 # benchmark/ is a module of its own, so the ./... passes above never build
